@@ -16,14 +16,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
+from qpzk.core.metrics import trace_distance
 from qpzk.core.states import MixedState
 from qpzk.crypto.ideal import IdealSession, ideal_compute_classical, xor_coin_functionality
 from qpzk.errors import ConfigError
-from qpzk.compilers.public_coin import (
-    PublicCoinProtocol,
-    PublicCoinStrategy,
-    public_coin_soundness,
-)
+from qpzk.compilers.public_coin import PublicCoinProtocol, PublicCoinStrategy
 from qpzk.compilers.types import HvzkSimulator
 
 
@@ -42,11 +39,6 @@ class CoinFlipProtocol:
     @property
     def num_challenges(self) -> int:
         return self.reps
-
-    def iteration_soundness(self, zeta: float) -> float:
-        """In the ideal model the coin is unbiased, so one iteration keeps
-        exactly the public-coin soundness value."""
-        return public_coin_soundness(zeta)
 
     # -- real execution -----------------------------------------------------
 
@@ -227,7 +219,5 @@ def view_ensemble_distance(a: Sequence[ViewBranchIV], b: Sequence[ViewBranchIV])
             continue
         worst = max(worst, abs(xa.probability - xb.probability))
         for va, vb in zip(xa.iterations, xb.iterations):
-            diff = va.wm_state.matrix - vb.wm_state.matrix
-            vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-            worst = max(worst, float(np.abs(vals).sum() / 2))
+            worst = max(worst, trace_distance(va.wm_state, vb.wm_state))
     return worst

@@ -17,12 +17,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import H, X, CNOT, projector_onto, swap_registers
+from qpzk.core.operators import H, P0, P1, X, CNOT, projector_onto, swap_registers
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep
-from qpzk.protocol import InteractiveProtocol
+from qpzk.protocol import InteractiveProtocol, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
@@ -66,7 +66,7 @@ class CollapsedProtocol:
         w, m = base.w_qubits, base.m_qubits
         if 2 + self.r * (w + m) > qubit_cap():
             raise ConfigError("collapsed verifier registers exceed the qubit cap")
-        self.psi_v = _product_w_part(base)
+        self.psi_v = initial_workspace_state(base)
 
     # -- wire bookkeeping ----------------------------------------------------
 
@@ -166,7 +166,7 @@ class CollapsedProtocol:
     def accept_projector(self) -> np.ndarray:
         base = self.base
         v_r = base.verifier_unitaries[-1]
-        pi1 = linalg.embed(projector_onto([0, 1]), [0], base.w_qubits + base.m_qubits)
+        pi1 = linalg.embed(P1, [0], base.w_qubits + base.m_qubits)
         return v_r.conj().T @ pi1 @ v_r
 
     def challenge_outcome(self, strat: CollapsedStrategy, challenge: int,
@@ -320,12 +320,9 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     v1 = linalg.embed(base.verifier_unitaries[0], W1 + M1, n_v) @ v1
     v1 = linalg.embed(_controlled_swap(w), [B] + W1 + S2, n_v) @ v1
 
-    accept_write = np.kron(
-        np.kron(projector_onto([1, 0]), projector_onto([0, 1])), X)
-    accept_write += np.kron(
-        np.eye(4, dtype=complex) - np.kron(projector_onto([1, 0]),
-                                           projector_onto([0, 1])),
-        np.eye(2, dtype=complex))
+    accept_write = np.kron(np.kron(P0, P1), X)
+    accept_write += np.kron(np.eye(4, dtype=complex) - np.kron(P0, P1),
+                            np.eye(2, dtype=complex))
     v2 = np.eye(2 ** n_v, dtype=complex)
     v2 = linalg.embed(CNOT, [B, Bw], n_v) @ v2
     v2 = linalg.embed(H, [B], n_v) @ v2
@@ -395,23 +392,11 @@ def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: HvzkSimulator,
     pair = collapsed.bell_pair_reduced(strat, challenge)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     fid = float(np.real(np.vdot(bell, pair @ bell)))
-    diff = pair - np.outer(bell, bell.conj())
-    residual = float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() / 2)
+    residual = linalg.half_trace_norm(pair - np.outer(bell, bell.conj()))
     return CollapsedSimulationReport(challenge, p_acc, p_bell, fid, residual)
 
 
 # -- helpers -------------------------------------------------------------------
-
-
-def _product_w_part(base: InteractiveProtocol) -> np.ndarray:
-    """The verifier's initial workspace state; must be unentangled."""
-    lay = base.layout
-    keep = lay.qubits_of("W")
-    red = linalg.partial_trace_vector(base.initial.amplitudes, keep, lay.total_qubits)
-    vals, vecs = np.linalg.eigh(red)
-    if vals[-1] < 1.0 - 1e-9:
-        raise ConfigError("initial verifier workspace is entangled with the prover")
-    return vecs[:, -1] * np.exp(-1j * np.angle(vecs[np.argmax(np.abs(vecs[:, -1])), -1]))
 
 
 def _strip_w(snapshot: np.ndarray, base: InteractiveProtocol) -> np.ndarray:
@@ -423,7 +408,7 @@ def _strip_w(snapshot: np.ndarray, base: InteractiveProtocol) -> np.ndarray:
     rest = [q for q in range(n) if q not in w]
     t = linalg.permute_vector(snapshot, w + rest, n).reshape(2 ** len(w), -1)
     # Project onto the psi_v component; the remainder must vanish.
-    psi_v = _product_w_part(base)
+    psi_v = initial_workspace_state(base)
     rm_part = psi_v.conj() @ t
     norm = np.linalg.norm(rm_part)
     if abs(norm - 1.0) > 1e-9:

@@ -16,11 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import projector_onto
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.crypto.commitments import CanonicalCommitment
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.protocol import InteractiveProtocol, initial_workspace_state
+from qpzk.protocol import InteractiveProtocol, accept_probability, initial_workspace_state
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,7 @@ class CommitRoundProtocol:
             vec = linalg.apply_to_vector(base.verifier_unitaries[i - 1], vec, wm, n)
             if i < base.rounds:
                 vec = linalg.apply_to_vector(scheme.com, vec, com_wires, n)
-        first_w = lay.qubits_of("W")[0]
-        acc = linalg.apply_to_vector(projector_onto([0, 1]), vec, [first_w], n)
-        p_accept = float(np.linalg.norm(acc) ** 2)
+        p_accept = accept_probability(vec, lay)
         p_reject = float(np.linalg.norm(vec) ** 2) - p_accept
         return CommitRunResult(p_accept, max(p_reject, 0.0), tuple(aborts))
 

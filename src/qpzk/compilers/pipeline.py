@@ -8,7 +8,6 @@ from typing import Optional
 import numpy as np
 
 from qpzk.core.sampling import random_amplitudes
-from qpzk.errors import ConfigError
 from qpzk.protocol import InteractiveProtocol, load_protocol
 from qpzk.compilers.collapse import (
     CollapsedProtocol,
@@ -70,28 +69,6 @@ def pipeline_cheat_strategies(stages: PipelineStages, rng) -> list[PublicCoinStr
     eager = PublicCoinStrategy(honest.opening,
                                lambda b: honest.response_for(0), "always-final-move")
     return [garbage, lazy, eager]
-
-
-@dataclass
-class PipelineConfigData:
-    base_path: Optional[str]
-    k: int
-    zk_reps: int
-    trials: int
-    seed: int
-
-
-def parse_pipeline_config(data: dict) -> PipelineConfigData:
-    try:
-        return PipelineConfigData(
-            base_path=data.get("base_protocol"),
-            k=int(data.get("k", 1)),
-            zk_reps=int(data.get("reps", 0)),
-            trials=int(data.get("trials", 1000)),
-            seed=int(data.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad pipeline config: {exc}") from exc
 
 
 def load_pipeline_base(path: Optional[str]) -> InteractiveProtocol:

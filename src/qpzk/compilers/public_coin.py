@@ -15,12 +15,12 @@ from typing import Callable
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import projector_onto
+from qpzk.core.operators import P1, projector_onto
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep
-from qpzk.protocol import InteractiveProtocol, initial_workspace_state
+from qpzk.protocol import InteractiveProtocol, accept_probability, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
 
@@ -118,9 +118,7 @@ class PublicCoinProtocol:
         wm = lay.qubits_of_all(["W", "M"])
         if b == 0:
             vec = linalg.apply_to_vector(base.verifier_unitaries[1], vec, wm, n)
-            first_w = lay.qubits_of("W")[0]
-            out = linalg.apply_to_vector(projector_onto([0, 1]), vec, [first_w], n)
-            return float(np.linalg.norm(out) ** 2)
+            return accept_probability(vec, lay)
         vec = linalg.apply_to_vector(base.verifier_unitaries[0].conj().T, vec, wm, n)
         red = linalg.partial_trace_vector(vec, lay.qubits_of("W"), n)
         return float(np.trace(self.swap_accept @ red).real)
@@ -135,7 +133,7 @@ class PublicCoinProtocol:
             mat = linalg.apply_to_matrix(base.verifier_unitaries[1], state.matrix,
                                          list(range(n)), n)
             first_w = lay.qubits_of("W")[0]
-            out = linalg.apply_to_matrix(projector_onto([0, 1]), mat, [first_w], n)
+            out = linalg.apply_to_matrix(P1, mat, [first_w], n)
             return float(out.trace().real)
         mat = linalg.apply_to_matrix(base.verifier_unitaries[0].conj().T,
                                      state.matrix, list(range(n)), n)
@@ -171,7 +169,7 @@ class PublicCoinProtocol:
         branch0 = Branch(0.5, (
             SlotStep("U0", tuple(rm)),
             FixedStep(base.verifier_unitaries[1], tuple(wm)),
-            FixedStep(projector_onto([0, 1]), (first_w,)),
+            FixedStep(P1, (first_w,)),
         ))
         branch1 = Branch(0.5, (
             SlotStep("U1", tuple(rm)),

@@ -89,6 +89,12 @@ def partial_trace_vector(vec: np.ndarray, keep, n: int) -> np.ndarray:
     return a @ a.conj().T
 
 
+def half_trace_norm(diff: np.ndarray) -> float:
+    """Half the trace norm of a Hermitian difference: the trace distance
+    when diff is the difference of two density matrices."""
+    return float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() / 2)
+
+
 def is_unitary(mat: np.ndarray, tol: float = EPS) -> bool:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False

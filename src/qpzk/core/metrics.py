@@ -19,9 +19,7 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     """Half the trace norm of the difference; in [0, 1] for states."""
     if a.dim != b.dim:
         raise DimensionMismatchError("trace distance of states with different dims")
-    diff = _density(a) - _density(b)
-    vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(np.abs(vals).sum() / 2)
+    return linalg.half_trace_norm(_density(a) - _density(b))
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-
 import numpy as np
 
 from qpzk.core.linalg import EPS, is_hermitian, is_projector, is_unitary
@@ -22,10 +20,10 @@ SWAP2 = np.array(
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, mats)
+# Computational-basis projectors |0><0| and |1><1|; |1><1| on the first
+# workspace qubit is every protocol's accept readout.
+P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 def swap_registers(qubits: int) -> np.ndarray:

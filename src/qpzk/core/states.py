@@ -13,11 +13,7 @@ from qpzk.core import linalg
 from qpzk.core.linalg import EPS
 from qpzk.core.operators import ProjectiveMeasurement, UnitaryOp
 from qpzk.core.registers import RegisterLayout
-from qpzk.errors import (
-    DimensionMismatchError,
-    StateValidationError,
-    ZeroProbabilityError,
-)
+from qpzk.errors import DimensionMismatchError, StateValidationError
 
 
 @dataclass(frozen=True)
@@ -238,16 +234,6 @@ def measure(
     if abs(total - (state.trace() if isinstance(state, MixedState) else 1.0)) > 1e-7:
         raise StateValidationError(f"outcome probabilities sum to {total}")
     return outcomes
-
-
-def sample_outcome(outcomes: list[MeasurementOutcome], rng) -> MeasurementOutcome:
-    probs = np.array([max(o.probability, 0.0) for o in outcomes])
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(outcomes), p=probs))
-    picked = outcomes[idx]
-    if picked.post is None:
-        raise ZeroProbabilityError("sampled a zero-probability branch")
-    return picked
 
 
 def expectation(state: QuantumState, op: np.ndarray, acts_on=None) -> float:

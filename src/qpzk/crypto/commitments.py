@@ -9,7 +9,6 @@ double-opening experiment, including the bit-dependent swap ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +25,7 @@ from qpzk.errors import (
     RegisterError,
     StateValidationError,
 )
-from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json
+from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, read_json
 
 
 @dataclass(frozen=True)
@@ -210,8 +209,7 @@ BUILTIN_SCHEMES = {
 def load_scheme(name_or_path: str) -> CanonicalCommitment:
     if name_or_path in BUILTIN_SCHEMES:
         return BUILTIN_SCHEMES[name_or_path]()
-    with open(name_or_path) as fh:
-        return scheme_from_json(json.load(fh))
+    return scheme_from_json(read_json(name_or_path))
 
 
 # -- double-opening game -----------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import X, Z
+from qpzk.core.operators import P0, P1, X, Z
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import ConfigError, DimensionMismatchError
@@ -128,8 +128,6 @@ class QuantumMac:
         trap_zero = _projector_traps_zero(nm, t)
         out_dim = 2 ** (nm + nr + 1)
         total = np.zeros((out_dim, out_dim), dtype=complex)
-        flag1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        flag0 = np.array([[1, 0], [0, 0]], dtype=complex)
         mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
         n_all = nm + t + nr
         acc_proj = linalg.embed(trap_zero, list(range(nm + t)), n_all)
@@ -144,7 +142,7 @@ class QuantumMac:
             rejected = mat - accepted
             acc_mr = linalg.partial_trace_matrix(accepted, keep_mr, n_all)
             rej_r = linalg.partial_trace_matrix(rejected, keep_r, n_all)
-            total += np.kron(acc_mr, flag1) + np.kron(np.kron(mm, rej_r), flag0)
+            total += np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
         return total / len(self.keys)
 
     def decode_sampled(self, key: MacKey, code: QuantumState, rng):
@@ -216,11 +214,9 @@ def ideal_channel_output(simulator_acc, simulator_rej, rho_mr: QuantumState,
     for k in simulator_rej:
         kk = np.kron(np.eye(2 ** nm, dtype=complex), np.asarray(k, dtype=complex))
         rej += kk @ rho @ kk.conj().T
-    flag1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    flag0 = np.array([[1, 0], [0, 0]], dtype=complex)
     mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
     rej_r = linalg.partial_trace_matrix(rej, list(range(nm, n)), n)
-    return np.kron(acc, flag1) + np.kron(np.kron(mm, rej_r), flag0)
+    return np.kron(acc, P1) + np.kron(np.kron(mm, rej_r), P0)
 
 
 def mac_real_vs_ideal(mac: QuantumMac, attack: np.ndarray, rho_mr: QuantumState,
@@ -230,9 +226,7 @@ def mac_real_vs_ideal(mac: QuantumMac, attack: np.ndarray, rho_mr: QuantumState,
     real = mac.real_channel_output(np.asarray(attack, dtype=complex), rho_mr, r_qubits)
     ideal = ideal_channel_output(simulator_acc, simulator_rej, rho_mr,
                                  mac.message_qubits, r_qubits)
-    diff = real - ideal
-    vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(np.abs(vals).sum() / 2)
+    return linalg.half_trace_norm(real - ideal)
 
 
 def natural_simulator(mac: QuantumMac, code_attack: np.ndarray, r_qubits: int,

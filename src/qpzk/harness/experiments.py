@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from qpzk.core import (
-    MixedState,
     PureState,
     RegisterLayout,
     fidelity,
@@ -557,10 +556,10 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     trials = config.effective_trials
     rng = _stream(config, 1)
     k1_bound = composite_bound(min(zeta, 1.0), 2, 1)
-    for strat in pipeline_cheat_strategies(stages, rng):
+    for idx, strat in enumerate(pipeline_cheat_strategies(stages, rng)):
         exact = stages.public_coin.acceptance(strat)
         hits = 0
-        sample_rng = _stream(config, 2)
+        sample_rng = _stream(config, 2 + idx)
         for _ in range(trials):
             outcome, _ = stages.public_coin.sample_run(strat, None, sample_rng)
             hits += outcome

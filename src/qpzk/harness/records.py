@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import qpzk
+from qpzk.serialize import read_json
 
 VERDICTS = ("PASS", "FAIL", "VACUOUS", "NOT-APPLICABLE")
 
@@ -72,10 +73,6 @@ class ExperimentRecord:
     def failed(self) -> bool:
         return any(r.verdict == "FAIL" for r in self.rows)
 
-    @property
-    def vacuous_count(self) -> int:
-        return sum(r.verdict == "VACUOUS" for r in self.rows)
-
     def to_dict(self) -> dict:
         return {
             "artifact_version": self.artifact_version,
@@ -133,8 +130,7 @@ def record_from_dict(data: dict) -> ExperimentRecord:
 
 
 def load_record(path: str) -> ExperimentRecord:
-    with open(path) as fh:
-        return record_from_dict(json.load(fh))
+    return record_from_dict(read_json(path))
 
 
 def save_record(record: ExperimentRecord, path: str, fmt: str = "json") -> None:

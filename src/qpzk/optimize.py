@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import projector_onto
+from qpzk.core.operators import P1, projector_onto
 from qpzk.core.sampling import random_amplitudes, random_unitary
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
@@ -50,7 +50,7 @@ def optimal_three_message_value(v1: np.ndarray, v2: np.ndarray, psi_v: PureState
     dim = 2 ** n
     if v1.shape != (dim, dim) or v2.shape != (dim, dim):
         raise DimensionMismatchError("verifier unitaries must act on W M")
-    accept_first_w = linalg.embed(projector_onto([0, 1]), [0], n)
+    accept_first_w = linalg.embed(P1, [0], n)
     pi_a = v2.conj().T @ accept_first_w @ v2
     psi_proj = projector_onto(psi_v.amplitudes)
     pi_b = v1 @ np.kron(psi_proj, np.eye(2 ** m_qubits, dtype=complex)) @ v1.conj().T
@@ -99,30 +99,15 @@ class AscentProblem:
     fixed_qubits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        slots_seen: dict[str, int] = {}
-        for b in self.branches:
-            per_branch = set()
-            for s in b.steps:
-                if isinstance(s, SlotStep):
-                    if s.slot in per_branch:
-                        raise ConfigError(f"slot {s.slot!r} repeated within a branch")
-                    per_branch.add(s.slot)
-                    k = len(s.targets)
-                    if slots_seen.setdefault(s.slot, k) != k:
-                        raise ConfigError(f"slot {s.slot!r} has inconsistent arity")
-            for s in per_branch:
-                slots_seen[s] = slots_seen[s]
-        shared = {}
+        seen: set[str] = set()
         for b in self.branches:
             for s in b.steps:
                 if isinstance(s, SlotStep):
-                    shared.setdefault(s.slot, 0)
-                    shared[s.slot] += 1
-        for slot, count in shared.items():
-            if count > 1:
-                raise ConfigError(
-                    f"slot {slot!r} is shared across branches; use per-branch slots"
-                )
+                    if s.slot in seen:
+                        raise ConfigError(
+                            f"slot {s.slot!r} occurs in more than one step; "
+                            "give every step its own slot")
+                    seen.add(s.slot)
 
     @property
     def free_qubits(self) -> tuple[int, ...]:
@@ -328,7 +313,7 @@ def protocol_ascent_problem(
         if slot not in frozen_slots:
             steps.append(SlotStep(slot, tuple(rm)))
         steps.append(FixedStep(protocol.verifier_unitaries[i], tuple(wm)))
-    steps.append(FixedStep(projector_onto([0, 1]), (first_w,)))
+    steps.append(FixedStep(P1, (first_w,)))
     init = protocol.initial.amplitudes
     if ancilla_qubits:
         init = np.kron(init, linalg.basis_vector(0, 2 ** ancilla_qubits))

@@ -22,13 +22,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import projector_onto
+from qpzk.core.operators import P1
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.core.states import (
     MixedState,
     PureState,
     QuantumState,
-    apply_unitary,
     partial_trace,
     tensor,
 )
@@ -39,6 +38,7 @@ from qpzk.serialize import (
     complex_matrix_to_json,
     complex_vector_from_json,
     complex_vector_to_json,
+    read_json,
 )
 
 
@@ -93,7 +93,7 @@ class PqmaInstance:
     def accept_operator(self) -> np.ndarray:
         """V^dag (|1><1| x Id) V on (witness, instance)."""
         n = self.witness_qubits + self.psi.n_qubits
-        pi1 = linalg.embed(projector_onto([0, 1]), [0], n)
+        pi1 = linalg.embed(P1, [0], n)
         v = self.verifier_unitary
         return v.conj().T @ pi1 @ v
 
@@ -103,18 +103,6 @@ class PqmaInstance:
 
     def honest_acceptance(self) -> float:
         return self.final_acceptance(self.witness, self.psi)
-
-    def best_witness_value(self, instance: Optional[QuantumState] = None) -> float:
-        """Max over witnesses of the final projection value on an instance."""
-        instance = instance or self.psi
-        nw = self.witness_qubits
-        ni = instance.n_qubits
-        op = self.accept_operator()
-        # Contract the instance side: M_w = Tr_inst(op . (Id_w x rho_inst)).
-        n = nw + ni
-        full = op @ np.kron(np.eye(2 ** nw, dtype=complex), instance.density())
-        m = linalg.partial_trace_matrix(full, list(range(nw)), n)
-        return float(np.linalg.eigvalsh((m + m.conj().T) / 2).max())
 
 
 @dataclass(frozen=True)
@@ -166,10 +154,6 @@ def _swap_accept_probability(inst: PqmaInstance, pair: MixedState) -> float:
     """SWAP-test acceptance of the pair's instance side against a fresh psi."""
     a = partial_trace(pair, "B") if "B" in pair.layout.names else pair
     return swap_test_povm(a, inst.psi.relabel(a.layout))
-
-
-def _pair_layout(nw: int, ni: int) -> RegisterLayout:
-    return RegisterLayout.of(("B", nw), ("A", ni))
 
 
 def _sample_distinct(rng, n: int, k: int) -> list[int]:
@@ -288,13 +272,6 @@ def _swap_branches(state: QuantumState, copy_name: str, psi: PureState):
     return branches
 
 
-def _verifier_copy_layout(params: PqmaParams, extra_qubits: int) -> RegisterLayout:
-    regs = [(f"V{j}", params.instance_qubits) for j in range(params.verifier_copies)]
-    if extra_qubits:
-        regs.append(("E", extra_qubits))
-    return RegisterLayout.of(*regs)
-
-
 def real_verifier_view(params: PqmaParams, inst: PqmaInstance,
                        verifier_input: QuantumState) -> list[ViewBranch]:
     """Exact ideal-world view ensemble with the honest prover.
@@ -376,9 +353,7 @@ def view_distance(a: list[ViewBranch], b: list[ViewBranch]) -> float:
         _, mb = cb.get(key, (0.0, None))
         za = ma if ma is not None else np.zeros((dim, dim), dtype=complex)
         zb = mb if mb is not None else np.zeros((dim, dim), dtype=complex)
-        diff = za - zb
-        vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-        dist += float(np.abs(vals).sum() / 2)
+        dist += linalg.half_trace_norm(za - zb)
     return dist
 
 
@@ -522,5 +497,4 @@ def save_instance(inst: PqmaInstance, path) -> None:
 
 
 def load_instance(path) -> PqmaInstance:
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
+    return instance_from_json(read_json(path))

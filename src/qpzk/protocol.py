@@ -8,13 +8,13 @@ first qubit of W is measured and outcome 1 means accept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import UnitaryOp, projector_onto
+from qpzk.core.operators import P1, UnitaryOp
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import (
     MixedState,
@@ -29,6 +29,7 @@ from qpzk.serialize import (
     complex_matrix_to_json,
     complex_vector_from_json,
     complex_vector_to_json,
+    read_json,
 )
 
 PROTOCOL_SCHEMA_VERSION = 1
@@ -47,15 +48,12 @@ class ProverStrategy:
     """Per-round prover unitaries, honest or adversarial.
 
     `unitaries` act on R, M and an optional fresh ancilla declared upfront;
-    None means "use the protocol's honest unitaries". A branch table keyed by
-    verifier coin values overrides the per-round unitary in coin-bearing
-    compiled protocols (the base runner rejects coins).
+    None means "use the protocol's honest unitaries".
     """
 
     tag: str = "honest"
     unitaries: Optional[tuple[np.ndarray, ...]] = None
     ancilla_qubits: int = 0
-    branch_table: Optional[dict] = None
     name: str = ""
 
     def __post_init__(self):
@@ -68,35 +66,14 @@ class ProverStrategy:
                     raise StateValidationError("strategy unitary is not unitary")
             object.__setattr__(self, "unitaries", mats)
 
-    def unitary_for(self, round_index: int, coins: tuple = ()) -> Optional[np.ndarray]:
-        """Unitary for a round; None means honest. Coins select a branch."""
-        if self.branch_table is not None and coins in self.branch_table:
-            per_round = self.branch_table[coins]
-            return np.asarray(per_round[round_index], dtype=complex)
+    def unitary_for(self, round_index: int) -> Optional[np.ndarray]:
+        """Unitary for a round; None means honest."""
         if self.unitaries is None:
             return None
         return self.unitaries[round_index]
 
 
 HONEST = ProverStrategy(tag="honest", name="honest")
-
-
-@dataclass(frozen=True)
-class PromiseInstance:
-    """A labeled pure-state problem instance with its copy budgets."""
-
-    state: PureState
-    label: str
-    prover_copies: int
-    verifier_copies: int
-    simulator_copies: int
-    verifier_family: str = ""
-
-    def __post_init__(self):
-        if self.label not in ("yes", "no"):
-            raise StateValidationError("label must be 'yes' or 'no'")
-        if self.state.n_qubits < 1:
-            raise StateValidationError("instance needs at least one qubit")
 
 
 class InteractiveProtocol:
@@ -178,11 +155,6 @@ class InteractiveProtocol:
 
     # -- execution ---------------------------------------------------------
 
-    def _working_layout(self, strat: ProverStrategy) -> RegisterLayout:
-        if strat.ancilla_qubits == 0:
-            return self.layout
-        return self.layout.concat(RegisterLayout.single("Anc", strat.ancilla_qubits))
-
     def _initial_state(self, strat: ProverStrategy) -> PureState:
         if strat.ancilla_qubits == 0:
             return self.initial
@@ -218,16 +190,15 @@ class InteractiveProtocol:
             state = apply_unitary(state, UnitaryOp(self.verifier_unitaries[i], ("W", "M")))
         return state
 
-    def accept_projector_full(self) -> np.ndarray:
-        """|1><1| on the first W qubit, identity elsewhere, on the base layout."""
-        first_w = self.layout.qubits_of("W")[0]
-        return linalg.embed(projector_onto([0, 1]), [first_w], self.layout.total_qubits)
-
     def acceptance(self, state: PureState) -> float:
-        first_w = state.layout.qubits_of("W")[0]
-        vec = linalg.apply_to_vector(projector_onto([0, 1]), state.amplitudes,
-                                     [first_w], state.n_qubits)
-        return float(np.linalg.norm(vec) ** 2)
+        return accept_probability(state.amplitudes, state.layout)
+
+
+def accept_probability(vec: np.ndarray, layout: RegisterLayout) -> float:
+    """Squared norm of vec after |1><1| on the first W qubit of layout."""
+    out = linalg.apply_to_vector(P1, vec, [layout.qubits_of("W")[0]],
+                                 layout.total_qubits)
+    return float(np.linalg.norm(out) ** 2)
 
 
 def run_protocol(protocol: InteractiveProtocol, strat: ProverStrategy = HONEST) -> float:
@@ -237,14 +208,16 @@ def run_protocol(protocol: InteractiveProtocol, strat: ProverStrategy = HONEST) 
 
 
 def initial_workspace_state(protocol: InteractiveProtocol) -> np.ndarray:
-    """The verifier's initial workspace vector; requires a product start."""
+    """The verifier's initial workspace vector, with its largest entry made
+    real and positive; requires a product start."""
     lay = protocol.layout
     red = linalg.partial_trace_vector(protocol.initial.amplitudes,
                                       lay.qubits_of("W"), lay.total_qubits)
     vals, vecs = np.linalg.eigh(red)
     if vals[-1] < 1.0 - 1e-9:
         raise ConfigError("verifier workspace is entangled in the initial state")
-    return vecs[:, -1]
+    top = vecs[:, -1]
+    return top * np.exp(-1j * np.angle(top[np.argmax(np.abs(top))]))
 
 
 def verifier_view(protocol: InteractiveProtocol, strat: ProverStrategy, i: int) -> TranscriptPoint:
@@ -320,6 +293,4 @@ def save_protocol(protocol: InteractiveProtocol, path) -> None:
 
 
 def load_protocol(path) -> InteractiveProtocol:
-    with open(path) as fh:
-        data = json.load(fh)
-    return protocol_from_json(data)
+    return protocol_from_json(read_json(path))

@@ -1,10 +1,25 @@
-"""JSON encoding of complex vectors and matrices as (re, im) pairs."""
+"""JSON file reading, and JSON encoding of complex vectors and matrices as
+(re, im) pairs."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from qpzk.errors import ConfigError
+
+
+def read_json(path):
+    """Parsed contents of a JSON file; a missing, unreadable or malformed
+    file raises ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"file not found or unreadable: {path} ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def complex_vector_to_json(vec: np.ndarray) -> list:

@@ -31,7 +31,7 @@ from qpzk.errors import (
     OracleBudgetError,
     StateValidationError,
 )
-from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json
+from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, read_json
 
 DEFAULT_DELTA = 2.0
 
@@ -82,12 +82,6 @@ class UhlmannInstance:
     def d_vector(self) -> np.ndarray:
         return self.d_unitary[:, 0].copy()
 
-    def c_state(self) -> PureState:
-        return PureState(self.c_vector(), self.layout)
-
-    def d_state(self) -> PureState:
-        return PureState(self.d_vector(), self.layout)
-
     def reduced_r(self, vec: np.ndarray) -> np.ndarray:
         x = vec.reshape(2 ** self.r_qubits, 2 ** self.s_qubits)
         return x @ x.conj().T
@@ -103,9 +97,6 @@ class UhlmannUnitary:
     matrix: np.ndarray
     residual: float
     completion_rank: int
-
-    def apply_to(self, state: QuantumState, register: str = "S") -> QuantumState:
-        return apply_unitary(state, UnitaryOp(self.matrix, (register,)))
 
 
 def compute_uhlmann(inst: UhlmannInstance) -> UhlmannUnitary:
@@ -420,5 +411,4 @@ def save_instance(inst: UhlmannInstance, path) -> None:
 
 
 def load_instance(path) -> UhlmannInstance:
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
+    return instance_from_json(read_json(path))

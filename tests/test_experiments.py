@@ -2,6 +2,7 @@
 
 import pytest
 
+from qpzk.harness import experiments
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import run_experiment
 
@@ -32,3 +33,17 @@ def test_pipeline_experiment_runs_clean():
     assert "pipeline-honest-acceptance" in names
     assert any(n.startswith("composite-bound") for n in names)
     assert any(n.startswith("pipeline-cheat-") for n in names)
+
+
+def test_pipeline_cheat_rows_draw_from_their_own_substreams(monkeypatch):
+    requested = []
+    stream = experiments._stream
+
+    def recording_stream(config, substream):
+        requested.append(substream)
+        return stream(config, substream)
+
+    monkeypatch.setattr(experiments, "_stream", recording_stream)
+    run_experiment(ExperimentConfig(kind="pipeline", seed=5, trials=5))
+    # 0: oracle, 1: cheat strategies, 2-4: one sampling stream per cheat row.
+    assert requested == [0, 1, 2, 3, 4]

@@ -166,6 +166,27 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": "mac"}))
         assert main(["uhlmann", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("kind,instances", [
+        ("collapse", {"base_protocol": "junk.txt"}),
+        ("double-open", {"scheme": "missing.json"}),
+        ("report", None),
+    ], ids=["collapse-base-not-json", "double-open-scheme-missing",
+            "report-record-not-json"])
+    def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances):
+        junk = tmp_path / "junk.txt"
+        junk.write_text("not JSON")
+        if instances is None:
+            argv = ["report", str(junk)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "kind": kind,
+                "instances": {k: str(tmp_path / v) for k, v in instances.items()},
+            }))
+            argv = [kind, "--config", str(cfg)]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_cap_exceeded_exit_three(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QPZK_QUBIT_CAP", "3")
         assert main(["uhlmann", "--seed", "1", "--trials", "10"]) == 3

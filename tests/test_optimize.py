@@ -7,6 +7,9 @@ from qpzk.core import PureState, RegisterLayout, random_pure_state, random_unita
 from qpzk.core.operators import X
 from qpzk.errors import ConfigError
 from qpzk.optimize import (
+    AscentProblem,
+    Branch,
+    SlotStep,
     brute_force_prover_value,
     optimal_three_message_value,
     three_message_protocol,
@@ -36,6 +39,16 @@ class TestClosedForm:
         v = np.eye(4, dtype=complex)
         psi_v = PureState.from_bits(W1, "0")
         assert optimal_three_message_value(v, v, psi_v, 1) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestAscentProblem:
+    @pytest.mark.parametrize("branches", [
+        (Branch(1.0, (SlotStep("U", (0,)), SlotStep("U", (1,)))),),
+        (Branch(0.5, (SlotStep("U", (0,)),)), Branch(0.5, (SlotStep("U", (0,)),))),
+    ], ids=["repeated-within-a-branch", "shared-by-two-branches"])
+    def test_slot_in_two_steps_rejected(self, branches):
+        with pytest.raises(ConfigError, match="more than one step"):
+            AscentProblem(2, branches)
 
 
 class TestBruteForce:

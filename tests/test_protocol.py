@@ -9,7 +9,6 @@ from qpzk.errors import ConfigError, StateValidationError
 from qpzk.protocol import (
     HONEST,
     InteractiveProtocol,
-    PromiseInstance,
     ProverStrategy,
     protocol_from_json,
     protocol_to_json,
@@ -163,14 +162,3 @@ class TestPersistence:
         data["rounds"] = 2
         with pytest.raises(ConfigError):
             protocol_from_json(data)
-
-
-class TestPromiseInstance:
-    def test_label_validated(self):
-        with pytest.raises(StateValidationError):
-            PromiseInstance(PSI0, "maybe", 4, 2, 2)
-
-    def test_fields(self):
-        inst = PromiseInstance(PSI0, "yes", 8, 2, 4, verifier_family="copier")
-        assert inst.prover_copies == 8
-        assert inst.label == "yes"

@@ -17,7 +17,7 @@ from qpzk.core import (
     rng_from,
     tensor,
 )
-from qpzk.core.operators import H, X, projector_onto
+from qpzk.core.operators import H, P0, P1, X, projector_onto
 from qpzk.errors import (
     DimensionMismatchError,
     QubitCapExceededError,
@@ -112,7 +112,7 @@ class TestPartialTrace:
         rho = tensor(PureState.from_bits(A, "0").to_mixed(),
                      random_pure_state(B, rng).to_mixed())
         red = partial_trace(rho, "B")
-        assert np.allclose(red.matrix, projector_onto([1, 0]), atol=1e-12)
+        assert np.allclose(red.matrix, P0, atol=1e-12)
 
     def test_random_three_qubit_reductions_valid(self):
         rng = rng_from(11)
@@ -172,7 +172,7 @@ class TestApplyUnitary:
 
 
 class TestMeasure:
-    COMP = ProjectiveMeasurement((projector_onto([1, 0]), projector_onto([0, 1])))
+    COMP = ProjectiveMeasurement((P0, P1))
 
     def test_plus_is_uniform(self):
         plus = PureState(np.array([1, 1]) / np.sqrt(2), A)
