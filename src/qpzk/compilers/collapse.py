@@ -12,7 +12,7 @@ controlled-X and a Hadamard-basis test of the Bell pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from qpzk.core.operators import H, P0, P1, X, CNOT, projector_onto, swap_registe
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep
-from qpzk.protocol import InteractiveProtocol, initial_workspace_state
+from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep, Step, apply_steps
+from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
@@ -84,23 +84,14 @@ class CollapsedProtocol:
 
     # -- honest strategy -------------------------------------------------------
 
-    def snapshot(self, k: int, unitaries: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+    def snapshot(self, k: int, prover: ProverStrategy = HONEST) -> np.ndarray:
         """State after the k-th prover move of the base protocol, on wires
-        (R, W, M); optional replacement round unitaries (simulator use)."""
-        base = self.base
-        vec = base.initial.amplitudes
-        n = base.layout.total_qubits
-        rm = base.layout.qubits_of_all(["R", "M"])
-        wm = base.layout.qubits_of_all(["W", "M"])
-        for j in range(k):
-            mat = base.prover_unitaries[j] if unitaries is None else unitaries[j]
-            vec = linalg.apply_to_vector(mat, vec, rm, n)
-            if j < k - 1:
-                vec = linalg.apply_to_vector(base.verifier_unitaries[j], vec, wm, n)
-        return vec
+        (R, W, M); a prover with its own round unitaries stands in for the
+        honest one (simulator use)."""
+        return self.base.evolve(prover, upto_message=2 * k - 1).amplitudes
 
     def honest_strategy(self) -> CollapsedStrategy:
-        return self._snapshot_strategy(None, "honest")
+        return self._snapshot_strategy(HONEST, "honest")
 
     def simulator_strategy(self, sim: HvzkSimulator) -> CollapsedStrategy:
         """The round simulator driving the same interface as a prover; its
@@ -109,15 +100,17 @@ class CollapsedProtocol:
             raise ConfigError("simulator round count mismatch")
         if sim.m_qubits != self.base.m_qubits or sim.s_qubits != self.base.r_qubits:
             raise DimensionMismatchError("simulator register sizes mismatch")
-        return self._snapshot_strategy(sim.unitaries, f"simulator:{sim.label}")
+        return self._snapshot_strategy(ProverStrategy("adversarial", sim.unitaries),
+                                       f"simulator:{sim.label}")
 
-    def _snapshot_strategy(self, unitaries, name: str) -> CollapsedStrategy:
+    def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> CollapsedStrategy:
         base = self.base
+        rounds = base.prover_unitaries if prover.unitaries is None else prover.unitaries
         w, m, rq = base.w_qubits, base.m_qubits, base.r_qubits
         r = self.r
         # Bundle wires: (W_2..W_r, M_1..M_r, P = R_1..R_r).
         n_bundle = (r - 1) * w + r * m + r * rq
-        snaps = [self.snapshot(k, unitaries) for k in range(1, r + 1)]
+        snaps = [self.snapshot(k, prover) for k in range(1, r + 1)]
         # Assemble product of snapshots on (R_k, W_k, M_k) blocks, then move
         # wires into bundle order. Snapshot 1 contributes no W wire (the
         # verifier owns W_1), so its W block must be stripped: the honest
@@ -134,7 +127,7 @@ class CollapsedProtocol:
         def responses(i: int):
             # Apply the k = i+1 round unitary to (R_i, M_i) then swap the
             # (M, R) pairs controlled on Bp.
-            mat_round = base.prover_unitaries[i] if unitaries is None else unitaries[i]
+            mat_round = rounds[i]
             local_names = (f"M{i}", f"M{i + 1}", "Bp", "P")
             nm, nr = m, rq
             n_local = 2 * nm + 1 + r * nr
@@ -169,39 +162,45 @@ class CollapsedProtocol:
         pi1 = linalg.embed(P1, [0], base.w_qubits + base.m_qubits)
         return v_r.conj().T @ pi1 @ v_r
 
+    def _challenge_steps(self, challenge: int, lay: RegisterLayout,
+                         reply_wires: tuple[str, ...]) -> tuple[Step, ...]:
+        """The verifier's run for one challenge i on layout lay: accept
+        projector on W_r M_r, V_i on W_i M_i, swap of W_i and W_i+1
+        controlled on B, the prover's reply as slot U_i on reply_wires,
+        controlled-X from B to Bp, then |+><+| on B."""
+        i = challenge
+        wires = lay.qubits_of_all
+        return (
+            FixedStep(self.accept_projector(), tuple(wires([f"W{self.r}", f"M{self.r}"]))),
+            FixedStep(self.base.verifier_unitaries[i - 1], tuple(wires([f"W{i}", f"M{i}"]))),
+            FixedStep(_controlled_swap(self.base.w_qubits),
+                      tuple(wires(["B", f"W{i}", f"W{i + 1}"]))),
+            SlotStep(f"U{i}", tuple(wires(reply_wires))),
+            FixedStep(CNOT, tuple(wires(["B", "Bp"]))),
+            FixedStep(PLUS_PROJ, tuple(wires(["B"]))),
+        )
+
     def challenge_outcome(self, strat: CollapsedStrategy, challenge: int,
                           keep_state: bool = False):
         """Exact probabilities for one challenge: (p_acc_check, p_bell_given
         _acc, overall); optionally the final unnormalized vector."""
         if not 1 <= challenge <= self.r - 1:
             raise ConfigError(f"challenge {challenge} outside 1..{self.r - 1}")
+        mat, names = strat.responses(challenge)
+        if not set(names) <= set(self.prover_wire_names(challenge)):
+            raise ConfigError(f"strategy touches verifier wires: {names}")
         lay = self.layout(strat.private_qubits)
         n = lay.total_qubits
-        vec = self.initial_joint(strat).amplitudes
+        steps = self._challenge_steps(challenge, lay, names)
+        reply = {f"U{challenge}": mat}
 
-        acc = self.accept_projector()
-        wr_mr = lay.qubits_of_all([f"W{self.r}", f"M{self.r}"])
-        vec = linalg.apply_to_vector(acc, vec, wr_mr, n)
+        vec = apply_steps(self.initial_joint(strat).amplitudes, steps[:1], reply, n)
         p_acc = float(np.linalg.norm(vec) ** 2)
         if p_acc <= 1e-15:
             return (0.0, 0.0, 0.0, None) if keep_state else (0.0, 0.0, 0.0)
-
-        i = challenge
-        wi_mi = lay.qubits_of_all([f"W{i}", f"M{i}"])
-        vec = linalg.apply_to_vector(self.base.verifier_unitaries[i - 1], vec, wi_mi, n)
-        cswap_w = _controlled_swap(self.base.w_qubits)
-        targets = lay.qubits_of_all(["B", f"W{i}", f"W{i + 1}"])
-        vec = linalg.apply_to_vector(cswap_w, vec, targets, n)
-
-        mat, names = strat.responses(i)
-        allowed = set(self.prover_wire_names(i))
-        if not set(names) <= allowed:
-            raise ConfigError(f"strategy touches verifier wires: {names}")
-        vec = linalg.apply_to_vector(mat, vec, lay.qubits_of_all(names), n)
-
-        pre_cnot = vec
-        vec = linalg.apply_to_vector(CNOT, vec, lay.qubits_of_all(["B", "Bp"]), n)
-        final = linalg.apply_to_vector(PLUS_PROJ, vec, lay.qubits_of("B"), n)
+        pre_cnot = apply_steps(vec, steps[1:4], reply, n)
+        vec = apply_steps(pre_cnot, steps[4:5], reply, n)
+        final = apply_steps(vec, steps[5:], reply, n)
         p_bell = float(np.linalg.norm(final) ** 2) / p_acc
         overall = p_acc * p_bell
         if keep_state:
@@ -244,29 +243,14 @@ class CollapsedProtocol:
     def ascent_problem(self, private_qubits: int = 2) -> AscentProblem:
         """Free bundle + per-challenge response slots for the prover oracle."""
         lay = self.layout(private_qubits)
-        n = lay.total_qubits
-        base = self.base
-        acc_full = self.accept_projector()
-        wr_mr = tuple(lay.qubits_of_all([f"W{self.r}", f"M{self.r}"]))
-        cswap_w = _controlled_swap(base.w_qubits)
-        branches = []
         weight = 1.0 / (self.r - 1)
-        for i in range(1, self.r):
-            steps = [
-                FixedStep(acc_full, wr_mr),
-                FixedStep(base.verifier_unitaries[i - 1],
-                          tuple(lay.qubits_of_all([f"W{i}", f"M{i}"]))),
-                FixedStep(cswap_w, tuple(lay.qubits_of_all(["B", f"W{i}", f"W{i + 1}"]))),
-                SlotStep(f"U{i}", tuple(lay.qubits_of_all(
-                    [f"M{i}", f"M{i + 1}", "Bp", "P"]))),
-                FixedStep(CNOT, tuple(lay.qubits_of_all(["B", "Bp"]))),
-                FixedStep(PLUS_PROJ, tuple(lay.qubits_of("B"))),
-            ]
-            branches.append(Branch(weight, tuple(steps)))
+        branches = tuple(
+            Branch(weight, self._challenge_steps(i, lay, self.prover_wire_names(i)))
+            for i in range(1, self.r))
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         fixed = np.kron(bell, self.psi_v)
         fixed_qubits = tuple(lay.qubits_of_all(["B", "Bp", "W1"]))
-        return AscentProblem(n, tuple(branches), fixed, fixed_qubits)
+        return AscentProblem(lay.total_qubits, branches, fixed, fixed_qubits)
 
 
 def collapse_rounds(base: InteractiveProtocol) -> CollapsedProtocol:
@@ -361,10 +345,8 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     psi_v_std = np.kron(
         np.kron(linalg.basis_vector(0, 8), collapsed.psi_v),
         linalg.basis_vector(0, 2 ** (w + 1)))
-    from qpzk.core.states import PureState as _PS
-
     return InteractiveProtocol.from_verifier_start(
-        _PS(psi_v_std, RegisterLayout.single("W", w_std)),
+        PureState(psi_v_std, RegisterLayout.single("W", w_std)),
         r_std, m_std, [v1, v2], [p1, p2],
     )
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from qpzk.core.sampling import random_amplitudes
-from qpzk.protocol import InteractiveProtocol, load_protocol
+from qpzk.protocol import InteractiveProtocol
 from qpzk.compilers.collapse import (
     CollapsedProtocol,
     as_three_message,
@@ -22,7 +21,6 @@ from qpzk.compilers.public_coin import (
     public_coin_soundness,
 )
 from qpzk.compilers.repetition import repeated_soundness
-from qpzk.compilers.coin_flip import CoinFlipProtocol, make_malicious_zk
 
 
 def composite_bound(zeta_base: float, r: int, k: int) -> float:
@@ -36,23 +34,15 @@ def composite_bound(zeta_base: float, r: int, k: int) -> float:
 class PipelineStages:
     base: InteractiveProtocol
     collapsed: CollapsedProtocol
-    collapsed_cast: InteractiveProtocol
-    public_coin: PublicCoinProtocol
-    coin_flip: Optional[CoinFlipProtocol]
-    repetitions: int
-    zk_reps: int
+    public_coin: PublicCoinProtocol  # its base is the standard-form cast
 
 
-def build_pipeline(base: InteractiveProtocol, k: int = 1,
-                   zk_reps: int = 0) -> PipelineStages:
-    """Executable chain collapse -> standard-form cast -> public coin
-    (-> coin flip). The repetition factor k enters the certified bound as a
-    formula; the executable cast is wrapped directly (k = 1 form)."""
+def build_pipeline(base: InteractiveProtocol) -> PipelineStages:
+    """Executable chain collapse -> standard-form cast -> public coin. A
+    repetition factor k enters only the certified bound, as a formula
+    (composite_bound); the executable cast is wrapped directly (k = 1 form)."""
     collapsed = collapse_rounds(base)
-    cast = as_three_message(collapsed)
-    public = make_public_coin(cast)
-    coin_flip = make_malicious_zk(public, zk_reps) if zk_reps else None
-    return PipelineStages(base, collapsed, cast, public, coin_flip, k, zk_reps)
+    return PipelineStages(base, collapsed, make_public_coin(as_three_message(collapsed)))
 
 
 def pipeline_cheat_strategies(stages: PipelineStages, rng) -> list[PublicCoinStrategy]:
@@ -70,10 +60,3 @@ def pipeline_cheat_strategies(stages: PipelineStages, rng) -> list[PublicCoinStr
                                lambda b: honest.response_for(0), "always-final-move")
     return [garbage, lazy, eager]
 
-
-def load_pipeline_base(path: Optional[str]) -> InteractiveProtocol:
-    if path is None:
-        from qpzk.compilers.examples import copier_base
-
-        return copier_base()
-    return load_protocol(path)

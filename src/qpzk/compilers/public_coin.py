@@ -19,8 +19,8 @@ from qpzk.core.operators import P1, projector_onto
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep
-from qpzk.protocol import InteractiveProtocol, accept_probability, initial_workspace_state
+from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep, Step, apply_steps
+from qpzk.protocol import InteractiveProtocol, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
 
@@ -57,18 +57,13 @@ class PublicCoinProtocol:
         w = base.w_qubits
         psi_proj = projector_onto(self.psi_v)
         self.swap_accept = (np.eye(2 ** w, dtype=complex) + psi_proj) / 2.0
+        self.sqrt_swap_accept = linalg.psd_sqrt(self.swap_accept)
 
     # -- strategies -----------------------------------------------------------
 
     def honest_strategy(self) -> PublicCoinStrategy:
-        base = self.base
-        n = base.layout.total_qubits
-        vec = base.initial.amplitudes
-        vec = linalg.apply_to_vector(base.prover_unitaries[0], vec,
-                                     base.layout.qubits_of_all(["R", "M"]), n)
-        vec = linalg.apply_to_vector(base.verifier_unitaries[0], vec,
-                                     base.layout.qubits_of_all(["W", "M"]), n)
-        p2 = base.prover_unitaries[1]
+        vec = self.base.evolve(upto_message=2).amplitudes
+        p2 = self.base.prover_unitaries[1]
         ident = np.eye(p2.shape[0], dtype=complex)
 
         def respond(b: int) -> np.ndarray:
@@ -106,22 +101,29 @@ class PublicCoinProtocol:
 
     # -- exact evaluation -------------------------------------------------------
 
+    def _branch_steps(self, b: int, ancilla_qubits: int = 0) -> tuple[Step, ...]:
+        """Branch b as steps on (R, W, M, ancilla): the response slot U_b on
+        R M and the ancilla, then for b = 0 V_2 and |1><1| on the first W
+        qubit, for b = 1 V_1^dagger and the square root of the SWAP-test
+        accept operator on W."""
+        lay = self.base.layout
+        n = lay.total_qubits + ancilla_qubits
+        rm = tuple(lay.qubits_of_all(["R", "M"]) + list(range(lay.total_qubits, n)))
+        wm = tuple(lay.qubits_of_all(["W", "M"]))
+        slot = SlotStep(f"U{b}", rm)
+        if b == 0:
+            return (slot, FixedStep(self.base.verifier_unitaries[1], wm),
+                    FixedStep(P1, (lay.qubits_of("W")[0],)))
+        return (slot, FixedStep(self.base.verifier_unitaries[0].conj().T, wm),
+                FixedStep(self.sqrt_swap_accept, tuple(lay.qubits_of("W"))))
+
     def branch_value(self, strat: PublicCoinStrategy, b: int) -> float:
-        base = self.base
-        lay = base.layout
-        n = lay.total_qubits
+        n = self.layout.total_qubits
         vec = np.asarray(strat.opening, dtype=complex)
         if vec.shape[0] != 2 ** n:
             raise DimensionMismatchError("opening state must live on (R, W, M)")
-        vec = linalg.apply_to_vector(strat.response_for(b), vec,
-                                     lay.qubits_of_all(["R", "M"]), n)
-        wm = lay.qubits_of_all(["W", "M"])
-        if b == 0:
-            vec = linalg.apply_to_vector(base.verifier_unitaries[1], vec, wm, n)
-            return accept_probability(vec, lay)
-        vec = linalg.apply_to_vector(base.verifier_unitaries[0].conj().T, vec, wm, n)
-        red = linalg.partial_trace_vector(vec, lay.qubits_of("W"), n)
-        return float(np.trace(self.swap_accept @ red).real)
+        out = apply_steps(vec, self._branch_steps(b), {f"U{b}": strat.response_for(b)}, n)
+        return float(np.linalg.norm(out) ** 2)
 
     def transcript_acceptance(self, wm_state: MixedState, b: int) -> float:
         """Verifier branch check applied to a bare (W, M) transcript."""
@@ -158,25 +160,9 @@ class PublicCoinProtocol:
     # -- cheat oracle -------------------------------------------------------------
 
     def ascent_problem(self, ancilla_qubits: int = 0) -> AscentProblem:
-        base = self.base
-        n = base.layout.total_qubits + ancilla_qubits
-        rm = base.layout.qubits_of_all(["R", "M"]) + list(
-            range(base.layout.total_qubits, n))
-        wm = base.layout.qubits_of_all(["W", "M"])
-        first_w = base.layout.qubits_of("W")[0]
-        w_wires = base.layout.qubits_of("W")
-        sqrt_e0 = linalg.psd_sqrt(self.swap_accept)
-        branch0 = Branch(0.5, (
-            SlotStep("U0", tuple(rm)),
-            FixedStep(base.verifier_unitaries[1], tuple(wm)),
-            FixedStep(P1, (first_w,)),
-        ))
-        branch1 = Branch(0.5, (
-            SlotStep("U1", tuple(rm)),
-            FixedStep(base.verifier_unitaries[0].conj().T, tuple(wm)),
-            FixedStep(sqrt_e0, tuple(w_wires)),
-        ))
-        return AscentProblem(n, (branch0, branch1), fixed_init=None, fixed_qubits=())
+        n = self.layout.total_qubits + ancilla_qubits
+        return AscentProblem(n, tuple(Branch(0.5, self._branch_steps(b, ancilla_qubits))
+                                      for b in (0, 1)))
 
 
 def make_public_coin(base: InteractiveProtocol) -> PublicCoinProtocol:

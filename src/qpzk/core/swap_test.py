@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import H, controlled, projector_onto, swap_registers
+from qpzk.core.operators import H, P0, controlled, projector_onto, swap_registers
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import (
     MeasurementOutcome,
@@ -110,8 +110,7 @@ def swap_test_circuit_probability(rho: QuantumState, psi: PureState) -> float:
     cswap = controlled(swap_registers(n))
     state = linalg.apply_to_matrix(cswap, full.matrix, list(range(total)), total)
     state = linalg.apply_to_matrix(H, state, [0], total)
-    proj0 = projector_onto(np.array([1, 0], dtype=complex))
-    accepted = linalg.apply_to_matrix(proj0, state, [0], total)
+    accepted = linalg.apply_to_matrix(P0, state, [0], total)
     return float(accepted.trace().real)
 
 

@@ -513,14 +513,13 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     from qpzk.compilers.pipeline import (
         build_pipeline,
         composite_bound,
-        load_pipeline_base,
         pipeline_cheat_strategies,
     )
     from qpzk.optimize import brute_force_prover_value
 
     # Completeness leg: a perfect-completeness base survives the whole
     # executable chain untouched.
-    perfect = build_pipeline(copier_base(), k=1)
+    perfect = build_pipeline(copier_base())
     hon = perfect.public_coin.honest_strategy()
     record.add(equality_row("pipeline-honest-acceptance",
                             perfect.public_coin.acceptance(hon), 1.0,
@@ -531,12 +530,10 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     # collapse step alone costs at least 15/16, so the executable composite
     # is vacuous by construction; amplification makes it informative at the
     # formula level and both values are recorded.
-    if "base_protocol" in config.instances:
-        base = load_pipeline_base(config.instances["base_protocol"])
-    else:
-        base = partial_coupler_base(0.5, float(config.param("theta")))
+    base = _load_base(config,
+                      lambda: partial_coupler_base(0.5, float(config.param("theta"))))
     k = int(config.param("k"))
-    stages = build_pipeline(base, k=k)
+    stages = build_pipeline(base)
 
     zeta = brute_force_prover_value(base, _stream(config, 0),
                                     restarts=6, iters=100)

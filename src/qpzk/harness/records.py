@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import qpzk
+from qpzk.errors import ConfigError
 from qpzk.serialize import read_json
 
 VERDICTS = ("PASS", "FAIL", "VACUOUS", "NOT-APPLICABLE")
@@ -120,12 +121,18 @@ def _num(value: Optional[float]) -> str:
 
 
 def record_from_dict(data: dict) -> ExperimentRecord:
-    rec = ExperimentRecord(config_echo=data["config"],
-                           wall_clock_seconds=data.get("wall_clock_seconds", 0.0),
-                           artifact_version=data.get("artifact_version", "?"))
-    for row in data["rows"]:
-        rec.add(MetricRow(row["name"], row["empirical"], row["reference"],
-                          row["sigma"], row["verdict"], row["source"]))
+    """Record from its to_dict form; any other shape raises ConfigError."""
+    try:
+        rec = ExperimentRecord(config_echo=data["config"],
+                               wall_clock_seconds=data.get("wall_clock_seconds", 0.0),
+                               artifact_version=data.get("artifact_version", "?"))
+        for row in data["rows"]:
+            rec.add(MetricRow(row["name"], row["empirical"], row["reference"],
+                              row["sigma"], row["verdict"], row["source"]))
+    except KeyError as exc:
+        raise ConfigError(f"record missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed record: {exc}") from exc
     return rec
 
 

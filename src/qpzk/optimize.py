@@ -150,15 +150,20 @@ def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndar
     return combined.reshape((2,) * n).transpose(inv).reshape(-1)
 
 
-def _apply_steps(vec: np.ndarray, steps: Sequence[Step], slots: dict, n: int) -> np.ndarray:
-    for s in steps:
+def apply_steps(vec: np.ndarray, steps: Sequence[Step], slots: dict, n: int,
+                adjoint: bool = False) -> np.ndarray:
+    """Apply steps in order to an n-qubit vector, each slot step as
+    slots[slot]; with adjoint, apply their daggers in reverse order."""
+    for s in (reversed(steps) if adjoint else steps):
         mat = slots[s.slot] if isinstance(s, SlotStep) else s.matrix
+        if adjoint:
+            mat = mat.conj().T
         vec = linalg.apply_to_vector(mat, vec, list(s.targets), n)
     return vec
 
 
 def _branch_value(problem, branch, slots, init) -> float:
-    out = _apply_steps(init, branch.steps, slots, problem.n_qubits)
+    out = apply_steps(init, branch.steps, slots, problem.n_qubits)
     return branch.weight * float(np.linalg.norm(out) ** 2)
 
 
@@ -170,14 +175,8 @@ def _slot_contraction(problem, branch, slots, init, z, slot_index) -> np.ndarray
     """Environment contraction A with <z| after (U x Id) before |init> = Tr(U A)."""
     n = problem.n_qubits
     steps = branch.steps
-    before = init
-    for s in steps[:slot_index]:
-        mat = slots[s.slot] if isinstance(s, SlotStep) else s.matrix
-        before = linalg.apply_to_vector(mat, before, list(s.targets), n)
-    after_z = z
-    for s in reversed(steps[slot_index + 1:]):
-        mat = slots[s.slot] if isinstance(s, SlotStep) else s.matrix
-        after_z = linalg.apply_to_vector(mat.conj().T, after_z, list(s.targets), n)
+    before = apply_steps(init, steps[:slot_index], slots, n)
+    after_z = apply_steps(z, steps[slot_index + 1:], slots, n, adjoint=True)
     targets = list(steps[slot_index].targets)
     rest = [q for q in range(n) if q not in targets]
     perm = targets + rest
@@ -230,7 +229,7 @@ def alternating_ascent(
         for _ in range(iters):
             # z-step + slot updates per branch.
             for branch in problem.branches:
-                out = _apply_steps(init, branch.steps, slots, problem.n_qubits)
+                out = apply_steps(init, branch.steps, slots, problem.n_qubits)
                 norm = np.linalg.norm(out)
                 if norm < 1e-14:
                     z = random_amplitudes(2 ** problem.n_qubits, rng)
@@ -241,7 +240,7 @@ def alternating_ascent(
                         continue
                     a = _slot_contraction(problem, branch, slots, init, z, idx)
                     slots[s.slot] = _align(a)
-                    out = _apply_steps(init, branch.steps, slots, problem.n_qubits)
+                    out = apply_steps(init, branch.steps, slots, problem.n_qubits)
                     norm = np.linalg.norm(out)
                     if norm > 1e-14:
                         z = out / norm
@@ -249,7 +248,7 @@ def alternating_ascent(
             if free_dim:
                 h = np.zeros((free_dim, free_dim), dtype=complex)
                 for branch in problem.branches:
-                    out = _apply_steps(init, branch.steps, slots, problem.n_qubits)
+                    out = apply_steps(init, branch.steps, slots, problem.n_qubits)
                     norm = np.linalg.norm(out)
                     if norm < 1e-14:
                         continue
@@ -276,10 +275,7 @@ def alternating_ascent(
 def _init_contraction(problem, branch, slots, z) -> np.ndarray:
     """Vector v with <z| T_b |phi(free)> = <v|free> for the free-init step."""
     n = problem.n_qubits
-    t_dag_z = z
-    for s in reversed(branch.steps):
-        mat = slots[s.slot] if isinstance(s, SlotStep) else s.matrix
-        t_dag_z = linalg.apply_to_vector(mat.conj().T, t_dag_z, list(s.targets), n)
+    t_dag_z = apply_steps(z, branch.steps, slots, n, adjoint=True)
     free_q = list(problem.free_qubits)
     fixed_q = list(problem.fixed_qubits)
     perm = free_q + fixed_q

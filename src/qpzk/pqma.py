@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -392,40 +392,26 @@ def honest_shape_strategy(inst: PqmaInstance, witness: Optional[QuantumState] = 
 
 @dataclass
 class CheatReport:
-    strategy_results: dict
     max_empirical: float
     bound: float
     sigma: float
-    verdict: str
 
 
 def cheat_harness(params: PqmaParams, inst: PqmaInstance,
                   strategies: Sequence[CheatStrategy], trials: int, rng) -> CheatReport:
-    """Monte-Carlo acceptance of every strategy against the closed-form
-    soundness value; PASS iff the maximum stays below bound + 3 sigma, or
-    VACUOUS when the bound is not informative."""
+    """Largest Monte-Carlo acceptance over the strategies, its sampling
+    sigma, and the closed-form soundness value it is held against."""
     bound = soundness_bound(params.prover_copies, params.verifier_copies,
                             params.instance_qubits)
-    results = {}
     max_rate = 0.0
     for strat in strategies:
         hits = 0
         for _ in range(trials):
             if run_pqma(params, inst, strat.prover_input, rng) == "accept":
                 hits += 1
-        rate = hits / trials
-        exact = exact_acceptance_product(params, inst, strat.prover_input) \
-            if strat.prover_input.mode == "product" else None
-        results[strat.name] = {"empirical": rate, "exact": exact}
-        max_rate = max(max_rate, rate)
+        max_rate = max(max_rate, hits / trials)
     sigma = math.sqrt(max(max_rate * (1 - max_rate), 1e-12) / trials)
-    if bound > 1.0:
-        verdict = "VACUOUS"
-    elif max_rate <= bound + 3 * sigma:
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    return CheatReport(results, max_rate, bound, sigma, verdict)
+    return CheatReport(max_rate, bound, sigma)
 
 
 def sequential_repetition_acceptance(params, inst, prover_input, reps: int, rng) -> int:

@@ -14,15 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import P1, UnitaryOp
+from qpzk.core.operators import P1
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.states import (
-    MixedState,
-    PureState,
-    apply_unitary,
-    partial_trace,
-    tensor,
-)
+from qpzk.core.states import MixedState, PureState, partial_trace, tensor
 from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.serialize import (
     complex_matrix_from_json,
@@ -177,18 +171,20 @@ class InteractiveProtocol:
     def evolve(self, strat: ProverStrategy = HONEST, upto_message: Optional[int] = None) -> PureState:
         """State after the given message (default: after the final V_r)."""
         state = self._initial_state(strat)
-        targets = self._prover_targets(strat)
+        lay = state.layout
+        n = lay.total_qubits
+        prover = lay.qubits_of_all(self._prover_targets(strat))
+        wm = lay.qubits_of_all(["W", "M"])
+        vec = state.amplitudes
         last = 2 * self.rounds if upto_message is None else upto_message
         for i in range(self.rounds):
-            msg = 2 * i + 1
-            if msg > last:
-                return state
-            state = apply_unitary(state, UnitaryOp(self._prover_unitary(strat, i), targets))
-            msg = 2 * i + 2
-            if msg > last:
-                return state
-            state = apply_unitary(state, UnitaryOp(self.verifier_unitaries[i], ("W", "M")))
-        return state
+            if 2 * i + 1 > last:
+                break
+            vec = linalg.apply_to_vector(self._prover_unitary(strat, i), vec, prover, n)
+            if 2 * i + 2 > last:
+                break
+            vec = linalg.apply_to_vector(self.verifier_unitaries[i], vec, wm, n)
+        return PureState(vec, lay)
 
     def acceptance(self, state: PureState) -> float:
         return accept_probability(state.amplitudes, state.layout)
@@ -272,19 +268,19 @@ def protocol_to_json(protocol: InteractiveProtocol) -> dict:
 def protocol_from_json(data: dict) -> InteractiveProtocol:
     try:
         regs = data["registers"]
+        r, w, m = int(regs["R"]), int(regs["W"]), int(regs["M"])
         rounds = int(data["rounds"])
         init = complex_vector_from_json(data["initial_state"])
         vs = [complex_matrix_from_json(v) for v in data["verifier_unitaries"]]
         ps = [complex_matrix_from_json(p) for p in data["prover_unitaries"]]
     except KeyError as exc:
         raise ConfigError(f"protocol file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed protocol file: {exc}") from exc
     if len(vs) != rounds or len(ps) != rounds:
         raise ConfigError("unitary counts do not match declared round count")
-    lay = RegisterLayout.of(("R", int(regs["R"])), ("W", int(regs["W"])), ("M", int(regs["M"])))
-    return InteractiveProtocol(
-        int(regs["R"]), int(regs["W"]), int(regs["M"]),
-        PureState(init, lay), vs, ps,
-    )
+    lay = RegisterLayout.of(("R", r), ("W", w), ("M", m))
+    return InteractiveProtocol(r, w, m, PureState(init, lay), vs, ps)
 
 
 def save_protocol(protocol: InteractiveProtocol, path) -> None:

@@ -89,6 +89,7 @@ class TestAcceptance:
             view_distance,
             witness_match_family,
         )
+        from qpzk.harness.records import upper_bound_row
 
         started = time.monotonic()
         # Honest completeness is exactly one on perfect-completeness
@@ -114,7 +115,8 @@ class TestAcceptance:
             [orthogonal_copy_strategy(no_inst), honest_shape_strategy(no_inst)],
             trials=10000, rng=rng_from(9003))
         assert report.bound <= 1.0
-        assert report.verdict == "PASS"
+        assert upper_bound_row("cheat", report.max_empirical, report.bound,
+                               report.sigma, "formula:test").verdict == "PASS"
 
         # Simulator and real verifier views coincide exactly, including for
         # entangled verifier inputs.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpzk.cli import main
+from qpzk.compilers.examples import copier_base
 from qpzk.errors import ConfigError
 from qpzk.harness.config import ExperimentConfig, config_from_dict, load_config
 from qpzk.harness.records import (
@@ -19,6 +20,7 @@ from qpzk.harness.records import (
 )
 from qpzk.harness.experiments import run_experiment
 from qpzk.harness.report import report
+from qpzk.protocol import protocol_to_json
 
 
 class TestConfig:
@@ -98,10 +100,17 @@ class TestRecords:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kind,trials", [("mac", 1), ("double-open", 200),
-                                             ("uhlmann", 50)])
-    def test_same_seed_identical_records(self, kind, trials):
-        cfg = ExperimentConfig(kind=kind, seed=11, trials=trials)
+    @pytest.mark.parametrize("kind,trials,params", [
+        ("mac", 1, {}),
+        ("double-open", 200, {}),
+        ("uhlmann", 50, {}),
+        ("collapse", 1, {"bases": 2, "oracle_restarts": 3, "oracle_iters": 60}),
+        ("public-coin", 300, {"bases": 2, "oracle_restarts": 3, "oracle_iters": 60}),
+        ("pipeline", 60, {}),
+    ], ids=["mac-1", "double-open-200", "uhlmann-50", "collapse-1",
+            "public-coin-300", "pipeline-60"])
+    def test_same_seed_identical_records(self, kind, trials, params):
+        cfg = ExperimentConfig(kind=kind, seed=11, trials=trials, params=params)
         first = run_experiment(cfg)
         second = run_experiment(cfg)
         assert first.comparable_bytes() == second.comparable_bytes()
@@ -138,6 +147,12 @@ class TestReport:
         assert any("vacuous" in line for line in summary.lines)
 
 
+def _copier_json_with_registers(registers: dict) -> str:
+    data = protocol_to_json(copier_base())
+    data["registers"] = registers
+    return json.dumps(data)
+
+
 class TestCli:
     def test_mac_run_and_report(self, tmp_path, capsys):
         out = tmp_path / "mac.json"
@@ -166,15 +181,25 @@ class TestCli:
         cfg.write_text(json.dumps({"kind": "mac"}))
         assert main(["uhlmann", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("kind,instances", [
-        ("collapse", {"base_protocol": "junk.txt"}),
-        ("double-open", {"scheme": "missing.json"}),
-        ("report", None),
-    ], ids=["collapse-base-not-json", "double-open-scheme-missing",
-            "report-record-not-json"])
-    def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances):
+    @pytest.mark.parametrize("kind,instances,body", [
+        ("collapse", {"base_protocol": "junk.txt"}, "not JSON"),
+        ("collapse", {"base_protocol": "junk.txt"},
+         _copier_json_with_registers({"W": 1, "M": 1})),
+        ("collapse", {"base_protocol": "junk.txt"},
+         _copier_json_with_registers({"R": "one", "W": 1, "M": 1})),
+        ("double-open", {"scheme": "missing.json"}, "not JSON"),
+        ("report", None, "not JSON"),
+        ("report", None, json.dumps({"config": {}})),
+        ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
+        ("report", None, json.dumps([])),
+    ], ids=["collapse-base-not-json", "collapse-base-registers-missing-R",
+            "collapse-base-register-size-not-a-number",
+            "double-open-scheme-missing", "report-record-not-json",
+            "report-record-without-rows", "report-row-without-empirical",
+            "report-record-is-a-list"])
+    def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances, body):
         junk = tmp_path / "junk.txt"
-        junk.write_text("not JSON")
+        junk.write_text(body)
         if instances is None:
             argv = ["report", str(junk)]
         else:

@@ -6,12 +6,18 @@ import pytest
 from qpzk.core import PureState, RegisterLayout, random_pure_state, random_unitary, rng_from
 from qpzk.core.operators import X
 from qpzk.errors import ConfigError
+from qpzk.compilers.collapse import CollapsedProtocol
+from qpzk.compilers.examples import partial_coupler_base, rotated_copier_base
+from qpzk.compilers.public_coin import make_public_coin
 from qpzk.optimize import (
     AscentProblem,
     Branch,
     SlotStep,
+    _assemble,
+    apply_steps,
     brute_force_prover_value,
     optimal_three_message_value,
+    protocol_ascent_problem,
     three_message_protocol,
 )
 from qpzk.protocol import HONEST, InteractiveProtocol, run_protocol
@@ -124,3 +130,38 @@ class TestCrossCheck:
         # The final prover move is genuinely worth something on generic
         # single-qubit instances; this pins the documented convention.
         assert exceeded
+
+
+def _steps_value(problem: AscentProblem, slots: dict, init: np.ndarray) -> float:
+    return sum(b.weight * float(np.linalg.norm(
+        apply_steps(init, b.steps, slots, problem.n_qubits)) ** 2)
+        for b in problem.branches)
+
+
+class TestOracleMatchesRunner:
+    """At the honest prover, each ascent problem's step lists give the
+    acceptance that the exact runner computes."""
+
+    @pytest.mark.parametrize("base", [rotated_copier_base(0.7),
+                                      partial_coupler_base(0.5, 0.7)],
+                             ids=["rotated-copier", "partial-coupler"])
+    def test_honest_value_matches_exact(self, base):
+        problem = protocol_ascent_problem(base)
+        slots = {f"P{i + 1}": u for i, u in enumerate(base.prover_unitaries)}
+        assert _steps_value(problem, slots, problem.fixed_init) \
+            == pytest.approx(run_protocol(base), abs=1e-12)
+
+        pc = make_public_coin(base)
+        honest = pc.honest_strategy()
+        p2 = base.prover_unitaries[1]
+        slots = {"U0": p2, "U1": np.eye(p2.shape[0], dtype=complex)}
+        assert _steps_value(pc.ascent_problem(0), slots, honest.opening) \
+            == pytest.approx(pc.acceptance(honest), abs=1e-12)
+
+        col = CollapsedProtocol(base)
+        honest = col.honest_strategy()
+        problem = col.ascent_problem(2)
+        slots = {"U1": honest.responses(1)[0]}
+        init = _assemble(problem, honest.bundle)
+        assert _steps_value(problem, slots, init) \
+            == pytest.approx(col.acceptance(honest), abs=1e-12)

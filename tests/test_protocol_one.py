@@ -109,7 +109,7 @@ class TestPipeline:
         from qpzk.optimize import brute_force_prover_value
 
         base = rotated_copier_base(np.pi / 3)
-        stages = build_pipeline(base, k=1)
+        stages = build_pipeline(base)
         zeta = brute_force_prover_value(base, rng_from(3300), restarts=6, iters=100)
         bound = composite_bound(min(zeta, 1.0), 2, 1)
         rng = rng_from(3301)
@@ -118,6 +118,6 @@ class TestPipeline:
             assert value <= bound + 1e-9
 
     def test_pipeline_honest_completeness(self):
-        stages = build_pipeline(copier_base(), k=1)
+        stages = build_pipeline(copier_base())
         hon = stages.public_coin.honest_strategy()
         assert stages.public_coin.acceptance(hon) == pytest.approx(1.0, abs=1e-9)
