@@ -17,6 +17,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1, projector_onto
 from qpzk.core.registers import RegisterLayout
+from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep, Step, apply_steps
@@ -151,11 +152,22 @@ class PublicCoinProtocol:
             raise ConfigError("public-coin protocol takes exactly one coin")
         if coin_schedule:
             b = int(tuple(coin_schedule)[0])
+            if b not in (0, 1):
+                raise ConfigError(f"public coin must be 0 or 1, got {b}")
         else:
             b = int(rng.integers(2))
         value = self.branch_value(strat, b)
-        outcome = 1 if rng.random() < value else 0
-        return outcome, (b, value)
+        return accept_bit(value, rng), (b, value)
+
+    def sample_hits(self, strat: PublicCoinStrategy, trials: int, rng) -> tuple[int, float]:
+        """(accepted runs out of `trials`, exact acceptance).
+
+        Each branch is evaluated once; every run then draws its coin and its
+        accept bit as `sample_run` does, in the same order, so the hit count
+        equals that of `trials` calls to `sample_run` on the same stream."""
+        value = (self.branch_value(strat, 0), self.branch_value(strat, 1))
+        hits = sum(accept_bit(value[int(rng.integers(2))], rng) for _ in range(trials))
+        return hits, 0.5 * value[0] + 0.5 * value[1]
 
     # -- cheat oracle -------------------------------------------------------------
 

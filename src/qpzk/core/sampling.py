@@ -18,6 +18,11 @@ def rng_from(seed, *spawn_key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def accept_bit(p: float, rng: np.random.Generator) -> int:
+    """One Bernoulli(p) outcome: 1 if a uniform draw falls below p."""
+    return 1 if rng.random() < p else 0
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 1:

@@ -554,12 +554,8 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     rng = _stream(config, 1)
     k1_bound = composite_bound(min(zeta, 1.0), 2, 1)
     for idx, strat in enumerate(pipeline_cheat_strategies(stages, rng)):
-        exact = stages.public_coin.acceptance(strat)
-        hits = 0
-        sample_rng = _stream(config, 2 + idx)
-        for _ in range(trials):
-            outcome, _ = stages.public_coin.sample_run(strat, None, sample_rng)
-            hits += outcome
+        hits, exact = stages.public_coin.sample_hits(strat, trials,
+                                                     _stream(config, 2 + idx))
         sigma = float(np.sqrt(max(exact * (1 - exact), 1e-9) / trials))
         record.add(upper_bound_row(f"pipeline-cheat-{strat.name}", hits / trials,
                                    k1_bound, sigma,

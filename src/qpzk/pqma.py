@@ -24,6 +24,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1
 from qpzk.core.registers import RegisterLayout, qubit_cap
+from qpzk.core.sampling import accept_bit
 from qpzk.core.states import (
     MixedState,
     PureState,
@@ -183,7 +184,7 @@ def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInp
                 return "abort"
         pair = prover_input.pair_for(star)
         final = float(np.trace(inst.accept_operator() @ pair.matrix).real)
-        return "accept" if rng.random() < final else "reject"
+        return "accept" if accept_bit(final, rng) else "reject"
     return _run_entangled(params, inst, prover_input, subset, star, rng)
 
 
@@ -214,7 +215,7 @@ def _run_entangled(params, inst, prover_input, subset, star, rng) -> str:
     projected = linalg.apply_to_matrix(op, state.to_mixed().matrix,
                                        targets, state.n_qubits)
     final = float(projected.trace().real)
-    return "accept" if rng.random() < final else "reject"
+    return "accept" if accept_bit(final, rng) else "reject"
 
 
 def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,

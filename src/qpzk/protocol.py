@@ -16,8 +16,14 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1
 from qpzk.core.registers import RegisterLayout
+from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState, PureState, partial_trace, tensor
-from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
+from qpzk.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    RegisterError,
+    StateValidationError,
+)
 from qpzk.serialize import (
     complex_matrix_from_json,
     complex_matrix_to_json,
@@ -242,9 +248,7 @@ def sample_run(protocol, strat: ProverStrategy, coin_schedule, rng):
             f"{protocol.num_challenges}"
         )
     transcript = [verifier_view(protocol, strat, i) for i in range(1, protocol.messages + 1)]
-    p = run_protocol(protocol, strat)
-    outcome = 1 if rng.random() < p else 0
-    return outcome, transcript
+    return accept_bit(run_protocol(protocol, strat), rng), transcript
 
 
 # -- persistence -----------------------------------------------------------
@@ -279,8 +283,11 @@ def protocol_from_json(data: dict) -> InteractiveProtocol:
         raise ConfigError(f"malformed protocol file: {exc}") from exc
     if len(vs) != rounds or len(ps) != rounds:
         raise ConfigError("unitary counts do not match declared round count")
-    lay = RegisterLayout.of(("R", r), ("W", w), ("M", m))
-    return InteractiveProtocol(r, w, m, PureState(init, lay), vs, ps)
+    try:
+        lay = RegisterLayout.of(("R", r), ("W", w), ("M", m))
+        return InteractiveProtocol(r, w, m, PureState(init, lay), vs, ps)
+    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
+        raise ConfigError(f"invalid protocol file: {exc}") from exc
 
 
 def save_protocol(protocol: InteractiveProtocol, path) -> None:

@@ -47,3 +47,30 @@ def test_pipeline_cheat_rows_draw_from_their_own_substreams(monkeypatch):
     run_experiment(ExperimentConfig(kind="pipeline", seed=5, trials=5))
     # 0: oracle, 1: cheat strategies, 2-4: one sampling stream per cheat row.
     assert requested == [0, 1, 2, 3, 4]
+
+
+def test_pipeline_evaluates_each_branch_once_per_prover(monkeypatch):
+    from qpzk.compilers.public_coin import PublicCoinProtocol
+
+    calls = []
+    branch_value = PublicCoinProtocol.branch_value
+
+    def counting_branch_value(self, strat, b):
+        calls.append((strat.name, b))
+        return branch_value(self, strat, b)
+
+    monkeypatch.setattr(PublicCoinProtocol, "branch_value", counting_branch_value)
+    run_experiment(ExperimentConfig(kind="pipeline", seed=5, trials=50))
+    # Two branches for the honest row and two for each of the three cheats,
+    # however many trials are sampled.
+    assert len(calls) == 8
+    assert len(set(calls)) == 8
+
+
+def test_pipeline_cheat_rows_pinned_at_seed_7():
+    record = run_experiment(ExperimentConfig(kind="pipeline", seed=7))
+    cheats = [row for row in record.rows if row.name.startswith("pipeline-cheat-")]
+    assert [row.empirical for row in cheats] == [0.5065, 0.686, 0.673]
+    assert [row.sigma for row in cheats] == pytest.approx(
+        [0.011180158646320453, 0.01041653707667828, 0.01041653707667828],
+        rel=1e-12)

@@ -21,6 +21,7 @@ from qpzk.harness.records import (
 from qpzk.harness.experiments import run_experiment
 from qpzk.harness.report import report
 from qpzk.protocol import protocol_to_json
+from qpzk.serialize import complex_matrix_to_json
 
 
 class TestConfig:
@@ -147,9 +148,9 @@ class TestReport:
         assert any("vacuous" in line for line in summary.lines)
 
 
-def _copier_json_with_registers(registers: dict) -> str:
+def _copier_json_with(**fields) -> str:
     data = protocol_to_json(copier_base())
-    data["registers"] = registers
+    data.update(fields)
     return json.dumps(data)
 
 
@@ -184,16 +185,23 @@ class TestCli:
     @pytest.mark.parametrize("kind,instances,body", [
         ("collapse", {"base_protocol": "junk.txt"}, "not JSON"),
         ("collapse", {"base_protocol": "junk.txt"},
-         _copier_json_with_registers({"W": 1, "M": 1})),
+         _copier_json_with(registers={"W": 1, "M": 1})),
         ("collapse", {"base_protocol": "junk.txt"},
-         _copier_json_with_registers({"R": "one", "W": 1, "M": 1})),
+         _copier_json_with(registers={"R": "one", "W": 1, "M": 1})),
+        ("collapse", {"base_protocol": "junk.txt"},
+         _copier_json_with(registers={"R": 0, "W": 1, "M": 1})),
+        ("collapse", {"base_protocol": "junk.txt"},
+         _copier_json_with(verifier_unitaries=[complex_matrix_to_json(2 * np.eye(4))] * 2)),
+        ("collapse", {"base_protocol": "junk.txt"},
+         _copier_json_with(verifier_unitaries=[complex_matrix_to_json(np.eye(2))] * 2)),
         ("double-open", {"scheme": "missing.json"}, "not JSON"),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
         ("report", None, json.dumps([])),
     ], ids=["collapse-base-not-json", "collapse-base-registers-missing-R",
-            "collapse-base-register-size-not-a-number",
+            "collapse-base-register-size-not-a-number", "collapse-base-register-size-zero",
+            "collapse-base-not-unitary", "collapse-base-wrong-shape",
             "double-open-scheme-missing", "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
+from qpzk.core.sampling import random_amplitudes
 from qpzk.compilers.examples import copier_base, hidden_target_base, rotated_copier_base
 from qpzk.compilers.public_coin import (
     PublicCoinProtocol,
+    PublicCoinStrategy,
     hv_simulate_public_coin,
     make_public_coin,
     public_coin_soundness,
@@ -61,6 +63,29 @@ class TestHonestExecution:
         hits = sum(sample_run(pc, hon, None, rng)[0] for _ in range(n))
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert abs(hits / n - exact) <= 3 * sigma + 1e-9
+
+
+class TestSampling:
+    def test_sampler_matches_sample_run_loop(self):
+        pc = make_public_coin(rotated_copier_base(0.8))
+        g = rng_from(2550)
+        responses = [random_unitary(4, g), random_unitary(4, g)]
+        strat = PublicCoinStrategy(random_amplitudes(8, g), lambda b: responses[b], "random")
+        assert 0.05 < pc.branch_value(strat, 0) < 0.95
+        assert 0.05 < pc.branch_value(strat, 1) < 0.95
+        n = 500
+        loop_rng, sampler_rng = rng_from(2551), rng_from(2551)
+        loop_hits = sum(pc.sample_run(strat, None, loop_rng)[0] for _ in range(n))
+        hits, exact = pc.sample_hits(strat, n, sampler_rng)
+        assert hits == loop_hits
+        assert exact == pc.acceptance(strat)
+        assert sampler_rng.random() == loop_rng.random()
+
+    @pytest.mark.parametrize("coin", [2, -1])
+    def test_scheduled_coin_outside_zero_one_rejected(self, coin):
+        pc = make_public_coin(copier_base())
+        with pytest.raises(ConfigError, match="coin"):
+            pc.sample_run(pc.honest_strategy(), [coin], rng_from(0))
 
 
 class TestSoundness:
