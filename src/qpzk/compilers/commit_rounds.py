@@ -105,14 +105,14 @@ class CommitRoundProtocol:
         # Round 0: commit the initialized workspace.
         vec = linalg.apply_to_vector(scheme.com, vec, com_wires, n)
 
-        zero_anc = scheme.ancilla_zero_projector()
+        zero_anc = scheme.ancilla_zero_projector
         aborts: list[float] = []
         wm = lay.qubits_of_all(["W", "M"])
         for i in range(1, base.rounds + 1):
             for mat, names in strat.ops_for(i):
                 vec = self._apply_prover_op(vec, np.asarray(mat, dtype=complex),
                                             names, lay)
-            vec = linalg.apply_to_vector(scheme.com.conj().T, vec, com_wires, n)
+            vec = linalg.apply_to_vector(scheme.com_dagger, vec, com_wires, n)
             passed = linalg.apply_to_vector(zero_anc, vec, com_wires, n)
             p_before = float(np.linalg.norm(vec) ** 2)
             p_pass = float(np.linalg.norm(passed) ** 2)

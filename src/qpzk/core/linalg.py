@@ -6,6 +6,8 @@ significant bit of the state index.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from qpzk.errors import DimensionMismatchError, StateValidationError
@@ -13,59 +15,64 @@ from qpzk.errors import DimensionMismatchError, StateValidationError
 EPS = 1e-9
 
 
-def _check_targets(targets, n: int, op_dim: int):
+@functools.lru_cache(maxsize=1024)
+def _qubit_plan(targets: tuple, n: int):
+    """(perm, inv, shape) for an op on targets of an n-qubit index, or the
+    message template of the check the targets fail. perm puts the targets
+    first, inv undoes it, shape is (2,) * n."""
     if len(set(targets)) != len(targets):
-        raise DimensionMismatchError(f"repeated target qubits {targets}")
+        return "repeated target qubits {}"
     if any(t < 0 or t >= n for t in targets):
-        raise DimensionMismatchError(f"target qubits {targets} outside 0..{n - 1}")
+        return f"target qubits {{}} outside 0..{n - 1}"
+    perm = targets + tuple(q for q in range(n) if q not in targets)
+    inv = tuple(int(i) for i in np.argsort(perm))
+    return perm, inv, (2,) * n
+
+
+def _target_plan(targets, n: int, op_dim: int):
+    """Checked qubit plan; the op-dimension check runs on every call."""
+    plan = _qubit_plan(tuple(targets), n)
+    if isinstance(plan, str):
+        raise DimensionMismatchError(plan.format(targets))
     if op_dim != 2 ** len(targets):
         raise DimensionMismatchError(
             f"operator dim {op_dim} does not match {len(targets)} target qubits"
         )
+    return plan
 
 
 def apply_to_vector(op: np.ndarray, vec: np.ndarray, targets, n: int) -> np.ndarray:
     """Apply op on the given qubits of an n-qubit state vector."""
-    _check_targets(targets, n, op.shape[0])
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = list(targets) + rest
-    t = vec.reshape((2,) * n).transpose(perm).reshape(2 ** k, -1)
+    perm, inv, shape = _target_plan(targets, n, op.shape[0])
+    t = vec.reshape(shape).transpose(perm).reshape(op.shape[0], -1)
     t = op @ t
-    inv = np.argsort(perm)
-    return t.reshape((2,) * n).transpose(inv).reshape(-1)
+    return t.reshape(shape).transpose(inv).reshape(-1)
 
 
 def apply_to_matrix(op: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
     """Conjugate an n-qubit density-like matrix: op . mat . op^dagger."""
-    _check_targets(targets, n, op.shape[0])
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = list(targets) + rest
-    inv = np.argsort(perm)
+    perm, inv, shape = _target_plan(targets, n, op.shape[0])
+    rows = shape + (2 ** n,)
+    perm, inv = perm + (n,), inv + (n,)
     # Rows.
-    t = mat.reshape((2,) * n + (2 ** n,)).transpose(perm + [n]).reshape(2 ** k, -1)
+    t = mat.reshape(rows).transpose(perm).reshape(op.shape[0], -1)
     t = op @ t
-    t = t.reshape((2,) * n + (2 ** n,)).transpose(list(inv) + [n]).reshape(2 ** n, 2 ** n)
+    t = t.reshape(rows).transpose(inv).reshape(2 ** n, 2 ** n)
     # Columns.
     t = t.conj().T
-    t = t.reshape((2,) * n + (2 ** n,)).transpose(perm + [n]).reshape(2 ** k, -1)
+    t = t.reshape(rows).transpose(perm).reshape(op.shape[0], -1)
     t = op @ t
-    t = t.reshape((2,) * n + (2 ** n,)).transpose(list(inv) + [n]).reshape(2 ** n, 2 ** n)
+    t = t.reshape(rows).transpose(inv).reshape(2 ** n, 2 ** n)
     return t.conj().T
 
 
 def embed(op: np.ndarray, targets, n: int) -> np.ndarray:
     """Full 2^n matrix acting as op on targets and identity elsewhere."""
-    _check_targets(targets, n, op.shape[0])
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = list(targets) + rest
-    inv = list(np.argsort(perm))
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
+    _, inv, shape = _target_plan(targets, n, op.shape[0])
+    full = np.kron(op, np.eye(2 ** (n - len(targets)), dtype=complex))
     # full indexes qubits in perm order on both sides; restore natural order.
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(inv + [n + i for i in inv])
+    t = full.reshape(shape + shape)
+    t = t.transpose(inv + tuple(n + i for i in inv))
     return t.reshape(2 ** n, 2 ** n)
 
 
@@ -98,8 +105,10 @@ def half_trace_norm(diff: np.ndarray) -> float:
 def is_unitary(mat: np.ndarray, tol: float = EPS) -> bool:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    d = mat.shape[0]
-    return bool(np.allclose(mat.conj().T @ mat, np.eye(d), atol=tol))
+    eye = np.eye(mat.shape[0])
+    # np.allclose(gram, eye, atol=tol) with its default rtol of 1e-5 written
+    # out; a NaN or infinite entry fails the comparison.
+    return bool((np.abs(mat.conj().T @ mat - eye) <= tol + 1e-5 * eye).all())
 
 
 def is_hermitian(mat: np.ndarray, tol: float = EPS) -> bool:

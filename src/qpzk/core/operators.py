@@ -29,11 +29,9 @@ P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 def swap_registers(qubits: int) -> np.ndarray:
     """SWAP of two equally sized blocks of `qubits` qubits each."""
     dim = 2 ** qubits
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            out[b * dim + a, a * dim + b] = 1.0
-    return out
+    # Row b * dim + a of the result is identity row a * dim + b: |a, b> -> |b, a>.
+    rows = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
+    return np.eye(dim * dim, dtype=complex)[rows]
 
 
 def controlled(op: np.ndarray, control_qubits: int = 1) -> np.ndarray:

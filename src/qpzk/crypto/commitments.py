@@ -9,7 +9,8 @@ double-opening experiment, including the bit-dependent swap ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,8 @@ class CanonicalCommitment:
     role_swapped: bool = False
 
     def __post_init__(self):
+        if self.message_qubits < 0 or self.ancilla_qubits < 0:
+            raise RegisterError("commitment wire counts must be non-negative")
         total = self.message_qubits + self.ancilla_qubits
         mat = np.asarray(self.com, dtype=complex)
         object.__setattr__(self, "com", mat)
@@ -56,6 +59,8 @@ class CanonicalCommitment:
             raise StateValidationError("commitment map is not unitary")
         if sorted(self.c_wires + self.d_wires) != list(range(total)):
             raise RegisterError("C and D wires must partition the commitment wires")
+        # com_dagger and ancilla_zero_projector are cached from com.
+        mat.setflags(write=False)
 
     @property
     def total_wires(self) -> int:
@@ -68,12 +73,24 @@ class CanonicalCommitment:
             self.com, self.d_wires, self.c_wires, not self.role_swapped,
         )
 
+    @functools.cached_property
+    def com_dagger(self) -> np.ndarray:
+        """com^dagger, the inverse of com; read-only."""
+        return _read_only(self.com.conj().T)
+
+    @functools.cached_property
     def ancilla_zero_projector(self) -> np.ndarray:
-        """Projector onto ancilla wires all-zero, identity on the message."""
+        """Projector onto ancilla wires all-zero, identity on the message;
+        read-only."""
         if self.ancilla_qubits == 0:
-            return np.eye(2 ** self.message_qubits, dtype=complex)
+            return _read_only(np.eye(2 ** self.message_qubits, dtype=complex))
         zeros = projector_onto(linalg.basis_vector(0, 2 ** self.ancilla_qubits))
-        return np.kron(np.eye(2 ** self.message_qubits, dtype=complex), zeros)
+        return _read_only(np.kron(np.eye(2 ** self.message_qubits, dtype=complex), zeros))
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
 
 
 def commit(scheme: CanonicalCommitment, message: QuantumState) -> QuantumState:
@@ -97,7 +114,7 @@ def commit(scheme: CanonicalCommitment, message: QuantumState) -> QuantumState:
     if scheme.ancilla_qubits:
         anc = projector_onto(linalg.basis_vector(0, 2 ** scheme.ancilla_qubits))
         mat = np.kron(mat, anc)
-    mat = scheme.com @ mat @ scheme.com.conj().T
+    mat = scheme.com @ mat @ scheme.com_dagger
     mat = linalg.permute_matrix(mat, order, total)
     return MixedState(mat, layout)
 
@@ -116,8 +133,8 @@ def verify_open(scheme: CanonicalCommitment, state_cd: QuantumState):
     inverse = list(np.argsort(order))
     mat = state_cd.density()
     mat = linalg.permute_matrix(mat, inverse, total)
-    mat = scheme.com.conj().T @ mat @ scheme.com
-    proj = scheme.ancilla_zero_projector()
+    mat = scheme.com_dagger @ mat @ scheme.com
+    proj = scheme.ancilla_zero_projector
     accepted = proj @ mat @ proj
     p = float(accepted.trace().real)
     if p <= EPS:
@@ -197,6 +214,10 @@ def scheme_from_json(data: dict) -> CanonicalCommitment:
         )
     except KeyError as exc:
         raise ConfigError(f"commitment scheme file missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed commitment scheme file: {exc}") from exc
+    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
+        raise ConfigError(f"invalid commitment scheme file: {exc}") from exc
 
 
 BUILTIN_SCHEMES = {
@@ -264,6 +285,10 @@ class DoubleOpenGame:
                                     k + scheme.message_qubits + adv_qubits))
         self.n = k + scheme.message_qubits + adv_qubits
         self.vector = linalg.basis_vector(0, 2 ** self.n)
+        # Qubit order that exchanges the message wires with M'.
+        self._swap_order = list(range(self.n))
+        for m, mp in zip(range(scheme.message_qubits), self.mprime_wires):
+            self._swap_order[m], self._swap_order[mp] = mp, m
 
     # Low-level state manipulation (pure-state simulation with sampled
     # measurement branches keeps 10^4-trial games cheap).
@@ -297,24 +322,19 @@ class DoubleOpenGame:
         return False
 
     def _open_check(self, rng) -> bool:
-        self.apply(self.scheme.com.conj().T, self.com_wires)
-        ok = self.project_or_abort(self.scheme.ancilla_zero_projector(),
-                                   self.com_wires, rng)
-        return ok
+        self.apply(self.scheme.com_dagger, self.com_wires)
+        return self.project_or_abort(self.scheme.ancilla_zero_projector,
+                                     self.com_wires, rng)
 
     def _message_swap(self):
-        msg_wires = self.com_wires[: self.scheme.message_qubits]
-        from qpzk.core.operators import swap_registers
-
-        self.apply(swap_registers(self.scheme.message_qubits),
-                   msg_wires + self.mprime_wires)
+        self.vector = linalg.permute_vector(self.vector, self._swap_order, self.n)
 
     def _recommit(self):
         self.apply(self.scheme.com, self.com_wires)
 
     def run(self, adversary, rng) -> GameRecord:
         scheme = self.scheme
-        d_abs = [scheme.d_wires[i] for i in range(len(scheme.d_wires))]
+        d_abs = list(scheme.d_wires)
         try:
             adversary.prepare(scheme, GameView(self, self.com_wires + self.adv_wires), rng)
             # First opening check.

@@ -376,15 +376,15 @@ def _run_double_open(config: ExperimentConfig, record: ExperimentRecord) -> None
     else:
         hiding_scheme = bell_ancilla_scheme()
 
-    rate, aborts = double_open_win_rate(hiding_scheme, RandomGuessAdversary(),
-                                        trials, _stream(config, 0))
+    rate, _ = double_open_win_rate(hiding_scheme, RandomGuessAdversary(),
+                                   trials, _stream(config, 0))
     sigma = float(np.sqrt(0.25 / trials))
     record.add(upper_bound_row("honest-adversary-win-rate-offset",
                                abs(rate - 0.5), 0.0, sigma,
                                "exact:branch-independence"))
 
-    rate, aborts = double_open_win_rate(hiding_scheme, ReadSwapTargetAdversary(),
-                                        trials, _stream(config, 1))
+    rate, _ = double_open_win_rate(hiding_scheme, ReadSwapTargetAdversary(),
+                                   trials, _stream(config, 1))
     record.add(upper_bound_row("reading-adversary-win-rate-offset",
                                abs(rate - 0.5), 0.0, sigma,
                                "exact:branch-independence"))

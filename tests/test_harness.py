@@ -7,6 +7,7 @@ import pytest
 
 from qpzk.cli import main
 from qpzk.compilers.examples import copier_base
+from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
 from qpzk.errors import ConfigError
 from qpzk.harness.config import ExperimentConfig, config_from_dict, load_config
 from qpzk.harness.records import (
@@ -154,6 +155,12 @@ def _copier_json_with(**fields) -> str:
     return json.dumps(data)
 
 
+def _bell_scheme_json_with(**fields) -> str:
+    data = scheme_to_json(bell_ancilla_scheme())
+    data.update(fields)
+    return json.dumps(data)
+
+
 class TestCli:
     def test_mac_run_and_report(self, tmp_path, capsys):
         out = tmp_path / "mac.json"
@@ -195,6 +202,15 @@ class TestCli:
         ("collapse", {"base_protocol": "junk.txt"},
          _copier_json_with(verifier_unitaries=[complex_matrix_to_json(np.eye(2))] * 2)),
         ("double-open", {"scheme": "missing.json"}, "not JSON"),
+        ("double-open", {"scheme": "junk.txt"},
+         _bell_scheme_json_with(com=complex_matrix_to_json(2 * np.eye(8)))),
+        ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(c_wires=[0], d_wires=[1])),
+        ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(message_qubits="one")),
+        ("double-open", {"scheme": "junk.txt"},
+         _bell_scheme_json_with(com=complex_matrix_to_json(np.eye(4)))),
+        ("double-open", {"scheme": "junk.txt"},
+         _bell_scheme_json_with(message_qubits=1, ancilla_qubits=-1,
+                                com=complex_matrix_to_json(np.eye(1)), c_wires=[], d_wires=[])),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
@@ -202,7 +218,10 @@ class TestCli:
     ], ids=["collapse-base-not-json", "collapse-base-registers-missing-R",
             "collapse-base-register-size-not-a-number", "collapse-base-register-size-zero",
             "collapse-base-not-unitary", "collapse-base-wrong-shape",
-            "double-open-scheme-missing", "report-record-not-json",
+            "double-open-scheme-missing", "double-open-scheme-not-unitary",
+            "double-open-scheme-wires-not-partition", "double-open-scheme-qubits-not-a-number",
+            "double-open-scheme-wrong-shape", "double-open-scheme-negative-ancillas",
+            "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])
     def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances, body):

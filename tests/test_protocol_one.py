@@ -87,7 +87,7 @@ class TestBindingDetection:
         inv = list(np.argsort(order))
         rebuilt = linalg.permute_matrix(rebuilt, inv, 3)
         opened = scheme.com.conj().T @ rebuilt @ scheme.com
-        zero_anc = scheme.ancilla_zero_projector()
+        zero_anc = scheme.ancilla_zero_projector
         pass_prob = float(np.trace(zero_anc @ opened).real)
         assert result.abort_probabilities[0] == pytest.approx(1.0 - pass_prob, abs=1e-9)
 
