@@ -3,8 +3,9 @@
 A scheme is a unitary on the message wires plus ancilla wires, with a
 declared split of the output wires into a commitment register C and a
 decommitment register D. Verification uncomputes and projects the ancillas
-onto zero. The game harness executes every challenger step of the
-double-opening experiment, including the bit-dependent swap ordering.
+onto zero. The double-opening game evaluates each classical history of the
+experiment once per (scheme, adversary), with every challenger step and the
+bit-dependent swap ordering; a trial only draws from those histories.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from qpzk.core import linalg
 from qpzk.core.linalg import EPS
 from qpzk.core.operators import CNOT, H, X, projector_onto
 from qpzk.core.registers import RegisterLayout
+from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import (
     ConfigError,
@@ -235,28 +237,23 @@ def load_scheme(name_or_path: str) -> CanonicalCommitment:
 
 # -- double-opening game -----------------------------------------------------
 
-
-class AdversaryAborted(Exception):
-    """Raised by an adversary that walks away from the game."""
+Gate = tuple[np.ndarray, tuple[int, ...]]
 
 
-class GameView:
-    """Restricted handle on the game state: an adversary may only touch the
-    wires it currently holds."""
+@dataclass(frozen=True)
+class Adversary:
+    """A double-opening adversary as data, built for one scheme.
 
-    def __init__(self, game: "DoubleOpenGame", qubits: list[int]):
-        self._game = game
-        self.qubits = list(qubits)
+    Gates act on absolute game wires (see DoubleOpenGame). `prepare` runs
+    before the first opening, `respond` between the two openings; None
+    there means the adversary walks away. The guess reads M' (1 unless it
+    is all-zero) or is a uniform bit.
+    """
 
-    def apply(self, mat: np.ndarray, local: Optional[list[int]] = None):
-        targets = self.qubits if local is None else [self.qubits[i] for i in local]
-        if not linalg.is_unitary(np.asarray(mat, dtype=complex)):
-            raise StateValidationError("adversary operation must be unitary")
-        self._game.apply(mat, targets)
-
-    def measure_computational(self, local: list[int], rng) -> int:
-        targets = [self.qubits[i] for i in local]
-        return self._game.measure_computational(targets, rng)
+    prepare: tuple[Gate, ...]
+    respond: Optional[tuple[Gate, ...]]
+    reads_swap_target: bool
+    ancilla_qubits: int = 0
 
 
 @dataclass
@@ -268,112 +265,117 @@ class GameRecord:
 
 
 class DoubleOpenGame:
-    """Challenger for the double-opening experiment.
+    """The double-opening experiment of one adversary against one scheme,
+    evaluated once as a tree of classical histories: first check, b, second
+    check, M' read. A trial (run_double_open) only draws from it.
 
     Wire map: commitment wires 0..k-1 in natural (message, ancilla) order,
-    the challenger's swap target M' next, then the adversary's private
-    ancilla wires.
+    the challenger's swap target M' next, then the adversary's ancillas.
+    Nodes of probability zero are never reached, so they are left unset.
     """
 
-    def __init__(self, scheme: CanonicalCommitment, adv_qubits: int = 0):
+    def __init__(self, scheme: CanonicalCommitment, adversary: Adversary):
         self.scheme = scheme
-        self.adv_qubits = adv_qubits
+        self.adversary = adversary
         k = scheme.total_wires
+        m = scheme.message_qubits
+        self.n = k + m + adversary.ancilla_qubits
         self.com_wires = list(range(k))
-        self.mprime_wires = list(range(k, k + scheme.message_qubits))
-        self.adv_wires = list(range(k + scheme.message_qubits,
-                                    k + scheme.message_qubits + adv_qubits))
-        self.n = k + scheme.message_qubits + adv_qubits
-        self.vector = linalg.basis_vector(0, 2 ** self.n)
+        mprime = list(range(k, k + m))
+        own = list(range(k + m, self.n))
+        prepare = _checked_gates(adversary.prepare, self.com_wires + own, "prepare")
+        respond = None
+        if adversary.respond is not None:
+            respond = _checked_gates(adversary.respond, list(scheme.d_wires) + own, "respond")
         # Qubit order that exchanges the message wires with M'.
         self._swap_order = list(range(self.n))
-        for m, mp in zip(range(scheme.message_qubits), self.mprime_wires):
-            self._swap_order[m], self._swap_order[mp] = mp, m
+        for w, wp in zip(range(m), mprime):
+            self._swap_order[w], self._swap_order[wp] = wp, w
 
-    # Low-level state manipulation (pure-state simulation with sampled
-    # measurement branches keeps 10^4-trial games cheap).
-    def apply(self, mat: np.ndarray, targets: list[int]):
-        self.vector = linalg.apply_to_vector(np.asarray(mat, dtype=complex),
-                                             self.vector, targets, self.n)
+        vec = self._apply(prepare, linalg.basis_vector(0, 2 ** self.n))
+        self.p_open, opened = self._open_check(vec)
+        self.p_second: list[Optional[float]] = [None, None]
+        self.mprime_marginal: list[Optional[np.ndarray]] = [None, None]
+        if respond is None or opened is None:
+            return
+        for b in (0, 1):
+            # b = 1 swaps M' in before the first recommit, b = 0 after the
+            # second check.
+            vec = self._recommit(opened, swap=b == 1)
+            p, vec = self._open_check(self._apply(respond, vec))
+            self.p_second[b] = p
+            if vec is not None and adversary.reads_swap_target:
+                vec = self._recommit(vec, swap=b == 0)
+                self.mprime_marginal[b] = self._marginal(vec, mprime)
 
-    def measure_computational(self, targets: list[int], rng) -> int:
-        probs = np.abs(self.vector.reshape((2,) * self.n)) ** 2
+    def _apply(self, gates: list[Gate], vec: np.ndarray) -> np.ndarray:
+        for mat, wires in gates:
+            vec = linalg.apply_to_vector(mat, vec, wires, self.n)
+        return vec
+
+    def _open_check(self, vec: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
+        """Pass probability of the canonical opening check and the
+        normalised state after passing (None when it cannot pass)."""
+        vec = linalg.apply_to_vector(self.scheme.com_dagger, vec, self.com_wires, self.n)
+        vec = linalg.apply_to_vector(self.scheme.ancilla_zero_projector, vec,
+                                     self.com_wires, self.n)
+        p = float(np.linalg.norm(vec) ** 2)
+        return p, (vec / np.sqrt(p) if p > 0 else None)
+
+    def _recommit(self, vec: np.ndarray, swap: bool) -> np.ndarray:
+        if swap:
+            vec = linalg.permute_vector(vec, self._swap_order, self.n)
+        return linalg.apply_to_vector(self.scheme.com, vec, self.com_wires, self.n)
+
+    def _marginal(self, vec: np.ndarray, targets: list[int]) -> np.ndarray:
+        """Normalised computational-basis distribution of the target wires."""
+        probs = np.abs(vec.reshape((2,) * self.n)) ** 2
         axes = [q for q in range(self.n) if q not in targets]
         marginal = probs.sum(axis=tuple(axes)) if axes else probs
         marginal = marginal.reshape(-1)
-        marginal = marginal / marginal.sum()
-        outcome = int(rng.choice(len(marginal), p=marginal))
-        proj = projector_onto(linalg.basis_vector(outcome, 2 ** len(targets)))
-        vec = linalg.apply_to_vector(proj, self.vector, targets, self.n)
-        self.vector = vec / np.linalg.norm(vec)
-        return outcome
-
-    def project_or_abort(self, proj: np.ndarray, targets: list[int], rng) -> bool:
-        """Sample a two-outcome check; True means the check passed."""
-        vec = linalg.apply_to_vector(proj, self.vector, targets, self.n)
-        p = float(np.linalg.norm(vec) ** 2)
-        if rng.random() < p:
-            self.vector = vec / np.sqrt(p)
-            return True
-        rej = self.vector - vec
-        norm = np.linalg.norm(rej)
-        if norm > 0:
-            self.vector = rej / norm
-        return False
-
-    def _open_check(self, rng) -> bool:
-        self.apply(self.scheme.com_dagger, self.com_wires)
-        return self.project_or_abort(self.scheme.ancilla_zero_projector,
-                                     self.com_wires, rng)
-
-    def _message_swap(self):
-        self.vector = linalg.permute_vector(self.vector, self._swap_order, self.n)
-
-    def _recommit(self):
-        self.apply(self.scheme.com, self.com_wires)
-
-    def run(self, adversary, rng) -> GameRecord:
-        scheme = self.scheme
-        d_abs = list(scheme.d_wires)
-        try:
-            adversary.prepare(scheme, GameView(self, self.com_wires + self.adv_wires), rng)
-            # First opening check.
-            if not self._open_check(rng):
-                return GameRecord(False, True, None, None)
-            b = int(rng.integers(2))
-            if b == 0:
-                self._recommit()
-            else:
-                self._message_swap()
-                self._recommit()
-            adversary.respond(GameView(self, d_abs + self.adv_wires), rng)
-            if not self._open_check(rng):
-                return GameRecord(False, True, b, None)
-            if b == 0:
-                self._message_swap()
-                self._recommit()
-            else:
-                self._recommit()
-            everything = self.com_wires + self.mprime_wires + self.adv_wires
-            guess = int(adversary.guess(GameView(self, everything), rng))
-        except AdversaryAborted:
-            return GameRecord(False, True, None, None)
-        return GameRecord(guess == b, False, b, guess)
+        return marginal / marginal.sum()
 
 
-def run_double_open(scheme: CanonicalCommitment, adversary, rng) -> GameRecord:
-    """One full double-opening experiment; the adversary wins on b' = b."""
-    game = DoubleOpenGame(scheme, getattr(adversary, "ancilla_qubits", 0))
-    return game.run(adversary, rng)
+def _checked_gates(gates, held: list[int], phase: str) -> list[Gate]:
+    """Adversary gates as complex matrices, each unitary and on held wires."""
+    checked = []
+    for mat, wires in gates:
+        mat = np.asarray(mat, dtype=complex)
+        if not set(wires) <= set(held):
+            raise RegisterError(
+                f"adversary {phase} gate acts on wires {list(wires)}; "
+                f"it holds only wires {held} then")
+        if not linalg.is_unitary(mat):
+            raise StateValidationError("adversary operation must be unitary")
+        checked.append((mat, tuple(wires)))
+    return checked
 
 
-def double_open_win_rate(scheme, adversary, trials: int, rng) -> tuple[float, int]:
+def run_double_open(game: DoubleOpenGame, rng) -> GameRecord:
+    """One double-opening experiment drawn from the game's tree; the
+    adversary wins on b' = b."""
+    if not accept_bit(game.p_open, rng):
+        return GameRecord(False, True, None, None)
+    b = int(rng.integers(2))
+    if game.adversary.respond is None or not accept_bit(game.p_second[b], rng):
+        return GameRecord(False, True, b, None)
+    if game.adversary.reads_swap_target:
+        marginal = game.mprime_marginal[b]
+        # M' holds the original message when the swap came first (b = 1).
+        guess = 1 if int(rng.choice(len(marginal), p=marginal)) != 0 else 0
+    else:
+        guess = int(rng.integers(2))
+    return GameRecord(guess == b, False, b, guess)
+
+
+def double_open_win_rate(scheme, adversary: Adversary, trials: int, rng) -> tuple[float, int]:
     """Win rate over completed-and-aborted trials (aborts never count as
     wins) plus the abort count."""
+    game = DoubleOpenGame(scheme, adversary)
     wins = 0
     aborts = 0
     for _ in range(trials):
-        rec = run_double_open(scheme, adversary, rng)
+        rec = run_double_open(game, rng)
         wins += rec.win
         aborts += rec.aborted
     return wins / trials, aborts
@@ -382,87 +384,36 @@ def double_open_win_rate(scheme, adversary, trials: int, rng) -> tuple[float, in
 # -- built-in adversaries ----------------------------------------------------
 
 
-class RandomGuessAdversary:
+def _commit_gates(scheme: CanonicalCommitment, ones: bool) -> tuple[Gate, ...]:
+    """Honest commitment to |0...0> or, with `ones`, to |1...1>."""
+    flips = tuple((X, (w,)) for w in range(scheme.message_qubits)) if ones else ()
+    return flips + ((scheme.com, tuple(range(scheme.total_wires))),)
+
+
+def random_guess_adversary(scheme: CanonicalCommitment) -> Adversary:
     """Commits honestly, does nothing, guesses a uniform bit."""
-
-    ancilla_qubits = 0
-
-    def prepare(self, scheme, view, rng):
-        view.apply(scheme.com, list(range(scheme.total_wires)))
-
-    def respond(self, view, rng):
-        pass
-
-    def guess(self, view, rng) -> int:
-        return int(rng.integers(2))
+    return Adversary(_commit_gates(scheme, ones=False), (), reads_swap_target=False)
 
 
-class TamperAndReadAdversary:
-    """Commits |1...1>, flips the decommitment register between openings and
-    reads the challenger's swap target at the end. Breaks the identity
-    scheme outright."""
-
-    ancilla_qubits = 0
-
-    def prepare(self, scheme, view, rng):
-        self._scheme = scheme
-        for wire in range(scheme.message_qubits):
-            view.apply(X, [wire])
-        view.apply(scheme.com, list(range(scheme.total_wires)))
-
-    def respond(self, view, rng):
-        for i in range(len(self._scheme.d_wires)):
-            view.apply(X, [i])
-
-    def guess(self, view, rng) -> int:
-        scheme = self._scheme
-        k = scheme.total_wires
-        mprime_local = list(range(k, k + scheme.message_qubits))
-        outcome = view.measure_computational(mprime_local, rng)
-        # M' holds the original message when the swap came first (b = 1).
-        return 1 if outcome != 0 else 0
-
-    # The identity scheme leaves M' = |1...1> exactly when b = 1 under this
-    # tampering, so the read is a perfect distinguisher there.
-
-
-class ReadSwapTargetAdversary:
-    """Commits |1...1>, opens honestly, measures the swap target at the end.
+def read_swap_target_adversary(scheme: CanonicalCommitment) -> Adversary:
+    """Commits |1...1>, opens honestly, reads the swap target at the end.
 
     Against a scheme whose decommitment register is branch-independent the
     whole final view carries no trace of b and the win rate is exactly one
     half; against the broken identity scheme the same read wins only when
-    combined with tampering (see TamperAndReadAdversary)."""
-
-    ancilla_qubits = 0
-
-    def prepare(self, scheme, view, rng):
-        self._scheme = scheme
-        for wire in range(scheme.message_qubits):
-            view.apply(X, [wire])
-        view.apply(scheme.com, list(range(scheme.total_wires)))
-
-    def respond(self, view, rng):
-        pass
-
-    def guess(self, view, rng) -> int:
-        scheme = self._scheme
-        k = scheme.total_wires
-        mprime_local = list(range(k, k + scheme.message_qubits))
-        outcome = view.measure_computational(mprime_local, rng)
-        return 1 if outcome != 0 else 0
+    combined with tampering (see tamper_and_read_adversary)."""
+    return Adversary(_commit_gates(scheme, ones=True), (), reads_swap_target=True)
 
 
-class AbortingAdversary:
+def tamper_and_read_adversary(scheme: CanonicalCommitment) -> Adversary:
+    """Commits |1...1>, flips the decommitment register between openings and
+    reads the swap target at the end. The identity scheme leaves M' =
+    |1...1> exactly when b = 1 under this tampering, so the read breaks it
+    outright."""
+    flips = tuple((X, (w,)) for w in scheme.d_wires)
+    return Adversary(_commit_gates(scheme, ones=True), flips, reads_swap_target=True)
+
+
+def aborting_adversary(scheme: CanonicalCommitment) -> Adversary:
     """Walks away when asked for the second opening."""
-
-    ancilla_qubits = 0
-
-    def prepare(self, scheme, view, rng):
-        view.apply(scheme.com, list(range(scheme.total_wires)))
-
-    def respond(self, view, rng):
-        raise AdversaryAborted()
-
-    def guess(self, view, rng) -> int:  # pragma: no cover - never reached
-        return 0
+    return Adversary(_commit_gates(scheme, ones=False), None, reads_swap_target=False)

@@ -361,13 +361,13 @@ def _run_zk(config: ExperimentConfig, record: ExperimentRecord) -> None:
 
 def _run_double_open(config: ExperimentConfig, record: ExperimentRecord) -> None:
     from qpzk.crypto.commitments import (
-        RandomGuessAdversary,
-        ReadSwapTargetAdversary,
-        TamperAndReadAdversary,
         bell_ancilla_scheme,
-        identity_scheme,
         double_open_win_rate,
+        identity_scheme,
         load_scheme,
+        random_guess_adversary,
+        read_swap_target_adversary,
+        tamper_and_read_adversary,
     )
 
     trials = config.effective_trials
@@ -376,20 +376,21 @@ def _run_double_open(config: ExperimentConfig, record: ExperimentRecord) -> None
     else:
         hiding_scheme = bell_ancilla_scheme()
 
-    rate, _ = double_open_win_rate(hiding_scheme, RandomGuessAdversary(),
+    rate, _ = double_open_win_rate(hiding_scheme, random_guess_adversary(hiding_scheme),
                                    trials, _stream(config, 0))
     sigma = float(np.sqrt(0.25 / trials))
     record.add(upper_bound_row("honest-adversary-win-rate-offset",
                                abs(rate - 0.5), 0.0, sigma,
                                "exact:branch-independence"))
 
-    rate, _ = double_open_win_rate(hiding_scheme, ReadSwapTargetAdversary(),
+    rate, _ = double_open_win_rate(hiding_scheme, read_swap_target_adversary(hiding_scheme),
                                    trials, _stream(config, 1))
     record.add(upper_bound_row("reading-adversary-win-rate-offset",
                                abs(rate - 0.5), 0.0, sigma,
                                "exact:branch-independence"))
 
-    rate, _ = double_open_win_rate(identity_scheme(1), TamperAndReadAdversary(),
+    broken = identity_scheme(1)
+    rate, _ = double_open_win_rate(broken, tamper_and_read_adversary(broken),
                                    trials, _stream(config, 2))
     record.add(threshold_row("broken-scheme-win-rate", rate, 0.6,
                              "oracle:tamper-distinguisher", above=True))

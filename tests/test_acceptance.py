@@ -307,25 +307,25 @@ class TestAcceptance:
     def test_09_commitment_and_mac_games(self):
         from qpzk.core.operators import X
         from qpzk.crypto.commitments import (
-            RandomGuessAdversary,
-            TamperAndReadAdversary,
             bell_ancilla_scheme,
             double_open_win_rate,
             identity_scheme,
+            random_guess_adversary,
+            tamper_and_read_adversary,
         )
         from qpzk.crypto.mac import QuantumMac
 
         trials = 10000
+        hiding = bell_ancilla_scheme()
         rate, aborts = double_open_win_rate(
-            bell_ancilla_scheme(), RandomGuessAdversary(), trials,
-            rng_from(9090))
+            hiding, random_guess_adversary(hiding), trials, rng_from(9090))
         sigma = np.sqrt(0.25 / trials)
         assert aborts == 0
         assert abs(rate - 0.5) <= 3 * sigma
 
+        broken = identity_scheme(1)
         broken_rate, _ = double_open_win_rate(
-            identity_scheme(1), TamperAndReadAdversary(), trials,
-            rng_from(9091))
+            broken, tamper_and_read_adversary(broken), trials, rng_from(9091))
         assert broken_rate > 0.6
 
         mac = QuantumMac(1, 3)

@@ -13,18 +13,20 @@ from qpzk.core import (
 )
 from qpzk.core.operators import X
 from qpzk.crypto.commitments import (
-    AbortingAdversary,
-    RandomGuessAdversary,
-    ReadSwapTargetAdversary,
-    TamperAndReadAdversary,
+    Adversary,
+    DoubleOpenGame,
+    aborting_adversary,
     bell_ancilla_scheme,
     commit,
     double_open_win_rate,
     identity_scheme,
     layered_cnot_scheme,
+    random_guess_adversary,
+    read_swap_target_adversary,
     run_double_open,
     scheme_from_json,
     scheme_to_json,
+    tamper_and_read_adversary,
     verify_open,
 )
 from qpzk.crypto.ideal import (
@@ -35,6 +37,7 @@ from qpzk.crypto.ideal import (
     xor_coin_functionality,
 )
 from qpzk.crypto.mac import QuantumMac, mac_real_vs_ideal, natural_simulator
+from qpzk.errors import RegisterError, StateValidationError
 
 MSG1 = RegisterLayout.single("Msg", 1)
 
@@ -73,8 +76,6 @@ class TestIdealCompute:
         assert "abort" in session.events
 
     def test_honest_input_consumed_once(self):
-        from qpzk.errors import StateValidationError
-
         session = IdealSession(xor_coin_functionality())
         ideal_compute_classical(session, 0, 0, rng_from(0))
         with pytest.raises(StateValidationError):
@@ -161,42 +162,145 @@ class TestCommitments:
         assert dual.c_wires == scheme.d_wires
 
 
+def _win_rate_given_completion(game: DoubleOpenGame) -> float:
+    """Probability, read from the game's tree, that the guess equals b once
+    both checks have passed."""
+    weight = total = 0.0
+    for b in (0, 1):
+        if not game.p_second[b]:
+            continue
+        if game.adversary.reads_swap_target:
+            p_zero = game.mprime_marginal[b][0]
+            hit = p_zero if b == 0 else 1 - p_zero
+        else:
+            hit = 0.5
+        weight += game.p_second[b]
+        total += game.p_second[b] * hit
+    return total / weight
+
+
 class TestDoubleOpenGame:
     def test_random_guess_wins_half(self):
+        scheme = bell_ancilla_scheme()
         rng = rng_from(10)
         rate, aborts = double_open_win_rate(
-            bell_ancilla_scheme(), RandomGuessAdversary(), 2000, rng)
+            scheme, random_guess_adversary(scheme), 2000, rng)
         sigma = np.sqrt(0.25 / 2000)
         assert aborts == 0
         assert abs(rate - 0.5) <= 3 * sigma
 
     def test_identity_scheme_is_broken(self):
+        scheme = identity_scheme(1)
         rng = rng_from(11)
         rate, aborts = double_open_win_rate(
-            identity_scheme(1), TamperAndReadAdversary(), 2000, rng)
+            scheme, tamper_and_read_adversary(scheme), 2000, rng)
         assert aborts == 0
         assert rate > 0.6
 
     def test_bell_scheme_hides_the_branch(self):
         # Branch-independent pre-final view: reading adversaries sit at 1/2.
+        scheme = bell_ancilla_scheme()
         rng = rng_from(12)
         rate, aborts = double_open_win_rate(
-            bell_ancilla_scheme(), ReadSwapTargetAdversary(), 2000, rng)
+            scheme, read_swap_target_adversary(scheme), 2000, rng)
         sigma = np.sqrt(0.25 / 2000)
         assert aborts == 0
         assert abs(rate - 0.5) <= 3 * sigma
 
     def test_bell_scheme_detects_tampering(self):
+        scheme = bell_ancilla_scheme()
         rng = rng_from(13)
         rate, aborts = double_open_win_rate(
-            bell_ancilla_scheme(), TamperAndReadAdversary(), 200, rng)
+            scheme, tamper_and_read_adversary(scheme), 200, rng)
         assert aborts == 200
         assert rate == 0.0
 
     def test_abort_path(self):
-        rec = run_double_open(bell_ancilla_scheme(), AbortingAdversary(), rng_from(14))
+        scheme = bell_ancilla_scheme()
+        game = DoubleOpenGame(scheme, aborting_adversary(scheme))
+        rec = run_double_open(game, rng_from(14))
         assert rec.aborted
         assert not rec.win
+
+    # (rate, aborts) over 500 trials and the next draw after them: any change
+    # to which draws a game makes, or in what order, moves these.
+    @pytest.mark.parametrize("case,scheme,adversary,rate,aborts,next_draw", [
+        (0, bell_ancilla_scheme, random_guess_adversary, 0.494, 0, 0.15652933679342473),
+        (1, bell_ancilla_scheme, read_swap_target_adversary, 0.514, 0, 0.09940886033539231),
+        (2, bell_ancilla_scheme, tamper_and_read_adversary, 0.0, 500, 0.9278953961476065),
+        (3, bell_ancilla_scheme, aborting_adversary, 0.0, 500, 0.11339986820561043),
+        (4, identity_scheme, tamper_and_read_adversary, 1.0, 0, 0.6094996912297993),
+        (5, layered_cnot_scheme, random_guess_adversary, 0.49, 0, 0.8559423107735968),
+        (6, layered_cnot_scheme, read_swap_target_adversary, 0.542, 0, 0.28447714765855947),
+    ])
+    def test_stream_pinned(self, case, scheme, adversary, rate, aborts, next_draw):
+        scheme = scheme()
+        rng = rng_from(2026, case)
+        assert double_open_win_rate(scheme, adversary(scheme), 500, rng) == (rate, aborts)
+        assert rng.random() == next_draw
+
+
+# A 0/0 normalisation of an unreachable node would warn; make that fail.
+@pytest.mark.filterwarnings("error")
+class TestExactWinRates:
+    @pytest.mark.parametrize("adversary", [random_guess_adversary,
+                                           read_swap_target_adversary])
+    def test_bell_scheme_hides_the_branch_exactly(self, adversary):
+        scheme = bell_ancilla_scheme()
+        game = DoubleOpenGame(scheme, adversary(scheme))
+        # Both checks always pass; 1/sqrt(2) squared leaves 4e-16 of rounding.
+        assert game.p_open == pytest.approx(1.0, abs=1e-15)
+        assert game.p_second == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert _win_rate_given_completion(game) == 0.5
+
+    def test_identity_scheme_is_broken_exactly(self):
+        scheme = identity_scheme(1)
+        game = DoubleOpenGame(scheme, tamper_and_read_adversary(scheme))
+        assert (game.p_open, game.p_second) == (1.0, [1.0, 1.0])
+        assert _win_rate_given_completion(game) == 1.0
+
+    def test_bell_scheme_rejects_every_tampered_second_opening(self):
+        scheme = bell_ancilla_scheme()
+        game = DoubleOpenGame(scheme, tamper_and_read_adversary(scheme))
+        assert game.p_second == [0.0, 0.0]
+        assert game.mprime_marginal == [None, None]
+
+    @pytest.mark.parametrize("scheme", [bell_ancilla_scheme, identity_scheme,
+                                        layered_cnot_scheme])
+    def test_aborting_adversary_always_aborts(self, scheme):
+        scheme = scheme()
+        game = DoubleOpenGame(scheme, aborting_adversary(scheme))
+        rng = rng_from(15)
+        assert all(run_double_open(game, rng).aborted for _ in range(50))
+
+
+class TestAdversaryChecks:
+    def test_non_unitary_gate_rejected_at_construction(self):
+        adversary = Adversary(((2 * X, (0,)),), (), reads_swap_target=False)
+        with pytest.raises(StateValidationError, match="adversary operation must be unitary"):
+            DoubleOpenGame(bell_ancilla_scheme(), adversary)
+
+    # bell-ancilla: C = (0, 1), D = (2,), M' = (3,), adversary ancilla 4.
+    @pytest.mark.parametrize("prepare,respond,message", [
+        (((X, (3,)),), (), r"prepare gate acts on wires \[3\]; "
+                            r"it holds only wires \[0, 1, 2, 4\] then"),
+        ((), ((X, (0,)),), r"respond gate acts on wires \[0\]; "
+                            r"it holds only wires \[2, 4\] then"),
+        ((), ((X, (5,)),), r"respond gate acts on wires \[5\]"),
+    ], ids=["prepare-on-swap-target", "respond-on-c-wire", "respond-out-of-range"])
+    def test_gate_on_a_wire_not_held_rejected_at_construction(self, prepare, respond,
+                                                              message):
+        adversary = Adversary(prepare, respond, reads_swap_target=False, ancilla_qubits=1)
+        with pytest.raises(RegisterError, match=message):
+            DoubleOpenGame(bell_ancilla_scheme(), adversary)
+
+    def test_gates_on_held_wires_accepted(self):
+        scheme = bell_ancilla_scheme()
+        honest = random_guess_adversary(scheme)
+        adversary = Adversary(honest.prepare + ((X, (4,)),), ((X, (2,)), (X, (4,))),
+                              reads_swap_target=False, ancilla_qubits=1)
+        game = DoubleOpenGame(scheme, adversary)
+        assert game.p_open == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTrapMac:

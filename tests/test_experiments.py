@@ -76,6 +76,37 @@ def test_pipeline_cheat_rows_pinned_at_seed_7():
         rel=1e-12)
 
 
+def test_double_open_evaluates_each_game_once(monkeypatch):
+    from qpzk.core import linalg
+    from qpzk.crypto import commitments
+
+    counts = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("apply_to_vector", "is_unitary"):
+        counting(linalg, name)
+    counting(commitments, "run_double_open")
+
+    work = []
+    for trials in (50, 500):
+        counts.clear()
+        run_experiment(ExperimentConfig(kind="double-open", seed=5, trials=trials))
+        # Three rows, one game each per trial, drawn through the module global.
+        assert counts.pop("run_double_open") == 3 * trials
+        work.append(counts.copy())
+    # The kernel and validation work is the same however many trials are drawn.
+    assert work[0] == work[1]
+    assert work[0]["apply_to_vector"] > 0
+
+
 def test_double_open_rows_pinned_at_seed_7():
     record = run_experiment(ExperimentConfig(kind="double-open", seed=7, trials=2000))
     assert [row.empirical for row in record.rows] == [

@@ -5,8 +5,7 @@ import pytest
 
 from qpzk.core import linalg, random_unitary, rng_from
 from qpzk.core.operators import X, swap_registers
-from qpzk.crypto.commitments import DoubleOpenGame, GameView, bell_ancilla_scheme
-from qpzk.errors import DimensionMismatchError, StateValidationError
+from qpzk.errors import DimensionMismatchError
 
 
 def _allclose_unitary(m: np.ndarray, tol: float) -> bool:
@@ -50,14 +49,6 @@ class TestIsUnitary:
     def test_non_square_and_one_dimensional_rejected(self):
         assert not linalg.is_unitary(np.eye(4, 2, dtype=complex))
         assert not linalg.is_unitary(np.ones(2, dtype=complex))
-
-    def test_game_view_rejects_a_non_unitary_adversary_matrix(self):
-        game = DoubleOpenGame(bell_ancilla_scheme())
-        view = GameView(game, game.com_wires)
-        before = game.vector.copy()
-        with pytest.raises(StateValidationError, match="adversary operation must be unitary"):
-            view.apply(2 * X, [0])
-        assert np.array_equal(game.vector, before)
 
 
 VEC = np.arange(8, dtype=complex)
