@@ -68,11 +68,6 @@ class CoinFlipProtocol:
                 counts[c] += 1
         return counts
 
-    def honest_acceptance_lower_bound(self) -> float:
-        hon = self.base.honest_strategy()
-        per = self.base.acceptance(hon)
-        return max(0.0, 1.0 - self.reps * (1.0 - per))
-
 
 @dataclass
 class CoinFlipProver:

@@ -137,10 +137,10 @@ class CollapsedProtocol:
             m_i = list(range(nm))
             m_ip1 = list(range(nm, 2 * nm))
             bp = [2 * nm]
-            step = linalg.embed(mat_round, r_i + m_i, n_local)
-            cswap = linalg.embed(
-                _controlled_swap(nm + nr), bp + m_i + r_i + m_ip1 + r_ip1, n_local)
-            return cswap @ step, local_names
+            return linalg.gate_product([
+                (mat_round, r_i + m_i),
+                (_controlled_swap(nm + nr), bp + m_i + r_i + m_ip1 + r_ip1),
+            ], n_local), local_names
 
         return CollapsedStrategy(vec, r * rq, responses, name)
 
@@ -295,22 +295,20 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     acc = collapsed.accept_projector()
     dim_acc = acc.shape[0]
     flag_write = np.kron(acc, X) + np.kron(np.eye(dim_acc) - acc, np.eye(2))
-    v1 = np.eye(2 ** n_v, dtype=complex)
-    v1 = linalg.embed(swap_w, W2w + S2, n_v) @ v1
-    v1 = linalg.embed(flag_write, S2 + M2 + [F], n_v) @ v1
-    v1 = linalg.embed(H, [B], n_v) @ v1
-    v1 = linalg.embed(CNOT, [B, J], n_v) @ v1
-    v1 = linalg.embed(swap_registers(1), [J, Bw], n_v) @ v1
-    v1 = linalg.embed(base.verifier_unitaries[0], W1 + M1, n_v) @ v1
-    v1 = linalg.embed(_controlled_swap(w), [B] + W1 + S2, n_v) @ v1
+    v1 = linalg.gate_product([
+        (swap_w, W2w + S2),
+        (flag_write, S2 + M2 + [F]),
+        (H, [B]),
+        (CNOT, [B, J]),
+        (swap_registers(1), [J, Bw]),
+        (base.verifier_unitaries[0], W1 + M1),
+        (_controlled_swap(w), [B] + W1 + S2),
+    ], n_v)
 
     accept_write = np.kron(np.kron(P0, P1), X)
     accept_write += np.kron(np.eye(4, dtype=complex) - np.kron(P0, P1),
                             np.eye(2, dtype=complex))
-    v2 = np.eye(2 ** n_v, dtype=complex)
-    v2 = linalg.embed(CNOT, [B, Bw], n_v) @ v2
-    v2 = linalg.embed(H, [B], n_v) @ v2
-    v2 = linalg.embed(accept_write, [B, F, O], n_v) @ v2
+    v2 = linalg.gate_product([(CNOT, [B, Bw]), (H, [B]), (accept_write, [B, F, O])], n_v)
 
     # Honest prover: prepare the snapshot bundle, then respond like the
     # native strategy (round-2 unitary plus the Bell-controlled pair swap).
@@ -337,10 +335,10 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     pM1 = list(range(r_std + w, r_std + w + m))
     pM2 = list(range(r_std + w + m, r_std + w + 2 * m))
     pBw = r_std + w + 2 * m
-    p2 = np.eye(2 ** n_p, dtype=complex)
-    p2 = linalg.embed(base.prover_unitaries[1], pR1 + pM1, n_p) @ p2
-    p2 = linalg.embed(_controlled_swap(m + rq),
-                      [pBw] + pM1 + pR1 + pM2 + pR2, n_p) @ p2
+    p2 = linalg.gate_product([
+        (base.prover_unitaries[1], pR1 + pM1),
+        (_controlled_swap(m + rq), [pBw] + pM1 + pR1 + pM2 + pR2),
+    ], n_p)
 
     psi_v_std = np.kron(
         np.kron(linalg.basis_vector(0, 8), collapsed.psi_v),

@@ -47,20 +47,6 @@ def rotated_copier_base(theta: float) -> InteractiveProtocol:
         psi_v, 1, 1, [v1, v2], [p, np.eye(4, dtype=complex)])
 
 
-def entangling_copier_base() -> InteractiveProtocol:
-    """Copier variant whose workspace is maximally entangled with the
-    message mid-protocol: the honest prover puts M into |+>, the verifier
-    copies, and the final check uncopies and flips. Perfect completeness
-    with a genuinely quantum intermediate state."""
-    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    v1 = cnot_control_second()
-    v2 = np.kron(X, np.eye(2, dtype=complex)) @ cnot_control_second()
-    p1 = np.kron(np.eye(2, dtype=complex), H)
-    p2 = np.eye(4, dtype=complex)
-    return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p1, p2])
-
-
 def random_perfect_base(seed: int) -> InteractiveProtocol:
     """Random two-round base with acceptance probability exactly one: the
     final verifier unitary is built to rotate the support of the reachable
@@ -133,8 +119,7 @@ def hidden_target_base(theta: float = 0.0) -> InteractiveProtocol:
     v1 = linalg.embed(cnot_control_second(), [0, 2], n_wm)
     # V2 rotates the second W qubit by theta and swaps it into the measured
     # slot; acceptance probability for any prover is sin(theta/2)^2.
-    v2 = linalg.embed(ry(theta), [1], n_wm)
-    v2 = linalg.embed(swap_registers(1), [0, 1], n_wm) @ v2
+    v2 = linalg.gate_product([(ry(theta), [1]), (swap_registers(1), [0, 1])], n_wm)
     p1 = np.kron(np.eye(2 ** w, dtype=complex), X)  # R is w qubits here
     return InteractiveProtocol.from_verifier_start(
         psi_v, w, 1, [v1, v2], [p1, np.eye(2 ** (w + 1), dtype=complex)])

@@ -13,7 +13,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import X, controlled
 from qpzk.core.registers import RegisterLayout, qubit_cap
-from qpzk.core.states import PureState, tensor
+from qpzk.core.states import PureState
 from qpzk.errors import ConfigError
 from qpzk.protocol import InteractiveProtocol, initial_workspace_state
 
@@ -51,26 +51,18 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
     def copy_wires(block: int, size: int, offset: int) -> list[int]:
         return list(range(offset + block * size, offset + (block + 1) * size))
 
-    v_first = np.eye(2 ** n_loc_v, dtype=complex)
-    v_second = np.eye(2 ** n_loc_v, dtype=complex)
-    for j in range(k):
-        wj = copy_wires(j, w, 1)
-        mj = copy_wires(j, m, wp)
-        v_first = linalg.embed(base.verifier_unitaries[0], wj + mj, n_loc_v) @ v_first
-        v_second = linalg.embed(base.verifier_unitaries[1], wj + mj, n_loc_v) @ v_second
-    # AND of the k per-copy accept qubits into the collector (wire 0).
-    and_gate = _multi_controlled_x(k)
-    accept_wires = [1 + j * w for j in range(k)]
-    v_second = linalg.embed(and_gate, accept_wires + [0], n_loc_v) @ v_second
+    def copies(mat: np.ndarray, size: int, offset: int) -> list:
+        return [(mat, copy_wires(j, size, offset) + copy_wires(j, m, offset + k * size))
+                for j in range(k)]
 
-    n_loc_p = rp + mp
-    p_first = np.eye(2 ** n_loc_p, dtype=complex)
-    p_second = np.eye(2 ** n_loc_p, dtype=complex)
-    for j in range(k):
-        rj = copy_wires(j, r, 0)
-        mj = copy_wires(j, m, rp)
-        p_first = linalg.embed(base.prover_unitaries[0], rj + mj, n_loc_p) @ p_first
-        p_second = linalg.embed(base.prover_unitaries[1], rj + mj, n_loc_p) @ p_second
+    v_first = linalg.gate_product(copies(base.verifier_unitaries[0], w, 1), n_loc_v)
+    # Second verifier move, then the AND of the k per-copy accept qubits
+    # into the collector (wire 0).
+    and_gate = (controlled(X, control_qubits=k), [1 + j * w for j in range(k)] + [0])
+    v_second = linalg.gate_product(
+        copies(base.verifier_unitaries[1], w, 1) + [and_gate], n_loc_v)
+    p_first = linalg.gate_product(copies(base.prover_unitaries[0], r, 0), rp + mp)
+    p_second = linalg.gate_product(copies(base.prover_unitaries[1], r, 0), rp + mp)
 
     psi_w = initial_workspace_state(base)
     expected = np.kron(np.kron(linalg.basis_vector(0, 2 ** r), psi_w),
@@ -87,8 +79,3 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
         PureState(psi_v_full, lay_w), rp, mp, [v_first, v_second],
         [p_first, p_second],
     )
-
-
-def _multi_controlled_x(controls: int) -> np.ndarray:
-    return controlled(X, control_qubits=controls)
-

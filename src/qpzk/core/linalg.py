@@ -42,28 +42,35 @@ def _target_plan(targets, n: int, op_dim: int):
 
 
 def apply_to_vector(op: np.ndarray, vec: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply op on the given qubits of an n-qubit state vector."""
+    """Apply op on the given qubits of an n-qubit state vector, or of every
+    column of a (2^n, k) block."""
     perm, inv, shape = _target_plan(targets, n, op.shape[0])
+    if vec.ndim == 2:
+        perm, inv, shape = perm + (n,), inv + (n,), shape + vec.shape[1:]
     t = vec.reshape(shape).transpose(perm).reshape(op.shape[0], -1)
     t = op @ t
-    return t.reshape(shape).transpose(inv).reshape(-1)
+    return t.reshape(shape).transpose(inv).reshape(vec.shape)
 
 
 def apply_to_matrix(op: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndarray:
-    """Conjugate an n-qubit density-like matrix: op . mat . op^dagger."""
-    perm, inv, shape = _target_plan(targets, n, op.shape[0])
-    rows = shape + (2 ** n,)
-    perm, inv = perm + (n,), inv + (n,)
-    # Rows.
-    t = mat.reshape(rows).transpose(perm).reshape(op.shape[0], -1)
-    t = op @ t
-    t = t.reshape(rows).transpose(inv).reshape(2 ** n, 2 ** n)
-    # Columns.
-    t = t.conj().T
-    t = t.reshape(rows).transpose(perm).reshape(op.shape[0], -1)
-    t = op @ t
-    t = t.reshape(rows).transpose(inv).reshape(2 ** n, 2 ** n)
-    return t.conj().T
+    """Conjugate an n-qubit density-like matrix: op . mat . op^dagger, as op
+    on the columns of mat and then on the columns of the result's dagger."""
+    t = apply_to_vector(op, mat, targets, n).conj().T
+    return apply_to_vector(op, t, targets, n).conj().T
+
+
+def gate_product(gates, n: int) -> np.ndarray:
+    """Dense 2^n matrix of a list of (matrix, wires) gates, first gate applied
+    first. The gates act on the identity 64 columns at a time, so no
+    temporary is larger than a 2^n x 64 block."""
+    dim = 2 ** n
+    out = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, 64):
+        block = np.eye(dim, min(64, dim - start), -start, dtype=complex)
+        for op, wires in gates:
+            block = apply_to_vector(op, block, wires, n)
+        out[:, start:start + block.shape[1]] = block
+    return out
 
 
 def embed(op: np.ndarray, targets, n: int) -> np.ndarray:
@@ -183,11 +190,4 @@ def complete_to_unitary(first_column: np.ndarray) -> np.ndarray:
 def permutation_unitary(order, n: int) -> np.ndarray:
     """Permutation matrix with the same convention as permute_vector."""
     dim = 2 ** n
-    u = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
-        j = 0
-        for q in range(n):
-            j = (j << 1) | bits[order[q]]
-        u[j, i] = 1.0
-    return u
+    return np.eye(dim, dtype=complex)[permute_vector(np.arange(dim), order, n)]

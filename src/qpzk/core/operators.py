@@ -103,12 +103,6 @@ class ProjectiveMeasurement:
     def dim(self) -> int:
         return self.projectors[0].shape[0]
 
-    @classmethod
-    def two_outcome(cls, pi: np.ndarray) -> "ProjectiveMeasurement":
-        """The pair {Id - pi, pi}; outcome 1 is the given projector."""
-        pi = np.asarray(pi, dtype=complex)
-        return cls((np.eye(pi.shape[0], dtype=complex) - pi, pi))
-
 
 @dataclass(frozen=True)
 class Povm:

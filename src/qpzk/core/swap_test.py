@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import H, P0, controlled, projector_onto, swap_registers
+from qpzk.core.operators import H, P0, controlled, swap_registers
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import (
     MeasurementOutcome,
@@ -33,15 +33,6 @@ def swap_test_povm(rho: QuantumState, psi: PureState) -> float:
         raise DimensionMismatchError("SWAP test needs equal register sizes")
     overlap = float(np.vdot(psi.amplitudes, rho.density() @ psi.amplitudes).real)
     return (1.0 + overlap) / 2.0
-
-
-def swap_test_povm_elements(psi: PureState):
-    """The two-outcome measure {(Id + |psi><psi|)/2, (Id - |psi><psi|)/2}."""
-    from qpzk.core.operators import Povm
-
-    proj = projector_onto(psi.amplitudes)
-    eye = np.eye(psi.dim, dtype=complex)
-    return Povm(((eye + proj) / 2, (eye - proj) / 2))
 
 
 @dataclass(frozen=True)

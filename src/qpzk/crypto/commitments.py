@@ -186,9 +186,7 @@ def layered_cnot_scheme() -> CanonicalCommitment:
     """Two message qubits, one ancilla, commitment by two CNOT layers:
     message wire 0 controls the ancilla, then wire 1 controls wire 0."""
     # Wires (m0, m1, a): CNOT m0 -> a, then CNOT m1 -> m0.
-    cnot_m0_a = linalg.embed(CNOT, [0, 2], 3)
-    cnot_m1_m0 = linalg.embed(CNOT, [1, 0], 3)
-    com = cnot_m1_m0 @ cnot_m0_a
+    com = linalg.gate_product([(CNOT, [0, 2]), (CNOT, [1, 0])], 3)
     return CanonicalCommitment(
         "layered-cnot", 2, 1, com, c_wires=(0, 2), d_wires=(1,),
     )

@@ -145,9 +145,7 @@ def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndar
     fixed_q = list(problem.fixed_qubits)
     free_q = list(problem.free_qubits)
     combined = np.kron(problem.fixed_init, free_vec)
-    perm = fixed_q + free_q
-    inv = list(np.argsort(perm))
-    return combined.reshape((2,) * n).transpose(inv).reshape(-1)
+    return linalg.permute_vector(combined, np.argsort(fixed_q + free_q), n)
 
 
 def apply_steps(vec: np.ndarray, steps: Sequence[Step], slots: dict, n: int,
@@ -178,10 +176,9 @@ def _slot_contraction(problem, branch, slots, init, z, slot_index) -> np.ndarray
     before = apply_steps(init, steps[:slot_index], slots, n)
     after_z = apply_steps(z, steps[slot_index + 1:], slots, n, adjoint=True)
     targets = list(steps[slot_index].targets)
-    rest = [q for q in range(n) if q not in targets]
-    perm = targets + rest
-    x = before.reshape((2,) * n).transpose(perm).reshape(2 ** len(targets), -1)
-    y = after_z.reshape((2,) * n).transpose(perm).reshape(2 ** len(targets), -1)
+    perm = targets + [q for q in range(n) if q not in targets]
+    x = linalg.permute_vector(before, perm, n).reshape(2 ** len(targets), -1)
+    y = linalg.permute_vector(after_z, perm, n).reshape(2 ** len(targets), -1)
     return x @ y.conj().T
 
 

@@ -13,6 +13,7 @@ against it are vacuous.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -91,16 +92,20 @@ class PqmaInstance:
     def witness_qubits(self) -> int:
         return self.witness.n_qubits
 
+    @functools.cached_property
     def accept_operator(self) -> np.ndarray:
-        """V^dag (|1><1| x Id) V on (witness, instance)."""
+        """V^dag (|1><1| x Id) V on (witness, instance), built once and
+        read-only, since every trial shares it."""
         n = self.witness_qubits + self.psi.n_qubits
         pi1 = linalg.embed(P1, [0], n)
         v = self.verifier_unitary
-        return v.conj().T @ pi1 @ v
+        op = v.conj().T @ pi1 @ v
+        op.setflags(write=False)
+        return op
 
     def final_acceptance(self, witness: QuantumState, instance: QuantumState) -> float:
         joint = np.kron(witness.density(), instance.density())
-        return float(np.trace(self.accept_operator() @ joint).real)
+        return float(np.trace(self.accept_operator @ joint).real)
 
     def honest_acceptance(self) -> float:
         return self.final_acceptance(self.witness, self.psi)
@@ -159,10 +164,13 @@ def _swap_accept_probability(inst: PqmaInstance, pair: MixedState) -> float:
 
 def _sample_distinct(rng, n: int, k: int) -> list[int]:
     """k distinct indices from range(n); safe for astronomically large n."""
-    seen: set[int] = set()
+    # One sized draw equals k scalar draws; the set is filled in draw order,
+    # since its iteration order fixes which shuffle key each index gets.
+    seen = {int(i) for i in rng.integers(n, size=k)}
     while len(seen) < k:
         seen.add(int(rng.integers(n)))
-    return sorted(seen, key=lambda _: rng.random())
+    indices = list(seen)
+    return [indices[i] for i in np.argsort(rng.random(len(indices)), kind="stable")]
 
 
 def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput,
@@ -183,7 +191,7 @@ def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInp
             if rng.random() >= p_acc:
                 return "abort"
         pair = prover_input.pair_for(star)
-        final = float(np.trace(inst.accept_operator() @ pair.matrix).real)
+        final = float(np.trace(inst.accept_operator @ pair.matrix).real)
         return "accept" if accept_bit(final, rng) else "reject"
     return _run_entangled(params, inst, prover_input, subset, star, rng)
 
@@ -210,7 +218,7 @@ def _run_entangled(params, inst, prover_input, subset, star, rng) -> str:
         if rng.random() >= outcomes[0].probability:
             return "abort"
         state = partial_trace(outcomes[0].post, "Fresh")
-    op = inst.accept_operator()
+    op = inst.accept_operator
     targets = state.layout.qubits_of_all([f"B{star}", f"A{star}"])
     projected = linalg.apply_to_matrix(op, state.to_mixed().matrix,
                                        targets, state.n_qubits)
@@ -226,7 +234,7 @@ def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,
     (subset, starred copy) choice, which stays cheap at desk scale.
     """
     p, q = params.prover_copies, params.verifier_copies
-    op = inst.accept_operator()
+    op = inst.accept_operator
     if prover_input.pairs is None:
         pair = prover_input.pair_for(0)
         swap_p = _swap_accept_probability(inst, pair)

@@ -147,8 +147,8 @@ def perturbed_prover(inst: UhlmannInstance, angle: float) -> ProverRule:
     u = compute_uhlmann(inst).matrix
     c, s = math.cos(angle / 2), math.sin(angle / 2)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
-    full = linalg.embed(rot, [0], inst.s_qubits)
-    return lambda i: full @ u
+    turned = linalg.apply_to_vector(rot, u, [0], inst.s_qubits)
+    return lambda i: turned
 
 
 def clairvoyant_prover(inst: UhlmannInstance, starred_round: int,

@@ -57,7 +57,8 @@ class TestCoinUniformity:
         outcomes = [cf.run(honest_coin_flip_prover(public_coin), rng)[0]
                     for _ in range(100)]
         assert all(outcomes)
-        assert cf.honest_acceptance_lower_bound() == pytest.approx(1.0, abs=1e-9)
+        hon = cf.base.honest_strategy()
+        assert cf.base.acceptance(hon) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSequentialProduct:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
+from qpzk.core.operators import H, X
 from qpzk.compilers.collapse import (
     CollapsedProtocol,
     CollapsedStrategy,
@@ -13,8 +14,8 @@ from qpzk.compilers.collapse import (
     hv_simulate_collapsed,
 )
 from qpzk.compilers.examples import (
+    cnot_control_second,
     copier_base,
-    entangling_copier_base,
     random_perfect_base,
     rotated_copier_base,
 )
@@ -22,6 +23,19 @@ from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
 from qpzk.optimize import alternating_ascent, brute_force_prover_value
 from qpzk.protocol import InteractiveProtocol, run_protocol
+
+
+def entangling_copier_base() -> InteractiveProtocol:
+    """Copier variant whose workspace is maximally entangled with the
+    message mid-protocol: the honest prover puts M into |+>, the verifier
+    copies, and the final check uncopies and flips. Perfect completeness
+    with a genuinely quantum intermediate state."""
+    psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
+    v1 = cnot_control_second()
+    v2 = np.kron(X, np.eye(2, dtype=complex)) @ cnot_control_second()
+    p1 = np.kron(np.eye(2, dtype=complex), H)
+    p2 = np.eye(4, dtype=complex)
+    return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p1, p2])
 
 
 def random_base(seed: int) -> InteractiveProtocol:

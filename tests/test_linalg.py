@@ -1,7 +1,11 @@
-"""Dense kernels: the unitarity tolerance, the qubit-target checks, SWAP."""
+"""Dense kernels: the unitarity tolerance, the qubit-target checks, SWAP,
+and the operator-on-wires identities as property tests."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qpzk.core import linalg, random_unitary, rng_from
 from qpzk.core.operators import X, swap_registers
@@ -52,10 +56,13 @@ class TestIsUnitary:
 
 
 VEC = np.arange(8, dtype=complex)
+BLOCK = np.arange(24, dtype=complex).reshape(8, 3)
 KERNELS = [
     ("apply_to_vector", lambda op, t: linalg.apply_to_vector(op, VEC, t, 3)),
+    ("apply_to_vector_block", lambda op, t: linalg.apply_to_vector(op, BLOCK, t, 3)),
     ("apply_to_matrix", lambda op, t: linalg.apply_to_matrix(op, np.outer(VEC, VEC), t, 3)),
     ("embed", lambda op, t: linalg.embed(op, t, 3)),
+    ("gate_product", lambda op, t: linalg.gate_product([(op, t)], 3)),
 ]
 KERNEL_IDS = [name for name, _ in KERNELS]
 CNOT_LIKE = np.kron(X, np.diag([1.0, 1j]))
@@ -114,3 +121,105 @@ def test_swap_registers_exchanges_the_blocks(qubits):
     assert np.array_equal(got, want)
     order = list(range(qubits, 2 * qubits)) + list(range(qubits))
     assert np.array_equal(got, linalg.permutation_unitary(order, 2 * qubits))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_permutation_unitary_matches_the_bit_loop(n):
+    dim = 2 ** n
+    for order in itertools.permutations(range(n)):
+        want = np.zeros((dim, dim), dtype=complex)
+        for i in range(dim):
+            bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+            j = 0
+            for q in range(n):
+                j = (j << 1) | bits[order[q]]
+            want[j, i] = 1.0
+        got = linalg.permutation_unitary(order, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+# -- operator on wires: property tests ------------------------------------------
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _draw_targets(draw, n: int) -> list[int]:
+    """One to three distinct wires of n, in a random order."""
+    k = draw(st.integers(1, min(n, 3)))
+    return list(draw(st.permutations(range(n)))[:k])
+
+
+@st.composite
+def wires(draw):
+    """(n <= 6, targets, seed for the arrays)."""
+    n = draw(st.integers(1, 6))
+    return n, _draw_targets(draw, n), draw(SEEDS)
+
+
+@st.composite
+def gate_lists(draw):
+    """(n <= 6, one to five (targets, seed) pairs)."""
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 5))
+    return n, [(_draw_targets(draw, n), draw(SEEDS)) for _ in range(size)]
+
+
+def _complex(rng, *shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestOperatorOnWires:
+    @given(wires())
+    def test_vector_form_matches_embed(self, case):
+        n, targets, seed = case
+        rng = np.random.default_rng(seed)
+        op = random_unitary(2 ** len(targets), rng)
+        vec = _complex(rng, 2 ** n)
+        _close(linalg.apply_to_vector(op, vec, targets, n),
+               linalg.embed(op, targets, n) @ vec)
+
+    @given(wires(), st.integers(1, 5))
+    def test_block_form_matches_embed(self, case, cols):
+        n, targets, seed = case
+        rng = np.random.default_rng(seed)
+        op = random_unitary(2 ** len(targets), rng)
+        block = _complex(rng, 2 ** n, cols)
+        got = linalg.apply_to_vector(op, block, targets, n)
+        assert got.shape == block.shape
+        _close(got, linalg.embed(op, targets, n) @ block)
+
+    @given(wires())
+    def test_apply_to_matrix_matches_embed_sandwich(self, case):
+        n, targets, seed = case
+        rng = np.random.default_rng(seed)
+        op = random_unitary(2 ** len(targets), rng)
+        rho = _complex(rng, 2 ** n, 2 ** n)
+        full = linalg.embed(op, targets, n)
+        _close(linalg.apply_to_matrix(op, rho, targets, n), full @ rho @ full.conj().T)
+
+    @given(gate_lists())
+    def test_gate_product_matches_the_embed_chain(self, case):
+        n, spec = case
+        gates, chain = [], np.eye(2 ** n, dtype=complex)
+        for targets, seed in spec:
+            op = random_unitary(2 ** len(targets), np.random.default_rng(seed))
+            gates.append((op, targets))
+            chain = linalg.embed(op, targets, n) @ chain
+        _close(linalg.gate_product(gates, n), chain)
+
+
+def test_gate_product_over_several_column_blocks():
+    rng = rng_from(62)
+    n = 8  # 256 columns: four blocks of 64
+    gates = [(random_unitary(4, rng), [5, 1]), (random_unitary(2, rng), [7]),
+             (random_unitary(8, rng), [0, 6, 3])]
+    chain = np.eye(2 ** n, dtype=complex)
+    for op, targets in gates:
+        chain = linalg.embed(op, targets, n) @ chain
+    _close(linalg.gate_product(gates, n), chain)

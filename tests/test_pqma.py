@@ -8,6 +8,7 @@ from qpzk.errors import ConfigError
 from qpzk.harness.records import upper_bound_row
 from qpzk.pqma import (
     CheatStrategy,
+    _sample_distinct,
     PqmaParams,
     PqmaProverInput,
     bad_witness_strategy,
@@ -59,6 +60,23 @@ class TestParamsAndBound:
     def test_bound_decreases_in_p(self):
         values = [soundness_bound(p, 10, 2) for p in (100, 1000, 10000, 10 ** 8)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestSampleDistinct:
+    @staticmethod
+    def scalar_draws(rng, n, k):
+        """Reference sampler: one scalar draw per index and per shuffle key."""
+        seen: set[int] = set()
+        while len(seen) < k:
+            seen.add(int(rng.integers(n)))
+        return sorted(seen, key=lambda _: rng.random())
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (10, 4), (10, 9), (1000, 6), (2 ** 40, 5)])
+    def test_same_indices_and_stream_as_scalar_draws(self, n, k):
+        batched, scalar = rng_from(3100, n, k), rng_from(3100, n, k)
+        for _ in range(300):
+            assert _sample_distinct(batched, n, k) == self.scalar_draws(scalar, n, k)
+        assert batched.random() == scalar.random()
 
 
 class TestRunPqma:

@@ -190,7 +190,7 @@ class TestMeasure:
     def test_bell_stabilizer_projection(self):
         bell = bell_pair()
         pi = projector_onto([1, 0, 0, 0]) + projector_onto([0, 0, 0, 1])
-        meas = ProjectiveMeasurement.two_outcome(pi)
+        meas = ProjectiveMeasurement((np.eye(4, dtype=complex) - pi, pi))
         outcomes = measure(bell, meas)
         assert outcomes[1].probability == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(outcomes[1].post.amplitudes, bell.amplitudes)

@@ -12,6 +12,7 @@ from qpzk.core import (
     swap_test,
     swap_test_povm,
 )
+from qpzk.core.operators import Povm
 from qpzk.core.swap_test import swap_test_circuit_probability
 from qpzk.errors import DimensionMismatchError
 
@@ -74,11 +75,11 @@ class TestSwapTest:
                       PureState.computational(two))
 
     def test_povm_elements_are_a_valid_measure(self):
-        from qpzk.core.swap_test import swap_test_povm_elements
-
         rng = rng_from(45)
         psi = random_pure_state(RegisterLayout.single("A", 2), rng)
-        povm = swap_test_povm_elements(psi)
+        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        eye = np.eye(psi.dim, dtype=complex)
+        povm = Povm(((eye + proj) / 2, (eye - proj) / 2))
         rho = random_density(RegisterLayout.single("A", 2), rng)
         p0 = float(np.trace(povm.elements[0] @ rho.matrix).real)
         assert p0 == pytest.approx(swap_test_povm(rho, psi), abs=1e-12)
