@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import H, P0, P1, X, CNOT, projector_onto, swap_registers
+from qpzk.core.operators import (H, P0, P1, X, CNOT, controlled, projector_onto,
+                                 swap_registers)
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
@@ -280,7 +281,6 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     # W_std wires: O, F, B, W1 (w), S2 (w), J. M_std: W2w (w), M1, M2, Bw.
     w_std = 3 + 2 * w + 1
     m_std = w + 2 * m + 1
-    n_v = w_std + m_std
     O, F, B = 0, 1, 2
     W1 = list(range(3, 3 + w))
     S2 = list(range(3 + w, 3 + 2 * w))
@@ -293,29 +293,27 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
 
     swap_w = swap_registers(w)
     acc = collapsed.accept_projector()
-    dim_acc = acc.shape[0]
-    flag_write = np.kron(acc, X) + np.kron(np.eye(dim_acc) - acc, np.eye(2))
-    v1 = linalg.gate_product([
+    flag_write = np.kron(acc, X) + np.kron(np.eye(acc.shape[0]) - acc, np.eye(2))
+    v1 = [
         (swap_w, W2w + S2),
         (flag_write, S2 + M2 + [F]),
         (H, [B]),
         (CNOT, [B, J]),
         (swap_registers(1), [J, Bw]),
-        (base.verifier_unitaries[0], W1 + M1),
+        *linalg.placed(base.verifier_rounds[0], W1 + M1),
         (_controlled_swap(w), [B] + W1 + S2),
-    ], n_v)
+    ]
 
     accept_write = np.kron(np.kron(P0, P1), X)
     accept_write += np.kron(np.eye(4, dtype=complex) - np.kron(P0, P1),
                             np.eye(2, dtype=complex))
-    v2 = linalg.gate_product([(CNOT, [B, Bw]), (H, [B]), (accept_write, [B, F, O])], n_v)
+    v2 = [(CNOT, [B, Bw]), (H, [B]), (accept_write, [B, F, O])]
 
     # Honest prover: prepare the snapshot bundle, then respond like the
     # native strategy (round-2 unitary plus the Bell-controlled pair swap).
     r_std = 2 * rq
     n_p = r_std + m_std
-    chi1 = collapsed.snapshot(1)
-    chi1 = _strip_w(chi1, base)  # (R1, M1)
+    chi1 = _strip_w(collapsed.snapshot(1), base)  # (R1, M1)
     phi2 = collapsed.snapshot(2)  # (R2, W2, M2)
     bundle = np.kron(np.kron(chi1, phi2), linalg.basis_vector(0, 2))
     # Source order: R1, M1, R2, W2, M2, Bw -> target R1, R2, W2, M1, M2, Bw.
@@ -331,14 +329,13 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
 
     pR1 = list(range(rq))
     pR2 = list(range(rq, 2 * rq))
-    pW2w = list(range(r_std, r_std + w))
     pM1 = list(range(r_std + w, r_std + w + m))
     pM2 = list(range(r_std + w + m, r_std + w + 2 * m))
     pBw = r_std + w + 2 * m
-    p2 = linalg.gate_product([
-        (base.prover_unitaries[1], pR1 + pM1),
+    p2 = [
+        *linalg.placed(base.prover_rounds[1], pR1 + pM1),
         (_controlled_swap(m + rq), [pBw] + pM1 + pR1 + pM2 + pR2),
-    ], n_p)
+    ]
 
     psi_v_std = np.kron(
         np.kron(linalg.basis_vector(0, 8), collapsed.psi_v),
@@ -420,6 +417,4 @@ def _bundle_order(r: int, w: int, m: int, rq: int) -> list[int]:
 
 def _controlled_swap(block: int) -> np.ndarray:
     """SWAP of two `block`-qubit registers controlled on one leading qubit."""
-    from qpzk.core.operators import controlled
-
     return controlled(swap_registers(block))

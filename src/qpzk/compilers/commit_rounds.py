@@ -120,7 +120,7 @@ class CommitRoundProtocol:
             if p_pass <= 1e-15:
                 return CommitRunResult(0.0, 0.0, tuple(aborts))
             vec = passed
-            vec = linalg.apply_to_vector(base.verifier_unitaries[i - 1], vec, wm, n)
+            vec = linalg.apply_gates(linalg.placed(base.verifier_rounds[i - 1], wm), vec, n)
             if i < base.rounds:
                 vec = linalg.apply_to_vector(scheme.com, vec, com_wires, n)
         p_accept = accept_probability(vec, lay)

@@ -91,7 +91,7 @@ class PublicCoinProtocol:
             np.kron(linalg.basis_vector(0, 2 ** sim.s_qubits), self.psi_v),
             linalg.basis_vector(0, 2 ** base.m_qubits))
         one = linalg.apply_to_vector(sim.unitaries[0], start, sm, n)
-        one = linalg.apply_to_vector(base.verifier_unitaries[0], one, wm, n)
+        one = linalg.apply_gates(linalg.placed(base.verifier_rounds[0], wm), one, n)
         two = linalg.apply_to_vector(sim.unitaries[1], one, sm, n)
         keep = lay.qubits_of_all(["W", "M"])
         out_lay = RegisterLayout.of(("W", base.w_qubits), ("M", base.m_qubits))
@@ -104,19 +104,20 @@ class PublicCoinProtocol:
 
     def _branch_steps(self, b: int, ancilla_qubits: int = 0) -> tuple[Step, ...]:
         """Branch b as steps on (R, W, M, ancilla): the response slot U_b on
-        R M and the ancilla, then for b = 0 V_2 and |1><1| on the first W
-        qubit, for b = 1 V_1^dagger and the square root of the SWAP-test
-        accept operator on W."""
+        R M and the ancilla, then for b = 0 the gates of V_2 and |1><1| on
+        the first W qubit, for b = 1 the gates of V_1^dagger and the square
+        root of the SWAP-test accept operator on W."""
         lay = self.base.layout
         n = lay.total_qubits + ancilla_qubits
         rm = tuple(lay.qubits_of_all(["R", "M"]) + list(range(lay.total_qubits, n)))
-        wm = tuple(lay.qubits_of_all(["W", "M"]))
-        slot = SlotStep(f"U{b}", rm)
+        wm = lay.qubits_of_all(["W", "M"])
         if b == 0:
-            return (slot, FixedStep(self.base.verifier_unitaries[1], wm),
-                    FixedStep(P1, (lay.qubits_of("W")[0],)))
-        return (slot, FixedStep(self.base.verifier_unitaries[0].conj().T, wm),
-                FixedStep(self.sqrt_swap_accept, tuple(lay.qubits_of("W"))))
+            gates = linalg.placed(self.base.verifier_rounds[1], wm)
+            check = FixedStep(P1, (lay.qubits_of("W")[0],))
+        else:
+            gates = linalg.adjoint(linalg.placed(self.base.verifier_rounds[0], wm))
+            check = FixedStep(self.sqrt_swap_accept, tuple(lay.qubits_of("W")))
+        return (SlotStep(f"U{b}", rm), *(FixedStep(*g) for g in gates), check)
 
     def branch_value(self, strat: PublicCoinStrategy, b: int) -> float:
         n = self.layout.total_qubits

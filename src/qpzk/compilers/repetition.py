@@ -43,26 +43,20 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
     if total > qubit_cap():
         raise ConfigError("repeated protocol exceeds the qubit cap")
 
-    wp = 1 + k * w
-    mp = k * m
-    rp = k * r
-    n_loc_v = wp + mp  # local wires of a verifier unitary (W', M')
-
     def copy_wires(block: int, size: int, offset: int) -> list[int]:
         return list(range(offset + block * size, offset + (block + 1) * size))
 
-    def copies(mat: np.ndarray, size: int, offset: int) -> list:
-        return [(mat, copy_wires(j, size, offset) + copy_wires(j, m, offset + k * size))
-                for j in range(k)]
+    def copies(gates, size: int, offset: int) -> list:
+        return [g for j in range(k) for g in linalg.placed(
+            gates, copy_wires(j, size, offset) + copy_wires(j, m, offset + k * size))]
 
-    v_first = linalg.gate_product(copies(base.verifier_unitaries[0], w, 1), n_loc_v)
+    v_first = copies(base.verifier_rounds[0], w, 1)
     # Second verifier move, then the AND of the k per-copy accept qubits
     # into the collector (wire 0).
     and_gate = (controlled(X, control_qubits=k), [1 + j * w for j in range(k)] + [0])
-    v_second = linalg.gate_product(
-        copies(base.verifier_unitaries[1], w, 1) + [and_gate], n_loc_v)
-    p_first = linalg.gate_product(copies(base.prover_unitaries[0], r, 0), rp + mp)
-    p_second = linalg.gate_product(copies(base.prover_unitaries[1], r, 0), rp + mp)
+    v_second = copies(base.verifier_rounds[1], w, 1) + [and_gate]
+    p_first = copies(base.prover_rounds[0], r, 0)
+    p_second = copies(base.prover_rounds[1], r, 0)
 
     psi_w = initial_workspace_state(base)
     expected = np.kron(np.kron(linalg.basis_vector(0, 2 ** r), psi_w),
@@ -74,8 +68,8 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
     for _ in range(k):
         psi_v_rep = np.kron(psi_v_rep, psi_w)
     psi_v_full = np.kron(linalg.basis_vector(0, 2), psi_v_rep)
-    lay_w = RegisterLayout.single("W", wp)
+    lay_w = RegisterLayout.single("W", 1 + k * w)
     return InteractiveProtocol.from_verifier_start(
-        PureState(psi_v_full, lay_w), rp, mp, [v_first, v_second],
+        PureState(psi_v_full, lay_w), k * r, k * m, [v_first, v_second],
         [p_first, p_second],
     )

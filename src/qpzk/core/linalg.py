@@ -29,8 +29,11 @@ def _qubit_plan(targets: tuple, n: int):
     return perm, inv, (2,) * n
 
 
-def _target_plan(targets, n: int, op_dim: int):
-    """Checked qubit plan; the op-dimension check runs on every call."""
+def target_plan(targets, n: int, op_dim: int):
+    """Checked qubit plan for an op of dimension op_dim on targets of an
+    n-qubit index; raises DimensionMismatchError for repeated or
+    out-of-range targets or a wrong op dimension. Every kernel call runs it,
+    and protocol construction runs it once per gate."""
     plan = _qubit_plan(tuple(targets), n)
     if isinstance(plan, str):
         raise DimensionMismatchError(plan.format(targets))
@@ -44,7 +47,7 @@ def _target_plan(targets, n: int, op_dim: int):
 def apply_to_vector(op: np.ndarray, vec: np.ndarray, targets, n: int) -> np.ndarray:
     """Apply op on the given qubits of an n-qubit state vector, or of every
     column of a (2^n, k) block."""
-    perm, inv, shape = _target_plan(targets, n, op.shape[0])
+    perm, inv, shape = target_plan(targets, n, op.shape[0])
     if vec.ndim == 2:
         perm, inv, shape = perm + (n,), inv + (n,), shape + vec.shape[1:]
     t = vec.reshape(shape).transpose(perm).reshape(op.shape[0], -1)
@@ -59,6 +62,24 @@ def apply_to_matrix(op: np.ndarray, mat: np.ndarray, targets, n: int) -> np.ndar
     return apply_to_vector(op, t, targets, n).conj().T
 
 
+def apply_gates(gates, vec: np.ndarray, n: int) -> np.ndarray:
+    """Apply a list of (matrix, wires) gates in order to an n-qubit vector
+    or (2^n, k) column block."""
+    for op, wires in gates:
+        vec = apply_to_vector(op, vec, wires, n)
+    return vec
+
+
+def placed(gates, wires) -> tuple:
+    """The gates with local wire k moved to wires[k]."""
+    return tuple((op, tuple(wires[w] for w in local)) for op, local in gates)
+
+
+def adjoint(gates) -> tuple:
+    """Gate list of the inverse: the daggers in reverse order."""
+    return tuple((op.conj().T, wires) for op, wires in reversed(gates))
+
+
 def gate_product(gates, n: int) -> np.ndarray:
     """Dense 2^n matrix of a list of (matrix, wires) gates, first gate applied
     first. The gates act on the identity 64 columns at a time, so no
@@ -67,15 +88,13 @@ def gate_product(gates, n: int) -> np.ndarray:
     out = np.empty((dim, dim), dtype=complex)
     for start in range(0, dim, 64):
         block = np.eye(dim, min(64, dim - start), -start, dtype=complex)
-        for op, wires in gates:
-            block = apply_to_vector(op, block, wires, n)
-        out[:, start:start + block.shape[1]] = block
+        out[:, start:start + block.shape[1]] = apply_gates(gates, block, n)
     return out
 
 
 def embed(op: np.ndarray, targets, n: int) -> np.ndarray:
     """Full 2^n matrix acting as op on targets and identity elsewhere."""
-    _, inv, shape = _target_plan(targets, n, op.shape[0])
+    _, inv, shape = target_plan(targets, n, op.shape[0])
     full = np.kron(op, np.eye(2 ** (n - len(targets)), dtype=complex))
     # full indexes qubits in perm order on both sides; restore natural order.
     t = full.reshape(shape + shape)

@@ -305,7 +305,7 @@ def protocol_ascent_problem(
         slot = f"P{i + 1}"
         if slot not in frozen_slots:
             steps.append(SlotStep(slot, tuple(rm)))
-        steps.append(FixedStep(protocol.verifier_unitaries[i], tuple(wm)))
+        steps.extend(FixedStep(*g) for g in linalg.placed(protocol.verifier_rounds[i], wm))
     steps.append(FixedStep(P1, (first_w,)))
     init = protocol.initial.amplitudes
     if ancilla_qubits:

@@ -176,24 +176,42 @@ def _sample_distinct(rng, n: int, k: int) -> list[int]:
 def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput,
              rng) -> str:
     """One seeded functionality execution: 'accept', 'reject' or 'abort'."""
+    return _runner(params, inst, prover_input)(rng)
+
+
+def _runner(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput):
+    """A function of rng that makes one execution's draws. In product mode
+    the per-copy SWAP and final acceptances are computed here, once."""
     p, q = params.prover_copies, params.verifier_copies
-    tested = _sample_distinct(rng, p, q + 1)
-    subset, star = tested[:q], tested[q]
-    if params.joint_mode == "product":
-        if prover_input.mode != "product":
-            raise ConfigError("product-mode run needs product-mode input")
-        symmetric = prover_input.pairs is None
-        p_cached = (_swap_accept_probability(inst, prover_input.pair_for(0))
-                    if symmetric else None)
-        for s in subset:
-            p_acc = p_cached if symmetric else \
-                _swap_accept_probability(inst, prover_input.pair_for(s))
-            if rng.random() >= p_acc:
+    if params.joint_mode != "product":
+        def run_entangled(rng) -> str:
+            tested = _sample_distinct(rng, p, q + 1)
+            return _run_entangled(params, inst, prover_input, tested[:q], tested[q], rng)
+        return run_entangled
+    if prover_input.mode != "product":
+        raise ConfigError("product-mode run needs product-mode input")
+    values = _copy_acceptances(inst, prover_input)
+
+    def run(rng) -> str:
+        tested = _sample_distinct(rng, p, q + 1)
+        for s in tested[:q]:
+            if rng.random() >= values(s)[0]:
                 return "abort"
-        pair = prover_input.pair_for(star)
-        final = float(np.trace(inst.accept_operator @ pair.matrix).real)
-        return "accept" if accept_bit(final, rng) else "reject"
-    return _run_entangled(params, inst, prover_input, subset, star, rng)
+        return "accept" if accept_bit(values(tested[q])[1], rng) else "reject"
+    return run
+
+
+def _copy_acceptances(inst: PqmaInstance, prover_input: PqmaProverInput):
+    """Function of the copy index giving (SWAP-test acceptance, final
+    acceptance) of that copy's pair, each computed once per copy."""
+    def both(pair: MixedState) -> tuple[float, float]:
+        return (_swap_accept_probability(inst, pair),
+                float(np.trace(inst.accept_operator @ pair.matrix).real))
+
+    if prover_input.pairs is None:
+        value = both(prover_input.pair_for(0))
+        return lambda s: value
+    return [both(pair) for pair in prover_input.pairs].__getitem__
 
 
 def _run_entangled(params, inst, prover_input, subset, star, rng) -> str:
@@ -234,16 +252,14 @@ def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,
     (subset, starred copy) choice, which stays cheap at desk scale.
     """
     p, q = params.prover_copies, params.verifier_copies
-    op = inst.accept_operator
-    if prover_input.pairs is None:
-        pair = prover_input.pair_for(0)
-        swap_p = _swap_accept_probability(inst, pair)
-        final = float(np.trace(op @ pair.matrix).real)
-        return swap_p ** q * final
-    if p > 8:
+    if prover_input.pairs is not None and p > 8:
         raise ConfigError("per-copy exact acceptance is limited to p <= 8")
-    swap_ps = [_swap_accept_probability(inst, prover_input.pair_for(s)) for s in range(p)]
-    finals = [float(np.trace(op @ prover_input.pair_for(s).matrix).real) for s in range(p)]
+    values = _copy_acceptances(inst, prover_input)
+    if prover_input.pairs is None:
+        swap_p, final = values(0)
+        return swap_p ** q * final
+    swap_ps = [values(s)[0] for s in range(p)]
+    finals = [values(s)[1] for s in range(p)]
     total, count = 0.0, 0
     for subset in itertools.combinations(range(p), q):
         rest = [s for s in range(p) if s not in subset]
@@ -414,10 +430,8 @@ def cheat_harness(params: PqmaParams, inst: PqmaInstance,
                             params.instance_qubits)
     max_rate = 0.0
     for strat in strategies:
-        hits = 0
-        for _ in range(trials):
-            if run_pqma(params, inst, strat.prover_input, rng) == "accept":
-                hits += 1
+        run = _runner(params, inst, strat.prover_input)
+        hits = sum(run(rng) == "accept" for _ in range(trials))
         max_rate = max(max_rate, hits / trials)
     sigma = math.sqrt(max(max_rate * (1 - max_rate), 1e-12) / trials)
     return CheatReport(max_rate, bound, sigma)
@@ -425,10 +439,8 @@ def cheat_harness(params: PqmaParams, inst: PqmaInstance,
 
 def sequential_repetition_acceptance(params, inst, prover_input, reps: int, rng) -> int:
     """AND-acceptance over independent repetitions of the functionality."""
-    for _ in range(reps):
-        if run_pqma(params, inst, prover_input, rng) != "accept":
-            return 0
-    return 1
+    run = _runner(params, inst, prover_input)
+    return int(all(run(rng) == "accept" for _ in range(reps)))
 
 
 # -- built-in instances and persistence ---------------------------------------

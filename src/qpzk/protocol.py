@@ -3,10 +3,15 @@
 A protocol lives on registers R (prover workspace), W (verifier workspace)
 and M (message). The prover moves first; after the final verifier unitary the
 first qubit of W is measured and outcome 1 means accept.
+
+Each round is a gate list: a tuple of (matrix, local wires) gates on W M for
+the verifier and on R M for the prover, applied in order. The dense round
+matrices are built only on request.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -78,8 +83,12 @@ HONEST = ProverStrategy(tag="honest", name="honest")
 
 class InteractiveProtocol:
     """An m-message protocol (m odd) given by an initial state, verifier
-    unitaries on W M, honest prover unitaries on R M and the accept
-    measurement on the first qubit of W."""
+    rounds on W M, honest prover rounds on R M and the accept measurement on
+    the first qubit of W.
+
+    A round is a dense matrix on all of its wires or a list of (matrix,
+    local wires) gates; a dense matrix is stored as one gate on all wires.
+    Every gate is checked once, here, for its wires and for unitarity."""
 
     def __init__(
         self,
@@ -87,33 +96,35 @@ class InteractiveProtocol:
         w_qubits: int,
         m_qubits: int,
         initial: PureState,
-        verifier_unitaries: Sequence[np.ndarray],
-        prover_unitaries: Sequence[np.ndarray],
+        verifier_unitaries: Sequence,
+        prover_unitaries: Sequence,
     ):
         self.layout = RegisterLayout.of(("R", r_qubits), ("W", w_qubits), ("M", m_qubits))
         if initial.layout != self.layout:
             initial = initial.relabel(self.layout)
         self.initial = initial
-        self.verifier_unitaries = tuple(np.asarray(v, dtype=complex) for v in verifier_unitaries)
-        self.prover_unitaries = tuple(np.asarray(p, dtype=complex) for p in prover_unitaries)
-        if len(self.verifier_unitaries) != len(self.prover_unitaries):
+        if len(verifier_unitaries) != len(prover_unitaries):
             raise StateValidationError("prover and verifier unitary counts differ")
-        wm_dim = 2 ** (w_qubits + m_qubits)
-        rm_dim = 2 ** (r_qubits + m_qubits)
-        for v in self.verifier_unitaries:
-            if v.shape != (wm_dim, wm_dim):
-                raise DimensionMismatchError("verifier unitary must act on W M")
-            if not linalg.is_unitary(v):
-                raise StateValidationError("verifier unitary is not unitary")
-        for p in self.prover_unitaries:
-            if p.shape != (rm_dim, rm_dim):
-                raise DimensionMismatchError("prover unitary must act on R M")
-            if not linalg.is_unitary(p):
-                raise StateValidationError("prover unitary is not unitary")
+        self.verifier_rounds = tuple(
+            _checked_round(v, w_qubits + m_qubits, "verifier", "W M")
+            for v in verifier_unitaries)
+        self.prover_rounds = tuple(
+            _checked_round(p, r_qubits + m_qubits, "prover", "R M")
+            for p in prover_unitaries)
+
+    @functools.cached_property
+    def verifier_unitaries(self) -> tuple[np.ndarray, ...]:
+        """Dense, read-only V_i on W M, built on first use."""
+        return tuple(_dense(g, self.w_qubits + self.m_qubits) for g in self.verifier_rounds)
+
+    @functools.cached_property
+    def prover_unitaries(self) -> tuple[np.ndarray, ...]:
+        """Dense, read-only honest P_i on R M, built on first use."""
+        return tuple(_dense(g, self.r_qubits + self.m_qubits) for g in self.prover_rounds)
 
     @property
     def rounds(self) -> int:
-        return len(self.verifier_unitaries)
+        return len(self.verifier_rounds)
 
     @property
     def messages(self) -> int:
@@ -161,39 +172,74 @@ class InteractiveProtocol:
         anc = PureState.computational(RegisterLayout.single("Anc", strat.ancilla_qubits))
         return tensor(self.initial, anc)
 
-    def _prover_targets(self, strat: ProverStrategy) -> tuple[str, ...]:
-        return ("R", "M") if strat.ancilla_qubits == 0 else ("R", "M", "Anc")
-
-    def _prover_unitary(self, strat: ProverStrategy, i: int) -> np.ndarray:
+    def _prover_gates(self, strat: ProverStrategy, i: int, wires) -> tuple:
+        """Round i of the prover on the given (R, M[, Anc]) wires: the
+        strategy's unitary on all of them, or the honest gates, which leave
+        the ancilla untouched."""
         u = strat.unitary_for(i)
         if u is None:
-            if strat.ancilla_qubits:
-                u = np.kron(self.prover_unitaries[i],
-                            np.eye(2 ** strat.ancilla_qubits, dtype=complex))
-            else:
-                u = self.prover_unitaries[i]
-        return u
+            return linalg.placed(self.prover_rounds[i], wires)
+        return ((u, tuple(wires)),)
 
     def evolve(self, strat: ProverStrategy = HONEST, upto_message: Optional[int] = None) -> PureState:
         """State after the given message (default: after the final V_r)."""
         state = self._initial_state(strat)
         lay = state.layout
         n = lay.total_qubits
-        prover = lay.qubits_of_all(self._prover_targets(strat))
+        names = ("R", "M") if strat.ancilla_qubits == 0 else ("R", "M", "Anc")
+        prover = lay.qubits_of_all(names)
         wm = lay.qubits_of_all(["W", "M"])
         vec = state.amplitudes
         last = 2 * self.rounds if upto_message is None else upto_message
         for i in range(self.rounds):
             if 2 * i + 1 > last:
                 break
-            vec = linalg.apply_to_vector(self._prover_unitary(strat, i), vec, prover, n)
+            vec = linalg.apply_gates(self._prover_gates(strat, i, prover), vec, n)
             if 2 * i + 2 > last:
                 break
-            vec = linalg.apply_to_vector(self.verifier_unitaries[i], vec, wm, n)
+            vec = linalg.apply_gates(linalg.placed(self.verifier_rounds[i], wm), vec, n)
         return PureState(vec, lay)
 
     def acceptance(self, state: PureState) -> float:
         return accept_probability(state.amplitudes, state.layout)
+
+
+def _checked_round(op, n: int, role: str, regs: str) -> tuple:
+    """One round as a tuple of read-only (matrix, wires) gates on n local
+    wires, each checked for its wires and for unitarity."""
+    if _is_gate_list(op):
+        gates = op
+    else:
+        gates = [(op, range(n))]
+        if np.shape(op) != (2 ** n, 2 ** n):
+            raise DimensionMismatchError(f"{role} unitary must act on {regs}")
+    out = []
+    for mat, wires in gates:
+        mat = np.array(mat, dtype=complex)
+        wires = tuple(int(w) for w in wires)
+        if mat.ndim != 2:
+            raise DimensionMismatchError(f"{role} gate must be a matrix")
+        linalg.target_plan(wires, n, mat.shape[0])
+        if not linalg.is_unitary(mat):
+            raise StateValidationError(f"{role} unitary is not unitary")
+        mat.setflags(write=False)
+        out.append((mat, wires))
+    return tuple(out)
+
+
+def _is_gate_list(op) -> bool:
+    return isinstance(op, (list, tuple)) and all(
+        isinstance(g, tuple) and len(g) == 2 and np.ndim(g[0]) == 2 for g in op)
+
+
+def _dense(gates: tuple, n: int) -> np.ndarray:
+    """Dense read-only matrix of a checked round; a single gate on all n
+    wires in order is its own matrix."""
+    if len(gates) == 1 and gates[0][1] == tuple(range(n)):
+        return gates[0][0]
+    out = linalg.gate_product(gates, n)
+    out.setflags(write=False)
+    return out
 
 
 def accept_probability(vec: np.ndarray, layout: RegisterLayout) -> float:

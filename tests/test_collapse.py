@@ -16,9 +16,12 @@ from qpzk.compilers.collapse import (
 from qpzk.compilers.examples import (
     cnot_control_second,
     copier_base,
+    partial_coupler_base,
     random_perfect_base,
     rotated_copier_base,
 )
+from qpzk.compilers.pipeline import build_pipeline
+from qpzk.core import linalg
 from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
 from qpzk.optimize import alternating_ascent, brute_force_prover_value
@@ -226,3 +229,27 @@ class TestStandardFormCast:
         cast = as_three_message(CollapsedProtocol(copier_base()))
         assert cast.rounds == 2
         assert cast.layout.total_qubits == 12
+
+    @pytest.mark.parametrize("base", [copier_base, lambda: partial_coupler_base(0.5, 0.3)],
+                             ids=["copier", "partial-coupler"])
+    def test_dense_cast_rounds_are_unitary(self, base):
+        cast = as_three_message(CollapsedProtocol(base()))
+        assert all(len(gates) > 1 for gates in cast.verifier_rounds)
+        for mat in cast.verifier_unitaries + cast.prover_unitaries:
+            assert linalg.is_unitary(mat)
+
+    def test_two_qubit_message_cast_at_the_cap(self):
+        """copier_base with an idle second message qubit: 14 qubits, with
+        no dense 2^12 x 2^12 verifier matrix built."""
+        copier = copier_base()
+        eye2 = np.eye(2, dtype=complex)
+        psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
+        base = InteractiveProtocol.from_verifier_start(
+            psi_v, 1, 2, [np.kron(v, eye2) for v in copier.verifier_unitaries],
+            [np.kron(p, eye2) for p in copier.prover_unitaries])
+        stages = build_pipeline(base)
+        cast = stages.public_coin.base
+        assert cast.layout.total_qubits == 14
+        honest = stages.public_coin.honest_strategy()
+        assert stages.public_coin.acceptance(honest) == pytest.approx(1.0, abs=1e-9)
+        assert "verifier_unitaries" not in vars(cast)

@@ -223,3 +223,94 @@ def test_gate_product_over_several_column_blocks():
     for op, targets in gates:
         chain = linalg.embed(op, targets, n) @ chain
     _close(linalg.gate_product(gates, n), chain)
+
+
+# -- partial trace, permutations, SWAP, target plan: property tests --------------
+
+
+@st.composite
+def kept_wires(draw):
+    """(n <= 6, kept wires in a random order, possibly none, seed)."""
+    n = draw(st.integers(1, 6))
+    keep = list(draw(st.permutations(range(n)))[:draw(st.integers(0, n))])
+    return n, keep, draw(SEEDS)
+
+
+def _einsum_partial_trace(mat: np.ndarray, keep, n: int) -> np.ndarray:
+    """Trace out the wires not in keep with one einsum over all 2n indices."""
+    rows = list(range(n))
+    cols = [n + q if q in keep else q for q in range(n)]
+    out = list(keep) + [n + q for q in keep]
+    t = np.einsum(mat.reshape((2,) * (2 * n)), rows + cols, out)
+    return t.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+class TestPartialTrace:
+    @given(kept_wires())
+    def test_matrix_form_matches_einsum(self, case):
+        n, keep, seed = case
+        mat = _complex(np.random.default_rng(seed), 2 ** n, 2 ** n)
+        _close(linalg.partial_trace_matrix(mat, keep, n), _einsum_partial_trace(mat, keep, n))
+
+    @given(kept_wires())
+    def test_vector_form_matches_einsum(self, case):
+        n, keep, seed = case
+        vec = _complex(np.random.default_rng(seed), 2 ** n)
+        _close(linalg.partial_trace_vector(vec, keep, n),
+               _einsum_partial_trace(np.outer(vec, vec.conj()), keep, n))
+
+
+class TestPermutations:
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(n)), SEEDS)))
+    def test_permute_round_trips(self, case):
+        n, order, seed = case
+        rng = np.random.default_rng(seed)
+        vec, mat = _complex(rng, 2 ** n), _complex(rng, 2 ** n, 2 ** n)
+        back = list(np.argsort(order))
+        assert np.array_equal(
+            linalg.permute_vector(linalg.permute_vector(vec, order, n), back, n), vec)
+        assert np.array_equal(
+            linalg.permute_matrix(linalg.permute_matrix(mat, order, n), back, n), mat)
+        p = linalg.permutation_unitary(order, n)
+        assert np.array_equal(linalg.permute_vector(vec, order, n), p @ vec)
+        _close(linalg.permute_matrix(mat, order, n), p @ mat @ p.T)
+
+    @given(st.integers(1, 3), SEEDS)
+    def test_swap_is_a_transpose(self, qubits, seed):
+        dim = 2 ** qubits
+        vec = _complex(np.random.default_rng(seed), dim * dim)
+        assert np.array_equal(vec.reshape(dim, dim).T.reshape(-1),
+                              swap_registers(qubits) @ vec)
+
+
+class TestCachedTargetPlan:
+    @given(wires())
+    def test_cache_hit_matches_a_fresh_plan(self, case):
+        n, targets, seed = case
+        rng = np.random.default_rng(seed)
+        op, vec = random_unitary(2 ** len(targets), rng), _complex(rng, 2 ** n)
+        linalg._qubit_plan.cache_clear()
+        fresh = linalg.apply_to_vector(op, vec, targets, n)
+        assert linalg._qubit_plan.cache_info().misses == 1
+        hit = linalg.apply_to_vector(op, vec, targets, n)
+        assert linalg._qubit_plan.cache_info().hits == 1
+        assert np.array_equal(hit, fresh)
+        assert linalg._qubit_plan(tuple(targets), n) == \
+            linalg._qubit_plan.__wrapped__(tuple(targets), n)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-2, n + 1), min_size=1, max_size=3))))
+    def test_cache_hit_raises_the_same_error(self, case):
+        n, targets = case
+        if len(set(targets)) == len(targets) and all(0 <= t < n for t in targets):
+            targets = targets + [targets[0]]
+        op = np.eye(2 ** len(targets), dtype=complex)
+        linalg._qubit_plan.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError) as err:
+                linalg.target_plan(targets, n, op.shape[0])
+            messages.append(str(err.value))
+        assert linalg._qubit_plan.cache_info().hits == 1
+        assert messages[0] == messages[1]

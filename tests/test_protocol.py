@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qpzk.core import PureState, RegisterLayout, rng_from
+from qpzk.core import (PureState, RegisterLayout, linalg, random_pure_state, random_unitary,
+                       rng_from)
 from qpzk.core.operators import X
-from qpzk.errors import ConfigError, StateValidationError
+from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.protocol import (
     HONEST,
     InteractiveProtocol,
@@ -162,3 +164,101 @@ class TestPersistence:
         data["rounds"] = 2
         with pytest.raises(ConfigError):
             protocol_from_json(data)
+
+
+# -- rounds as gate lists ---------------------------------------------------------
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def gate_protocols(draw):
+    """(r, w, m, rounds, seed): registers with r + w + m <= 6 and, per round,
+    a verifier and a prover list of (wire count, seed) gates."""
+    w = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5 - w))
+    r = draw(st.integers(1, 6 - w - m))
+
+    def gate_list(n):
+        size = draw(st.integers(0, 3))
+        return [(draw(st.permutations(range(n)))[:draw(st.integers(1, min(n, 3)))],
+                 draw(SEEDS)) for _ in range(size)]
+
+    rounds = [(gate_list(w + m), gate_list(r + m)) for _ in range(draw(st.integers(1, 3)))]
+    return r, w, m, rounds, draw(SEEDS)
+
+
+def _gates(spec) -> list:
+    return [(random_unitary(2 ** len(wires), np.random.default_rng(seed)), list(wires))
+            for wires, seed in spec]
+
+
+class TestGateRounds:
+    @given(gate_protocols())
+    def test_gate_lists_match_their_dense_products(self, case):
+        r, w, m, rounds, seed = case
+        vs = [_gates(v) for v, _ in rounds]
+        ps = [_gates(p) for _, p in rounds]
+        psi_v = random_pure_state(RegisterLayout.single("W", w), np.random.default_rng(seed))
+        gated = InteractiveProtocol.from_verifier_start(psi_v, r, m, vs, ps)
+        dense = InteractiveProtocol.from_verifier_start(
+            psi_v, r, m, [linalg.gate_product(v, w + m) for v in vs],
+            [linalg.gate_product(p, r + m) for p in ps])
+        for upto in range(1, 2 * len(rounds) + 1):
+            np.testing.assert_allclose(gated.evolve(upto_message=upto).amplitudes,
+                                       dense.evolve(upto_message=upto).amplitudes,
+                                       rtol=0, atol=1e-12)
+        assert run_protocol(gated) == pytest.approx(run_protocol(dense), abs=1e-12)
+        for got, want in zip(gated.verifier_unitaries + gated.prover_unitaries,
+                             dense.verifier_unitaries + dense.prover_unitaries):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["verifier", "prover"])
+    def test_non_unitary_gate_rejected(self, side):
+        rounds = {"verifier": [[(X, [1])]], "prover": [[(X, [0])]]}
+        rounds[side] = [[(X, [0]), (np.ones((2, 2)), [1])]]
+        with pytest.raises(StateValidationError, match=f"{side} unitary is not unitary"):
+            InteractiveProtocol.from_verifier_start(PSI0, 1, 1, rounds["verifier"],
+                                                    rounds["prover"])
+
+    @pytest.mark.parametrize("side", ["verifier", "prover"])
+    @pytest.mark.parametrize("wires,message", [
+        ([2], "target qubits (2,) outside 0..1"),
+        ([-1], "target qubits (-1,) outside 0..1"),
+        ([1, 1], "repeated target qubits (1, 1)"),
+    ], ids=["past-the-end", "negative", "repeated"])
+    def test_bad_gate_wires_rejected(self, side, wires, message):
+        rounds = {"verifier": [[(X, [1])]], "prover": [[(X, [0])]]}
+        op = X if len(wires) == 1 else np.eye(4)
+        rounds[side] = [[(op, wires)]]
+        with pytest.raises(DimensionMismatchError) as err:
+            InteractiveProtocol.from_verifier_start(PSI0, 1, 1, rounds["verifier"],
+                                                    rounds["prover"])
+        assert str(err.value) == message
+
+    def test_dense_round_shape_still_checked(self):
+        with pytest.raises(DimensionMismatchError, match="verifier unitary must act on W M"):
+            InteractiveProtocol.from_verifier_start(PSI0, 1, 1, [np.eye(2)], [np.eye(4)])
+
+    def test_dense_views_are_read_only_and_built_on_demand(self):
+        v1 = cnot_control_m_target_w()
+        prot = InteractiveProtocol.from_verifier_start(
+            PSI0, 1, 1, [v1, [(X, [0]), (X, [1])]], [np.eye(4), [(X, [1])]])
+        assert prot.rounds == 2
+        assert "verifier_unitaries" not in vars(prot)
+        vs = prot.verifier_unitaries
+        assert vs[0] is prot.verifier_rounds[0][0][0]
+        assert np.array_equal(vs[0], v1) and vs[0] is not v1
+        assert np.array_equal(vs[1], np.kron(X, X))
+        assert np.array_equal(prot.prover_unitaries[1], np.kron(np.eye(2), X))
+        for mat in vs + prot.prover_unitaries:
+            assert not mat.flags.writeable
+        assert v1.flags.writeable
+
+    def test_honest_rounds_leave_the_ancilla_untouched(self):
+        prot = copier_protocol()
+        strat = ProverStrategy(tag="honest", ancilla_qubits=2)
+        with_anc = prot.evolve(strat)
+        want = np.kron(prot.evolve().amplitudes, linalg.basis_vector(0, 4))
+        np.testing.assert_allclose(with_anc.amplitudes, want, rtol=0, atol=1e-15)
