@@ -17,7 +17,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1, projector_onto
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.sampling import accept_bit
+from qpzk.core.sampling import ScalarDraws, accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep, Step, apply_steps
@@ -149,10 +149,11 @@ class PublicCoinProtocol:
 
     def sample_run(self, strat: PublicCoinStrategy, coin_schedule, rng):
         """(outcome bit, transcript) with the coin drawn unless scheduled."""
-        if coin_schedule is not None and len(tuple(coin_schedule)) not in (0, 1):
+        coins = tuple(coin_schedule or ())
+        if len(coins) > 1:
             raise ConfigError("public-coin protocol takes exactly one coin")
-        if coin_schedule:
-            b = int(tuple(coin_schedule)[0])
+        if coins:
+            b = int(coins[0])
             if b not in (0, 1):
                 raise ConfigError(f"public coin must be 0 or 1, got {b}")
         else:
@@ -164,10 +165,12 @@ class PublicCoinProtocol:
         """(accepted runs out of `trials`, exact acceptance).
 
         Each branch is evaluated once; every run then draws its coin and its
-        accept bit as `sample_run` does, in the same order, so the hit count
-        equals that of `trials` calls to `sample_run` on the same stream."""
+        accept bit as `sample_run` does, in the same order (read through
+        ScalarDraws), so the hit count and the stream's end state equal
+        those of `trials` calls to `sample_run` on the same stream."""
         value = (self.branch_value(strat, 0), self.branch_value(strat, 1))
-        hits = sum(accept_bit(value[int(rng.integers(2))], rng) for _ in range(trials))
+        with ScalarDraws(rng) as draws:
+            hits = sum(accept_bit(value[draws.bit()], draws) for _ in range(trials))
         return hits, 0.5 * value[0] + 0.5 * value[1]
 
     # -- cheat oracle -------------------------------------------------------------
@@ -189,9 +192,10 @@ class SimulatedCoinTranscript:
 
 
 def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: HvzkSimulator,
-                            rng) -> SimulatedCoinTranscript:
-    """Emit one simulated (W, M, b) transcript with a uniform coin."""
+                            trials: int, rng) -> list[SimulatedCoinTranscript]:
+    """`trials` simulated (W, M, b) transcripts, each with a uniform coin
+    drawn by `int(rng.integers(2))`; the two transcripts are built once."""
     transcripts = compiled.simulator_transcripts(sim)
-    b = int(rng.integers(2))
-    return SimulatedCoinTranscript(b, transcripts[b])
+    coins = [int(rng.integers(2)) for _ in range(trials)]
+    return [SimulatedCoinTranscript(b, transcripts[b]) for b in coins]
 

@@ -20,7 +20,7 @@ from qpzk.core import linalg
 from qpzk.core.linalg import EPS
 from qpzk.core.operators import CNOT, H, X, projector_onto
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.sampling import accept_bit
+from qpzk.core.sampling import ScalarDraws, accept_bit, choice_cdf
 from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import (
     ConfigError,
@@ -254,18 +254,10 @@ class Adversary:
     ancilla_qubits: int = 0
 
 
-@dataclass
-class GameRecord:
-    win: bool
-    aborted: bool
-    challenger_bit: Optional[int]
-    guess: Optional[int]
-
-
 class DoubleOpenGame:
     """The double-opening experiment of one adversary against one scheme,
     evaluated once as a tree of classical histories: first check, b, second
-    check, M' read. A trial (run_double_open) only draws from it.
+    check, M' read. The trials (run_double_open) only draw from it.
 
     Wire map: commitment wires 0..k-1 in natural (message, ancilla) order,
     the challenger's swap target M' next, then the adversary's ancillas.
@@ -349,33 +341,38 @@ def _checked_gates(gates, held: list[int], phase: str) -> list[Gate]:
     return checked
 
 
-def run_double_open(game: DoubleOpenGame, rng) -> GameRecord:
-    """One double-opening experiment drawn from the game's tree; the
-    adversary wins on b' = b."""
-    if not accept_bit(game.p_open, rng):
-        return GameRecord(False, True, None, None)
-    b = int(rng.integers(2))
-    if game.adversary.respond is None or not accept_bit(game.p_second[b], rng):
-        return GameRecord(False, True, b, None)
-    if game.adversary.reads_swap_target:
-        marginal = game.mprime_marginal[b]
-        # M' holds the original message when the swap came first (b = 1).
-        guess = 1 if int(rng.choice(len(marginal), p=marginal)) != 0 else 0
-    else:
-        guess = int(rng.integers(2))
-    return GameRecord(guess == b, False, b, guess)
+def run_double_open(game: DoubleOpenGame, trials: int, rng) -> tuple[int, int]:
+    """(wins, aborts) over `trials` double-opening experiments drawn from
+    the game's tree; the adversary wins on b' = b. Each experiment makes
+    the scalar draws of one game, in order, through ScalarDraws."""
+    respond = game.adversary.respond is not None
+    reads = game.adversary.reads_swap_target
+    cdfs = [None if m is None else choice_cdf(m) for m in game.mprime_marginal]
+    wins = aborts = 0
+    with ScalarDraws(rng) as draws:
+        for _ in range(trials):
+            if not accept_bit(game.p_open, draws):
+                aborts += 1
+                continue
+            b = draws.bit()
+            if not respond or not accept_bit(game.p_second[b], draws):
+                aborts += 1
+                continue
+            if reads:
+                # M' holds the original message when the swap came first (b = 1).
+                guess = 1 if draws.index(cdfs[b]) != 0 else 0
+            else:
+                guess = draws.bit()
+            wins += guess == b
+    return wins, aborts
 
 
 def double_open_win_rate(scheme, adversary: Adversary, trials: int, rng) -> tuple[float, int]:
     """Win rate over completed-and-aborted trials (aborts never count as
     wins) plus the abort count."""
-    game = DoubleOpenGame(scheme, adversary)
-    wins = 0
-    aborts = 0
-    for _ in range(trials):
-        rec = run_double_open(game, rng)
-        wins += rec.win
-        aborts += rec.aborted
+    if trials < 1:
+        raise ConfigError(f"double-opening game needs at least one trial, got {trials}")
+    wins, aborts = run_double_open(DoubleOpenGame(scheme, adversary), trials, rng)
     return wins / trials, aborts
 
 

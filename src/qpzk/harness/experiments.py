@@ -305,7 +305,7 @@ def _run_public_coin(config: ExperimentConfig, record: ExperimentRecord) -> None
 
     rng = _stream(config, 2)
     n = config.effective_trials
-    ones = sum(hv_simulate_public_coin(pc_perfect, sim, rng).coin for _ in range(n))
+    ones = sum(t.coin for t in hv_simulate_public_coin(pc_perfect, sim, n, rng))
     sigma = float(np.sqrt(0.25 / n))
     record.add(upper_bound_row("simulated-coin-bias", abs(ones / n - 0.5),
                                0.0, sigma, "exact:uniform-coin"))

@@ -37,7 +37,7 @@ from qpzk.crypto.ideal import (
     xor_coin_functionality,
 )
 from qpzk.crypto.mac import QuantumMac, mac_real_vs_ideal, natural_simulator
-from qpzk.errors import RegisterError, StateValidationError
+from qpzk.errors import ConfigError, RegisterError, StateValidationError
 
 MSG1 = RegisterLayout.single("Msg", 1)
 
@@ -218,9 +218,13 @@ class TestDoubleOpenGame:
     def test_abort_path(self):
         scheme = bell_ancilla_scheme()
         game = DoubleOpenGame(scheme, aborting_adversary(scheme))
-        rec = run_double_open(game, rng_from(14))
-        assert rec.aborted
-        assert not rec.win
+        assert run_double_open(game, 1, rng_from(14)) == (0, 1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        scheme = bell_ancilla_scheme()
+        with pytest.raises(ConfigError, match="at least one trial"):
+            double_open_win_rate(scheme, random_guess_adversary(scheme), trials, rng_from(14))
 
     # (rate, aborts) over 500 trials and the next draw after them: any change
     # to which draws a game makes, or in what order, moves these.
@@ -270,8 +274,7 @@ class TestExactWinRates:
     def test_aborting_adversary_always_aborts(self, scheme):
         scheme = scheme()
         game = DoubleOpenGame(scheme, aborting_adversary(scheme))
-        rng = rng_from(15)
-        assert all(run_double_open(game, rng).aborted for _ in range(50))
+        assert run_double_open(game, 50, rng_from(15)) == (0, 50)
 
 
 class TestAdversaryChecks:

@@ -99,12 +99,33 @@ def test_double_open_evaluates_each_game_once(monkeypatch):
     for trials in (50, 500):
         counts.clear()
         run_experiment(ExperimentConfig(kind="double-open", seed=5, trials=trials))
-        # Three rows, one game each per trial, drawn through the module global.
-        assert counts.pop("run_double_open") == 3 * trials
+        # Three rows, each drawing all its trials in one call through the
+        # module global.
+        assert counts.pop("run_double_open") == 3
         work.append(counts.copy())
     # The kernel and validation work is the same however many trials are drawn.
     assert work[0] == work[1]
     assert work[0]["apply_to_vector"] > 0
+
+
+def test_public_coin_builds_simulator_transcripts_once_per_row(monkeypatch):
+    from qpzk.compilers.public_coin import PublicCoinProtocol
+
+    calls = []
+    build = PublicCoinProtocol.simulator_transcripts
+
+    def counting_build(self, sim):
+        calls.append(sim)
+        return build(self, sim)
+
+    monkeypatch.setattr(PublicCoinProtocol, "simulator_transcripts", counting_build)
+    params = {"bases": 1, "oracle_restarts": 1, "oracle_iters": 5}
+    for trials in (20, 200):
+        calls.clear()
+        run_experiment(ExperimentConfig(kind="public-coin", seed=5, trials=trials,
+                                        params=params))
+        # simulator-transcript-acceptance and simulated-coin-bias.
+        assert len(calls) == 2
 
 
 def test_double_open_rows_pinned_at_seed_7():

@@ -79,7 +79,16 @@ class TestSampling:
         hits, exact = pc.sample_hits(strat, n, sampler_rng)
         assert hits == loop_hits
         assert exact == pc.acceptance(strat)
+        assert sampler_rng.bit_generator.state == loop_rng.bit_generator.state
         assert sampler_rng.random() == loop_rng.random()
+
+    @pytest.mark.parametrize("coin", [0, 1])
+    def test_scheduled_coin_from_an_iterator(self, coin):
+        pc = make_public_coin(rotated_copier_base(0.8))
+        strat = pc.honest_strategy()
+        from_list = pc.sample_run(strat, [coin], rng_from(2552))
+        assert pc.sample_run(strat, iter([coin]), rng_from(2552)) == from_list
+        assert from_list[1] == (coin, pc.branch_value(strat, coin))
 
     @pytest.mark.parametrize("coin", [2, -1])
     def test_scheduled_coin_outside_zero_one_rejected(self, coin):
@@ -130,7 +139,7 @@ class TestSimulator:
         sim = HvzkSimulator.from_honest_prover(base)
         rng = rng_from(2800)
         n = 4000
-        ones = sum(hv_simulate_public_coin(pc, sim, rng).coin for _ in range(n))
+        ones = sum(t.coin for t in hv_simulate_public_coin(pc, sim, n, rng))
         sigma = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 3 * sigma
 
