@@ -1,53 +1,5 @@
 """The compiler pipeline: commitment rounds, round collapse, parallel
-repetition, public coin, and the coin-flip zero-knowledge stage."""
+repetition, public coin, and the coin-flip zero-knowledge stage.
 
-from qpzk.compilers.coin_flip import (
-    CoinFlipProtocol,
-    MaliciousVerifier,
-    make_malicious_zk,
-    real_malicious_views,
-    view_ensemble_distance,
-    zk_simulate_malicious,
-)
-from qpzk.compilers.collapse import (
-    CollapsedProtocol,
-    as_three_message,
-    collapse_rounds,
-    collapsed_soundness,
-    hv_simulate_collapsed,
-)
-from qpzk.compilers.commit_rounds import CommitRoundProtocol, compile_hvzk
-from qpzk.compilers.pipeline import build_pipeline, composite_bound
-from qpzk.compilers.public_coin import (
-    PublicCoinProtocol,
-    hv_simulate_public_coin,
-    make_public_coin,
-    public_coin_soundness,
-)
-from qpzk.compilers.repetition import parallel_repeat, repeated_soundness
-from qpzk.compilers.types import HvzkSimulator
-
-__all__ = [
-    "CoinFlipProtocol",
-    "CollapsedProtocol",
-    "CommitRoundProtocol",
-    "HvzkSimulator",
-    "MaliciousVerifier",
-    "PublicCoinProtocol",
-    "as_three_message",
-    "build_pipeline",
-    "collapse_rounds",
-    "collapsed_soundness",
-    "composite_bound",
-    "compile_hvzk",
-    "hv_simulate_collapsed",
-    "hv_simulate_public_coin",
-    "make_malicious_zk",
-    "make_public_coin",
-    "parallel_repeat",
-    "public_coin_soundness",
-    "real_malicious_views",
-    "repeated_soundness",
-    "view_ensemble_distance",
-    "zk_simulate_malicious",
-]
+Import the submodule that is needed (for example
+`qpzk.compilers.pipeline`); importing the package loads none of them."""

@@ -166,11 +166,15 @@ class PublicCoinProtocol:
 
         Each branch is evaluated once; every run then draws its coin and its
         accept bit as `sample_run` does, in the same order (read through
-        ScalarDraws), so the hit count and the stream's end state equal
-        those of `trials` calls to `sample_run` on the same stream."""
+        ScalarDraws, a block of runs at a time), so the hit count and the
+        stream's end state equal those of `trials` calls to `sample_run` on
+        the same stream."""
         value = (self.branch_value(strat, 0), self.branch_value(strat, 1))
+        hits = 0
         with ScalarDraws(rng) as draws:
-            hits = sum(accept_bit(value[draws.bit()], draws) for _ in range(trials))
+            for v in draws.blocks((True, False), trials):
+                coin, u = v[:, 0].astype(np.intp), v[:, 1]
+                hits += int(np.count_nonzero(u < np.take(value, coin)))
         return hits, 0.5 * value[0] + 0.5 * value[1]
 
     # -- cheat oracle -------------------------------------------------------------
@@ -194,8 +198,10 @@ class SimulatedCoinTranscript:
 def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: HvzkSimulator,
                             trials: int, rng) -> list[SimulatedCoinTranscript]:
     """`trials` simulated (W, M, b) transcripts, each with a uniform coin
-    drawn by `int(rng.integers(2))`; the two transcripts are built once."""
+    drawn as `int(rng.integers(2))` would draw it (through ScalarDraws);
+    the two transcripts are built once."""
     transcripts = compiled.simulator_transcripts(sim)
-    coins = [int(rng.integers(2)) for _ in range(trials)]
+    with ScalarDraws(rng) as draws:
+        coins = [int(b) for v in draws.blocks((True,), trials) for b in v[:, 0]]
     return [SimulatedCoinTranscript(b, transcripts[b]) for b in coins]
 

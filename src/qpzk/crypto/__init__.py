@@ -1,36 +1,6 @@
 """Ideal-functionality secure computation, canonical quantum state
-commitments with the double-opening game, and the toy quantum MAC."""
+commitments with the double-opening game, and the toy quantum MAC.
 
-from qpzk.crypto.commitments import (
-    CanonicalCommitment,
-    commit,
-    run_double_open,
-    verify_open,
-)
-from qpzk.crypto.ideal import (
-    ClassicalFunctionality,
-    IdealFunctionality,
-    IdealSession,
-    ideal_compute,
-    ideal_compute_classical,
-    identity_functionality,
-    xor_coin_functionality,
-)
-from qpzk.crypto.mac import QuantumMac, mac_real_vs_ideal, natural_simulator
-
-__all__ = [
-    "CanonicalCommitment",
-    "ClassicalFunctionality",
-    "IdealFunctionality",
-    "IdealSession",
-    "QuantumMac",
-    "commit",
-    "ideal_compute",
-    "ideal_compute_classical",
-    "identity_functionality",
-    "mac_real_vs_ideal",
-    "natural_simulator",
-    "run_double_open",
-    "verify_open",
-    "xor_coin_functionality",
-]
+Import the submodule that is needed (`qpzk.crypto.commitments`,
+`qpzk.crypto.ideal`, `qpzk.crypto.mac`); importing the package loads none
+of them."""

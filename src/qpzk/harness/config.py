@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"kind: unknown experiment {self.kind!r}; "
                 f"choose one of {', '.join(EXPERIMENT_KINDS)}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed: must be an integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
         trials = self.effective_trials
         if not isinstance(trials, int) or trials < 1:
             raise ConfigError("trials: must be a positive integer")
@@ -121,9 +121,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "kind" not in data:
         raise ConfigError("kind: required field is missing")
+    try:
+        seed = int(data.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"seed: must be an integer, got {data['seed']!r}") from exc
     return ExperimentConfig(
         kind=data["kind"],
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         trials=data.get("trials"),
         params=dict(data.get("params", {})),
         instances=dict(data.get("instances", {})),

@@ -25,7 +25,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1
 from qpzk.core.registers import RegisterLayout, qubit_cap
-from qpzk.core.sampling import accept_bit
+from qpzk.core.sampling import accept_all, accept_bit
 from qpzk.core.states import (
     MixedState,
     PureState,
@@ -190,28 +190,30 @@ def _runner(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInpu
         return run_entangled
     if prover_input.mode != "product":
         raise ConfigError("product-mode run needs product-mode input")
-    values = _copy_acceptances(inst, prover_input)
+    swap_of, final_of = _copy_acceptances(inst, prover_input)
 
     def run(rng) -> str:
         tested = _sample_distinct(rng, p, q + 1)
-        for s in tested[:q]:
-            if rng.random() >= values(s)[0]:
-                return "abort"
-        return "accept" if accept_bit(values(tested[q])[1], rng) else "reject"
+        if not accept_all(swap_of(tested[:q]), rng):
+            return "abort"
+        return "accept" if accept_bit(final_of(tested[q]), rng) else "reject"
     return run
 
 
 def _copy_acceptances(inst: PqmaInstance, prover_input: PqmaProverInput):
-    """Function of the copy index giving (SWAP-test acceptance, final
-    acceptance) of that copy's pair, each computed once per copy."""
+    """(swap_of, final_of): the SWAP-test acceptances of a list of copies,
+    as an array, and the final acceptance of one copy, from the copies'
+    pairs (one pair that every copy shares for a symmetric input), each
+    computed once per pair."""
     def both(pair: MixedState) -> tuple[float, float]:
         return (_swap_accept_probability(inst, pair),
                 float(np.trace(inst.accept_operator @ pair.matrix).real))
 
     if prover_input.pairs is None:
-        value = both(prover_input.pair_for(0))
-        return lambda s: value
-    return [both(pair) for pair in prover_input.pairs].__getitem__
+        swap, final = both(prover_input.pair_for(0))
+        return (lambda copies: np.full(len(copies), swap)), (lambda s: final)
+    swaps, finals = zip(*map(both, prover_input.pairs))
+    return np.array(swaps).__getitem__, finals.__getitem__
 
 
 def _run_entangled(params, inst, prover_input, subset, star, rng) -> str:
@@ -254,12 +256,11 @@ def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,
     p, q = params.prover_copies, params.verifier_copies
     if prover_input.pairs is not None and p > 8:
         raise ConfigError("per-copy exact acceptance is limited to p <= 8")
-    values = _copy_acceptances(inst, prover_input)
+    swap_of, final_of = _copy_acceptances(inst, prover_input)
     if prover_input.pairs is None:
-        swap_p, final = values(0)
-        return swap_p ** q * final
-    swap_ps = [values(s)[0] for s in range(p)]
-    finals = [values(s)[1] for s in range(p)]
+        return float(swap_of([0])[0]) ** q * final_of(0)
+    swap_ps = swap_of(range(p)).tolist()
+    finals = [final_of(s) for s in range(p)]
     total, count = 0.0, 0
     for subset in itertools.combinations(range(p), q):
         rest = [s for s in range(p) if s not in subset]

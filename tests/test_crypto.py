@@ -1,7 +1,11 @@
 """Ideal functionality sessions, commitments, double-opening game, trap MAC."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpzk.core import (
     MixedState,
@@ -12,6 +16,7 @@ from qpzk.core import (
     trace_distance,
 )
 from qpzk.core.operators import X
+from qpzk.core.sampling import BLOCK_TRIALS, accept_bit
 from qpzk.crypto.commitments import (
     Adversary,
     DoubleOpenGame,
@@ -275,6 +280,95 @@ class TestExactWinRates:
         scheme = scheme()
         game = DoubleOpenGame(scheme, aborting_adversary(scheme))
         assert run_double_open(game, 50, rng_from(15)) == (0, 50)
+
+
+def _scalar_double_open(game, trials: int, rng) -> tuple[int, int]:
+    """Reference: run_double_open as a loop of real scalar Generator calls."""
+    respond = game.adversary.respond is not None
+    wins = aborts = 0
+    for _ in range(trials):
+        if not accept_bit(game.p_open, rng):
+            aborts += 1
+            continue
+        b = int(rng.integers(2))
+        if not respond or not accept_bit(game.p_second[b], rng):
+            aborts += 1
+            continue
+        if game.adversary.reads_swap_target:
+            marginal = game.mprime_marginal[b]
+            guess = 1 if rng.choice(len(marginal), p=marginal) != 0 else 0
+        else:
+            guess = int(rng.integers(2))
+        wins += guess == b
+    return wins, aborts
+
+
+# Check probabilities: certain, nearly certain on either side of the cut-off
+# for reading blocks at once (1/BLOCK_TRIALS), and fractional.
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1e-6, 5e-4, 1 / BLOCK_TRIALS, 2e-3, 0.998, 1 - 1 / BLOCK_TRIALS,
+                     1 - 5e-4, 1 - 1e-6, 1 - 4e-16, 1.0]),
+    st.floats(0.0, 1.0))
+# M' marginals over one or two qubits, point masses and spread.
+_MARGINALS = st.lists(st.sampled_from([0.0, 0.0, 0.2, 1.0, 3.0]), min_size=2, max_size=4) \
+    .filter(lambda w: len(w) != 3 and sum(w) > 0) \
+    .map(lambda w: np.array(w) / sum(w))
+
+
+@st.composite
+def _games(draw):
+    """Stand-ins for DoubleOpenGame: the tree's values and an adversary."""
+    kind = draw(st.sampled_from(["aborts", "guesses", "reads"]))
+    p_open = draw(_PROBABILITIES)
+    p_second = [draw(_PROBABILITIES)] * 2
+    if draw(st.booleans()):
+        p_second[1] = draw(_PROBABILITIES)  # may differ by b
+    return SimpleNamespace(
+        p_open=p_open,
+        p_second=[None, None] if kind == "aborts" else p_second,
+        mprime_marginal=[draw(_MARGINALS), draw(_MARGINALS)] if kind == "reads" else [None, None],
+        adversary=Adversary((), None if kind == "aborts" else (), kind == "reads"))
+
+
+class TestBlockDraws:
+    @given(game=_games(), trials=st.sampled_from([1, 1023, 1024, 1025, 3000]),
+           seed=st.integers(0, 2 ** 32), half_full=st.booleans())
+    def test_matches_the_scalar_loop(self, game, trials, seed, half_full):
+        scalar, read = rng_from(seed), rng_from(seed)
+        if half_full:
+            # Leaves the high half of a word buffered on both sides.
+            scalar.integers(2)
+            read.integers(2)
+        assert run_double_open(game, trials, read) == _scalar_double_open(game, trials, scalar)
+        assert read.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("p_open,p_second", [
+        (1 - 1 / BLOCK_TRIALS, [1.0, 1.0]),
+        (1.0, [1 - 1 / BLOCK_TRIALS, 1 - 1 / BLOCK_TRIALS]),
+        (1 / BLOCK_TRIALS, [1.0, 1.0]),
+    ])
+    @pytest.mark.parametrize("reads", [False, True])
+    def test_blocks_cut_at_rare_outcomes_match_the_scalar_loop(self, p_open, p_second, reads):
+        # About three rare outcomes per check over 3,000 trials, each cutting
+        # a block.
+        game = SimpleNamespace(p_open=p_open, p_second=p_second,
+                               mprime_marginal=[np.array([0.3, 0.7]), np.array([1.0, 0.0])],
+                               adversary=Adversary((), (), reads))
+        for seed in range(4):
+            scalar, read = rng_from(2027, seed), rng_from(2027, seed)
+            assert run_double_open(game, 3000, read) == _scalar_double_open(game, 3000, scalar)
+            assert read.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("factory", [random_guess_adversary, read_swap_target_adversary,
+                                         tamper_and_read_adversary, aborting_adversary])
+    @pytest.mark.parametrize("scheme", [bell_ancilla_scheme, identity_scheme,
+                                        layered_cnot_scheme])
+    def test_builtin_games_match_the_scalar_loop(self, scheme, factory):
+        scheme = scheme()
+        game = DoubleOpenGame(scheme, factory(scheme))
+        scalar, read = rng_from(2028), rng_from(2028)
+        assert run_double_open(game, 2500, read) == _scalar_double_open(game, 2500, scalar)
+        assert read.bit_generator.state == scalar.bit_generator.state
 
 
 class TestAdversaryChecks:

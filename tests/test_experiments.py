@@ -1,5 +1,10 @@
 """End-to-end smoke of every experiment kind at reduced scale."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qpzk.harness import experiments
@@ -135,3 +140,19 @@ def test_double_open_rows_pinned_at_seed_7():
     assert [row.sigma for row in record.rows[:2]] == [
         0.011180339887498949, 0.011180339887498949]
     assert [row.verdict for row in record.rows] == ["PASS", "PASS", "PASS"]
+
+
+@pytest.mark.parametrize("kind", ["double-open", "pipeline"])
+def test_a_run_imports_only_the_modules_of_its_kind(kind):
+    # In a fresh interpreter: the package imports load no submodule.
+    code = ("import sys; from qpzk.cli import main; "
+            f"main([{kind!r}, '--trials', '20']); "
+            "print(' '.join(m for m in sys.modules if m.startswith('qpzk')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    loaded = set(out.splitlines()[-1].split())
+    assert "qpzk.cli" in loaded
+    assert not loaded & {"qpzk.crypto.mac", "qpzk.crypto.ideal",
+                         "qpzk.compilers.coin_flip", "qpzk.compilers.commit_rounds"}

@@ -211,6 +211,8 @@ class TestCli:
         ("double-open", {"scheme": "junk.txt"},
          _bell_scheme_json_with(message_qubits=1, ancilla_qubits=-1,
                                 com=complex_matrix_to_json(np.eye(1)), c_wires=[], d_wires=[])),
+        ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
+        ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
@@ -221,14 +223,17 @@ class TestCli:
             "double-open-scheme-missing", "double-open-scheme-not-unitary",
             "double-open-scheme-wires-not-partition", "double-open-scheme-qubits-not-a-number",
             "double-open-scheme-wrong-shape", "double-open-scheme-negative-ancillas",
+            "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])
     def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances, body):
         junk = tmp_path / "junk.txt"
         junk.write_text(body)
-        if instances is None:
+        if kind == "report":
             argv = ["report", str(junk)]
+        elif instances is None:
+            argv = [kind, "--config", str(junk)]  # the file is the config itself
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({
@@ -238,6 +243,10 @@ class TestCli:
             argv = [kind, "--config", str(cfg)]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_two(self, capsys):
+        assert main(["double-open", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_cap_exceeded_exit_three(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QPZK_QUBIT_CAP", "3")

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from qpzk.core import PureState, RegisterLayout, rng_from, tensor
+from qpzk.core.sampling import accept_bit
 from qpzk.errors import ConfigError
 from qpzk.harness.records import upper_bound_row
 from qpzk.pqma import (
     CheatStrategy,
+    _copy_acceptances,
+    _runner,
     _sample_distinct,
     PqmaParams,
     PqmaProverInput,
@@ -79,7 +82,44 @@ class TestSampleDistinct:
         assert batched.random() == scalar.random()
 
 
+def _scalar_runner(params, inst, prover_input):
+    """Reference: product-mode executions with one scalar draw per tested
+    copy, stopped at the first failing SWAP test."""
+    p, q = params.prover_copies, params.verifier_copies
+    swap_of, final_of = _copy_acceptances(inst, prover_input)
+
+    def run(rng) -> str:
+        tested = _sample_distinct(rng, p, q + 1)
+        for s in tested[:q]:
+            if rng.random() >= swap_of([s])[0]:
+                return "abort"
+        return "accept" if accept_bit(final_of(tested[q]), rng) else "reject"
+    return run
+
+
 class TestRunPqma:
+    @pytest.mark.parametrize("strategy,p,q", [
+        ("orthogonal", 3, 1), ("orthogonal", 8, 2), ("orthogonal", 2 * 10 ** 6, 300),
+        ("honest", 8, 2), ("honest", 2 * 10 ** 6, 300),
+        ("per-copy", 3, 1), ("per-copy", 8, 2), ("per-copy", 40, 7),
+    ])
+    def test_sized_swap_draws_match_the_scalar_loop(self, strategy, p, q):
+        inst = instance_check_family("no")
+        good = honest_shape_strategy(inst).prover_input
+        ortho = orthogonal_copy_strategy(inst).prover_input
+        prover_input = {
+            "orthogonal": ortho,
+            "honest": good,
+            "per-copy": PqmaProverInput.per_copy([good.pair, ortho.pair] * (p // 2)
+                                                 + [good.pair] * (p % 2)),
+        }[strategy]
+        params = PqmaParams(p, q, 1)
+        sized, scalar = rng_from(3200, p, q), rng_from(3200, p, q)
+        run, reference = _runner(params, inst, prover_input), _scalar_runner(params, inst, prover_input)
+        outcomes = [run(sized) for _ in range(300)]
+        assert outcomes == [reference(scalar) for _ in range(300)]
+        assert sized.bit_generator.state == scalar.bit_generator.state
+
     def test_honest_perfect_completeness(self):
         params = PqmaParams(8, 2, 1)
         inst = instance_check_family("yes")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
 from qpzk.core.sampling import random_amplitudes
@@ -65,6 +67,16 @@ class TestHonestExecution:
         assert abs(hits / n - exact) <= 3 * sigma + 1e-9
 
 
+class _FixedBranches(PublicCoinProtocol):
+    """A public-coin protocol reduced to two given branch values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def branch_value(self, strat, b):
+        return self.values[b]
+
+
 class TestSampling:
     def test_sampler_matches_sample_run_loop(self):
         pc = make_public_coin(rotated_copier_base(0.8))
@@ -81,6 +93,21 @@ class TestSampling:
         assert exact == pc.acceptance(strat)
         assert sampler_rng.bit_generator.state == loop_rng.bit_generator.state
         assert sampler_rng.random() == loop_rng.random()
+
+    @given(values=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           trials=st.sampled_from([1, 1023, 1024, 1025, 3000]),
+           seed=st.integers(0, 2 ** 32), half_full=st.booleans())
+    def test_sampler_matches_sample_run_loop_for_any_branch_values(self, values, trials,
+                                                                    seed, half_full):
+        pc = _FixedBranches(values)
+        loop_rng, sampler_rng = rng_from(seed), rng_from(seed)
+        if half_full:
+            # Leaves the high half of a word buffered on both sides.
+            loop_rng.integers(2)
+            sampler_rng.integers(2)
+        loop_hits = sum(pc.sample_run(None, None, loop_rng)[0] for _ in range(trials))
+        assert pc.sample_hits(None, trials, sampler_rng)[0] == loop_hits
+        assert sampler_rng.bit_generator.state == loop_rng.bit_generator.state
 
     @pytest.mark.parametrize("coin", [0, 1])
     def test_scheduled_coin_from_an_iterator(self, coin):
@@ -142,6 +169,16 @@ class TestSimulator:
         ones = sum(t.coin for t in hv_simulate_public_coin(pc, sim, n, rng))
         sigma = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 3 * sigma
+
+    @pytest.mark.parametrize("trials", [1, 1025, 3000])
+    def test_coins_are_the_scalar_coin_draws(self, trials):
+        base = copier_base()
+        pc = make_public_coin(base)
+        sim = HvzkSimulator.from_honest_prover(base)
+        loop_rng, sim_rng = rng_from(2801), rng_from(2801)
+        coins = [int(loop_rng.integers(2)) for _ in range(trials)]
+        assert [t.coin for t in hv_simulate_public_coin(pc, sim, trials, sim_rng)] == coins
+        assert sim_rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_simulated_swap_branch_passes_exactly(self):
         base = rotated_copier_base(0.7)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpzk.core import RegisterLayout, random_pure_state, random_unitary, rng_from
-from qpzk.core.sampling import _BLOCK, ScalarDraws, choice_cdf
+from qpzk.core.sampling import _BLOCK, BLOCK_TRIALS, ScalarDraws, accept_all, accept_bit, choice_cdf
 
 
 class TestRandomUnitary:
@@ -142,3 +142,77 @@ class TestScalarDraws:
         scalar.random()
         scalar.integers(2)
         assert read.bit_generator.state == scalar.bit_generator.state
+
+
+# One bulk op is (pattern, trials, kept): peek `trials` trials of `pattern`
+# (True marks a bit call), then take the first `kept`; a scalar op is a list
+# of calls.
+_PATTERNS = st.lists(st.booleans(), min_size=1, max_size=5)
+_BULK = st.tuples(_PATTERNS, st.integers(1, 1500), st.integers(0, 1500)).map(
+    lambda op: (op[0], op[1], min(op[1], op[2])))
+_MIXED = st.lists(st.one_of(_BULK, st.lists(st.booleans(), min_size=1, max_size=40)),
+                  min_size=1, max_size=6)
+
+
+def _scalar_call(rng, is_bit):
+    return float(int(rng.integers(2))) if is_bit else rng.random()
+
+
+def _read_call(draws, is_bit):
+    return float(draws.bit()) if is_bit else draws.random()
+
+
+class TestBulkDraws:
+    @given(seed=st.integers(0, 2 ** 32), ops=_MIXED, half_full=st.booleans())
+    def test_peeked_trials_match_scalar_calls(self, seed, ops, half_full):
+        scalar, read = rng_from(seed), rng_from(seed)
+        if half_full:
+            scalar.integers(2)
+            read.integers(2)
+        expected, got = [], []
+        with ScalarDraws(read) as draws:
+            for op in ops:
+                if isinstance(op, tuple):
+                    pattern, trials, kept = op
+                    values = draws.peek(pattern, trials)
+                    assert values.shape == (trials, len(pattern))
+                    got.extend(values[:kept].ravel().tolist())
+                    draws.take(kept)
+                    calls = pattern * kept
+                else:
+                    calls = op
+                    got.extend(_read_call(draws, is_bit) for is_bit in calls)
+                expected.extend(_scalar_call(scalar, is_bit) for is_bit in calls)
+        assert got == expected
+        assert read.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("half_full", [False, True])
+    def test_blocks_cover_every_trial(self, half_full):
+        scalar, read = rng_from(35), rng_from(35)
+        if half_full:
+            scalar.integers(2)
+            read.integers(2)
+        trials = 2 * BLOCK_TRIALS + 1
+        with ScalarDraws(read) as draws:
+            blocks = list(draws.blocks((True, False, True), trials))
+        assert [len(v) for v in blocks] == [BLOCK_TRIALS, BLOCK_TRIALS, 1]
+        expected = [_scalar_call(scalar, is_bit)
+                    for _ in range(trials) for is_bit in (True, False, True)]
+        assert np.concatenate(blocks).ravel().tolist() == expected
+        assert read.bit_generator.state == scalar.bit_generator.state
+
+
+_CHECKS = st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), max_size=8)
+
+
+class TestAcceptAll:
+    @given(seed=st.integers(0, 2 ** 32),
+           runs=st.lists(st.tuples(st.integers(0, 3), _CHECKS), min_size=1, max_size=20))
+    def test_matches_the_stopped_scalar_loop(self, seed, runs):
+        # Each run first draws some bounded integers, as pqma's subset draw
+        # does, which can leave a half-word buffered.
+        scalar, sized = rng_from(seed), rng_from(seed)
+        for draws, p in runs:
+            assert scalar.integers(10, size=draws).tolist() == sized.integers(10, size=draws).tolist()
+            assert accept_all(p, sized) == all(accept_bit(x, scalar) for x in p)
+            assert sized.bit_generator.state == scalar.bit_generator.state
