@@ -3,22 +3,25 @@
 Encoding appends trap qubits in |0>, applies a keyed wire permutation and a
 keyed Pauli mask. Decoding inverts both and accepts iff every trap measures
 zero; on rejection the message register is replaced by the maximally mixed
-state. Keys are enumerated exactly up to a configurable bound, so the
+state. A key's encoding is a signed permutation of basis indices, so it is
+applied to a matrix by an index gather and a sign multiply; no key is ever a
+dense unitary. Keys are enumerated exactly up to a configurable bound, so the
 key-averaged real channel is computed without sampling.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import P0, P1, X, Z
+from qpzk.core.operators import P0, P1
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.states import MixedState, PureState, QuantumState
+from qpzk.core.states import MixedState, PureState, QuantumState, partial_trace
 from qpzk.errors import ConfigError, DimensionMismatchError
 
 KEY_ENUMERATION_CAP = 2 ** 16
@@ -40,14 +43,13 @@ class QuantumMac:
         self.message_qubits = message_qubits
         self.traps = traps
         self.code_qubits = message_qubits + traps
-        n_keys = _factorial(self.code_qubits) * 4 ** self.code_qubits
+        n_keys = math.factorial(self.code_qubits) * 4 ** self.code_qubits
         if n_keys > KEY_ENUMERATION_CAP:
             raise ConfigError(
                 f"key space {n_keys} exceeds enumeration cap {KEY_ENUMERATION_CAP}; "
                 "use fewer wires"
             )
         self.keys: tuple[MacKey, ...] = tuple(self._all_keys())
-        self._enc_cache: dict[MacKey, np.ndarray] = {}
 
     def _all_keys(self) -> Iterable[MacKey]:
         wires = self.code_qubits
@@ -56,36 +58,25 @@ class QuantumMac:
                 for zm in itertools.product((0, 1), repeat=wires):
                     yield MacKey(perm, xm, zm)
 
-    # -- per-key unitaries ---------------------------------------------------
+    # -- per-key encodings ---------------------------------------------------
 
     def encode_unitary(self, key: MacKey) -> np.ndarray:
-        """Pauli mask after the wire permutation, on all code wires."""
-        cached = self._enc_cache.get(key)
-        if cached is not None:
-            return cached
-        wires = self.code_qubits
-        perm_mat = _permutation_unitary(key.permutation, wires)
-        mask = np.eye(1, dtype=complex)
-        for x_bit, z_bit in zip(key.x_mask, key.z_mask):
-            op = np.eye(2, dtype=complex)
-            if x_bit:
-                op = X @ op
-            if z_bit:
-                op = Z @ op
-            mask = np.kron(mask, op)
-        out = mask @ perm_mat
-        out.setflags(write=False)
-        self._enc_cache[key] = out
+        """Pauli mask after the wire permutation, on all code wires, as a
+        dense matrix: column j is sign[j] * e_index[j]."""
+        index, sign = _signed_permutation(key)
+        out = np.zeros((index.size, index.size), dtype=complex)
+        out[index, np.arange(index.size)] = sign
         return out
 
     def encode(self, key: MacKey, message: QuantumState) -> MixedState:
         """Keyed encoding of a message state into the code register."""
         if message.n_qubits != self.message_qubits:
             raise DimensionMismatchError("message size mismatch")
-        traps = PureState.computational(RegisterLayout.single("T", self.traps))
-        mat = np.kron(message.density(), traps.density())
-        enc = self.encode_unitary(key)
-        out = enc @ mat @ enc.conj().T
+        index, sign = _signed_permutation(key)
+        rows = _traps_zero(self.message_qubits, self.traps, 0)
+        s = sign[rows]
+        out = np.zeros((index.size, index.size), dtype=complex)
+        out[np.ix_(index[rows], index[rows])] = s[:, None] * message.density() * s[None, :]
         return MixedState(out, RegisterLayout.single("C", self.code_qubits))
 
     def decode(self, key: MacKey, code: QuantumState) -> tuple[float, Optional[MixedState]]:
@@ -96,16 +87,13 @@ class QuantumMac:
         """
         if code.n_qubits != self.code_qubits:
             raise DimensionMismatchError("code size mismatch")
-        enc = self.encode_unitary(key)
-        mat = enc.conj().T @ code.density() @ enc
-        trap_zero = _projector_traps_zero(self.message_qubits, self.traps)
-        accepted = trap_zero @ mat @ trap_zero
+        trap_zero = _traps_zero(self.message_qubits, self.traps, 0)
+        accepted = (_conjugate(code.density(), *_signed_permutation(key))
+                    * np.outer(trap_zero, trap_zero))
         p = float(accepted.trace().real)
         if p <= 1e-12:
             return 0.0, None
         lay = RegisterLayout.of(("Msg", self.message_qubits), ("T", self.traps))
-        from qpzk.core.states import partial_trace
-
         post = partial_trace(MixedState(accepted / p, lay), "T")
         return p, post
 
@@ -120,39 +108,26 @@ class QuantumMac:
         code_r = self.code_qubits + nr
         if attack.shape != (2 ** code_r, 2 ** code_r):
             raise DimensionMismatchError("attack must act on (C, R)")
-        # Insert trap wires between M and R: (M, R) + T -> (M, T, R).
-        base = np.kron(rho_mr.density(), _zero_density(t))
-        order = list(range(nm)) + list(range(nm + nr, nm + nr + t)) + list(range(nm, nm + nr))
-        base = linalg.permute_matrix(base, order, nm + nr + t)
-
-        trap_zero = _projector_traps_zero(nm, t)
-        out_dim = 2 ** (nm + nr + 1)
-        total = np.zeros((out_dim, out_dim), dtype=complex)
-        mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
+        # Insert trap wires in |0> between M and R: (M, R) + T -> (M, T, R).
+        trap_zero = _traps_zero(nm, t, nr)
         n_all = nm + t + nr
-        acc_proj = linalg.embed(trap_zero, list(range(nm + t)), n_all)
+        base = np.zeros((2 ** n_all, 2 ** n_all), dtype=complex)
+        base[np.ix_(trap_zero, trap_zero)] = rho_mr.density()
+        acc_mask = np.outer(trap_zero, trap_zero)
         keep_mr = list(range(nm)) + list(range(nm + t, n_all))
         keep_r = list(range(nm + t, n_all))
-        eye_r = np.eye(2 ** nr, dtype=complex)
+        acc_mr = rej_r = 0
         for key in self.keys:
-            enc = np.kron(self.encode_unitary(key), eye_r)
-            conj = enc.conj().T @ attack @ enc
+            conj = _conjugate(attack, *_signed_permutation(key, nr))
             mat = conj @ base @ conj.conj().T
-            accepted = acc_proj @ mat @ acc_proj
-            rejected = mat - accepted
-            acc_mr = linalg.partial_trace_matrix(accepted, keep_mr, n_all)
-            rej_r = linalg.partial_trace_matrix(rejected, keep_r, n_all)
-            total += np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
+            accepted = mat * acc_mask
+            acc_mr += linalg.partial_trace_matrix(accepted, keep_mr, n_all)
+            rej_r += linalg.partial_trace_matrix(mat - accepted, keep_r, n_all)
+        # Exact: the kron factors below are 0, 1 and 2^-nm, so summing over the
+        # keys before the kron adds the same numbers in the same order.
+        mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
+        total = np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
         return total / len(self.keys)
-
-    def decode_sampled(self, key: MacKey, code: QuantumState, rng):
-        """(message, flag) with the flag drawn from the trap statistics; the
-        rejected branch yields the maximally mixed message."""
-        p, post = self.decode(key, code)
-        if rng.random() < p:
-            return post, 1
-        lay = RegisterLayout.single("Msg", self.message_qubits)
-        return MixedState.maximally_mixed(lay), 0
 
     def detection_probability(self, attack: np.ndarray,
                               message: Optional[QuantumState] = None) -> float:
@@ -167,32 +142,31 @@ class QuantumMac:
         return float(flag[0, 0].real)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _signed_permutation(key: MacKey, r_qubits: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) such that the key's encoding, times the identity on
+    r_qubits trailing wires, sends basis j to sign[j] * e_index[j].
+
+    The wire permutation sends code basis j to sigma(j); X^x then flips the
+    masked bits and Z^z signs by the parity of the masked bits that are set.
+    """
+    n = len(key.permutation)
+    x_bits = int("".join(map(str, key.x_mask)), 2)
+    z_bits = int("".join(map(str, key.z_mask)), 2)
+    index = linalg.permute_vector(np.arange(2 ** n), key.permutation, n) ^ x_bits
+    sign = 1.0 - 2.0 * (np.bitwise_count(index & z_bits) & 1)
+    r = np.arange(2 ** r_qubits)
+    return (index[:, None] << r_qubits | r).ravel(), np.repeat(sign, r.size)
 
 
-def _permutation_unitary(perm: tuple[int, ...], n: int) -> np.ndarray:
-    """Unitary moving wire i to position perm[i]."""
-    order = [0] * n
-    for i, p in enumerate(perm):
-        order[p] = i
-    return linalg.permutation_unitary(order, n)
+def _conjugate(mat: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """enc^dagger @ mat @ enc for the signed permutation enc = (index, sign)."""
+    return sign[:, None] * mat[index][:, index] * sign[None, :]
 
 
-def _zero_density(qubits: int) -> np.ndarray:
-    d = 2 ** qubits
-    out = np.zeros((d, d), dtype=complex)
-    out[0, 0] = 1.0
-    return out
-
-
-def _projector_traps_zero(message_qubits: int, traps: int) -> np.ndarray:
-    zeros = np.zeros((2 ** traps, 2 ** traps), dtype=complex)
-    zeros[0, 0] = 1.0
-    return np.kron(np.eye(2 ** message_qubits, dtype=complex), zeros)
+def _traps_zero(message_qubits: int, traps: int, r_qubits: int) -> np.ndarray:
+    """Basis states of (M, T, R) whose trap bits are all zero."""
+    index = np.arange(2 ** (message_qubits + traps + r_qubits))
+    return (index >> r_qubits) % 2 ** traps == 0
 
 
 # -- real vs ideal -----------------------------------------------------------

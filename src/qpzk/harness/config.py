@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,11 +76,13 @@ class ExperimentConfig:
             raise ConfigError("trials: must be a positive integer")
         if self.format not in ("json", "csv"):
             raise ConfigError("format: must be 'json' or 'csv'")
+        defaults = _DEFAULT_PARAMS[self.kind]
+        merged = dict(defaults)
         for key, value in self.params.items():
-            if not isinstance(value, (int, float, str)):
-                raise ConfigError(f"params.{key}: must be a number or string")
-        merged = dict(_DEFAULT_PARAMS[self.kind])
-        merged.update(self.params)
+            if key not in defaults:
+                raise ConfigError(f"params.{key}: unknown parameter for {self.kind}; "
+                                  f"choose from {', '.join(sorted(defaults)) or 'none'}")
+            merged[key] = _checked_param(key, value, defaults[key])
         object.__setattr__(self, "params", merged)
 
     @property
@@ -106,6 +109,17 @@ class ExperimentConfig:
             "instances": dict(sorted(self.instances.items())),
             "tolerances": dict(sorted(self.tolerances.items())),
         }
+
+
+def _checked_param(name: str, value, default):
+    """The value if its type fits the default's: an int param takes an int,
+    a float param a finite int or float, stored as a float; never a bool."""
+    want_int = isinstance(default, int)
+    if (isinstance(value, bool) or not isinstance(value, int if want_int else (int, float))
+            or not want_int and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"params.{name}: must be "
+                          f"{'an integer' if want_int else 'a finite number'}, got {value!r}")
+    return value if want_int else float(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -54,8 +54,8 @@ def _stream(config: ExperimentConfig, substream: int):
 
 
 def _run_core_check(config: ExperimentConfig, record: ExperimentRecord) -> None:
-    samples = int(config.param("samples"))
-    max_dim_qubits = int(config.param("dims"))
+    samples = config.param("samples")
+    max_dim_qubits = config.param("dims")
     tol = config.tolerance("identity", 1e-9)
 
     rng = _stream(config, 0)
@@ -141,7 +141,7 @@ def _run_pqma(config: ExperimentConfig, record: ExperimentRecord) -> None:
     )
 
     trials = config.effective_trials
-    p, q, n = int(config.param("p")), int(config.param("q")), int(config.param("n"))
+    p, q, n = config.param("p"), config.param("q"), config.param("n")
     params = PqmaParams(p, q, n)
 
     if "instance" in config.instances:
@@ -167,7 +167,7 @@ def _run_pqma(config: ExperimentConfig, record: ExperimentRecord) -> None:
                          "VACUOUS" if small_bound > 1 else "PASS",
                          "formula:copy-test-soundness"))
 
-    p_large, q_large = int(config.param("p_large")), int(config.param("q_large"))
+    p_large, q_large = config.param("p_large"), config.param("q_large")
     big = PqmaParams(p_large, q_large, n)
     rng = _stream(config, 1)
     report = cheat_harness(big, no_inst,
@@ -217,9 +217,9 @@ def _run_collapse(config: ExperimentConfig, record: ExperimentRecord) -> None:
                             config.tolerance("identity", 1e-9),
                             "formula:branch-overlap"))
 
-    n_bases = int(config.param("bases"))
-    restarts = int(config.param("oracle_restarts"))
-    iters = int(config.param("oracle_iters"))
+    n_bases = config.param("bases")
+    restarts = config.param("oracle_restarts")
+    iters = config.param("oracle_iters")
     worst_margin = None
     for idx in range(n_bases):
         rnd = random_perfect_base(idx) if idx % 2 == 0 else _random_base(config, idx)
@@ -264,7 +264,7 @@ def _run_public_coin(config: ExperimentConfig, record: ExperimentRecord) -> None
     from qpzk.optimize import alternating_ascent, brute_force_prover_value
     from qpzk.protocol import run_protocol
 
-    theta = float(config.param("theta"))
+    theta = config.param("theta")
     base = rotated_copier_base(theta)
     pc = make_public_coin(base)
     honest = pc.honest_strategy()
@@ -274,10 +274,10 @@ def _run_public_coin(config: ExperimentConfig, record: ExperimentRecord) -> None
                                1.0 - completeness, 0.0,
                                "exact:branch-average", slack=1e-9))
 
-    restarts = int(config.param("oracle_restarts"))
-    iters = int(config.param("oracle_iters"))
+    restarts = config.param("oracle_restarts")
+    iters = config.param("oracle_iters")
     worst = None
-    for idx in range(int(config.param("bases"))):
+    for idx in range(config.param("bases")):
         b = hidden_target_base(0.3 + 0.25 * idx)
         zeta = brute_force_prover_value(b, _stream(config, 10 + idx),
                                         restarts=restarts, iters=iters)
@@ -332,7 +332,7 @@ def _run_zk(config: ExperimentConfig, record: ExperimentRecord) -> None:
 
     base = copier_base()
     pc = make_public_coin(base)
-    reps = int(config.param("reps"))
+    reps = config.param("reps")
     cf = make_malicious_zk(pc, reps)
     trials = config.effective_trials
 
@@ -403,14 +403,14 @@ def _run_mac(config: ExperimentConfig, record: ExperimentRecord) -> None:
     from qpzk.core.operators import X
     from qpzk.crypto.mac import QuantumMac, mac_real_vs_ideal, natural_simulator
 
-    mac = QuantumMac(int(config.param("message_qubits")),
-                     int(config.param("traps")))
+    mac = QuantumMac(config.param("message_qubits"), config.param("traps"))
     rng = _stream(config, 0)
     msg = random_pure_state(RegisterLayout.single("Msg", mac.message_qubits), rng)
+    want = msg.to_mixed()
     worst = 0.0
     for key in mac.keys:
         p, post = mac.decode(key, mac.encode(key, msg))
-        worst = max(worst, abs(p - 1.0), trace_distance(post, msg.to_mixed()))
+        worst = max(worst, abs(p - 1.0), trace_distance(post, want))
     record.add(equality_row("roundtrip-worst-error-over-all-keys", worst, 0.0,
                             config.tolerance("identity", 1e-9),
                             "exact:key-enumeration"))
@@ -457,9 +457,9 @@ def _run_uhlmann(config: ExperimentConfig, record: ExperimentRecord) -> None:
         zk_simulate_uhlmann,
     )
 
-    delta = float(config.param("delta"))
-    rq, sq = int(config.param("r_qubits")), int(config.param("s_qubits"))
-    count = int(config.param("instances"))
+    delta = config.param("delta")
+    rq, sq = config.param("r_qubits"), config.param("s_qubits")
+    count = config.param("instances")
 
     worst = 0.0
     for idx in range(count):
@@ -482,7 +482,7 @@ def _run_uhlmann(config: ExperimentConfig, record: ExperimentRecord) -> None:
                             0.0, config.tolerance("identity", 1e-9),
                             "exact:state-evolution"))
 
-    rec = soundness_check(inst, perturbed_prover(inst, float(config.param("perturbation"))),
+    rec = soundness_check(inst, perturbed_prover(inst, config.param("perturbation")),
                           trials=config.effective_trials, rng=_stream(config, 1002))
     if rec.verdict == "NOT-APPLICABLE":
         record.add(MetricRow("perturbed-prover-output-distance", rec.acceptance,
@@ -532,8 +532,8 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     # is vacuous by construction; amplification makes it informative at the
     # formula level and both values are recorded.
     base = _load_base(config,
-                      lambda: partial_coupler_base(0.5, float(config.param("theta"))))
-    k = int(config.param("k"))
+                      lambda: partial_coupler_base(0.5, config.param("theta")))
+    k = config.param("k")
     stages = build_pipeline(base)
 
     zeta = brute_force_prover_value(base, _stream(config, 0),

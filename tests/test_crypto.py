@@ -1,5 +1,7 @@
 """Ideal functionality sessions, commitments, double-opening game, trap MAC."""
 
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +13,12 @@ from qpzk.core import (
     MixedState,
     PureState,
     RegisterLayout,
+    linalg,
     random_pure_state,
     rng_from,
     trace_distance,
 )
-from qpzk.core.operators import X
+from qpzk.core.operators import X, Z
 from qpzk.core.sampling import BLOCK_TRIALS, accept_bit
 from qpzk.crypto.commitments import (
     Adversary,
@@ -41,7 +44,13 @@ from qpzk.crypto.ideal import (
     identity_functionality,
     xor_coin_functionality,
 )
-from qpzk.crypto.mac import QuantumMac, mac_real_vs_ideal, natural_simulator
+from qpzk.crypto.mac import (
+    QuantumMac,
+    _conjugate,
+    _signed_permutation,
+    mac_real_vs_ideal,
+    natural_simulator,
+)
 from qpzk.errors import ConfigError, RegisterError, StateValidationError
 
 MSG1 = RegisterLayout.single("Msg", 1)
@@ -451,10 +460,63 @@ class TestTrapMac:
                                  [np.eye(2, dtype=complex)], [], r_qubits=1)
         assert dist > 0.7  # close to the 3/4 detection probability
 
-    def test_decode_sampled_flag(self, mac):
-        rng = rng_from(19)
-        m = PureState.from_bits(MSG1, "0")
-        key = mac.keys[5]
-        post, flag = mac.decode_sampled(key, mac.encode(key, m), rng)
-        assert flag == 1
-        assert trace_distance(post, m.to_mixed()) < 1e-9
+
+def _kron_chain_encoding(key, wires):
+    """The trap code's encoding as it was first built: the Pauli mask, a
+    kron chain of Z^z X^x, after the wire permutation's unitary."""
+    order = [0] * wires
+    for i, p in enumerate(key.permutation):
+        order[p] = i
+    mask = np.eye(1, dtype=complex)
+    for x_bit, z_bit in zip(key.x_mask, key.z_mask):
+        mask = np.kron(mask, np.linalg.matrix_power(Z, z_bit) @ np.linalg.matrix_power(X, x_bit))
+    return mask @ linalg.permutation_unitary(order, wires)
+
+
+def _pauli_string(pauli, wires, n):
+    out = np.eye(1, dtype=complex)
+    for w in range(n):
+        out = np.kron(out, pauli if w in wires else np.eye(2, dtype=complex))
+    return out
+
+
+class TestSignedPermutationKeys:
+    """Each key's encoding is a signed permutation applied by index gather."""
+
+    @pytest.mark.parametrize("m,t", [(1, 1), (1, 2), (1, 3), (2, 2)])
+    def test_encoding_equals_the_kron_chain(self, m, t):
+        code = QuantumMac(m, t)
+        for key in code.keys:
+            assert np.array_equal(code.encode_unitary(key),
+                                  _kron_chain_encoding(key, code.code_qubits))
+
+    @pytest.mark.parametrize("m,t", [(1, 1), (1, 2), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("r_qubits", [0, 1])
+    def test_gathered_conjugation_equals_the_dense_product(self, m, t, r_qubits):
+        code = QuantumMac(m, t)
+        rng = rng_from(20)
+        dim = 2 ** (code.code_qubits + r_qubits)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        eye_r = np.eye(2 ** r_qubits, dtype=complex)
+        for key in code.keys:
+            enc = np.kron(code.encode_unitary(key), eye_r)
+            gathered = _conjugate(a, *_signed_permutation(key, r_qubits))
+            assert gathered.tobytes() == (enc.conj().T @ a @ enc).tobytes()
+
+    @pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
+    def test_x_attack_goes_undetected_with_the_closed_form(self, m, t):
+        # The key permutation hides the w flipped wires among all n code wires
+        # uniformly, and a flip is missed only if it lands on message wires.
+        code = QuantumMac(m, t)
+        n = code.code_qubits
+        for w in range(1, n + 1):
+            placements = list(itertools.combinations(range(n), w))
+            for wires in {placements[0], placements[-1]}:
+                det = code.detection_probability(_pauli_string(X, wires, n))
+                assert 1.0 - det == pytest.approx(math.comb(m, w) / math.comb(n, w),
+                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("wires", [(0,), (3,), (1, 2), (0, 1, 2, 3)])
+    def test_z_attack_is_never_detected(self, mac, wires):
+        det = mac.detection_probability(_pauli_string(Z, wires, mac.code_qubits))
+        assert det == pytest.approx(0.0, abs=1e-12)

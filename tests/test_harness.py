@@ -47,6 +47,26 @@ class TestConfig:
         assert cfg.param("q") == 3
         assert cfg.param("p") == 8  # default preserved
 
+    @pytest.mark.parametrize("params,name", [
+        ({"traps": "x"}, "params.traps"),
+        ({"traps": 2.7}, "params.traps"),
+        ({"traps": True}, "params.traps"),
+        ({"trapz": 2}, "params.trapz"),
+    ])
+    def test_bad_param_rejected(self, params, name):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(kind="mac", params=params)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
+    def test_float_param_must_be_finite(self, delta):
+        with pytest.raises(ConfigError, match="params.delta"):
+            ExperimentConfig(kind="uhlmann", params={"delta": delta})
+
+    def test_float_param_stores_an_int_as_a_float(self):
+        cfg = ExperimentConfig(kind="uhlmann", params={"delta": 3})
+        assert type(cfg.param("delta")) is float and cfg.param("delta") == 3.0
+        assert cfg.echo() == ExperimentConfig(kind="uhlmann", params={"delta": 3.0}).echo()
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "mac", "seed": 7, "trials": 5}))
@@ -213,6 +233,9 @@ class TestCli:
                                 com=complex_matrix_to_json(np.eye(1)), c_wires=[], d_wires=[])),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
+        ("mac", None, json.dumps({"kind": "mac", "params": {"traps": "x"}})),
+        ("mac", None, json.dumps({"kind": "mac", "params": {"traps": 2.7}})),
+        ("mac", None, json.dumps({"kind": "mac", "params": {"trapz": 2}})),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
@@ -224,6 +247,8 @@ class TestCli:
             "double-open-scheme-wires-not-partition", "double-open-scheme-qubits-not-a-number",
             "double-open-scheme-wrong-shape", "double-open-scheme-negative-ancillas",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
+            "mac-config-param-not-a-number", "mac-config-param-not-an-integer",
+            "mac-config-unknown-param",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])
