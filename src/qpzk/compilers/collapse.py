@@ -22,7 +22,7 @@ from qpzk.core.operators import (H, P0, P1, X, CNOT, controlled, projector_onto,
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep, Step, apply_steps
+from qpzk.optimize import AscentProblem, Branch, bind
 from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
@@ -164,21 +164,20 @@ class CollapsedProtocol:
         return v_r.conj().T @ pi1 @ v_r
 
     def _challenge_steps(self, challenge: int, lay: RegisterLayout,
-                         reply_wires: tuple[str, ...]) -> tuple[Step, ...]:
-        """The verifier's run for one challenge i on layout lay: accept
-        projector on W_r M_r, V_i on W_i M_i, swap of W_i and W_i+1
+                         reply_wires: tuple[str, ...]) -> tuple:
+        """The verifier's run for one challenge i on layout lay, as gates:
+        accept projector on W_r M_r, V_i on W_i M_i, swap of W_i and W_i+1
         controlled on B, the prover's reply as slot U_i on reply_wires,
         controlled-X from B to Bp, then |+><+| on B."""
         i = challenge
         wires = lay.qubits_of_all
         return (
-            FixedStep(self.accept_projector(), tuple(wires([f"W{self.r}", f"M{self.r}"]))),
-            FixedStep(self.base.verifier_unitaries[i - 1], tuple(wires([f"W{i}", f"M{i}"]))),
-            FixedStep(_controlled_swap(self.base.w_qubits),
-                      tuple(wires(["B", f"W{i}", f"W{i + 1}"]))),
-            SlotStep(f"U{i}", tuple(wires(reply_wires))),
-            FixedStep(CNOT, tuple(wires(["B", "Bp"]))),
-            FixedStep(PLUS_PROJ, tuple(wires(["B"]))),
+            (self.accept_projector(), tuple(wires([f"W{self.r}", f"M{self.r}"]))),
+            (self.base.verifier_unitaries[i - 1], tuple(wires([f"W{i}", f"M{i}"]))),
+            (_controlled_swap(self.base.w_qubits), tuple(wires(["B", f"W{i}", f"W{i + 1}"]))),
+            (f"U{i}", tuple(wires(reply_wires))),
+            (CNOT, tuple(wires(["B", "Bp"]))),
+            (PLUS_PROJ, tuple(wires(["B"]))),
         )
 
     def challenge_outcome(self, strat: CollapsedStrategy, challenge: int,
@@ -192,16 +191,15 @@ class CollapsedProtocol:
             raise ConfigError(f"strategy touches verifier wires: {names}")
         lay = self.layout(strat.private_qubits)
         n = lay.total_qubits
-        steps = self._challenge_steps(challenge, lay, names)
-        reply = {f"U{challenge}": mat}
+        gates = bind(self._challenge_steps(challenge, lay, names), {f"U{challenge}": mat})
 
-        vec = apply_steps(self.initial_joint(strat).amplitudes, steps[:1], reply, n)
+        vec = linalg.apply_gates(gates[:1], self.initial_joint(strat).amplitudes, n)
         p_acc = float(np.linalg.norm(vec) ** 2)
         if p_acc <= 1e-15:
             return (0.0, 0.0, 0.0, None) if keep_state else (0.0, 0.0, 0.0)
-        pre_cnot = apply_steps(vec, steps[1:4], reply, n)
-        vec = apply_steps(pre_cnot, steps[4:5], reply, n)
-        final = apply_steps(vec, steps[5:], reply, n)
+        pre_cnot = linalg.apply_gates(gates[1:4], vec, n)
+        vec = linalg.apply_gates(gates[4:5], pre_cnot, n)
+        final = linalg.apply_gates(gates[5:], vec, n)
         p_bell = float(np.linalg.norm(final) ** 2) / p_acc
         overall = p_acc * p_bell
         if keep_state:

@@ -110,8 +110,8 @@ class CommitRoundProtocol:
         wm = lay.qubits_of_all(["W", "M"])
         for i in range(1, base.rounds + 1):
             for mat, names in strat.ops_for(i):
-                vec = self._apply_prover_op(vec, np.asarray(mat, dtype=complex),
-                                            names, lay)
+                vec = linalg.apply_to_vector(np.asarray(mat, dtype=complex), vec,
+                                             self._prover_wires(names, lay), n)
             vec = linalg.apply_to_vector(scheme.com_dagger, vec, com_wires, n)
             passed = linalg.apply_to_vector(zero_anc, vec, com_wires, n)
             p_before = float(np.linalg.norm(vec) ** 2)
@@ -127,7 +127,8 @@ class CommitRoundProtocol:
         p_reject = float(np.linalg.norm(vec) ** 2) - p_accept
         return CommitRunResult(p_accept, max(p_reject, 0.0), tuple(aborts))
 
-    def _apply_prover_op(self, vec, mat, names, lay: RegisterLayout):
+    def _prover_wires(self, names, lay: RegisterLayout) -> list[int]:
+        """Wires of the named prover registers; C is the commitment register."""
         allowed = {"C", "M", "R", "Anc"}
         if not set(names) <= allowed:
             raise ConfigError(f"prover operation touches verifier wires: {names}")
@@ -137,7 +138,7 @@ class CommitRoundProtocol:
                 targets.extend(self.c_wire_positions(lay))
             else:
                 targets.extend(lay.qubits_of(name))
-        return linalg.apply_to_vector(mat, vec, targets, lay.total_qubits)
+        return targets
 
 
 def compile_hvzk(base: InteractiveProtocol,

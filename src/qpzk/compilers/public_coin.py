@@ -20,7 +20,7 @@ from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import ScalarDraws, accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.optimize import AscentProblem, Branch, FixedStep, SlotStep, Step, apply_steps
+from qpzk.optimize import AscentProblem, Branch, bind
 from qpzk.protocol import InteractiveProtocol, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
@@ -102,8 +102,8 @@ class PublicCoinProtocol:
 
     # -- exact evaluation -------------------------------------------------------
 
-    def _branch_steps(self, b: int, ancilla_qubits: int = 0) -> tuple[Step, ...]:
-        """Branch b as steps on (R, W, M, ancilla): the response slot U_b on
+    def _branch_steps(self, b: int, ancilla_qubits: int = 0) -> tuple:
+        """Branch b as gates on (R, W, M, ancilla): the response slot U_b on
         R M and the ancilla, then for b = 0 the gates of V_2 and |1><1| on
         the first W qubit, for b = 1 the gates of V_1^dagger and the square
         root of the SWAP-test accept operator on W."""
@@ -113,18 +113,19 @@ class PublicCoinProtocol:
         wm = lay.qubits_of_all(["W", "M"])
         if b == 0:
             gates = linalg.placed(self.base.verifier_rounds[1], wm)
-            check = FixedStep(P1, (lay.qubits_of("W")[0],))
+            check = (P1, (lay.qubits_of("W")[0],))
         else:
             gates = linalg.adjoint(linalg.placed(self.base.verifier_rounds[0], wm))
-            check = FixedStep(self.sqrt_swap_accept, tuple(lay.qubits_of("W")))
-        return (SlotStep(f"U{b}", rm), *(FixedStep(*g) for g in gates), check)
+            check = (self.sqrt_swap_accept, tuple(lay.qubits_of("W")))
+        return ((f"U{b}", rm), *gates, check)
 
     def branch_value(self, strat: PublicCoinStrategy, b: int) -> float:
         n = self.layout.total_qubits
         vec = np.asarray(strat.opening, dtype=complex)
         if vec.shape[0] != 2 ** n:
             raise DimensionMismatchError("opening state must live on (R, W, M)")
-        out = apply_steps(vec, self._branch_steps(b), {f"U{b}": strat.response_for(b)}, n)
+        gates = bind(self._branch_steps(b), {f"U{b}": strat.response_for(b)})
+        out = linalg.apply_gates(gates, vec, n)
         return float(np.linalg.norm(out) ** 2)
 
     def transcript_acceptance(self, wm_state: MixedState, b: int) -> float:

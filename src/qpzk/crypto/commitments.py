@@ -282,7 +282,7 @@ class DoubleOpenGame:
         for w, wp in zip(range(m), mprime):
             self._swap_order[w], self._swap_order[wp] = wp, w
 
-        vec = self._apply(prepare, linalg.basis_vector(0, 2 ** self.n))
+        vec = linalg.apply_gates(prepare, linalg.basis_vector(0, 2 ** self.n), self.n)
         self.p_open, opened = self._open_check(vec)
         self.p_second: list[Optional[float]] = [None, None]
         self.mprime_marginal: list[Optional[np.ndarray]] = [None, None]
@@ -292,16 +292,11 @@ class DoubleOpenGame:
             # b = 1 swaps M' in before the first recommit, b = 0 after the
             # second check.
             vec = self._recommit(opened, swap=b == 1)
-            p, vec = self._open_check(self._apply(respond, vec))
+            p, vec = self._open_check(linalg.apply_gates(respond, vec, self.n))
             self.p_second[b] = p
             if vec is not None and adversary.reads_swap_target:
                 vec = self._recommit(vec, swap=b == 0)
                 self.mprime_marginal[b] = self._marginal(vec, mprime)
-
-    def _apply(self, gates: list[Gate], vec: np.ndarray) -> np.ndarray:
-        for mat, wires in gates:
-            vec = linalg.apply_to_vector(mat, vec, wires, self.n)
-        return vec
 
     def _open_check(self, vec: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
         """Pass probability of the canonical opening check and the

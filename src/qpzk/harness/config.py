@@ -29,7 +29,7 @@ EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
 _DEFAULT_PARAMS = {
     "core-check": {"samples": 400, "dims": 3},
     "pqma": {"p": 8, "q": 2, "n": 1, "p_large": 2 * 10 ** 6, "q_large": 300},
-    "collapse": {"r": 2, "bases": 6, "oracle_restarts": 6, "oracle_iters": 100},
+    "collapse": {"bases": 6, "oracle_restarts": 6, "oracle_iters": 100},
     "public-coin": {"bases": 4, "oracle_restarts": 6, "oracle_iters": 120,
                     "theta": 0.8},
     "zk": {"reps": 2},
@@ -37,7 +37,7 @@ _DEFAULT_PARAMS = {
     "mac": {"message_qubits": 1, "traps": 3},
     "uhlmann": {"delta": 2.0, "instances": 20, "r_qubits": 2, "s_qubits": 2,
                 "perturbation": 0.05},
-    "pipeline": {"k": 2, "reps": 2, "theta": 1.0471975511965976},
+    "pipeline": {"k": 2, "theta": 1.0471975511965976},
 }
 
 _DEFAULT_TRIALS = {
@@ -112,13 +112,16 @@ class ExperimentConfig:
 
 
 def _checked_param(name: str, value, default):
-    """The value if its type fits the default's: an int param takes an int,
-    a float param a finite int or float, stored as a float; never a bool."""
+    """The value if its type fits the default's: an int param (a count or a
+    size) takes an int of at least 1, a float param a finite int or float,
+    stored as a float; never a bool."""
     want_int = isinstance(default, int)
     if (isinstance(value, bool) or not isinstance(value, int if want_int else (int, float))
             or not want_int and not abs(value) <= sys.float_info.max):
         raise ConfigError(f"params.{name}: must be "
                           f"{'an integer' if want_int else 'a finite number'}, got {value!r}")
+    if want_int and value < 1:
+        raise ConfigError(f"params.{name}: must be at least 1, got {value}")
     return value if want_int else float(value)
 
 

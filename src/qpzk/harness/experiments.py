@@ -202,7 +202,6 @@ def _load_base(config: ExperimentConfig, default_builder):
 def _run_collapse(config: ExperimentConfig, record: ExperimentRecord) -> None:
     from qpzk.compilers.collapse import CollapsedProtocol, collapsed_soundness
     from qpzk.compilers.examples import copier_base, random_perfect_base
-    from qpzk.optimize import alternating_ascent, brute_force_prover_value
     from qpzk.protocol import run_protocol
 
     base = _load_base(config, copier_base)
@@ -217,23 +216,33 @@ def _run_collapse(config: ExperimentConfig, record: ExperimentRecord) -> None:
                             config.tolerance("identity", 1e-9),
                             "formula:branch-overlap"))
 
-    n_bases = config.param("bases")
-    restarts = config.param("oracle_restarts")
-    iters = config.param("oracle_iters")
-    worst_margin = None
-    for idx in range(n_bases):
-        rnd = random_perfect_base(idx) if idx % 2 == 0 else _random_base(config, idx)
-        zeta = brute_force_prover_value(rnd, _stream(config, 10 + idx),
+    bases = (random_perfect_base(idx) if idx % 2 == 0 else _random_base(config, idx)
+             for idx in range(config.param("bases")))
+    record.add(_oracle_excess_row(
+        config, "collapse-oracle-worst-excess-over-bound", bases,
+        lambda zeta: collapsed_soundness(zeta, 2),
+        lambda b: CollapsedProtocol(b).ascent_problem(2),
+        config.param("oracle_restarts"), config.param("oracle_iters")))
+
+
+def _oracle_excess_row(config: ExperimentConfig, name: str, bases, soundness,
+                       compiled_problem, restarts: int, iters: int):
+    """Row of the largest excess, over the bases, of the ascent oracle's
+    value on the compiled base (compiled_problem, stream 100 + idx) over
+    soundness(zeta), with zeta the oracle value of the base itself (stream
+    10 + idx)."""
+    from qpzk.optimize import alternating_ascent, brute_force_prover_value
+
+    margins = []
+    for idx, base in enumerate(bases):
+        zeta = brute_force_prover_value(base, _stream(config, 10 + idx),
                                         restarts=restarts, iters=iters)
-        bound = collapsed_soundness(min(zeta, 1.0), 2)
-        res = alternating_ascent(CollapsedProtocol(rnd).ascent_problem(2),
-                                 _stream(config, 100 + idx),
+        bound = soundness(min(zeta, 1.0))
+        res = alternating_ascent(compiled_problem(base), _stream(config, 100 + idx),
                                  restarts=restarts, iters=iters)
-        margin = bound - res.value
-        worst_margin = margin if worst_margin is None else min(worst_margin, margin)
-    record.add(upper_bound_row("collapse-oracle-worst-excess-over-bound",
-                               -worst_margin, 0.0, 0.0,
-                               "oracle:alternating-ascent", slack=1e-6))
+        margins.append(bound - res.value)
+    return upper_bound_row(name, -min(margins), 0.0, 0.0, "oracle:alternating-ascent",
+                           slack=1e-6)
 
 
 def _random_base(config: ExperimentConfig, idx: int):
@@ -261,7 +270,6 @@ def _run_public_coin(config: ExperimentConfig, record: ExperimentRecord) -> None
         public_coin_soundness,
     )
     from qpzk.compilers.types import HvzkSimulator
-    from qpzk.optimize import alternating_ascent, brute_force_prover_value
     from qpzk.protocol import run_protocol
 
     theta = config.param("theta")
@@ -274,22 +282,11 @@ def _run_public_coin(config: ExperimentConfig, record: ExperimentRecord) -> None
                                1.0 - completeness, 0.0,
                                "exact:branch-average", slack=1e-9))
 
-    restarts = config.param("oracle_restarts")
-    iters = config.param("oracle_iters")
-    worst = None
-    for idx in range(config.param("bases")):
-        b = hidden_target_base(0.3 + 0.25 * idx)
-        zeta = brute_force_prover_value(b, _stream(config, 10 + idx),
-                                        restarts=restarts, iters=iters)
-        bound = public_coin_soundness(min(zeta, 1.0))
-        res = alternating_ascent(make_public_coin(b).ascent_problem(0),
-                                 _stream(config, 100 + idx),
-                                 restarts=restarts, iters=iters)
-        margin = bound - res.value
-        worst = margin if worst is None else min(worst, margin)
-    record.add(upper_bound_row("public-coin-oracle-worst-excess-over-bound",
-                               -worst, 0.0, 0.0, "oracle:alternating-ascent",
-                               slack=1e-6))
+    bases = (hidden_target_base(0.3 + 0.25 * idx) for idx in range(config.param("bases")))
+    record.add(_oracle_excess_row(
+        config, "public-coin-oracle-worst-excess-over-bound", bases, public_coin_soundness,
+        lambda b: make_public_coin(b).ascent_problem(0),
+        config.param("oracle_restarts"), config.param("oracle_iters")))
 
     # Exact simulator rows need perfect completeness; the transcript is then
     # accepted with certainty on both branches.

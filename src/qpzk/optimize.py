@@ -20,8 +20,9 @@ composite soundness bounds consume the unrestricted oracle value instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,30 +63,14 @@ def optimal_three_message_value(v1: np.ndarray, v2: np.ndarray, psi_v: PureState
 
 
 @dataclass(frozen=True)
-class FixedStep:
-    """A known operator (unitary, projector or POVM square root)."""
-
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SlotStep:
-    """A prover-chosen unitary, identified by slot id."""
-
-    slot: str
-    targets: tuple[int, ...]
-
-
-Step = Union[FixedStep, SlotStep]
-
-
-@dataclass(frozen=True)
 class Branch:
-    """One classical branch of a protocol: weight times ||steps . init||^2."""
+    """One classical branch of a protocol: weight times ||steps . init||^2.
+
+    steps is a gate list of (matrix, wires); a prover-chosen unitary stands
+    in it as (slot name, wires)."""
 
     weight: float
-    steps: tuple[Step, ...]
+    steps: tuple
 
 
 @dataclass(frozen=True)
@@ -101,13 +86,13 @@ class AscentProblem:
     def __post_init__(self):
         seen: set[str] = set()
         for b in self.branches:
-            for s in b.steps:
-                if isinstance(s, SlotStep):
-                    if s.slot in seen:
+            for op, _ in b.steps:
+                if isinstance(op, str):
+                    if op in seen:
                         raise ConfigError(
-                            f"slot {s.slot!r} occurs in more than one step; "
+                            f"slot {op!r} occurs in more than one step; "
                             "give every step its own slot")
-                    seen.add(s.slot)
+                    seen.add(op)
 
     @property
     def free_qubits(self) -> tuple[int, ...]:
@@ -115,12 +100,8 @@ class AscentProblem:
         return tuple(q for q in range(self.n_qubits) if q not in fixed)
 
     def slot_specs(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for b in self.branches:
-            for s in b.steps:
-                if isinstance(s, SlotStep):
-                    out[s.slot] = len(s.targets)
-        return out
+        return {op: len(wires) for b in self.branches for op, wires in b.steps
+                if isinstance(op, str)}
 
 
 @dataclass
@@ -129,6 +110,12 @@ class AscentResult:
     slots: dict[str, np.ndarray]
     initial: np.ndarray
     history: list[float] = field(default_factory=list)
+
+
+def bind(steps, slots: dict) -> tuple:
+    """The steps as a plain gate list: each slot name replaced by its
+    unitary in slots."""
+    return tuple((slots[op] if isinstance(op, str) else op, wires) for op, wires in steps)
 
 
 def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndarray:
@@ -148,37 +135,22 @@ def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndar
     return linalg.permute_vector(combined, np.argsort(fixed_q + free_q), n)
 
 
-def apply_steps(vec: np.ndarray, steps: Sequence[Step], slots: dict, n: int,
-                adjoint: bool = False) -> np.ndarray:
-    """Apply steps in order to an n-qubit vector, each slot step as
-    slots[slot]; with adjoint, apply their daggers in reverse order."""
-    for s in (reversed(steps) if adjoint else steps):
-        mat = slots[s.slot] if isinstance(s, SlotStep) else s.matrix
-        if adjoint:
-            mat = mat.conj().T
-        vec = linalg.apply_to_vector(mat, vec, list(s.targets), n)
-    return vec
+def _trace(gates, vec: np.ndarray, n: int) -> list:
+    """vec followed by its state after each gate in turn."""
+    return list(itertools.accumulate(
+        gates, lambda v, g: linalg.apply_to_vector(g[0], v, g[1], n), initial=vec))
 
 
-def _branch_value(problem, branch, slots, init) -> float:
-    out = apply_steps(init, branch.steps, slots, problem.n_qubits)
-    return branch.weight * float(np.linalg.norm(out) ** 2)
+def _traced_value(problem: AscentProblem, traces: list) -> float:
+    return sum(b.weight * float(np.linalg.norm(t[-1]) ** 2)
+               for b, t in zip(problem.branches, traces))
 
 
-def _objective(problem, slots, init) -> float:
-    return sum(_branch_value(problem, b, slots, init) for b in problem.branches)
-
-
-def _slot_contraction(problem, branch, slots, init, z, slot_index) -> np.ndarray:
-    """Environment contraction A with <z| after (U x Id) before |init> = Tr(U A)."""
-    n = problem.n_qubits
-    steps = branch.steps
-    before = apply_steps(init, steps[:slot_index], slots, n)
-    after_z = apply_steps(z, steps[slot_index + 1:], slots, n, adjoint=True)
-    targets = list(steps[slot_index].targets)
-    perm = targets + [q for q in range(n) if q not in targets]
-    x = linalg.permute_vector(before, perm, n).reshape(2 ** len(targets), -1)
-    y = linalg.permute_vector(after_z, perm, n).reshape(2 ** len(targets), -1)
+def _contraction(x: np.ndarray, y: np.ndarray, targets, n: int) -> np.ndarray:
+    """Matrix A with <y| (U on targets) |x> = Tr(U A)."""
+    perm = list(targets) + [q for q in range(n) if q not in targets]
+    x = linalg.permute_vector(x, perm, n).reshape(2 ** len(targets), -1)
+    y = linalg.permute_vector(y, perm, n).reshape(2 ** len(targets), -1)
     return x @ y.conj().T
 
 
@@ -202,7 +174,12 @@ def alternating_ascent(
     environment-contracted operator; each free-init update takes the top
     eigenvector of the branch-averaged objective. The reported value never
     decreases across iterations, and extra restarts can only improve it.
+
+    Each branch keeps its state after every step (its trace): a slot update
+    re-runs the branch from that slot's step, and all branches are re-run
+    only when the initial vector changes.
     """
+    n = problem.n_qubits
     slot_specs = problem.slot_specs()
     free_dim = 2 ** len(problem.free_qubits) if problem.free_qubits else 0
     best: Optional[AscentResult] = None
@@ -221,42 +198,44 @@ def alternating_ascent(
             free = random_amplitudes(free_dim, rng) if free_dim else None
 
         init = _assemble(problem, free)
-        value = _objective(problem, slots, init)
+        traces = [_trace(bind(b.steps, slots), init, n) for b in problem.branches]
+        value = _traced_value(problem, traces)
         history = [value]
         for _ in range(iters):
             # z-step + slot updates per branch.
-            for branch in problem.branches:
-                out = apply_steps(init, branch.steps, slots, problem.n_qubits)
-                norm = np.linalg.norm(out)
+            for branch, trace in zip(problem.branches, traces):
+                norm = np.linalg.norm(trace[-1])
                 if norm < 1e-14:
-                    z = random_amplitudes(2 ** problem.n_qubits, rng)
+                    z = random_amplitudes(2 ** n, rng)
                 else:
-                    z = out / norm
-                for idx, s in enumerate(branch.steps):
-                    if not isinstance(s, SlotStep):
+                    z = trace[-1] / norm
+                for idx, (op, wires) in enumerate(branch.steps):
+                    if not isinstance(op, str):
                         continue
-                    a = _slot_contraction(problem, branch, slots, init, z, idx)
-                    slots[s.slot] = _align(a)
-                    out = apply_steps(init, branch.steps, slots, problem.n_qubits)
-                    norm = np.linalg.norm(out)
+                    after = linalg.adjoint(bind(branch.steps[idx + 1:], slots))
+                    a = _contraction(trace[idx], linalg.apply_gates(after, z, n), wires, n)
+                    slots[op] = _align(a)
+                    trace[idx:] = _trace(bind(branch.steps[idx:], slots), trace[idx], n)
+                    norm = np.linalg.norm(trace[-1])
                     if norm > 1e-14:
-                        z = out / norm
+                        z = trace[-1] / norm
             # Free-init step: top eigenvector of the averaged objective.
             if free_dim:
                 h = np.zeros((free_dim, free_dim), dtype=complex)
-                for branch in problem.branches:
-                    out = apply_steps(init, branch.steps, slots, problem.n_qubits)
-                    norm = np.linalg.norm(out)
+                for branch, trace in zip(problem.branches, traces):
+                    norm = np.linalg.norm(trace[-1])
                     if norm < 1e-14:
                         continue
-                    z = out / norm
-                    v = _init_contraction(problem, branch, slots, z)
+                    z = trace[-1] / norm
+                    back = linalg.apply_gates(linalg.adjoint(bind(branch.steps, slots)), z, n)
+                    v = _init_contraction(problem, back)
                     h += branch.weight * np.outer(v, v.conj())
                 if np.linalg.norm(h) > 0:
                     vals, vecs = np.linalg.eigh(h)
                     free = vecs[:, -1]
                     init = _assemble(problem, free)
-            new_value = _objective(problem, slots, init)
+                    traces = [_trace(bind(b.steps, slots), init, n) for b in problem.branches]
+            new_value = _traced_value(problem, traces)
             history.append(new_value)
             if new_value - value < tol:
                 value = max(value, new_value)
@@ -269,10 +248,10 @@ def alternating_ascent(
     return best
 
 
-def _init_contraction(problem, branch, slots, z) -> np.ndarray:
-    """Vector v with <z| T_b |phi(free)> = <v|free> for the free-init step."""
+def _init_contraction(problem: AscentProblem, t_dag_z: np.ndarray) -> np.ndarray:
+    """Vector v with <z| T_b |phi(free)> = <v|free> for the free-init step,
+    from t_dag_z = T_b^dagger |z>."""
     n = problem.n_qubits
-    t_dag_z = apply_steps(z, branch.steps, slots, n, adjoint=True)
     free_q = list(problem.free_qubits)
     fixed_q = list(problem.fixed_qubits)
     perm = free_q + fixed_q
@@ -300,13 +279,13 @@ def protocol_ascent_problem(
     rm = base.qubits_of_all(["R", "M"]) + list(range(base.total_qubits, n))
     wm = base.qubits_of_all(["W", "M"])
     first_w = base.qubits_of("W")[0]
-    steps: list[Step] = []
+    steps: list = []
     for i in range(protocol.rounds):
         slot = f"P{i + 1}"
         if slot not in frozen_slots:
-            steps.append(SlotStep(slot, tuple(rm)))
-        steps.extend(FixedStep(*g) for g in linalg.placed(protocol.verifier_rounds[i], wm))
-    steps.append(FixedStep(P1, (first_w,)))
+            steps.append((slot, tuple(rm)))
+        steps.extend(linalg.placed(protocol.verifier_rounds[i], wm))
+    steps.append((P1, (first_w,)))
     init = protocol.initial.amplitudes
     if ancilla_qubits:
         init = np.kron(init, linalg.basis_vector(0, 2 ** ancilla_qubits))

@@ -1,5 +1,6 @@
 """Configuration validation, record persistence, determinism, CLI exit codes."""
 
+import inspect
 import json
 
 import numpy as np
@@ -9,7 +10,13 @@ from qpzk.cli import main
 from qpzk.compilers.examples import copier_base
 from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
 from qpzk.errors import ConfigError
-from qpzk.harness.config import ExperimentConfig, config_from_dict, load_config
+from qpzk.harness.config import (
+    _DEFAULT_PARAMS,
+    EXPERIMENT_KINDS,
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+)
 from qpzk.harness.records import (
     ExperimentRecord,
     MetricRow,
@@ -19,7 +26,7 @@ from qpzk.harness.records import (
     save_record,
     upper_bound_row,
 )
-from qpzk.harness.experiments import run_experiment
+from qpzk.harness.experiments import _RUNNERS, run_experiment
 from qpzk.harness.report import report
 from qpzk.protocol import protocol_to_json
 from qpzk.serialize import complex_matrix_to_json
@@ -66,6 +73,12 @@ class TestConfig:
         cfg = ExperimentConfig(kind="uhlmann", params={"delta": 3})
         assert type(cfg.param("delta")) is float and cfg.param("delta") == 3.0
         assert cfg.echo() == ExperimentConfig(kind="uhlmann", params={"delta": 3.0}).echo()
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_every_default_param_is_read(self, kind):
+        source = inspect.getsource(_RUNNERS[kind])
+        for name in _DEFAULT_PARAMS[kind]:
+            assert f'config.param("{name}")' in source, name
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -236,6 +249,12 @@ class TestCli:
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": "x"}})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": 2.7}})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"trapz": 2}})),
+        ("collapse", None, json.dumps({"kind": "collapse", "params": {"bases": 0}})),
+        ("public-coin", None, json.dumps({"kind": "public-coin", "params": {"bases": 0}})),
+        ("collapse", None, json.dumps({"kind": "collapse", "params": {"oracle_restarts": 0}})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"r_qubits": 0}})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"instances": 0}})),
+        ("core-check", None, json.dumps({"kind": "core-check", "params": {"samples": -5}})),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
@@ -249,6 +268,9 @@ class TestCli:
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "mac-config-param-not-a-number", "mac-config-param-not-an-integer",
             "mac-config-unknown-param",
+            "collapse-config-no-bases", "public-coin-config-no-bases",
+            "collapse-config-no-oracle-restarts", "uhlmann-config-no-r-qubits",
+            "uhlmann-config-no-instances", "core-check-config-negative-samples",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])
@@ -267,7 +289,11 @@ class TestCli:
             }))
             argv = [kind, "--config", str(cfg)]
         assert main(argv) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        if instances is None and kind != "report":
+            for name in json.loads(body).get("params", {}):
+                assert f"params.{name}" in err
 
     def test_negative_seed_flag_exit_two(self, capsys):
         assert main(["double-open", "--seed", "-1"]) == 2

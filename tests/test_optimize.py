@@ -1,20 +1,27 @@
 """Principal-angle closed form vs the alternating-ascent prover oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qpzk.core import PureState, RegisterLayout, random_pure_state, random_unitary, rng_from
-from qpzk.core.operators import X
+from qpzk.core import PureState, RegisterLayout, linalg, random_pure_state, random_unitary, rng_from
+from qpzk.core.operators import P0, P1, X
+from qpzk.core.sampling import random_amplitudes, random_projector
 from qpzk.errors import ConfigError
 from qpzk.compilers.collapse import CollapsedProtocol
 from qpzk.compilers.examples import partial_coupler_base, rotated_copier_base
 from qpzk.compilers.public_coin import make_public_coin
 from qpzk.optimize import (
+    DEFAULT_TOL,
     AscentProblem,
     Branch,
-    SlotStep,
+    _align,
     _assemble,
-    apply_steps,
+    alternating_ascent,
+    bind,
     brute_force_prover_value,
     optimal_three_message_value,
     protocol_ascent_problem,
@@ -49,8 +56,8 @@ class TestClosedForm:
 
 class TestAscentProblem:
     @pytest.mark.parametrize("branches", [
-        (Branch(1.0, (SlotStep("U", (0,)), SlotStep("U", (1,)))),),
-        (Branch(0.5, (SlotStep("U", (0,)),)), Branch(0.5, (SlotStep("U", (0,)),))),
+        (Branch(1.0, (("U", (0,)), ("U", (1,)))),),
+        (Branch(0.5, (("U", (0,)),)), Branch(0.5, (("U", (0,)),))),
     ], ids=["repeated-within-a-branch", "shared-by-two-branches"])
     def test_slot_in_two_steps_rejected(self, branches):
         with pytest.raises(ConfigError, match="more than one step"):
@@ -134,7 +141,7 @@ class TestCrossCheck:
 
 def _steps_value(problem: AscentProblem, slots: dict, init: np.ndarray) -> float:
     return sum(b.weight * float(np.linalg.norm(
-        apply_steps(init, b.steps, slots, problem.n_qubits)) ** 2)
+        linalg.apply_gates(bind(b.steps, slots), init, problem.n_qubits)) ** 2)
         for b in problem.branches)
 
 
@@ -165,3 +172,162 @@ class TestOracleMatchesRunner:
         init = _assemble(problem, honest.bundle)
         assert _steps_value(problem, slots, init) \
             == pytest.approx(col.acceptance(honest), abs=1e-12)
+
+
+def _reference_ascent(problem, rng, iters, restarts, tol, warm_starts=()):
+    """The ascent loop that runs every branch from the initial vector for
+    each output, contraction and objective; alternating_ascent keeps branch
+    traces instead and must match it bit for bit."""
+    n = problem.n_qubits
+
+    def run(vec, steps, slots):
+        return linalg.apply_gates(bind(steps, slots), vec, n)
+
+    def run_back(vec, steps, slots):
+        return linalg.apply_gates(linalg.adjoint(bind(steps, slots)), vec, n)
+
+    def objective(slots, init):
+        return sum(b.weight * float(np.linalg.norm(run(init, b.steps, slots)) ** 2)
+                   for b in problem.branches)
+
+    def slot_contraction(steps, slots, init, z, idx):
+        before = run(init, steps[:idx], slots)
+        after_z = run_back(z, steps[idx + 1:], slots)
+        targets = list(steps[idx][1])
+        perm = targets + [q for q in range(n) if q not in targets]
+        x = linalg.permute_vector(before, perm, n).reshape(2 ** len(targets), -1)
+        y = linalg.permute_vector(after_z, perm, n).reshape(2 ** len(targets), -1)
+        return x @ y.conj().T
+
+    def init_contraction(steps, slots, z):
+        t_dag_z = run_back(z, steps, slots)
+        free_q, fixed_q = list(problem.free_qubits), list(problem.fixed_qubits)
+        t = t_dag_z.reshape((2,) * n).transpose(free_q + fixed_q).reshape(2 ** len(free_q), -1)
+        if problem.fixed_init is None:
+            return t.reshape(-1)
+        return t @ problem.fixed_init.conj()
+
+    slot_specs = problem.slot_specs()
+    free_dim = 2 ** len(problem.free_qubits) if problem.free_qubits else 0
+    best = None
+    for start in list(warm_starts) + [None] * restarts:
+        if start is not None:
+            slots = {k: np.asarray(v, dtype=complex) for k, v in start["slots"].items()}
+            free = start.get("free")
+            if free is not None:
+                free = np.asarray(free, dtype=complex)
+            elif free_dim:
+                free = random_amplitudes(free_dim, rng)
+        else:
+            slots = {k: random_unitary(2 ** a, rng) for k, a in slot_specs.items()}
+            free = random_amplitudes(free_dim, rng) if free_dim else None
+        init = _assemble(problem, free)
+        value = objective(slots, init)
+        history = [value]
+        for _ in range(iters):
+            for branch in problem.branches:
+                out = run(init, branch.steps, slots)
+                norm = np.linalg.norm(out)
+                z = random_amplitudes(2 ** n, rng) if norm < 1e-14 else out / norm
+                for idx, (op, _) in enumerate(branch.steps):
+                    if not isinstance(op, str):
+                        continue
+                    slots[op] = _align(slot_contraction(branch.steps, slots, init, z, idx))
+                    out = run(init, branch.steps, slots)
+                    norm = np.linalg.norm(out)
+                    if norm > 1e-14:
+                        z = out / norm
+            if free_dim:
+                h = np.zeros((free_dim, free_dim), dtype=complex)
+                for branch in problem.branches:
+                    out = run(init, branch.steps, slots)
+                    norm = np.linalg.norm(out)
+                    if norm < 1e-14:
+                        continue
+                    v = init_contraction(branch.steps, slots, out / norm)
+                    h += branch.weight * np.outer(v, v.conj())
+                if np.linalg.norm(h) > 0:
+                    free = np.linalg.eigh(h)[1][:, -1]
+                    init = _assemble(problem, free)
+            new_value = objective(slots, init)
+            history.append(new_value)
+            if new_value - value < tol:
+                value = max(value, new_value)
+                break
+            value = new_value
+        if best is None or value > best[0]:
+            best = (value, dict(slots), init, history)
+    return best
+
+
+@st.composite
+def _ascent_cases(draw):
+    """A random ascent problem with warm starts: one or two branches of one
+    or two slots, each after zero to two fixed gates (unitaries or
+    projectors); optionally a branch that ends in |0><0| then |1><1| on one
+    wire, so its output vanishes; a fully fixed, fully free or mixed start."""
+    n = draw(st.integers(2, 3))
+    gen = rng_from(draw(st.integers(0, 2 ** 16)))
+    names = (f"S{k}" for k in itertools.count())
+
+    def wires(k):
+        return tuple(int(w) for w in gen.permutation(n)[:k])
+
+    def fixed_gates():
+        gates = []
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(1, 2))
+            mat = (random_unitary(2 ** k, gen) if draw(st.booleans())
+                   else random_projector(2 ** k, draw(st.integers(1, 2 ** k - 1)), gen))
+            gates.append((mat, wires(k)))
+        return gates
+
+    branches = []
+    for _ in range(draw(st.integers(1, 2))):
+        steps = []
+        for _ in range(draw(st.integers(1, 2))):
+            steps += fixed_gates() + [(next(names), wires(draw(st.integers(1, n))))]
+        steps += fixed_gates()
+        if draw(st.booleans()):
+            q = wires(1)
+            steps += [(P0, q), (P1, q)]
+        branches.append(Branch(draw(st.sampled_from([1.0, 0.5, 0.25])), tuple(steps)))
+
+    start = draw(st.sampled_from(["fixed", "free", "mixed"]))
+    if start == "fixed":
+        fixed_qubits = tuple(range(n))
+    elif start == "free":
+        fixed_qubits = ()
+    else:
+        fixed_qubits = tuple(sorted(wires(draw(st.integers(1, n - 1)))))
+    fixed_init = random_amplitudes(2 ** len(fixed_qubits), gen) if fixed_qubits else None
+    problem = AscentProblem(n, tuple(branches), fixed_init, fixed_qubits)
+
+    warm = []
+    free_dim = 2 ** len(problem.free_qubits) if problem.free_qubits else 0
+    for _ in range(draw(st.integers(0, 1))):
+        w = {"slots": {k: random_unitary(2 ** a, gen)
+                       for k, a in problem.slot_specs().items()}}
+        if free_dim and draw(st.booleans()):
+            w["free"] = random_amplitudes(free_dim, gen)
+        warm.append(w)
+    return problem, warm
+
+
+class TestTracedAscent:
+    @given(case=_ascent_cases(), seed=st.integers(0, 2 ** 16),
+           iters=st.integers(1, 4), restarts=st.integers(1, 2),
+           tol=st.sampled_from([DEFAULT_TOL, 0.5]))
+    def test_matches_untraced_loop(self, case, seed, iters, restarts, tol):
+        problem, warm = case
+        rng, ref_rng = rng_from(seed), rng_from(seed)
+        got = alternating_ascent(problem, rng, iters=iters, restarts=restarts,
+                                 tol=tol, warm_starts=warm)
+        value, slots, initial, history = _reference_ascent(
+            problem, ref_rng, iters, restarts, tol, warm)
+        assert np.array_equal(got.value, value)
+        assert np.array_equal(got.history, history)
+        assert got.slots.keys() == slots.keys()
+        assert all(np.array_equal(got.slots[k], slots[k]) for k in slots)
+        assert np.array_equal(got.initial, initial)
+        assert np.array_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
