@@ -4,8 +4,8 @@ Each of the ell sequential iterations replaces the public coin by the ideal
 two-party XOR: in the trusted-third-party model the coin stays uniform no
 matter how either party picks its input bit, so per-iteration soundness is
 exactly the public-coin value. The simulator reproduces a corrupted
-verifier's whole view by drawing its own transcript first and programming
-the XOR output to the drawn coin.
+verifier's whole view by drawing its own transcript first and taking the
+drawn coin as the XOR output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.metrics import trace_distance
 from qpzk.core.states import MixedState
-from qpzk.crypto.ideal import IdealSession, ideal_compute_classical, xor_coin_functionality
 from qpzk.errors import ConfigError
 from qpzk.compilers.public_coin import PublicCoinProtocol, PublicCoinStrategy
 from qpzk.compilers.types import HvzkSimulator
@@ -48,11 +47,7 @@ class CoinFlipProtocol:
         for t in range(self.reps):
             strategy = prover.strategy_for(t, tuple(coins))
             b_p = int(prover.coin_input(t, tuple(coins), rng)) & 1
-            session = IdealSession(xor_coin_functionality(),
-                                   corrupted="A" if prover.adversarial else None)
-            b_v = int(rng.integers(2))
-            out_p, out_v, _ = ideal_compute_classical(session, b_p, b_v, rng)
-            coin = out_v
+            coin = b_p ^ int(rng.integers(2))
             coins.append(coin)
             value = self.base.branch_value(strategy, coin)
             if rng.random() >= value:
@@ -76,7 +71,6 @@ class CoinFlipProver:
 
     strategy_for: Callable[[int, tuple], PublicCoinStrategy]
     coin_input: Callable[[int, tuple, object], int]
-    adversarial: bool = False
     name: str = "honest"
 
 
@@ -85,7 +79,6 @@ def honest_coin_flip_prover(base: PublicCoinProtocol) -> CoinFlipProver:
     return CoinFlipProver(
         strategy_for=lambda t, hist: honest,
         coin_input=lambda t, hist, rng: int(rng.integers(2)),
-        adversarial=False,
         name="honest",
     )
 
@@ -97,8 +90,7 @@ def biased_coin_flip_prover(base: PublicCoinProtocol, bit: int,
     strat = strategy or base.honest_strategy()
     coin_in = (lambda t, hist, rng: adaptive(t, hist)) if adaptive \
         else (lambda t, hist, rng: bit)
-    return CoinFlipProver(lambda t, hist: strat, coin_in,
-                          adversarial=True, name=f"biased-{bit}")
+    return CoinFlipProver(lambda t, hist: strat, coin_in, name=f"biased-{bit}")
 
 
 def make_malicious_zk(base: PublicCoinProtocol, reps: int) -> CoinFlipProtocol:
@@ -186,15 +178,10 @@ def real_malicious_views(compiled: CoinFlipProtocol,
 def zk_simulate_malicious(compiled: CoinFlipProtocol, verifier: MaliciousVerifier,
                           sim: HvzkSimulator) -> list[ViewBranchIV]:
     """Simulated view ensemble: per iteration the simulator draws (W, M, b)
-    itself, extracts the verifier's coin input through the ideal session and
-    programs the session output to b."""
+    itself and takes b as the XOR output, whatever coin input the verifier
+    chooses."""
     transcripts = compiled.base.simulator_transcripts(sim)
     states = {b: transcripts[b] for b in (0, 1)}
-    # Exercise the extract/program bookkeeping once per iteration branch.
-    for b in (0, 1):
-        session = IdealSession(xor_coin_functionality(), corrupted="B")
-        session.extract(verifier.bv_for(0, ()))
-        session.program(b)
     return _enumerate_views(compiled, verifier, states)
 
 

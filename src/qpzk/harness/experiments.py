@@ -27,6 +27,7 @@ from qpzk.core import (
 )
 from qpzk.core.sampling import random_projector
 from qpzk.core.swap_test import swap_test_circuit_probability
+from qpzk.errors import ConfigError
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.records import (
     ExperimentRecord,
@@ -327,11 +328,14 @@ def _run_zk(config: ExperimentConfig, record: ExperimentRecord) -> None:
     from qpzk.compilers.public_coin import make_public_coin
     from qpzk.compilers.types import HvzkSimulator
 
+    reps = config.param("reps")
+    trials = config.effective_trials
+    if trials < reps:
+        raise ConfigError(f"trials: {trials} is below params.reps ({reps}), "
+                          f"so no coin-flip execution would run")
     base = copier_base()
     pc = make_public_coin(base)
-    reps = config.param("reps")
     cf = make_malicious_zk(pc, reps)
-    trials = config.effective_trials
 
     rng = _stream(config, 0)
     counts = cf.coin_marginal(biased_coin_flip_prover(pc, 1), trials // reps, rng)

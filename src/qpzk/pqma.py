@@ -34,12 +34,13 @@ from qpzk.core.states import (
     tensor,
 )
 from qpzk.core.swap_test import swap_test_povm, symmetric_projector_outcomes
-from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
+from qpzk.errors import ConfigError, DimensionMismatchError, RegisterError, StateValidationError
 from qpzk.serialize import (
     complex_matrix_from_json,
     complex_matrix_to_json,
     complex_vector_from_json,
     complex_vector_to_json,
+    read_field,
     read_json,
 )
 
@@ -76,9 +77,10 @@ class PqmaInstance:
         v = np.asarray(self.verifier_unitary, dtype=complex)
         object.__setattr__(self, "verifier_unitary", v)
         if v.shape != (2 ** nv, 2 ** nv):
-            raise DimensionMismatchError("verifier unitary must act on witness+instance")
+            raise DimensionMismatchError(f"verifier_unitary must be {2 ** nv}x{2 ** nv} "
+                                         f"to act on witness and instance, got {v.shape}")
         if not linalg.is_unitary(v):
-            raise StateValidationError("verifier unitary is not unitary")
+            raise StateValidationError("verifier_unitary is not unitary")
         if self.label not in ("yes", "no"):
             raise StateValidationError("label must be 'yes' or 'no'")
         if self.label == "yes":
@@ -298,6 +300,24 @@ def _swap_branches(state: QuantumState, copy_name: str, psi: PureState):
     return branches
 
 
+def _swap_walk(params: PqmaParams, inst: PqmaInstance, verifier_input: QuantumState):
+    """(failures, passed): the outcome-0 branch of each verifier copy that
+    fails its SWAP test, and (reach, state) once every copy has passed, or
+    None when a copy passes with probability 0."""
+    failures: list[ViewBranch] = []
+    state = verifier_input
+    reach = 1.0
+    for j in range(params.verifier_copies):
+        (p_pass, passed), (p_fail, failed) = _swap_branches(state, f"V{j}", inst.psi)
+        if p_fail > 1e-15:
+            failures.append(ViewBranch(0, reach * p_fail, failed))
+        if p_pass <= 1e-15:
+            return failures, None
+        reach *= p_pass
+        state = passed
+    return failures, (reach, state.to_mixed())
+
+
 def real_verifier_view(params: PqmaParams, inst: PqmaInstance,
                        verifier_input: QuantumState) -> list[ViewBranch]:
     """Exact ideal-world view ensemble with the honest prover.
@@ -307,52 +327,29 @@ def real_verifier_view(params: PqmaParams, inst: PqmaInstance,
     the final projection happens on prover-side registers and contributes
     only the acceptance split.
     """
-    branches: list[ViewBranch] = []
-    state = verifier_input
-    reach = 1.0
-    for j in range(params.verifier_copies):
-        (p_pass, passed), (p_fail, failed) = _swap_branches(state, f"V{j}", inst.psi)
-        if p_fail > 1e-15:
-            branches.append(ViewBranch(0, reach * p_fail, failed))
-        if p_pass <= 1e-15:
-            return branches
-        reach *= p_pass
-        state = passed
+    branches, passed = _swap_walk(params, inst, verifier_input)
+    if passed is None:
+        return branches
+    reach, state = passed
     final = inst.honest_acceptance()
     if final < 1.0 - 1e-15:
-        branches.append(ViewBranch(0, reach * (1.0 - final), state.to_mixed()))
-    branches.append(ViewBranch(1, reach * final, state.to_mixed()))
+        branches.append(ViewBranch(0, reach * (1.0 - final), state))
+    branches.append(ViewBranch(1, reach * final, state))
     return branches
 
 
 def hv_simulate_pqma(params: PqmaParams, inst: PqmaInstance,
                      verifier_input: QuantumState,
                      simulator_copies: Optional[int] = None) -> list[ViewBranch]:
-    """Simulator view ensemble: extract the verifier input, SWAP-test each
-    copy against the simulator's own fresh instance copies, program output 0
-    on any failure and 1 otherwise. The witness is never consulted."""
-    from qpzk.crypto.ideal import IdealSession, identity_functionality
-
+    """Simulator view ensemble: SWAP-test each verifier copy against the
+    simulator's own fresh instance copies, with output 0 on any failure and
+    1 otherwise. The witness is never consulted."""
     budget = simulator_copies if simulator_copies is not None else params.verifier_copies
     if budget < params.verifier_copies:
         raise ConfigError("simulator copy budget exhausted")
-    session = IdealSession(identity_functionality(1, 1), corrupted="B")
-    session.extract(verifier_input)
-
-    branches: list[ViewBranch] = []
-    state = verifier_input
-    reach = 1.0
-    for j in range(params.verifier_copies):
-        (p_pass, passed), (p_fail, failed) = _swap_branches(state, f"V{j}", inst.psi)
-        if p_fail > 1e-15:
-            branches.append(ViewBranch(0, reach * p_fail, failed))
-        if p_pass <= 1e-15:
-            session.program(0)
-            return branches
-        reach *= p_pass
-        state = passed
-    session.program(1)
-    branches.append(ViewBranch(1, reach, state.to_mixed()))
+    branches, passed = _swap_walk(params, inst, verifier_input)
+    if passed is not None:
+        branches.append(ViewBranch(1, *passed))
     return branches
 
 
@@ -485,18 +482,17 @@ def instance_to_json(inst: PqmaInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> PqmaInstance:
+    psi_amp = read_field(data, "psi", complex_vector_from_json)
+    witness_mat, v = (read_field(data, name, complex_matrix_from_json)
+                      for name in ("witness", "verifier_unitary"))
     try:
-        psi_amp = complex_vector_from_json(data["psi"])
-        witness_mat = complex_matrix_from_json(data["witness"])
-        v = complex_matrix_from_json(data["verifier_unitary"])
-    except KeyError as exc:
-        raise ConfigError(f"instance file missing field {exc}") from exc
-    ni = int(np.log2(psi_amp.shape[0]))
-    nw = int(np.log2(witness_mat.shape[0]))
-    psi = PureState(psi_amp, RegisterLayout.single("A", ni))
-    witness = MixedState(witness_mat, RegisterLayout.single("B", nw))
-    return PqmaInstance(psi, witness, v, str(data.get("label", "yes")),
-                        float(data.get("completeness_error", 0.0)))
+        psi = PureState(psi_amp, RegisterLayout.single("A", len(psi_amp).bit_length() - 1))
+        witness = MixedState(witness_mat,
+                             RegisterLayout.single("B", len(witness_mat).bit_length() - 1))
+        return PqmaInstance(psi, witness, v, read_field(data, "label", str, "yes"),
+                            read_field(data, "completeness_error", float, 0.0))
+    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
+        raise ConfigError(f"invalid instance file: {exc}") from exc
 
 
 def save_instance(inst: PqmaInstance, path) -> None:

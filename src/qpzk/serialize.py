@@ -22,6 +22,22 @@ def read_json(path):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def read_field(data, name: str, read, default=None):
+    """read(data[name]) for a field of a JSON object read from an instance
+    file, or `default` when the field is absent and a default is given; a
+    missing or unreadable field raises ConfigError naming the field."""
+    if not isinstance(data, dict):
+        raise ConfigError("instance file: expected a JSON object")
+    if name not in data:
+        if default is None:
+            raise ConfigError(f"instance file missing field '{name}'")
+        return default
+    try:
+        return read(data[name])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def complex_vector_to_json(vec: np.ndarray) -> list:
     return [[float(a.real), float(a.imag)] for a in np.asarray(vec).reshape(-1)]
 

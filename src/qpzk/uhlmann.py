@@ -29,9 +29,10 @@ from qpzk.errors import (
     ConfigError,
     DimensionMismatchError,
     OracleBudgetError,
+    RegisterError,
     StateValidationError,
 )
-from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, read_json
+from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, read_field, read_json
 
 DEFAULT_DELTA = 2.0
 
@@ -315,15 +316,11 @@ def zk_simulate_uhlmann(inst: UhlmannInstance, verifier_input: QuantumState,
     The verifier only ever sees its returned target: every test round runs
     between the functionality and the honest prover, whose pass probability
     is |<D|(Id x U)|C>|^2 = 1, a public fact the simulator checks from C and
-    D alone. So the simulator extracts the input, spends its single query on
-    the target register and hands the result back.
+    D alone. So the simulator spends its single query on the verifier's
+    target register and hands the result back.
     """
-    from qpzk.crypto.ideal import IdealSession, identity_functionality
-
     _target_layout(verifier_input, inst.s_qubits)
     oracle = oracle or UOracle(inst)
-    session = IdealSession(identity_functionality(1, 1), corrupted="B")
-    session.extract(verifier_input)
     # Test rounds are reproduced from public data: the matched state equals
     # |D> exactly, so each check passes with certainty.
     checked = 0
@@ -333,7 +330,6 @@ def zk_simulate_uhlmann(inst: UhlmannInstance, verifier_input: QuantumState,
             raise StateValidationError("public preparation data is inconsistent")
         checked += 1
     out = oracle.apply(verifier_input, "T")
-    session.program(out)
     return SimulatedUhlmannView(out, oracle.calls, checked)
 
 
@@ -394,15 +390,13 @@ def instance_to_json(inst: UhlmannInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> UhlmannInstance:
+    c, d = (read_field(data, name, complex_matrix_from_json)
+            for name in ("c_unitary", "d_unitary"))
+    r, s = (read_field(data, name, int) for name in ("r_qubits", "s_qubits"))
     try:
-        return UhlmannInstance(
-            complex_matrix_from_json(data["c_unitary"]),
-            complex_matrix_from_json(data["d_unitary"]),
-            int(data["r_qubits"]), int(data["s_qubits"]),
-            float(data.get("delta", DEFAULT_DELTA)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"instance file missing field {exc}") from exc
+        return UhlmannInstance(c, d, r, s, read_field(data, "delta", float, DEFAULT_DELTA))
+    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
+        raise ConfigError(f"invalid instance file: {exc}") from exc
 
 
 def save_instance(inst: UhlmannInstance, path) -> None:

@@ -129,6 +129,42 @@ class TestMaliciousSimulation:
         assert acceptance(real) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestPinnedStreams:
+    """Coins, outcomes and the generator state left after them, recorded
+    once, so a change to how a coin is formed cannot move any stream."""
+
+    @pytest.mark.parametrize("bias,counts,state,uinteger", [
+        (None, [79, 71], 153627943411942063773784205043709672057, 2517271851),
+        (1, [76, 74], 193980637223167181878219062781474376378, 3827527923),
+    ], ids=["honest", "biased-1"])
+    def test_coin_marginal_counts_and_state(self, public_coin, bias, counts, state,
+                                            uinteger):
+        cf = make_malicious_zk(public_coin, 3)
+        prover = (honest_coin_flip_prover(public_coin) if bias is None
+                  else biased_coin_flip_prover(public_coin, bias))
+        rng = rng_from(4100)
+        assert cf.coin_marginal(prover, 50, rng).tolist() == counts
+        assert rng.bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": 267179764158558796706505879842558806353},
+            "has_uint32": 0, "uinteger": uinteger}
+
+    def test_run_outcomes_and_state(self):
+        # A 0.8 base, so runs also stop early on a failed iteration.
+        pc = make_public_coin(rotated_copier_base(2 * np.arccos(np.sqrt(0.6))))
+        cf = make_malicious_zk(pc, 3)
+        rng = rng_from(4101)
+        runs = [cf.run(biased_coin_flip_prover(pc, 0), rng) for _ in range(8)]
+        assert runs == [(True, [0, 0, 0]), (False, [1, 0]), (False, [1, 0]),
+                        (False, [0, 1, 0]), (False, [0]), (True, [1, 1, 1]),
+                        (True, [0, 0, 1]), (False, [1, 0])]
+        assert rng.bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": 176619059363023002034079103814942261520,
+                      "inc": 2776515781858303868429381520593645709},
+            "has_uint32": 1, "uinteger": 1246513691}
+
+
 class TestValidation:
     def test_rejects_zero_reps(self, public_coin):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Ideal functionality sessions, commitments, double-opening game, trap MAC."""
+"""Commitments, double-opening game, trap MAC."""
 
 import itertools
 import math
@@ -37,13 +37,6 @@ from qpzk.crypto.commitments import (
     tamper_and_read_adversary,
     verify_open,
 )
-from qpzk.crypto.ideal import (
-    IdealSession,
-    ideal_compute,
-    ideal_compute_classical,
-    identity_functionality,
-    xor_coin_functionality,
-)
 from qpzk.crypto.mac import (
     QuantumMac,
     _conjugate,
@@ -59,48 +52,6 @@ MSG1 = RegisterLayout.single("Msg", 1)
 @pytest.fixture(scope="module")
 def mac():
     return QuantumMac(message_qubits=1, traps=3)
-
-
-class TestIdealCompute:
-    def test_xor_coin_both_receive_xor(self):
-        session = IdealSession(xor_coin_functionality())
-        out_p, out_v, abort = ideal_compute_classical(session, 0, 1, rng_from(0))
-        assert (out_p, out_v, abort) == (1, 1, 0)
-
-    def test_identity_functionality_returns_inputs(self):
-        rng = rng_from(7)
-        a = random_pure_state(RegisterLayout.single("A", 1), rng)
-        b = random_pure_state(RegisterLayout.single("B", 1), rng)
-        session = IdealSession(identity_functionality(1, 1))
-        out_a, out_b, abort = ideal_compute(session, a, b)
-        assert abort == 0
-        assert np.allclose(out_a.matrix, a.density(), atol=1e-12)
-        assert np.allclose(out_b.matrix, b.density(), atol=1e-12)
-
-    def test_corrupted_abort_flow(self):
-        rng = rng_from(8)
-        a = random_pure_state(RegisterLayout.single("A", 1), rng)
-        b = random_pure_state(RegisterLayout.single("B", 1), rng)
-        session = IdealSession(identity_functionality(1, 1), corrupted="A")
-        out_a, out_b, abort = ideal_compute(session, a, b,
-                                            abort_decider=lambda _out: 1)
-        assert abort == 1
-        assert out_b is None          # honest party gets the bottom symbol
-        assert out_a is not None      # corrupted party keeps its output
-        assert "abort" in session.events
-
-    def test_honest_input_consumed_once(self):
-        session = IdealSession(xor_coin_functionality())
-        ideal_compute_classical(session, 0, 0, rng_from(0))
-        with pytest.raises(StateValidationError):
-            ideal_compute_classical(session, 0, 0, rng_from(0))
-
-    def test_programmed_output_overrides(self):
-        session = IdealSession(xor_coin_functionality(), corrupted="B")
-        session.program(0)
-        out_a, out_b, _ = ideal_compute_classical(session, 1, 0, rng_from(0))
-        assert out_b == 0   # programmed
-        assert out_a == 1   # real computation for the honest side
 
 
 class TestCommitments:

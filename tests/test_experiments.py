@@ -154,5 +154,5 @@ def test_a_run_imports_only_the_modules_of_its_kind(kind):
                          text=True, check=True, timeout=300).stdout
     loaded = set(out.splitlines()[-1].split())
     assert "qpzk.cli" in loaded
-    assert not loaded & {"qpzk.crypto.mac", "qpzk.crypto.ideal",
-                         "qpzk.compilers.coin_flip", "qpzk.compilers.commit_rounds"}
+    assert not loaded & {"qpzk.crypto.mac", "qpzk.compilers.coin_flip",
+                         "qpzk.compilers.commit_rounds"}

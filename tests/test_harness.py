@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qpzk import pqma, uhlmann
 from qpzk.cli import main
 from qpzk.compilers.examples import copier_base
 from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
@@ -194,6 +195,15 @@ def _bell_scheme_json_with(**fields) -> str:
     return json.dumps(data)
 
 
+# The instance files the bad-instance cases start from, by kind.
+_INSTANCE_JSON = {"pqma": pqma.instance_to_json(pqma.instance_check_family("yes")),
+                  "uhlmann": uhlmann.instance_to_json(uhlmann.bell_flip_instance())}
+
+
+def _instance_json_with(kind: str, **fields) -> str:
+    return json.dumps(dict(_INSTANCE_JSON[kind], **fields))
+
+
 class TestCli:
     def test_mac_run_and_report(self, tmp_path, capsys):
         out = tmp_path / "mac.json"
@@ -244,6 +254,13 @@ class TestCli:
         ("double-open", {"scheme": "junk.txt"},
          _bell_scheme_json_with(message_qubits=1, ancilla_qubits=-1,
                                 com=complex_matrix_to_json(np.eye(1)), c_wires=[], d_wires=[])),
+        ("pqma", {"instance": "junk.txt"},
+         _instance_json_with("pqma", verifier_unitary=complex_matrix_to_json(2 * np.eye(4)))),
+        ("pqma", {"instance": "junk.txt"},
+         _instance_json_with("pqma", verifier_unitary=complex_matrix_to_json(np.eye(2)))),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", r_qubits="x")),
+        ("uhlmann", {"instance": "junk.txt"},
+         _instance_json_with("uhlmann", c_unitary=complex_matrix_to_json(2 * np.eye(4)))),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": "x"}})),
@@ -255,6 +272,7 @@ class TestCli:
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"r_qubits": 0}})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"instances": 0}})),
         ("core-check", None, json.dumps({"kind": "core-check", "params": {"samples": -5}})),
+        ("zk", None, json.dumps({"kind": "zk", "trials": 5, "params": {"reps": 10}})),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
@@ -265,12 +283,15 @@ class TestCli:
             "double-open-scheme-missing", "double-open-scheme-not-unitary",
             "double-open-scheme-wires-not-partition", "double-open-scheme-qubits-not-a-number",
             "double-open-scheme-wrong-shape", "double-open-scheme-negative-ancillas",
+            "pqma-instance-not-unitary", "pqma-instance-wrong-shape",
+            "uhlmann-instance-qubits-not-a-number", "uhlmann-instance-not-unitary",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "mac-config-param-not-a-number", "mac-config-param-not-an-integer",
             "mac-config-unknown-param",
             "collapse-config-no-bases", "public-coin-config-no-bases",
             "collapse-config-no-oracle-restarts", "uhlmann-config-no-r-qubits",
             "uhlmann-config-no-instances", "core-check-config-negative-samples",
+            "zk-config-fewer-trials-than-reps",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])
@@ -294,6 +315,15 @@ class TestCli:
         if instances is None and kind != "report":
             for name in json.loads(body).get("params", {}):
                 assert f"params.{name}" in err
+        if instances is not None and kind in _INSTANCE_JSON:
+            for name, value in json.loads(body).items():
+                if value != _INSTANCE_JSON[kind][name]:
+                    assert name in err
+
+    def test_zk_trials_flag_below_reps_exit_two(self, capsys):
+        assert main(["zk", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "trials" in err and "params.reps" in err
 
     def test_negative_seed_flag_exit_two(self, capsys):
         assert main(["double-open", "--seed", "-1"]) == 2

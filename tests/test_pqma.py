@@ -7,6 +7,7 @@ from qpzk.core import PureState, RegisterLayout, rng_from, tensor
 from qpzk.core.sampling import accept_bit
 from qpzk.errors import ConfigError
 from qpzk.harness.records import upper_bound_row
+from qpzk import pqma
 from qpzk.pqma import (
     CheatStrategy,
     _copy_acceptances,
@@ -223,6 +224,72 @@ class TestSimulator:
         inst = instance_check_family("yes")
         with pytest.raises(ConfigError):
             hv_simulate_pqma(params, inst, two_copies("11"), simulator_copies=1)
+
+
+def _walk_reference(params, inst, vin, finals):
+    """Reference for both views, with the SWAP-test walk written out in
+    full: failure branches per copy, a stop when a copy passes with
+    probability 0, then `finals(reach, state)` once every copy has passed."""
+    branches, state, reach = [], vin, 1.0
+    for j in range(params.verifier_copies):
+        (p_pass, passed), (p_fail, failed) = pqma._swap_branches(state, f"V{j}", inst.psi)
+        if p_fail > 1e-15:
+            branches.append((0, reach * p_fail, failed))
+        if p_pass <= 1e-15:
+            return branches
+        reach *= p_pass
+        state = passed
+    return branches + finals(reach, state.to_mixed())
+
+
+def _real_finals(inst):
+    def finals(reach, state):
+        final = inst.honest_acceptance()
+        split = [(0, reach * (1.0 - final), state)] if final < 1.0 - 1e-15 else []
+        return split + [(1, reach * final, state)]
+    return finals
+
+
+def _assert_same_branches(view, reference):
+    assert len(view) == len(reference)
+    for got, (outcome, probability, residual) in zip(view, reference):
+        assert got.outcome == outcome and got.probability == probability
+        assert np.array_equal(got.residual.matrix, residual.matrix)
+
+
+class TestViewWalk:
+    @pytest.mark.parametrize("label,bits", [("yes", "00"), ("yes", "01"), ("no", "11")])
+    def test_views_equal_the_written_out_walk(self, label, bits):
+        # Copies in |0> fail the SWAP test against |1> half the time; the
+        # no instance adds the real view's rejecting split.
+        params = PqmaParams(6, 2, 1)
+        inst = instance_check_family(label)
+        vin = two_copies(bits)
+        _assert_same_branches(real_verifier_view(params, inst, vin),
+                              _walk_reference(params, inst, vin, _real_finals(inst)))
+        _assert_same_branches(hv_simulate_pqma(params, inst, vin),
+                              _walk_reference(params, inst, vin,
+                                              lambda reach, state: [(1, reach, state)]))
+
+    def test_a_certain_failure_ends_the_walk(self, monkeypatch):
+        # A fresh product copy passes the SWAP test with probability at least
+        # 1/2, so the stop is reached only with a substituted test.
+        swap_branches = pqma._swap_branches
+
+        def second_copy_always_fails(state, copy_name, psi):
+            (p_pass, passed), (p_fail, failed) = swap_branches(state, copy_name, psi)
+            if copy_name == "V1":
+                return [(0.0, None), (p_pass + p_fail, passed)]
+            return [(p_pass, passed), (p_fail, failed)]
+
+        monkeypatch.setattr(pqma, "_swap_branches", second_copy_always_fails)
+        params = PqmaParams(6, 2, 1)
+        inst = instance_check_family("yes")
+        vin = two_copies("01")
+        reference = _walk_reference(params, inst, vin, _real_finals(inst))
+        assert len(reference) == 2 and all(outcome == 0 for outcome, _, _ in reference)
+        _assert_same_branches(real_verifier_view(params, inst, vin), reference)
+        _assert_same_branches(hv_simulate_pqma(params, inst, vin), reference)
 
 
 class TestCheatHarness:
