@@ -7,13 +7,13 @@ One subcommand per experiment kind plus `report`. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from qpzk.errors import ConfigError, QubitCapExceededError
 from qpzk.harness.config import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
-    config_from_dict,
     load_config,
 )
 from qpzk.harness.experiments import run_experiment
@@ -54,28 +54,9 @@ def _experiment_config(args) -> ExperimentConfig:
                 f"subcommand is {args.command!r}")
     else:
         config = ExperimentConfig(kind=args.command)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.format is not None:
-        overrides["format"] = args.format
-    if overrides:
-        data = {
-            "kind": config.kind,
-            "seed": overrides.get("seed", config.seed),
-            "trials": overrides.get("trials", config.trials),
-            "params": {k: v for k, v in config.params.items()},
-            "instances": dict(config.instances),
-            "tolerances": dict(config.tolerances),
-            "out": overrides.get("out", config.out),
-            "format": overrides.get("format", config.format),
-        }
-        config = config_from_dict(data)
-    return config
+    overrides = {name: getattr(args, name) for name in ("seed", "trials", "out", "format")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ drawn coin as the XOR output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,8 +26,6 @@ from qpzk.compilers.types import HvzkSimulator
 class CoinFlipProtocol:
     """Stage-IV object: sequential XOR-coin iterations of a public-coin
     protocol."""
-
-    stage = "IV"
 
     def __init__(self, base: PublicCoinProtocol, reps: int):
         if reps < 1:
@@ -102,16 +100,16 @@ def make_malicious_zk(base: PublicCoinProtocol, reps: int) -> CoinFlipProtocol:
 
 @dataclass(frozen=True)
 class MaliciousVerifier:
-    """Classical corruption model: a coin-input rule and an abort rule, both
-    functions of the iteration index and coin history."""
+    """Classical corruption model: an abort rule on the iteration index, the
+    coin just drawn and the coin history. The verifier's own coin input is
+    not modelled, since the honest prover's uniform input makes the XOR
+    uniform whatever it is."""
 
-    bv_for: Callable[[int, tuple], int]
-    abort_after_coin: Callable[[int, int, tuple], bool] = \
-        field(default=lambda t, coin, hist: False)
+    abort_after_coin: Callable[[int, int, tuple], bool] = lambda t, coin, hist: False
     name: str = "verifier"
 
 
-HONEST_VERIFIER = MaliciousVerifier(lambda t, hist: 0, lambda t, c, h: False, "honest")
+HONEST_VERIFIER = MaliciousVerifier(name="honest")
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ def real_malicious_views(compiled: CoinFlipProtocol,
                          verifier: MaliciousVerifier) -> list[ViewBranchIV]:
     """Exact view ensemble of the corrupted verifier against the honest
     prover: the honest coin input is uniform, so the XOR output is uniform
-    whatever bv rule the verifier follows."""
+    whatever coin input the verifier chooses."""
     return _enumerate_views(compiled, verifier,
                             _honest_iteration_states(compiled.base))
 

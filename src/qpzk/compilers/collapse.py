@@ -57,8 +57,6 @@ class CollapsedStrategy:
 class CollapsedProtocol:
     """Executable stage-II object with exact branch evaluation."""
 
-    stage = "II"
-
     def __init__(self, base: InteractiveProtocol):
         if base.rounds < 2:
             raise ConfigError("round collapse needs at least two rounds")
@@ -101,7 +99,7 @@ class CollapsedProtocol:
             raise ConfigError("simulator round count mismatch")
         if sim.m_qubits != self.base.m_qubits or sim.s_qubits != self.base.r_qubits:
             raise DimensionMismatchError("simulator register sizes mismatch")
-        return self._snapshot_strategy(ProverStrategy("adversarial", sim.unitaries),
+        return self._snapshot_strategy(ProverStrategy(sim.unitaries),
                                        f"simulator:{sim.label}")
 
     def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> CollapsedStrategy:

@@ -49,8 +49,6 @@ class CommitRunResult:
 class CommitRoundProtocol:
     """Executable stage-I object with exact branch accounting."""
 
-    stage = "I"
-
     def __init__(self, base: InteractiveProtocol, scheme: CanonicalCommitment):
         if scheme.message_qubits != base.w_qubits:
             raise DimensionMismatchError(

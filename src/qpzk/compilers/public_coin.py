@@ -46,7 +46,6 @@ class PublicCoinStrategy:
 class PublicCoinProtocol:
     """Executable stage-III object with exact per-branch evaluation."""
 
-    stage = "III"
     num_challenges = 1
 
     def __init__(self, base: InteractiveProtocol):

@@ -23,7 +23,6 @@ class HvzkSimulator:
     unitaries: tuple[np.ndarray, ...]
     m_qubits: int
     s_qubits: int
-    copy_budget: int = 0
     label: str = "custom"
 
     def __post_init__(self):

@@ -2,7 +2,7 @@
 measurements, distances, sampling and the SWAP-test primitive."""
 
 from qpzk.core.linalg import EPS
-from qpzk.core.metrics import fidelity, gentle_post_state, purity, trace_distance
+from qpzk.core.metrics import fidelity, gentle_post_state, trace_distance
 from qpzk.core.operators import Povm, ProjectiveMeasurement, UnitaryOp
 from qpzk.core.registers import RegisterLayout, qubit_cap
 from qpzk.core.sampling import (
@@ -20,7 +20,7 @@ from qpzk.core.states import (
     partial_trace,
     tensor,
 )
-from qpzk.core.swap_test import swap_test, swap_test_povm
+from qpzk.core.swap_test import swap_test_povm
 
 __all__ = [
     "EPS",
@@ -36,13 +36,11 @@ __all__ = [
     "gentle_post_state",
     "measure",
     "partial_trace",
-    "purity",
     "qubit_cap",
     "random_density",
     "random_pure_state",
     "random_unitary",
     "rng_from",
-    "swap_test",
     "swap_test_povm",
     "tensor",
     "trace_distance",

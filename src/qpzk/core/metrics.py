@@ -65,35 +65,14 @@ def gentle_post_state(rho: QuantumState, pi: np.ndarray, acts_on=None):
     return p, post, bound
 
 
-def purity(state: QuantumState) -> float:
-    if isinstance(state, PureState):
-        return 1.0
-    return state.purity()
-
-
-def max_povm_advantage_dim2(a: QuantumState, b: QuantumState, grid: int = 200):
-    """Best two-outcome distinguishing advantage on a single qubit.
-
-    Returns (grid_max, eig_max): the advantage maximized over a Bloch-sphere
-    grid of rank-one projectors, and the exact optimum from the positive
-    eigenspace projector of the difference. Both lower-bound the trace
-    distance; the eigenspace value attains it.
-    """
+def max_povm_advantage_dim2(a: QuantumState, b: QuantumState) -> float:
+    """Best two-outcome distinguishing advantage on a single qubit, attained
+    by the projector onto the positive eigenspace of the difference; it
+    equals the trace distance."""
     if a.dim != 2 or b.dim != 2:
-        raise DimensionMismatchError("dim-2 advantage scan needs single qubits")
+        raise DimensionMismatchError("dim-2 advantage needs single qubits")
     diff = _density(a) - _density(b)
-    best = 0.0
-    thetas = np.linspace(0.0, np.pi, grid)
-    phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    for th in thetas:
-        c, s = np.cos(th / 2), np.sin(th / 2)
-        for ph in phis:
-            v = np.array([c, np.exp(1j * ph) * s])
-            adv = abs(float(np.vdot(v, diff @ v).real))
-            if adv > best:
-                best = adv
     vals, vecs = np.linalg.eigh((diff + diff.conj().T) / 2)
     pos = vecs[:, vals > 0]
     proj = pos @ pos.conj().T
-    eig_max = abs(float(np.trace(proj @ diff).real))
-    return best, eig_max
+    return abs(float(np.trace(proj @ diff).real))

@@ -9,9 +9,7 @@ from qpzk.core.linalg import EPS, is_hermitian, is_projector, is_unitary
 from qpzk.errors import DimensionMismatchError, StateValidationError
 
 # Standard gates.
-ID2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 SWAP2 = np.array(
@@ -70,9 +68,6 @@ class UnitaryOp:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "UnitaryOp":
-        return UnitaryOp(self.matrix.conj().T, self.acts_on)
 
 
 @dataclass(frozen=True)

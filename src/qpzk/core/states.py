@@ -3,7 +3,6 @@ that move them: tensor, partial trace, unitary application, measurement."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -57,11 +56,6 @@ class PureState:
     def relabel(self, layout: RegisterLayout) -> "PureState":
         """Same amplitudes under a different layout of equal total size."""
         return PureState(self.amplitudes, layout)
-
-    def debug_json(self) -> str:
-        """Amplitudes as JSON [(re, im), ...] in row-major order."""
-        pairs = [[float(a.real), float(a.imag)] for a in self.amplitudes]
-        return json.dumps(pairs)
 
     @classmethod
     def computational(cls, layout: RegisterLayout, index: int = 0) -> "PureState":
@@ -126,12 +120,6 @@ class MixedState:
 
     def relabel(self, layout: RegisterLayout) -> "MixedState":
         return MixedState(self.matrix, layout, self.subnormalized)
-
-    def debug_json(self) -> str:
-        """Matrix entries as JSON [(re, im), ...] in row-major order."""
-        flat = self.matrix.reshape(-1)
-        pairs = [[float(a.real), float(a.imag)] for a in flat]
-        return json.dumps(pairs)
 
     @classmethod
     def maximally_mixed(cls, layout: RegisterLayout) -> "MixedState":
@@ -234,14 +222,3 @@ def measure(
     if abs(total - (state.trace() if isinstance(state, MixedState) else 1.0)) > 1e-7:
         raise StateValidationError(f"outcome probabilities sum to {total}")
     return outcomes
-
-
-def expectation(state: QuantumState, op: np.ndarray, acts_on=None) -> float:
-    """Real expectation value Tr(op . rho) of a Hermitian operator."""
-    acts = tuple(acts_on) if acts_on is not None else state.layout.names
-    if isinstance(state, PureState):
-        out = apply_matrix(state, op, acts)
-        return float(np.vdot(state.amplitudes, out).real)
-    targets = state.layout.qubits_of_all(acts)
-    full = linalg.embed(op, targets, state.n_qubits)
-    return float(np.trace(full @ state.matrix).real)

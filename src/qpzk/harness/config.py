@@ -40,6 +40,18 @@ _DEFAULT_PARAMS = {
     "pipeline": {"k": 2, "theta": 1.0471975511965976},
 }
 
+# The `instances` keys each kind reads; each names a file to load.
+_INSTANCE_KEYS = {
+    "pqma": ("instance",),
+    "uhlmann": ("instance",),
+    "collapse": ("base_protocol",),
+    "pipeline": ("base_protocol",),
+    "double-open": ("scheme",),
+}
+
+# The only tolerance the runners read.
+_TOLERANCE_NAMES = ("identity",)
+
 _DEFAULT_TRIALS = {
     "core-check": 1,
     "pqma": 2000,
@@ -78,12 +90,29 @@ class ExperimentConfig:
             raise ConfigError("format: must be 'json' or 'csv'")
         defaults = _DEFAULT_PARAMS[self.kind]
         merged = dict(defaults)
-        for key, value in self.params.items():
+        for key, value in _checked_object("params", self.params).items():
             if key not in defaults:
                 raise ConfigError(f"params.{key}: unknown parameter for {self.kind}; "
                                   f"choose from {', '.join(sorted(defaults)) or 'none'}")
             merged[key] = _checked_param(key, value, defaults[key])
         object.__setattr__(self, "params", merged)
+        keys = _INSTANCE_KEYS.get(self.kind, ())
+        for key, value in _checked_object("instances", self.instances).items():
+            if key not in keys:
+                raise ConfigError(f"instances.{key}: unknown instance for {self.kind}; "
+                                  f"choose from {', '.join(keys) or 'none'}")
+            if not isinstance(value, str):
+                raise ConfigError(f"instances.{key}: must be a file path, got {value!r}")
+        for key, value in _checked_object("tolerances", self.tolerances).items():
+            if key not in _TOLERANCE_NAMES:
+                raise ConfigError(f"tolerances.{key}: unknown tolerance; "
+                                  f"choose from {', '.join(_TOLERANCE_NAMES)}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value <= sys.float_info.max):
+                raise ConfigError(f"tolerances.{key}: must be a finite number "
+                                  f"of at least 0, got {value!r}")
+        object.__setattr__(self, "instances", dict(self.instances))
+        object.__setattr__(self, "tolerances", dict(self.tolerances))
 
     @property
     def effective_trials(self) -> int:
@@ -109,6 +138,12 @@ class ExperimentConfig:
             "instances": dict(sorted(self.instances.items())),
             "tolerances": dict(sorted(self.tolerances.items())),
         }
+
+
+def _checked_object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {value!r}")
+    return value
 
 
 def _checked_param(name: str, value, default):
@@ -146,9 +181,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         kind=data["kind"],
         seed=seed,
         trials=data.get("trials"),
-        params=dict(data.get("params", {})),
-        instances=dict(data.get("instances", {})),
-        tolerances=dict(data.get("tolerances", {})),
+        params=data.get("params", {}),
+        instances=data.get("instances", {}),
+        tolerances=data.get("tolerances", {}),
         out=data.get("out"),
         format=data.get("format", "json"),
     )

@@ -116,8 +116,7 @@ def _run_core_check(config: ExperimentConfig, record: ExperimentRecord) -> None:
         a = random_density(RegisterLayout.single("A", 1), rng)
         b = random_density(RegisterLayout.single("A", 1), rng)
         td = trace_distance(a, b)
-        _, eig = max_povm_advantage_dim2(a, b, grid=60)
-        worst = max(worst, abs(td - eig))
+        worst = max(worst, abs(td - max_povm_advantage_dim2(a, b)))
     record.add(equality_row("trace-distance-povm-duality-worst", worst, 0.0,
                             tol, "oracle:eigenprojector-advantage"))
 
@@ -346,9 +345,8 @@ def _run_zk(config: ExperimentConfig, record: ExperimentRecord) -> None:
     sim = HvzkSimulator.from_honest_prover(base)
     for verifier in (
         HONEST_VERIFIER,
-        MaliciousVerifier(lambda t, h: 0, lambda t, c, h: False, "fixed-bv0"),
-        MaliciousVerifier(lambda t, h: 1, lambda t, c, h: t == 1 and c == 1,
-                          "aborting"),
+        MaliciousVerifier(name="fixed-bv0"),
+        MaliciousVerifier(lambda t, c, h: t == 1 and c == 1, "aborting"),
     ):
         dist = view_ensemble_distance(real_malicious_views(cf, verifier),
                                       zk_simulate_malicious(cf, verifier, sim))

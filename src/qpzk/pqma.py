@@ -132,10 +132,6 @@ class PqmaProverInput:
         return cls("product", pair=pair)
 
     @classmethod
-    def per_copy(cls, pairs: Sequence[MixedState]) -> "PqmaProverInput":
-        return cls("product", pairs=tuple(pairs))
-
-    @classmethod
     def entangled(cls, joint: QuantumState) -> "PqmaProverInput":
         return cls("entangled", joint=joint)
 
@@ -301,9 +297,10 @@ def _swap_branches(state: QuantumState, copy_name: str, psi: PureState):
 
 
 def _swap_walk(params: PqmaParams, inst: PqmaInstance, verifier_input: QuantumState):
-    """(failures, passed): the outcome-0 branch of each verifier copy that
-    fails its SWAP test, and (reach, state) once every copy has passed, or
-    None when a copy passes with probability 0."""
+    """(failures, (reach, state)): the outcome-0 branch of each verifier copy
+    that fails its SWAP test, and the probability and state once every copy
+    has passed. A copy passes with probability (1 + <psi|rho|psi>)/2 >= 1/2
+    whatever its state rho, so the walk always reaches the end."""
     failures: list[ViewBranch] = []
     state = verifier_input
     reach = 1.0
@@ -311,8 +308,6 @@ def _swap_walk(params: PqmaParams, inst: PqmaInstance, verifier_input: QuantumSt
         (p_pass, passed), (p_fail, failed) = _swap_branches(state, f"V{j}", inst.psi)
         if p_fail > 1e-15:
             failures.append(ViewBranch(0, reach * p_fail, failed))
-        if p_pass <= 1e-15:
-            return failures, None
         reach *= p_pass
         state = passed
     return failures, (reach, state.to_mixed())
@@ -327,10 +322,7 @@ def real_verifier_view(params: PqmaParams, inst: PqmaInstance,
     the final projection happens on prover-side registers and contributes
     only the acceptance split.
     """
-    branches, passed = _swap_walk(params, inst, verifier_input)
-    if passed is None:
-        return branches
-    reach, state = passed
+    branches, (reach, state) = _swap_walk(params, inst, verifier_input)
     final = inst.honest_acceptance()
     if final < 1.0 - 1e-15:
         branches.append(ViewBranch(0, reach * (1.0 - final), state))
@@ -348,9 +340,7 @@ def hv_simulate_pqma(params: PqmaParams, inst: PqmaInstance,
     if budget < params.verifier_copies:
         raise ConfigError("simulator copy budget exhausted")
     branches, passed = _swap_walk(params, inst, verifier_input)
-    if passed is not None:
-        branches.append(ViewBranch(1, *passed))
-    return branches
+    return branches + [ViewBranch(1, *passed)]
 
 
 def view_distance(a: list[ViewBranch], b: list[ViewBranch]) -> float:
@@ -403,10 +393,6 @@ def orthogonal_copy_strategy(inst: PqmaInstance) -> CheatStrategy:
                          PqmaProverInput.symmetric(inst.witness, ortho))
 
 
-def bad_witness_strategy(inst: PqmaInstance, witness: QuantumState) -> CheatStrategy:
-    return CheatStrategy("bad-witness", PqmaProverInput.symmetric(witness, inst.psi))
-
-
 def honest_shape_strategy(inst: PqmaInstance, witness: Optional[QuantumState] = None) -> CheatStrategy:
     """Honest copies of the (possibly no-) instance with the best witness."""
     return CheatStrategy("honest-copies",
@@ -433,12 +419,6 @@ def cheat_harness(params: PqmaParams, inst: PqmaInstance,
         max_rate = max(max_rate, hits / trials)
     sigma = math.sqrt(max(max_rate * (1 - max_rate), 1e-12) / trials)
     return CheatReport(max_rate, bound, sigma)
-
-
-def sequential_repetition_acceptance(params, inst, prover_input, reps: int, rng) -> int:
-    """AND-acceptance over independent repetitions of the functionality."""
-    run = _runner(params, inst, prover_input)
-    return int(all(run(rng) == "accept" for _ in range(reps)))
 
 
 # -- built-in instances and persistence ---------------------------------------

@@ -56,14 +56,11 @@ class ProverStrategy:
     None means "use the protocol's honest unitaries".
     """
 
-    tag: str = "honest"
     unitaries: Optional[tuple[np.ndarray, ...]] = None
     ancilla_qubits: int = 0
     name: str = ""
 
     def __post_init__(self):
-        if self.tag not in ("honest", "adversarial"):
-            raise StateValidationError(f"unknown strategy tag {self.tag!r}")
         if self.unitaries is not None:
             mats = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
             for u in mats:
@@ -78,7 +75,7 @@ class ProverStrategy:
         return self.unitaries[round_index]
 
 
-HONEST = ProverStrategy(tag="honest", name="honest")
+HONEST = ProverStrategy(name="honest")
 
 
 class InteractiveProtocol:

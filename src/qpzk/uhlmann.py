@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +46,6 @@ class UhlmannInstance:
     r_qubits: int
     s_qubits: int
     delta: float = DEFAULT_DELTA
-    gamma_override: Optional[int] = None
 
     def __post_init__(self):
         dim = 2 ** (self.r_qubits + self.s_qubits)
@@ -69,8 +68,6 @@ class UhlmannInstance:
 
     @property
     def gamma(self) -> int:
-        if self.gamma_override is not None:
-            return self.gamma_override
         return int(round(8 * self.delta ** 2))
 
     @property
@@ -90,14 +87,12 @@ class UhlmannInstance:
 
 @dataclass(frozen=True)
 class UhlmannUnitary:
-    """Matching unitary on S with its verification residual.
-
-    With an invertible reduced state the map is supported everywhere and no
-    completion is needed; completion_rank records the support dimension."""
+    """Matching unitary on S with its verification residual. With an
+    invertible reduced state the map is supported everywhere, so no
+    completion is needed."""
 
     matrix: np.ndarray
     residual: float
-    completion_rank: int
 
 
 def compute_uhlmann(inst: UhlmannInstance) -> UhlmannUnitary:
@@ -123,7 +118,7 @@ def compute_uhlmann(inst: UhlmannInstance) -> UhlmannUnitary:
             f"matching unitary residual {residual:.3e} exceeds tolerance")
     if not linalg.is_unitary(u):
         raise StateValidationError("matching map is not unitary")
-    return UhlmannUnitary(u, residual, dim_s)
+    return UhlmannUnitary(u, residual)
 
 
 # -- provers -------------------------------------------------------------------
@@ -137,11 +132,6 @@ def honest_prover(inst: UhlmannInstance) -> ProverRule:
     return lambda i: u
 
 
-def identity_prover(inst: UhlmannInstance) -> ProverRule:
-    eye = np.eye(2 ** inst.s_qubits, dtype=complex)
-    return lambda i: eye
-
-
 def perturbed_prover(inst: UhlmannInstance, angle: float) -> ProverRule:
     """The matching unitary composed with a small rotation on the first S
     qubit; per-round detection grows with the angle."""
@@ -150,22 +140,6 @@ def perturbed_prover(inst: UhlmannInstance, angle: float) -> ProverRule:
     rot = np.array([[c, -s], [s, c]], dtype=complex)
     turned = linalg.apply_to_vector(rot, u, [0], inst.s_qubits)
     return lambda i: turned
-
-
-def clairvoyant_prover(inst: UhlmannInstance, starred_round: int,
-                       garbage: Optional[np.ndarray] = None) -> ProverRule:
-    """Applies the matching unitary in every round except the one it has
-    been told is the target, where it applies garbage instead. Unrealizable
-    in the real game (the starred round is hidden); used to illustrate why
-    the guarantee leans on the hidden position."""
-    u = compute_uhlmann(inst).matrix
-    bad = garbage if garbage is not None else linalg.embed(
-        np.array([[0, 1], [1, 0]], dtype=complex), [0], inst.s_qubits)
-
-    def rule(i: int) -> np.ndarray:
-        return bad if i == starred_round else u
-
-    return rule
 
 
 # -- protocol ------------------------------------------------------------------
@@ -192,7 +166,6 @@ def apply_rule_to_target(target: QuantumState, mat: np.ndarray) -> QuantumState:
 @dataclass(frozen=True)
 class UhlmannRunResult:
     outcome: str                      # "accept" | "abort"
-    failed_round: Optional[int]
     output: Optional[QuantumState]    # the returned target, on accept
 
 
@@ -212,8 +185,8 @@ def run_uhlmann_protocol(inst: UhlmannInstance, prover: ProverRule,
             continue
         p = round_accept_probability(inst, mat)
         if rng.random() >= p:
-            return UhlmannRunResult("abort", i, None)
-    return UhlmannRunResult("accept", None, out)
+            return UhlmannRunResult("abort", None)
+    return UhlmannRunResult("accept", out)
 
 
 def canonical_target(inst: UhlmannInstance) -> PureState:
@@ -305,32 +278,22 @@ class UOracle:
 class SimulatedUhlmannView:
     output: QuantumState
     oracle_calls: int
-    test_rounds_checked: int
 
 
 def zk_simulate_uhlmann(inst: UhlmannInstance, verifier_input: QuantumState,
-                        oracle: Optional[UOracle] = None,
-                        rng=None) -> SimulatedUhlmannView:
+                        oracle: Optional[UOracle] = None) -> SimulatedUhlmannView:
     """Reproduce a corrupted verifier's view with one oracle query.
 
     The verifier only ever sees its returned target: every test round runs
     between the functionality and the honest prover, whose pass probability
-    is |<D|(Id x U)|C>|^2 = 1, a public fact the simulator checks from C and
-    D alone. So the simulator spends its single query on the verifier's
-    target register and hands the result back.
+    is |<D|(Id x U)|C>|^2 = 1 by the definition of U. So the simulator
+    spends its single query on the verifier's target register and hands the
+    result back.
     """
     _target_layout(verifier_input, inst.s_qubits)
     oracle = oracle or UOracle(inst)
-    # Test rounds are reproduced from public data: the matched state equals
-    # |D> exactly, so each check passes with certainty.
-    checked = 0
-    for _ in range(inst.gamma - 1):
-        overlap = abs(np.vdot(inst.d_vector(), inst.d_vector()))
-        if abs(overlap - 1.0) > 1e-12:
-            raise StateValidationError("public preparation data is inconsistent")
-        checked += 1
     out = oracle.apply(verifier_input, "T")
-    return SimulatedUhlmannView(out, oracle.calls, checked)
+    return SimulatedUhlmannView(out, oracle.calls)
 
 
 def real_verifier_output(inst: UhlmannInstance,

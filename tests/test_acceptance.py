@@ -271,9 +271,8 @@ class TestAcceptance:
         cf2 = make_malicious_zk(pc, 2)
         verifiers = [
             HONEST_VERIFIER,
-            MaliciousVerifier(lambda t, h: 1, lambda t, c, h: False, "bv1"),
-            MaliciousVerifier(lambda t, h: 0,
-                              lambda t, c, h: t == 1 and c == 0, "aborter"),
+            MaliciousVerifier(name="bv1"),
+            MaliciousVerifier(lambda t, c, h: t == 1 and c == 0, "aborter"),
         ]
         for verifier in verifiers:
             dist = view_ensemble_distance(

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
 from qpzk.errors import ConfigError
 from qpzk.harness.config import (
     _DEFAULT_PARAMS,
+    _INSTANCE_KEYS,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     config_from_dict,
@@ -27,7 +29,7 @@ from qpzk.harness.records import (
     save_record,
     upper_bound_row,
 )
-from qpzk.harness.experiments import _RUNNERS, run_experiment
+from qpzk.harness.experiments import _RUNNERS, _load_base, run_experiment
 from qpzk.harness.report import report
 from qpzk.protocol import protocol_to_json
 from qpzk.serialize import complex_matrix_to_json
@@ -80,6 +82,11 @@ class TestConfig:
         source = inspect.getsource(_RUNNERS[kind])
         for name in _DEFAULT_PARAMS[kind]:
             assert f'config.param("{name}")' in source, name
+        # Every instance key the config accepts for the kind is read, and no other.
+        if "_load_base(config" in source:
+            source += inspect.getsource(_load_base)
+        read = set(re.findall(r'config\.instances\["(\w+)"\]', source))
+        assert read == set(_INSTANCE_KEYS.get(kind, ()))
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -273,6 +280,15 @@ class TestCli:
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"instances": 0}})),
         ("core-check", None, json.dumps({"kind": "core-check", "params": {"samples": -5}})),
         ("zk", None, json.dumps({"kind": "zk", "trials": 5, "params": {"reps": 10}})),
+        ("mac", None, json.dumps({"kind": "mac", "params": [1]})),
+        ("mac", None, json.dumps({"kind": "mac", "tolerances": [1]})),
+        ("mac", None, json.dumps({"kind": "mac", "tolerances": {"identity": "x"}})),
+        ("mac", None, json.dumps({"kind": "mac", "tolerances": {"identiy": 1e-3}})),
+        ("mac", None, json.dumps({"kind": "mac", "tolerances": {"identity": float("nan")}})),
+        ("mac", None, json.dumps({"kind": "mac", "tolerances": {"identity": -1e-9}})),
+        ("mac", None, json.dumps({"kind": "mac", "instances": {"x": "y"}})),
+        ("pqma", None, json.dumps({"kind": "pqma", "instances": {"instance": 2}})),
+        ("collapse", None, json.dumps({"kind": "collapse", "instances": {"scheme": "s.json"}})),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
@@ -292,6 +308,11 @@ class TestCli:
             "collapse-config-no-oracle-restarts", "uhlmann-config-no-r-qubits",
             "uhlmann-config-no-instances", "core-check-config-negative-samples",
             "zk-config-fewer-trials-than-reps",
+            "mac-config-params-not-an-object", "mac-config-tolerances-not-an-object",
+            "mac-config-tolerance-not-a-number", "mac-config-unknown-tolerance",
+            "mac-config-tolerance-nan", "mac-config-tolerance-negative",
+            "mac-config-unknown-instance", "pqma-config-instance-not-a-path",
+            "collapse-config-instance-of-another-kind",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list"])
@@ -313,8 +334,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err
         if instances is None and kind != "report":
-            for name in json.loads(body).get("params", {}):
-                assert f"params.{name}" in err
+            data = json.loads(body)
+            for field in ("params", "tolerances", "instances"):
+                value = data.get(field, {})
+                if not isinstance(value, dict):
+                    assert f"{field}:" in err
+                for name in value if isinstance(value, dict) else ():
+                    assert f"{field}.{name}" in err
         if instances is not None and kind in _INSTANCE_JSON:
             for name, value in json.loads(body).items():
                 if value != _INSTANCE_JSON[kind][name]:

@@ -9,13 +9,11 @@ from qpzk.errors import ConfigError
 from qpzk.harness.records import upper_bound_row
 from qpzk import pqma
 from qpzk.pqma import (
-    CheatStrategy,
     _copy_acceptances,
     _runner,
     _sample_distinct,
     PqmaParams,
     PqmaProverInput,
-    bad_witness_strategy,
     cheat_harness,
     exact_acceptance_product,
     hv_simulate_pqma,
@@ -26,7 +24,6 @@ from qpzk.pqma import (
     orthogonal_copy_strategy,
     real_verifier_view,
     run_pqma,
-    sequential_repetition_acceptance,
     soundness_bound,
     view_distance,
     witness_match_family,
@@ -38,6 +35,11 @@ V1 = RegisterLayout.single("V0", 1)
 def _verdict(report) -> str:
     return upper_bound_row("cheat", report.max_empirical, report.bound,
                            report.sigma, "formula:copy-test-soundness").verdict
+
+
+def per_copy(pairs) -> PqmaProverInput:
+    """Product-mode input with its own pair state for each prover copy."""
+    return PqmaProverInput("product", pairs=tuple(pairs))
 
 
 def two_copies(bits: str) -> PureState:
@@ -111,8 +113,7 @@ class TestRunPqma:
         prover_input = {
             "orthogonal": ortho,
             "honest": good,
-            "per-copy": PqmaProverInput.per_copy([good.pair, ortho.pair] * (p // 2)
-                                                 + [good.pair] * (p % 2)),
+            "per-copy": per_copy([good.pair, ortho.pair] * (p // 2) + [good.pair] * (p % 2)),
         }[strategy]
         params = PqmaParams(p, q, 1)
         sized, scalar = rng_from(3200, p, q), rng_from(3200, p, q)
@@ -142,11 +143,12 @@ class TestRunPqma:
     def test_bad_witness_exact_rejection(self):
         params = PqmaParams(6, 2, 1)
         inst = witness_match_family()
-        bad = bad_witness_strategy(inst, PureState.from_bits(RegisterLayout.single("B", 1), "0"))
+        bad = PqmaProverInput.symmetric(
+            PureState.from_bits(RegisterLayout.single("B", 1), "0"), inst.psi)
         # All SWAP tests pass; the final projection rejects with certainty.
-        assert exact_acceptance_product(params, inst, bad.prover_input) == pytest.approx(0.0, abs=1e-12)
+        assert exact_acceptance_product(params, inst, bad) == pytest.approx(0.0, abs=1e-12)
         rng = rng_from(31)
-        outcomes = {run_pqma(params, inst, bad.prover_input, rng) for _ in range(100)}
+        outcomes = {run_pqma(params, inst, bad, rng) for _ in range(100)}
         assert outcomes == {"reject"}
 
     def test_per_copy_permutation_symmetry(self):
@@ -154,10 +156,8 @@ class TestRunPqma:
         inst = instance_check_family("yes")
         good = PqmaProverInput.symmetric(inst.witness, inst.psi).pair
         cheat = orthogonal_copy_strategy(inst).prover_input.pair
-        a = exact_acceptance_product(params, inst, PqmaProverInput.per_copy(
-            [good, good, cheat, cheat]))
-        b = exact_acceptance_product(params, inst, PqmaProverInput.per_copy(
-            [cheat, good, cheat, good]))
+        a = exact_acceptance_product(params, inst, per_copy([good, good, cheat, cheat]))
+        b = exact_acceptance_product(params, inst, per_copy([cheat, good, cheat, good]))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_entangled_mode_matches_product_on_product_input(self):
@@ -228,15 +228,13 @@ class TestSimulator:
 
 def _walk_reference(params, inst, vin, finals):
     """Reference for both views, with the SWAP-test walk written out in
-    full: failure branches per copy, a stop when a copy passes with
-    probability 0, then `finals(reach, state)` once every copy has passed."""
+    full: failure branches per copy, then `finals(reach, state)` once every
+    copy has passed."""
     branches, state, reach = [], vin, 1.0
     for j in range(params.verifier_copies):
         (p_pass, passed), (p_fail, failed) = pqma._swap_branches(state, f"V{j}", inst.psi)
         if p_fail > 1e-15:
             branches.append((0, reach * p_fail, failed))
-        if p_pass <= 1e-15:
-            return branches
         reach *= p_pass
         state = passed
     return branches + finals(reach, state.to_mixed())
@@ -271,26 +269,6 @@ class TestViewWalk:
                               _walk_reference(params, inst, vin,
                                               lambda reach, state: [(1, reach, state)]))
 
-    def test_a_certain_failure_ends_the_walk(self, monkeypatch):
-        # A fresh product copy passes the SWAP test with probability at least
-        # 1/2, so the stop is reached only with a substituted test.
-        swap_branches = pqma._swap_branches
-
-        def second_copy_always_fails(state, copy_name, psi):
-            (p_pass, passed), (p_fail, failed) = swap_branches(state, copy_name, psi)
-            if copy_name == "V1":
-                return [(0.0, None), (p_pass + p_fail, passed)]
-            return [(p_pass, passed), (p_fail, failed)]
-
-        monkeypatch.setattr(pqma, "_swap_branches", second_copy_always_fails)
-        params = PqmaParams(6, 2, 1)
-        inst = instance_check_family("yes")
-        vin = two_copies("01")
-        reference = _walk_reference(params, inst, vin, _real_finals(inst))
-        assert len(reference) == 2 and all(outcome == 0 for outcome, _, _ in reference)
-        _assert_same_branches(real_verifier_view(params, inst, vin), reference)
-        _assert_same_branches(hv_simulate_pqma(params, inst, vin), reference)
-
 
 class TestCheatHarness:
     def test_vacuous_bound_recorded(self):
@@ -317,8 +295,8 @@ class TestCheatHarness:
         cheat = orthogonal_copy_strategy(inst)
         rng = rng_from(35)
         n = 1000
-        hits = sum(sequential_repetition_acceptance(params, inst, cheat.prover_input, 2, rng)
-                   for _ in range(n))
+        run = _runner(params, inst, cheat.prover_input)
+        hits = sum(run(rng) == "accept" and run(rng) == "accept" for _ in range(n))
         # Two independent repetitions square the single-run acceptance 1/4.
         want = 0.25 ** 2
         sigma = np.sqrt(want * (1 - want) / n)

@@ -53,7 +53,7 @@ class TestRunProtocol:
         assert run_protocol(writer_protocol()) == pytest.approx(1.0, abs=1e-12)
 
     def test_idle_prover_never_accepted_by_copier(self):
-        idle = ProverStrategy(tag="adversarial", unitaries=(np.eye(4, dtype=complex),))
+        idle = ProverStrategy(unitaries=(np.eye(4, dtype=complex),))
         assert run_protocol(copier_protocol(), idle) == pytest.approx(0.0, abs=1e-12)
         assert run_protocol(copier_protocol(), HONEST) == pytest.approx(1.0, abs=1e-12)
 
@@ -77,18 +77,18 @@ class TestRunProtocol:
             prot = InteractiveProtocol.from_verifier_start(
                 PSI0, 1, 1, [random_unitary(4, rng)], [random_unitary(4, rng)]
             )
-            strat = ProverStrategy(tag="adversarial", unitaries=(random_unitary(4, rng),))
+            strat = ProverStrategy(unitaries=(random_unitary(4, rng),))
             val = run_protocol(prot, strat)
             assert -1e-12 <= val <= 1 + 1e-12
 
     def test_strategy_register_violation(self):
         with pytest.raises(StateValidationError):
-            ProverStrategy(tag="adversarial", unitaries=(np.ones((4, 4)),))
+            ProverStrategy(unitaries=(np.ones((4, 4)),))
 
 
 class TestVerifierView:
     def test_identity_prover_first_view_is_initial_reduction(self):
-        idle = ProverStrategy(tag="adversarial", unitaries=(np.eye(4, dtype=complex),))
+        idle = ProverStrategy(unitaries=(np.eye(4, dtype=complex),))
         prot = copier_protocol()
         point = verifier_view(prot, idle, 1)
         from qpzk.core import partial_trace
@@ -258,7 +258,7 @@ class TestGateRounds:
 
     def test_honest_rounds_leave_the_ancilla_untouched(self):
         prot = copier_protocol()
-        strat = ProverStrategy(tag="honest", ancilla_qubits=2)
+        strat = ProverStrategy(ancilla_qubits=2)
         with_anc = prot.evolve(strat)
         want = np.kron(prot.evolve().amplitudes, linalg.basis_vector(0, 4))
         np.testing.assert_allclose(with_anc.amplitudes, want, rtol=0, atol=1e-15)

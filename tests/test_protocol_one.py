@@ -48,7 +48,7 @@ class TestHonestExecution:
         strat = CommitRoundStrategy(
             lambda i: [(mats[i - 1], ("R", "M"))], 0, "random-rm")
         result = proto.execute(strat)
-        want = run_protocol(base, ProverStrategy(tag="adversarial", unitaries=mats))
+        want = run_protocol(base, ProverStrategy(unitaries=mats))
         assert result.accept_probability == pytest.approx(want, abs=1e-9)
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
 

@@ -17,11 +17,9 @@ from qpzk.uhlmann import (
     UhlmannInstance,
     bell_flip_instance,
     canonical_target,
-    clairvoyant_prover,
     compute_uhlmann,
     expected_output,
     honest_prover,
-    identity_prover,
     instance_from_json,
     instance_from_rotation,
     instance_to_json,
@@ -33,6 +31,21 @@ from qpzk.uhlmann import (
     round_accept_probability,
     zk_simulate_uhlmann,
 )
+
+
+def identity_prover(inst):
+    """Prover that returns every shipped register untouched."""
+    eye = np.eye(2 ** inst.s_qubits, dtype=complex)
+    return lambda i: eye
+
+
+def clairvoyant_prover(inst, starred_round, garbage):
+    """Applies the matching unitary in every round except the one it has
+    been told is the target, where it applies garbage instead. Unrealizable
+    in the real game (the starred round is hidden); it shows why the
+    guarantee leans on the hidden position."""
+    u = compute_uhlmann(inst).matrix
+    return lambda i: garbage if i == starred_round else u
 
 
 class TestComputeUhlmann:
@@ -198,7 +211,6 @@ class TestZeroKnowledge:
         sim = zk_simulate_uhlmann(inst, verifier_input)
         assert trace_distance(real.to_mixed(), sim.output.to_mixed()) < 1e-9
         assert sim.oracle_calls == 1
-        assert sim.test_rounds_checked == inst.gamma - 1
 
     def test_maximally_mixed_target_is_fixed(self):
         rng = rng_from(51)
