@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+
+# Set before numpy loads: a run's kernels are too small for a second BLAS thread, which only spins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from qpzk.errors import ConfigError, QubitCapExceededError
 from qpzk.harness.config import (

@@ -33,10 +33,6 @@ class CoinFlipProtocol:
         self.base = base
         self.reps = reps
 
-    @property
-    def num_challenges(self) -> int:
-        return self.reps
-
     # -- real execution -----------------------------------------------------
 
     def run(self, prover: "CoinFlipProver", rng):

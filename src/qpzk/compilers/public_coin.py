@@ -46,8 +46,6 @@ class PublicCoinStrategy:
 class PublicCoinProtocol:
     """Executable stage-III object with exact per-branch evaluation."""
 
-    num_challenges = 1
-
     def __init__(self, base: InteractiveProtocol):
         if base.rounds != 2:
             raise ConfigError("the public-coin compiler takes a 3-message protocol")

@@ -128,10 +128,6 @@ class InteractiveProtocol:
         return 2 * self.rounds - 1
 
     @property
-    def num_challenges(self) -> int:
-        return 0
-
-    @property
     def r_qubits(self) -> int:
         return self.layout.size_of("R")
 
@@ -277,19 +273,18 @@ def verifier_view(protocol: InteractiveProtocol, strat: ProverStrategy, i: int) 
 def sample_run(protocol, strat: ProverStrategy, coin_schedule, rng):
     """One seeded run: sampled accept bit plus the per-message transcript.
 
-    Deterministic protocols ignore coins (the schedule must be empty);
-    coin-bearing compiled protocols consume one coin per declared challenge,
-    drawing them from rng when the schedule is None.
+    Deterministic protocols take no coins (the schedule must be empty); a
+    protocol with its own `sample_run` (the public-coin one) handles its coin.
     """
     sampler = getattr(protocol, "sample_run", None)
     if sampler is not None:
         return sampler(strat, coin_schedule, rng)
-    coins = tuple(coin_schedule or ())
-    if len(coins) != protocol.num_challenges:
+    if not isinstance(protocol, InteractiveProtocol):
         raise ConfigError(
-            f"coin schedule length {len(coins)} != declared challenges "
-            f"{protocol.num_challenges}"
-        )
+            f"sample_run cannot run a {type(protocol).__name__}; "
+            "run a CoinFlipProtocol with CoinFlipProtocol.run")
+    if tuple(coin_schedule or ()):
+        raise ConfigError("a deterministic protocol takes no coins; the schedule must be empty")
     transcript = [verifier_view(protocol, strat, i) for i in range(1, protocol.messages + 1)]
     return accept_bit(run_protocol(protocol, strat), rng), transcript
 

@@ -12,7 +12,6 @@ import pytest
 from scipy import stats
 
 from qpzk.core import (
-    MixedState,
     PureState,
     RegisterLayout,
     fidelity,

@@ -8,7 +8,6 @@ from scipy import stats
 from qpzk.core import rng_from
 from qpzk.compilers.coin_flip import (
     HONEST_VERIFIER,
-    CoinFlipProver,
     MaliciousVerifier,
     biased_coin_flip_prover,
     honest_coin_flip_prover,
@@ -18,9 +17,10 @@ from qpzk.compilers.coin_flip import (
     zk_simulate_malicious,
 )
 from qpzk.compilers.examples import copier_base, rotated_copier_base
-from qpzk.compilers.public_coin import PublicCoinStrategy, make_public_coin
+from qpzk.compilers.public_coin import make_public_coin
 from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
+from qpzk.protocol import HONEST, sample_run
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +168,8 @@ class TestValidation:
     def test_rejects_zero_reps(self, public_coin):
         with pytest.raises(ConfigError):
             make_malicious_zk(public_coin, 0)
+
+    def test_sample_run_points_to_run(self, public_coin):
+        cf = make_malicious_zk(public_coin, 2)
+        with pytest.raises(ConfigError, match=r"CoinFlipProtocol.*CoinFlipProtocol\.run"):
+            sample_run(cf, HONEST, [0, 1], rng_from(0))

@@ -1,5 +1,6 @@
 """End-to-end smoke of every experiment kind at reduced scale."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,18 @@ import pytest
 from qpzk.harness import experiments
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import run_experiment
+from qpzk.harness.records import load_record
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child_env(**values):
+    """This environment with src/ on PYTHONPATH and no OPENBLAS_NUM_THREADS
+    (importing qpzk.cli in this process sets it), then `values` set."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(values)
+    return env
 
 
 @pytest.mark.parametrize("kind,trials,params", [
@@ -148,11 +161,40 @@ def test_a_run_imports_only_the_modules_of_its_kind(kind):
     code = ("import sys; from qpzk.cli import main; "
             f"main([{kind!r}, '--trials', '20']); "
             "print(' '.join(m for m in sys.modules if m.startswith('qpzk')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                          text=True, check=True, timeout=300).stdout
     loaded = set(out.splitlines()[-1].split())
     assert "qpzk.cli" in loaded
     assert not loaded & {"qpzk.crypto.mac", "qpzk.compilers.coin_flip",
                          "qpzk.compilers.commit_rounds"}
+
+
+@pytest.mark.parametrize("module,preset,expected", [
+    ("qpzk.cli", {}, "1"),
+    ("qpzk.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ("qpzk.core", {}, None),
+])
+def test_only_the_command_pins_blas_threads(module, preset, expected):
+    # In a fresh interpreter: the command pins OpenBLAS to one thread before
+    # numpy loads, unless the user set a count; a library import pins nothing.
+    code = (f"import json, os, {module}; "
+            "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None; "
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "None if tasks is None else len(tasks)]))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(**preset), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    value, threads = json.loads(out)
+    assert value == expected
+    if expected == "1" and threads is not None:
+        assert threads == 1
+
+
+def test_double_open_record_does_not_depend_on_blas_threads(tmp_path):
+    records = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        subprocess.run([sys.executable, "-m", "qpzk.cli", "double-open", "--seed", "7",
+                        "--out", str(out)], env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True, timeout=300)
+        records.append(load_record(str(out)).comparable_bytes())
+    assert records[0] == records[1]

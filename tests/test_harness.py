@@ -25,7 +25,6 @@ from qpzk.harness.records import (
     MetricRow,
     equality_row,
     load_record,
-    record_from_dict,
     save_record,
     upper_bound_row,
 )

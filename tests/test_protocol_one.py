@@ -4,11 +4,9 @@ binding detection of commitment substitution, pipeline composition."""
 import numpy as np
 import pytest
 
-from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
-from qpzk.core.operators import X
+from qpzk.core import rng_from, random_unitary
 from qpzk.crypto.commitments import CanonicalCommitment, bell_ancilla_scheme
 from qpzk.compilers.commit_rounds import (
-    CommitRoundProtocol,
     CommitRoundStrategy,
     compile_hvzk,
     fresh_c_substitution_strategy,
@@ -23,11 +21,8 @@ from qpzk.protocol import ProverStrategy, run_protocol
 
 
 def one_qubit_scheme() -> CanonicalCommitment:
-    # One message qubit, one Bell-prепared... plain ancilla pair scheme
-    # shrunk to a single ancilla: Com entangles the ancilla with nothing,
-    # keeping verification exact while the message hides in C.
-    from qpzk.core.operators import CNOT, H
-
+    # One message qubit and one plain ancilla: Com entangles the ancilla
+    # with nothing, keeping verification exact while the message hides in C.
     com = np.kron(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     return CanonicalCommitment("plain", 1, 1, com, c_wires=(0,), d_wires=(1,))
 

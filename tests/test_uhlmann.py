@@ -5,13 +5,12 @@ import pytest
 
 from qpzk.core import (
     MixedState,
-    PureState,
     RegisterLayout,
     random_pure_state,
     rng_from,
     trace_distance,
 )
-from qpzk.errors import ConfigError, OracleBudgetError, StateValidationError
+from qpzk.errors import OracleBudgetError, StateValidationError
 from qpzk.uhlmann import (
     UOracle,
     UhlmannInstance,
@@ -21,7 +20,6 @@ from qpzk.uhlmann import (
     expected_output,
     honest_prover,
     instance_from_json,
-    instance_from_rotation,
     instance_to_json,
     perturbed_prover,
     random_instance,
@@ -83,7 +81,7 @@ class TestComputeUhlmann:
         assert compute_uhlmann(inst).residual <= 1e-9
 
     def test_mismatched_reductions_rejected(self):
-        from qpzk.core.operators import H, X
+        from qpzk.core.operators import H
 
         # |C> = |00>, |D> = |+0>: different reduced states on R.
         c = np.eye(4, dtype=complex)
