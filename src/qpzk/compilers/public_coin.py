@@ -17,7 +17,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1, projector_onto
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.sampling import ScalarDraws, accept_bit
+from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, bind
@@ -160,20 +160,11 @@ class PublicCoinProtocol:
         return accept_bit(value, rng), (b, value)
 
     def sample_hits(self, strat: PublicCoinStrategy, trials: int, rng) -> tuple[int, float]:
-        """(accepted runs out of `trials`, exact acceptance).
-
-        Each branch is evaluated once; every run then draws its coin and its
-        accept bit as `sample_run` does, in the same order (read through
-        ScalarDraws, a block of runs at a time), so the hit count and the
-        stream's end state equal those of `trials` calls to `sample_run` on
-        the same stream."""
-        value = (self.branch_value(strat, 0), self.branch_value(strat, 1))
-        hits = 0
-        with ScalarDraws(rng) as draws:
-            for v in draws.blocks((True, False), trials):
-                coin, u = v[:, 0].astype(np.intp), v[:, 1]
-                hits += int(np.count_nonzero(u < np.take(value, coin)))
-        return hits, 0.5 * value[0] + 0.5 * value[1]
+        """(accepted runs out of `trials`, exact acceptance): each branch is
+        evaluated once, and the hit count is one binomial draw at the exact
+        acceptance, the distribution of `trials` calls to `sample_run`."""
+        exact = self.acceptance(strat)
+        return int(rng.binomial(trials, min(exact, 1.0))), exact
 
     # -- cheat oracle -------------------------------------------------------------
 
@@ -195,11 +186,8 @@ class SimulatedCoinTranscript:
 
 def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: HvzkSimulator,
                             trials: int, rng) -> list[SimulatedCoinTranscript]:
-    """`trials` simulated (W, M, b) transcripts, each with a uniform coin
-    drawn as `int(rng.integers(2))` would draw it (through ScalarDraws);
+    """`trials` simulated (W, M, b) transcripts, each with a uniform coin;
     the two transcripts are built once."""
     transcripts = compiled.simulator_transcripts(sim)
-    with ScalarDraws(rng) as draws:
-        coins = [int(b) for v in draws.blocks((True,), trials) for b in v[:, 0]]
-    return [SimulatedCoinTranscript(b, transcripts[b]) for b in coins]
-
+    return [SimulatedCoinTranscript(b, transcripts[b])
+            for b in rng.integers(2, size=trials).tolist()]

@@ -20,7 +20,6 @@ from qpzk.core import linalg
 from qpzk.core.linalg import EPS
 from qpzk.core.operators import CNOT, H, X, projector_onto
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.sampling import BLOCK_TRIALS, ScalarDraws, accept_bit, choice_cdf
 from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import (
     ConfigError,
@@ -257,7 +256,8 @@ class Adversary:
 class DoubleOpenGame:
     """The double-opening experiment of one adversary against one scheme,
     evaluated once as a tree of classical histories: first check, b, second
-    check, M' read. The trials (run_double_open) only draw from it.
+    check, M' read. The trials (run_double_open) only draw from its
+    outcome probabilities.
 
     Wire map: commitment wires 0..k-1 in natural (message, ancilla) order,
     the challenger's swap target M' next, then the adversary's ancillas.
@@ -336,120 +336,39 @@ def _checked_gates(gates, held: list[int], phase: str) -> list[Gate]:
     return checked
 
 
-def run_double_open(game: DoubleOpenGame, trials: int, rng) -> tuple[int, int]:
-    """(wins, aborts) over `trials` double-opening experiments drawn from
-    the game's tree; the adversary wins on b' = b. Each experiment makes
-    the scalar draws of one game, in order, through ScalarDraws.
-
-    When every check on the path of the likelier check outcomes is nearly
-    certain, blocks of experiments are read at once on that path, each
-    cut before its first experiment that leaves the path, which is then
-    played by scalar draws; the draws and results are those of the
-    scalar loop either way."""
-    cdfs = [None if m is None else choice_cdf(m) for m in game.mprime_marginal]
-    path = _likely_path(game)
-    with ScalarDraws(rng) as draws:
-        if path is None:
-            return _play(game, cdfs, draws, trials)
-        wins = aborts = 0
-        while trials > 0:
-            n = min(BLOCK_TRIALS, trials)
-            kept, won = _play_likely(game, path, cdfs, draws, n)
-            wins += won
-            aborts += 0 if path.second_passes else kept
-            if kept < n:
-                won, aborted = _play(game, cdfs, draws, 1)
-                wins, aborts, kept = wins + won, aborts + aborted, kept + 1
-            trials -= kept
-    return wins, aborts
-
-
-def _play(game: DoubleOpenGame, cdfs, draws: ScalarDraws, trials: int) -> tuple[int, int]:
-    """(wins, aborts) of `trials` experiments played by scalar draws."""
-    respond = game.adversary.respond is not None
-    reads = game.adversary.reads_swap_target
-    wins = aborts = 0
-    for _ in range(trials):
-        if not accept_bit(game.p_open, draws):
-            aborts += 1
+def outcome_probabilities(game: DoubleOpenGame) -> np.ndarray:
+    """Exact [win, lose, abort] probabilities of one double-opening
+    experiment, summed over the leaves of the game's tree: the first check,
+    a uniform b, the second check, then the guess, which reads M' (1 unless
+    all-zero) or is a uniform bit. The adversary wins on b' = b."""
+    p_open = min(game.p_open, 1.0)
+    win = lose = 0.0
+    abort = 1.0 - p_open
+    reach = 0.5 * p_open
+    for b in (0, 1):
+        # Unreached nodes are left unset; walking away fails the second check.
+        p_second = 0.0
+        if reach and game.adversary.respond is not None:
+            p_second = min(game.p_second[b], 1.0)
+        abort += reach * (1.0 - p_second)
+        if not p_second:
             continue
-        b = draws.bit()
-        if not respond or not accept_bit(game.p_second[b], draws):
-            aborts += 1
-            continue
-        if reads:
+        if game.adversary.reads_swap_target:
             # M' holds the original message when the swap came first (b = 1).
-            guess = 1 if draws.index(cdfs[b]) != 0 else 0
+            p_zero = float(game.mprime_marginal[b][0])
+            hit = p_zero if b == 0 else 1.0 - p_zero
         else:
-            guess = draws.bit()
-        wins += guess == b
+            hit = 0.5
+        win += reach * p_second * hit
+        lose += reach * p_second * (1.0 - hit)
+    return np.array([win, lose, abort])
+
+
+def run_double_open(game: DoubleOpenGame, trials: int, rng) -> tuple[int, int]:
+    """(wins, aborts) over `trials` double-opening experiments: one
+    multinomial draw from the game's exact outcome probabilities."""
+    wins, _, aborts = rng.multinomial(trials, outcome_probabilities(game)).tolist()
     return wins, aborts
-
-
-@dataclass(frozen=True)
-class _LikelyPath:
-    """The draws of an experiment whose checks take their likelier
-    outcomes: `pattern` marks its bit draws among its uniform ones;
-    `second_passes` is None when there is no second check on the path. The
-    experiment completes (reaches the guess) when the second check passes,
-    and aborts otherwise."""
-
-    pattern: tuple[bool, ...]
-    open_passes: bool
-    second_passes: Optional[bool] = None
-
-
-# A check is predicted when its less likely outcome has probability at
-# most this, so a block of BLOCK_TRIALS experiments is cut about once per
-# predicted check or less. No built-in game has a check between 0 and 1.
-_RARE = 1.0 / BLOCK_TRIALS
-
-
-def _likely(p: float) -> Optional[bool]:
-    """The likelier outcome of a check passing with probability p, or None
-    when it is not nearly certain."""
-    if p <= _RARE:
-        return False
-    return True if p >= 1.0 - _RARE else None
-
-
-def _likely_path(game: DoubleOpenGame) -> Optional[_LikelyPath]:
-    """The game's likely path, or None when a check on it is not nearly
-    certain or the path depends on b."""
-    opens = _likely(game.p_open)
-    if opens is None:
-        return None
-    if not opens:
-        return _LikelyPath((False,), False)
-    if game.adversary.respond is None:
-        return _LikelyPath((False, True), True)
-    second = {_likely(p) for p in game.p_second}
-    if second not in ({False}, {True}):
-        return None
-    if second == {False}:
-        return _LikelyPath((False, True, False), True, False)
-    guess_is_bit = not game.adversary.reads_swap_target
-    return _LikelyPath((False, True, False, guess_is_bit), True, True)
-
-
-def _play_likely(game: DoubleOpenGame, path: _LikelyPath, cdfs, draws: ScalarDraws,
-                 n: int) -> tuple[int, int]:
-    """(experiments kept, their wins): the next n experiments read on the
-    likely path, kept up to the first one that leaves it."""
-    v = draws.peek(path.pattern, n)
-    on_path = (v[:, 0] < game.p_open) == path.open_passes
-    if path.second_passes is not None:
-        b = v[:, 1].astype(np.intp)
-        on_path &= (v[:, 2] < np.array(game.p_second)[b]) == path.second_passes
-    kept = n if on_path.all() else int(on_path.argmin())
-    draws.take(kept)
-    if not path.second_passes:
-        return kept, 0
-    b, last = b[:kept], v[:kept, 3]
-    if game.adversary.reads_swap_target:
-        # index(cdf) != 0 exactly when the uniform reaches cdf[0].
-        last = last >= np.array([cdfs[0][0], cdfs[1][0]])[b]
-    return kept, int(np.count_nonzero(last == b))
 
 
 def double_open_win_rate(scheme, adversary: Adversary, trials: int, rng) -> tuple[float, int]:

@@ -25,7 +25,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import P1
 from qpzk.core.registers import RegisterLayout, qubit_cap
-from qpzk.core.sampling import accept_all, accept_bit
+from qpzk.core.sampling import accept_bit
 from qpzk.core.states import (
     MixedState,
     PureState,
@@ -179,7 +179,8 @@ def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInp
 
 def _runner(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput):
     """A function of rng that makes one execution's draws. In product mode
-    the per-copy SWAP and final acceptances are computed here, once."""
+    the per-copy SWAP and final acceptances are computed here, once, and
+    an execution draws its q SWAP tests in one sized draw."""
     p, q = params.prover_copies, params.verifier_copies
     if params.joint_mode != "product":
         def run_entangled(rng) -> str:
@@ -192,7 +193,7 @@ def _runner(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInpu
 
     def run(rng) -> str:
         tested = _sample_distinct(rng, p, q + 1)
-        if not accept_all(swap_of(tested[:q]), rng):
+        if (rng.random(q) >= swap_of(tested[:q])).any():
             return "abort"
         return "accept" if accept_bit(final_of(tested[q]), rng) else "reject"
     return run

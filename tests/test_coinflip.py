@@ -20,6 +20,7 @@ from qpzk.compilers.examples import copier_base, rotated_copier_base
 from qpzk.compilers.public_coin import make_public_coin
 from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
+from qpzk.harness.experiments import _uniform_chi_square_p
 from qpzk.protocol import HONEST, sample_run
 
 
@@ -50,6 +51,19 @@ class TestCoinUniformity:
         counts = cf.coin_marginal(prover, 3000, rng_from(3001))
         chi2, p = stats.chisquare(counts)
         assert p > 0.01
+
+    def test_p_value_matches_scipy_chisquare(self):
+        # One degree of freedom: the closed form erfc(sqrt(x / 2)) against
+        # scipy's chi-square tail, on count pairs of coins with biases from
+        # 0.45 to 0.55, whose p-values run from about 1e-63 to 1.
+        rng = rng_from(3003)
+        totals = rng.integers(10, 20001, size=20000)
+        ones = rng.binomial(totals, rng.uniform(0.45, 0.55, size=totals.size))
+        counts = np.stack([totals - ones, ones], axis=1)
+        want = stats.chisquare(counts, axis=1).pvalue
+        got = [_uniform_chi_square_p(pair) for pair in counts]
+        assert got == pytest.approx(want.tolist(), rel=1e-12, abs=0.0)
+        assert _uniform_chi_square_p([700, 700]) == 1.0
 
     def test_honest_parties_accept(self, public_coin):
         cf = make_malicious_zk(public_coin, 3)

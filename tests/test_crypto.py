@@ -19,7 +19,6 @@ from qpzk.core import (
     trace_distance,
 )
 from qpzk.core.operators import X, Z
-from qpzk.core.sampling import BLOCK_TRIALS, accept_bit
 from qpzk.crypto.commitments import (
     Adversary,
     DoubleOpenGame,
@@ -29,6 +28,7 @@ from qpzk.crypto.commitments import (
     double_open_win_rate,
     identity_scheme,
     layered_cnot_scheme,
+    outcome_probabilities,
     random_guess_adversary,
     read_swap_target_adversary,
     run_double_open,
@@ -191,16 +191,16 @@ class TestDoubleOpenGame:
         with pytest.raises(ConfigError, match="at least one trial"):
             double_open_win_rate(scheme, random_guess_adversary(scheme), trials, rng_from(14))
 
-    # (rate, aborts) over 500 trials and the next draw after them: any change
-    # to which draws a game makes, or in what order, moves these.
+    # (rate, aborts) over 500 trials and the next draw after them, on stream
+    # version 2: any change to which draws a game makes moves these.
     @pytest.mark.parametrize("case,scheme,adversary,rate,aborts,next_draw", [
-        (0, bell_ancilla_scheme, random_guess_adversary, 0.494, 0, 0.15652933679342473),
-        (1, bell_ancilla_scheme, read_swap_target_adversary, 0.514, 0, 0.09940886033539231),
-        (2, bell_ancilla_scheme, tamper_and_read_adversary, 0.0, 500, 0.9278953961476065),
-        (3, bell_ancilla_scheme, aborting_adversary, 0.0, 500, 0.11339986820561043),
-        (4, identity_scheme, tamper_and_read_adversary, 1.0, 0, 0.6094996912297993),
-        (5, layered_cnot_scheme, random_guess_adversary, 0.49, 0, 0.8559423107735968),
-        (6, layered_cnot_scheme, read_swap_target_adversary, 0.542, 0, 0.28447714765855947),
+        (0, bell_ancilla_scheme, random_guess_adversary, 0.526, 0, 0.5266818260948598),
+        (1, bell_ancilla_scheme, read_swap_target_adversary, 0.46, 0, 0.9485368412361052),
+        (2, bell_ancilla_scheme, tamper_and_read_adversary, 0.0, 500, 0.5508442104534835),
+        (3, bell_ancilla_scheme, aborting_adversary, 0.0, 500, 0.7433341197823008),
+        (4, identity_scheme, tamper_and_read_adversary, 1.0, 0, 0.5412689571343062),
+        (5, layered_cnot_scheme, random_guess_adversary, 0.518, 0, 0.33280393554021725),
+        (6, layered_cnot_scheme, read_swap_target_adversary, 0.516, 0, 0.4220660804431311),
     ])
     def test_stream_pinned(self, case, scheme, adversary, rate, aborts, next_draw):
         scheme = scheme()
@@ -242,32 +242,9 @@ class TestExactWinRates:
         assert run_double_open(game, 50, rng_from(15)) == (0, 50)
 
 
-def _scalar_double_open(game, trials: int, rng) -> tuple[int, int]:
-    """Reference: run_double_open as a loop of real scalar Generator calls."""
-    respond = game.adversary.respond is not None
-    wins = aborts = 0
-    for _ in range(trials):
-        if not accept_bit(game.p_open, rng):
-            aborts += 1
-            continue
-        b = int(rng.integers(2))
-        if not respond or not accept_bit(game.p_second[b], rng):
-            aborts += 1
-            continue
-        if game.adversary.reads_swap_target:
-            marginal = game.mprime_marginal[b]
-            guess = 1 if rng.choice(len(marginal), p=marginal) != 0 else 0
-        else:
-            guess = int(rng.integers(2))
-        wins += guess == b
-    return wins, aborts
-
-
-# Check probabilities: certain, nearly certain on either side of the cut-off
-# for reading blocks at once (1/BLOCK_TRIALS), and fractional.
+# Check probabilities: certain, nearly certain either way, and fractional.
 _PROBABILITIES = st.one_of(
-    st.sampled_from([0.0, 1e-6, 5e-4, 1 / BLOCK_TRIALS, 2e-3, 0.998, 1 - 1 / BLOCK_TRIALS,
-                     1 - 5e-4, 1 - 1e-6, 1 - 4e-16, 1.0]),
+    st.sampled_from([0.0, 1e-6, 5e-4, 2e-3, 0.998, 1 - 5e-4, 1 - 1e-6, 1 - 4e-16, 1.0]),
     st.floats(0.0, 1.0))
 # M' marginals over one or two qubits, point masses and spread.
 _MARGINALS = st.lists(st.sampled_from([0.0, 0.0, 0.2, 1.0, 3.0]), min_size=2, max_size=4) \
@@ -290,45 +267,82 @@ def _games(draw):
         adversary=Adversary((), None if kind == "aborts" else (), kind == "reads"))
 
 
-class TestBlockDraws:
-    @given(game=_games(), trials=st.sampled_from([1, 1023, 1024, 1025, 3000]),
-           seed=st.integers(0, 2 ** 32), half_full=st.booleans())
-    def test_matches_the_scalar_loop(self, game, trials, seed, half_full):
-        scalar, read = rng_from(seed), rng_from(seed)
-        if half_full:
-            # Leaves the high half of a word buffered on both sides.
-            scalar.integers(2)
-            read.integers(2)
-        assert run_double_open(game, trials, read) == _scalar_double_open(game, trials, scalar)
-        assert read.bit_generator.state == scalar.bit_generator.state
+def _enumerated_outcomes(game) -> list[float]:
+    """[win, lose, abort] summed over every leaf of the game's tree: the
+    first check, b, the second check, then each guess or each M' outcome."""
+    win, lose, abort = range(3)
+    leaves = [0.0, 0.0, 1.0 - game.p_open]
+    for b in (0, 1):
+        reach = game.p_open / 2
+        if game.adversary.respond is None:
+            leaves[abort] += reach
+            continue
+        leaves[abort] += reach * (1.0 - game.p_second[b])
+        if game.adversary.reads_swap_target:
+            # The guess is 1 unless M' reads all-zero.
+            guesses = [(int(m != 0), p) for m, p in enumerate(game.mprime_marginal[b])]
+        else:
+            guesses = [(0, 0.5), (1, 0.5)]
+        for guess, p in guesses:
+            leaves[win if guess == b else lose] += reach * game.p_second[b] * p
+    return leaves
 
-    @pytest.mark.parametrize("p_open,p_second", [
-        (1 - 1 / BLOCK_TRIALS, [1.0, 1.0]),
-        (1.0, [1 - 1 / BLOCK_TRIALS, 1 - 1 / BLOCK_TRIALS]),
-        (1 / BLOCK_TRIALS, [1.0, 1.0]),
+
+def _within_4_sigma(counts, probabilities, trials: int) -> bool:
+    counts, probabilities = np.asarray(counts), np.asarray(probabilities)
+    sigma = np.sqrt(trials * probabilities * (1.0 - probabilities))
+    return bool(np.all(np.abs(counts - trials * probabilities) <= 4.0 * sigma))
+
+
+class TestOutcomeProbabilities:
+    @given(game=_games())
+    def test_leaves_sum_to_one_and_match_the_enumerated_tree(self, game):
+        leaves = outcome_probabilities(game)
+        assert leaves.shape == (3,)
+        assert np.all(leaves >= 0.0)
+        assert leaves.sum() == pytest.approx(1.0, abs=1e-12)
+        assert leaves.tolist() == pytest.approx(_enumerated_outcomes(game), abs=1e-12)
+
+    @pytest.mark.parametrize("scheme,adversary,win_rate", [
+        (bell_ancilla_scheme, random_guess_adversary, 0.5),
+        (bell_ancilla_scheme, read_swap_target_adversary, 0.5),
+        (identity_scheme, random_guess_adversary, 0.5),
+        (identity_scheme, read_swap_target_adversary, 0.5),
+        (layered_cnot_scheme, random_guess_adversary, 0.5),
+        (layered_cnot_scheme, read_swap_target_adversary, 0.5),
+        (identity_scheme, tamper_and_read_adversary, 1.0),
     ])
-    @pytest.mark.parametrize("reads", [False, True])
-    def test_blocks_cut_at_rare_outcomes_match_the_scalar_loop(self, p_open, p_second, reads):
-        # About three rare outcomes per check over 3,000 trials, each cutting
-        # a block.
-        game = SimpleNamespace(p_open=p_open, p_second=p_second,
-                               mprime_marginal=[np.array([0.3, 0.7]), np.array([1.0, 0.0])],
-                               adversary=Adversary((), (), reads))
-        for seed in range(4):
-            scalar, read = rng_from(2027, seed), rng_from(2027, seed)
-            assert run_double_open(game, 3000, read) == _scalar_double_open(game, 3000, scalar)
-            assert read.bit_generator.state == scalar.bit_generator.state
+    def test_completing_builtin_games_match_the_tree(self, scheme, adversary, win_rate):
+        scheme = scheme()
+        game = DoubleOpenGame(scheme, adversary(scheme))
+        win, lose, abort = outcome_probabilities(game)
+        assert abort == pytest.approx(0.0, abs=1e-15)
+        assert win / (win + lose) == pytest.approx(_win_rate_given_completion(game), abs=1e-15)
+        assert win / (win + lose) == pytest.approx(win_rate, abs=1e-15)
 
-    @pytest.mark.parametrize("factory", [random_guess_adversary, read_swap_target_adversary,
-                                         tamper_and_read_adversary, aborting_adversary])
+    @pytest.mark.parametrize("scheme,adversary", [
+        (bell_ancilla_scheme, aborting_adversary),
+        (identity_scheme, aborting_adversary),
+        (layered_cnot_scheme, aborting_adversary),
+        (bell_ancilla_scheme, tamper_and_read_adversary),
+        (layered_cnot_scheme, tamper_and_read_adversary),
+    ])
+    def test_aborting_and_tampering_builtin_games_always_abort(self, scheme, adversary):
+        scheme = scheme()
+        game = DoubleOpenGame(scheme, adversary(scheme))
+        assert outcome_probabilities(game).tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("adversary", [random_guess_adversary, read_swap_target_adversary,
+                                           tamper_and_read_adversary, aborting_adversary])
     @pytest.mark.parametrize("scheme", [bell_ancilla_scheme, identity_scheme,
                                         layered_cnot_scheme])
-    def test_builtin_games_match_the_scalar_loop(self, scheme, factory):
+    def test_counts_within_4_sigma_of_the_exact_values(self, scheme, adversary):
         scheme = scheme()
-        game = DoubleOpenGame(scheme, factory(scheme))
-        scalar, read = rng_from(2028), rng_from(2028)
-        assert run_double_open(game, 2500, read) == _scalar_double_open(game, 2500, scalar)
-        assert read.bit_generator.state == scalar.bit_generator.state
+        game = DoubleOpenGame(scheme, adversary(scheme))
+        trials = 10 ** 5
+        wins, aborts = run_double_open(game, trials, rng_from(2028))
+        assert _within_4_sigma([wins, trials - wins - aborts, aborts],
+                               outcome_probabilities(game), trials)
 
 
 class TestAdversaryChecks:

@@ -88,7 +88,7 @@ def test_pipeline_evaluates_each_branch_once_per_prover(monkeypatch):
 def test_pipeline_cheat_rows_pinned_at_seed_7():
     record = run_experiment(ExperimentConfig(kind="pipeline", seed=7))
     cheats = [row for row in record.rows if row.name.startswith("pipeline-cheat-")]
-    assert [row.empirical for row in cheats] == [0.5065, 0.686, 0.673]
+    assert [row.empirical for row in cheats] == [0.4795, 0.691, 0.699]
     assert [row.sigma for row in cheats] == pytest.approx(
         [0.011180158646320453, 0.01041653707667828, 0.01041653707667828],
         rel=1e-12)
@@ -149,7 +149,7 @@ def test_public_coin_builds_simulator_transcripts_once_per_row(monkeypatch):
 def test_double_open_rows_pinned_at_seed_7():
     record = run_experiment(ExperimentConfig(kind="double-open", seed=7, trials=2000))
     assert [row.empirical for row in record.rows] == [
-        0.0010000000000000009, 0.016000000000000014, 1.0]
+        0.013000000000000012, 0.0010000000000000009, 1.0]
     assert [row.sigma for row in record.rows[:2]] == [
         0.011180339887498949, 0.011180339887498949]
     assert [row.verdict for row in record.rows] == ["PASS", "PASS", "PASS"]

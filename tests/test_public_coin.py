@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
 from qpzk.core.sampling import random_amplitudes
@@ -78,36 +76,27 @@ class _FixedBranches(PublicCoinProtocol):
 
 
 class TestSampling:
-    def test_sampler_matches_sample_run_loop(self):
+    def test_hits_within_4_sigma_of_the_exact_acceptance(self):
         pc = make_public_coin(rotated_copier_base(0.8))
         g = rng_from(2550)
         responses = [random_unitary(4, g), random_unitary(4, g)]
         strat = PublicCoinStrategy(random_amplitudes(8, g), lambda b: responses[b], "random")
         assert 0.05 < pc.branch_value(strat, 0) < 0.95
         assert 0.05 < pc.branch_value(strat, 1) < 0.95
-        n = 500
-        loop_rng, sampler_rng = rng_from(2551), rng_from(2551)
-        loop_hits = sum(pc.sample_run(strat, None, loop_rng)[0] for _ in range(n))
-        hits, exact = pc.sample_hits(strat, n, sampler_rng)
-        assert hits == loop_hits
+        n = 10 ** 5
+        hits, exact = pc.sample_hits(strat, n, rng_from(2551))
         assert exact == pc.acceptance(strat)
-        assert sampler_rng.bit_generator.state == loop_rng.bit_generator.state
-        assert sampler_rng.random() == loop_rng.random()
+        assert abs(hits - n * exact) <= 4 * np.sqrt(n * exact * (1 - exact))
 
-    @given(values=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-           trials=st.sampled_from([1, 1023, 1024, 1025, 3000]),
-           seed=st.integers(0, 2 ** 32), half_full=st.booleans())
-    def test_sampler_matches_sample_run_loop_for_any_branch_values(self, values, trials,
-                                                                    seed, half_full):
-        pc = _FixedBranches(values)
-        loop_rng, sampler_rng = rng_from(seed), rng_from(seed)
-        if half_full:
-            # Leaves the high half of a word buffered on both sides.
-            loop_rng.integers(2)
-            sampler_rng.integers(2)
-        loop_hits = sum(pc.sample_run(None, None, loop_rng)[0] for _ in range(trials))
-        assert pc.sample_hits(None, trials, sampler_rng)[0] == loop_hits
-        assert sampler_rng.bit_generator.state == loop_rng.bit_generator.state
+    # Certain branches, one rounded just above 1, and fractional ones.
+    @pytest.mark.parametrize("values", [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 4e-16),
+                                        (0.0, 1.0), (0.3, 0.9)])
+    def test_hits_of_fixed_branch_values_within_4_sigma(self, values):
+        n = 10 ** 5
+        hits, exact = _FixedBranches(values).sample_hits(None, n, rng_from(2553))
+        assert exact == 0.5 * values[0] + 0.5 * values[1]
+        p = min(exact, 1.0)
+        assert abs(hits - n * p) <= 4 * np.sqrt(n * p * (1 - p))
 
     @pytest.mark.parametrize("coin", [0, 1])
     def test_scheduled_coin_from_an_iterator(self, coin):
