@@ -19,6 +19,7 @@ from qpzk.core import (
     trace_distance,
 )
 from qpzk.core.operators import X, Z
+from qpzk.core.sampling import accept_bit
 from qpzk.crypto.commitments import (
     Adversary,
     DoubleOpenGame,
@@ -343,6 +344,71 @@ class TestOutcomeProbabilities:
         wins, aborts = run_double_open(game, trials, rng_from(2028))
         assert _within_4_sigma([wins, trials - wins - aborts, aborts],
                                outcome_probabilities(game), trials)
+
+
+def _scalar_double_open(game, trials: int, rng) -> tuple[int, int]:
+    """Reference: the game's tree walked once per trial with scalar draws."""
+    respond = game.adversary.respond is not None
+    wins = aborts = 0
+    for _ in range(trials):
+        if not accept_bit(game.p_open, rng):
+            aborts += 1
+            continue
+        b = int(rng.integers(2))
+        if not respond or not accept_bit(game.p_second[b], rng):
+            aborts += 1
+            continue
+        if game.adversary.reads_swap_target:
+            marginal = game.mprime_marginal[b]
+            guess = 1 if rng.choice(len(marginal), p=marginal) != 0 else 0
+        else:
+            guess = int(rng.integers(2))
+        wins += guess == b
+    return wins, aborts
+
+
+def _same_distribution(game, trials: int, *key: int) -> bool:
+    """run_double_open and the scalar loop, on independent streams, give
+    [win, lose, abort] counts that differ by at most 4 sigma of each
+    difference; an outcome of probability 0 or 1 must count the same."""
+    counts = []
+    for stream, play in enumerate([run_double_open, _scalar_double_open]):
+        wins, aborts = play(game, trials, rng_from(*key, stream))
+        counts.append([wins, trials - wins - aborts, aborts])
+    p = outcome_probabilities(game)
+    sigma = np.sqrt(2 * trials * p * (1.0 - p))
+    return bool(np.all(np.abs(np.subtract(*counts)) <= 4.0 * sigma))
+
+
+class TestBlockDraws:
+    """run_double_open draws a whole block of trials in one call; its counts
+    follow the scalar tree walk."""
+
+    @given(game=_games(), trials=st.sampled_from([1, 100, 3000]), seed=st.integers(0, 2 ** 32))
+    def test_matches_the_scalar_loop(self, game, trials, seed):
+        assert _same_distribution(game, trials, seed)
+
+    @pytest.mark.parametrize("p_open,p_second", [
+        (1 - 2 ** -10, [1.0, 1.0]),
+        (1.0, [1 - 2 ** -10, 1 - 2 ** -10]),
+        (2 ** -10, [1.0, 1.0]),
+    ])
+    @pytest.mark.parametrize("reads", [False, True])
+    def test_blocks_cut_at_rare_outcomes_match_the_scalar_loop(self, p_open, p_second, reads):
+        # About three rare outcomes per check over 3,000 trials.
+        game = SimpleNamespace(p_open=p_open, p_second=p_second,
+                               mprime_marginal=[np.array([0.3, 0.7]), np.array([1.0, 0.0])],
+                               adversary=Adversary((), (), reads))
+        for seed in range(4):
+            assert _same_distribution(game, 3000, 2027, seed)
+
+    @pytest.mark.parametrize("factory", [random_guess_adversary, read_swap_target_adversary,
+                                         tamper_and_read_adversary, aborting_adversary])
+    @pytest.mark.parametrize("scheme", [bell_ancilla_scheme, identity_scheme,
+                                        layered_cnot_scheme])
+    def test_builtin_games_match_the_scalar_loop(self, scheme, factory):
+        scheme = scheme()
+        assert _same_distribution(DoubleOpenGame(scheme, factory(scheme)), 2500, 2028)
 
 
 class TestAdversaryChecks:

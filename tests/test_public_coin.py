@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
 from qpzk.core.sampling import random_amplitudes
@@ -75,6 +77,12 @@ class _FixedBranches(PublicCoinProtocol):
         return self.values[b]
 
 
+def _same_count_distribution(a: int, b: int, p: float, trials: int) -> bool:
+    """Two independent Binomial(trials, p) counts differ by at most 4 sigma
+    of their difference; at p of 0 or 1 they must be equal."""
+    return abs(a - b) <= 4 * np.sqrt(2 * trials * p * (1 - p))
+
+
 class TestSampling:
     def test_hits_within_4_sigma_of_the_exact_acceptance(self):
         pc = make_public_coin(rotated_copier_base(0.8))
@@ -97,6 +105,26 @@ class TestSampling:
         assert exact == 0.5 * values[0] + 0.5 * values[1]
         p = min(exact, 1.0)
         assert abs(hits - n * p) <= 4 * np.sqrt(n * p * (1 - p))
+
+    def test_sampler_matches_sample_run_loop(self):
+        pc = make_public_coin(rotated_copier_base(0.8))
+        g = rng_from(2550)
+        responses = [random_unitary(4, g), random_unitary(4, g)]
+        strat = PublicCoinStrategy(random_amplitudes(8, g), lambda b: responses[b], "random")
+        n = 2000
+        loop_rng = rng_from(2552, 0)
+        loop_hits = sum(pc.sample_run(strat, None, loop_rng)[0] for _ in range(n))
+        hits, exact = pc.sample_hits(strat, n, rng_from(2552, 1))
+        assert _same_count_distribution(hits, loop_hits, exact, n)
+
+    @given(values=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           trials=st.sampled_from([1, 100, 3000]), seed=st.integers(0, 2 ** 32))
+    def test_sampler_matches_sample_run_loop_for_any_branch_values(self, values, trials, seed):
+        pc = _FixedBranches(values)
+        loop_rng = rng_from(seed, 0)
+        loop_hits = sum(pc.sample_run(None, None, loop_rng)[0] for _ in range(trials))
+        hits, exact = pc.sample_hits(None, trials, rng_from(seed, 1))
+        assert _same_count_distribution(hits, loop_hits, min(exact, 1.0), trials)
 
     @pytest.mark.parametrize("coin", [0, 1])
     def test_scheduled_coin_from_an_iterator(self, coin):
