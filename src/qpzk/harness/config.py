@@ -28,7 +28,7 @@ EXPERIMENT_IDS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS)}
 
 _DEFAULT_PARAMS = {
     "core-check": {"samples": 400, "dims": 3},
-    "pqma": {"p": 8, "q": 2, "n": 1, "p_large": 2 * 10 ** 6, "q_large": 300},
+    "pqma": {"p": 8, "q": 2, "p_large": 2 * 10 ** 6, "q_large": 300},
     "collapse": {"bases": 6, "oracle_restarts": 6, "oracle_iters": 100},
     "public-coin": {"bases": 4, "oracle_restarts": 6, "oracle_iters": 120,
                     "theta": 0.8},
@@ -60,7 +60,7 @@ _DEFAULT_TRIALS = {
     "zk": 10000,
     "double-open": 10000,
     "mac": 1,
-    "uhlmann": 400,
+    "uhlmann": 1,
     "pipeline": 2000,
 }
 

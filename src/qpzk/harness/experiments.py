@@ -142,8 +142,8 @@ def _run_pqma(config: ExperimentConfig, record: ExperimentRecord) -> None:
     )
 
     trials = config.effective_trials
-    p, q, n = config.param("p"), config.param("q"), config.param("n")
-    params = PqmaParams(p, q, n)
+    p, q = config.param("p"), config.param("q")
+    params = PqmaParams(p, q)
 
     if "instance" in config.instances:
         yes_inst = load_instance(config.instances["instance"])
@@ -163,13 +163,14 @@ def _run_pqma(config: ExperimentConfig, record: ExperimentRecord) -> None:
                                                      cheat.prover_input),
                             2.0 ** -q, 1e-9, "exact:product-evaluation"))
 
+    n = yes_inst.psi.n_qubits
     small_bound = soundness_bound(p, q, n)
     record.add(MetricRow("small-copy-bound", small_bound, None, 0.0,
                          "VACUOUS" if small_bound > 1 else "PASS",
                          "formula:copy-test-soundness"))
 
     p_large, q_large = config.param("p_large"), config.param("q_large")
-    big = PqmaParams(p_large, q_large, n)
+    big = PqmaParams(p_large, q_large)
     rng = _stream(config, 1)
     report = cheat_harness(big, no_inst,
                            [orthogonal_copy_strategy(no_inst),
@@ -489,8 +490,7 @@ def _run_uhlmann(config: ExperimentConfig, record: ExperimentRecord) -> None:
                             0.0, config.tolerance("identity", 1e-9),
                             "exact:state-evolution"))
 
-    rec = soundness_check(inst, perturbed_prover(inst, config.param("perturbation")),
-                          trials=config.effective_trials, rng=_stream(config, 1002))
+    rec = soundness_check(inst, perturbed_prover(inst, config.param("perturbation")))
     if rec.verdict == "NOT-APPLICABLE":
         record.add(MetricRow("perturbed-prover-output-distance", rec.acceptance,
                              rec.bound, 0.0, "NOT-APPLICABLE",

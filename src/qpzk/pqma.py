@@ -49,16 +49,10 @@ from qpzk.serialize import (
 class PqmaParams:
     prover_copies: int
     verifier_copies: int
-    instance_qubits: int
-    joint_mode: str = "product"
 
     def __post_init__(self):
         if not 0 < self.verifier_copies < self.prover_copies:
             raise ConfigError("need 0 < verifier copies < prover copies")
-        if self.instance_qubits < 1:
-            raise ConfigError("instance needs at least one qubit")
-        if self.joint_mode not in ("product", "entangled"):
-            raise ConfigError("joint_mode must be 'product' or 'entangled'")
 
 
 @dataclass(frozen=True)
@@ -105,23 +99,28 @@ class PqmaInstance:
         op.setflags(write=False)
         return op
 
-    def final_acceptance(self, witness: QuantumState, instance: QuantumState) -> float:
-        joint = np.kron(witness.density(), instance.density())
-        return float(np.trace(self.accept_operator @ joint).real)
+    def final_acceptance(self, pair: np.ndarray) -> float:
+        """Acceptance of the final projection on a (witness, instance)
+        density matrix."""
+        return float(np.trace(self.accept_operator @ pair).real)
 
     def honest_acceptance(self) -> float:
-        return self.final_acceptance(self.witness, self.psi)
+        return self.final_acceptance(np.kron(self.witness.density(), self.psi.density()))
 
 
 @dataclass(frozen=True)
 class PqmaProverInput:
-    """Prover-side copies: one repeated (witness, instance) pair state, a
-    per-copy list of pair states, or one joint entangled state."""
+    """Prover-side copies, exactly one of: one (witness, instance) pair
+    state that every copy repeats, a pair state per copy, or one joint
+    entangled state of all the copies."""
 
-    mode: str
-    pair: Optional[MixedState] = None             # symmetric product
-    pairs: Optional[tuple[MixedState, ...]] = None  # per-copy product
-    joint: Optional[QuantumState] = None          # entangled
+    pair: Optional[MixedState] = None
+    pairs: Optional[tuple[MixedState, ...]] = None
+    joint: Optional[QuantumState] = None
+
+    def __post_init__(self):
+        if sum(x is not None for x in (self.pair, self.pairs, self.joint)) != 1:
+            raise ConfigError("prover input needs exactly one of pair, pairs and joint")
 
     @classmethod
     def symmetric(cls, witness: QuantumState, instance: QuantumState) -> "PqmaProverInput":
@@ -129,18 +128,7 @@ class PqmaProverInput:
             witness.to_mixed().relabel(RegisterLayout.single("B", witness.n_qubits)),
             instance.to_mixed().relabel(RegisterLayout.single("A", instance.n_qubits)),
         )
-        return cls("product", pair=pair)
-
-    @classmethod
-    def entangled(cls, joint: QuantumState) -> "PqmaProverInput":
-        return cls("entangled", joint=joint)
-
-    def pair_for(self, index: int) -> MixedState:
-        if self.pairs is not None:
-            return self.pairs[index]
-        if self.pair is None:
-            raise ConfigError("product-mode input missing pair state")
-        return self.pair
+        return cls(pair=pair)
 
 
 def soundness_bound(p: int, q: int, n: int) -> float:
@@ -160,17 +148,6 @@ def _swap_accept_probability(inst: PqmaInstance, pair: MixedState) -> float:
     return swap_test_povm(a, inst.psi.relabel(a.layout))
 
 
-def _sample_distinct(rng, n: int, k: int) -> list[int]:
-    """k distinct indices from range(n); safe for astronomically large n."""
-    # One sized draw equals k scalar draws; the set is filled in draw order,
-    # since its iteration order fixes which shuffle key each index gets.
-    seen = {int(i) for i in rng.integers(n, size=k)}
-    while len(seen) < k:
-        seen.add(int(rng.integers(n)))
-    indices = list(seen)
-    return [indices[i] for i in np.argsort(rng.random(len(indices)), kind="stable")]
-
-
 def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput,
              rng) -> str:
     """One seeded functionality execution: 'accept', 'reject' or 'abort'."""
@@ -178,68 +155,66 @@ def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInp
 
 
 def _runner(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput):
-    """A function of rng that makes one execution's draws. In product mode
-    the per-copy SWAP and final acceptances are computed here, once, and
-    an execution draws its q SWAP tests in one sized draw."""
+    """A function of rng that makes one execution's draws: the q + 1 tested
+    and starred copies in one draw, then the SWAP tests and the final
+    projection. An entangled input is evolved copy by copy; for a product
+    input the per-copy acceptances are computed here, once, and the q SWAP
+    tests are one sized draw."""
     p, q = params.prover_copies, params.verifier_copies
-    if params.joint_mode != "product":
-        def run_entangled(rng) -> str:
-            tested = _sample_distinct(rng, p, q + 1)
-            return _run_entangled(params, inst, prover_input, tested[:q], tested[q], rng)
-        return run_entangled
-    if prover_input.mode != "product":
-        raise ConfigError("product-mode run needs product-mode input")
-    swap_of, final_of = _copy_acceptances(inst, prover_input)
+    if prover_input.joint is not None:
+        return functools.partial(_run_entangled, params, inst, prover_input.joint)
+    swap_of, final_of = _copy_acceptances(params, inst, prover_input)
 
     def run(rng) -> str:
-        tested = _sample_distinct(rng, p, q + 1)
+        tested = rng.choice(p, q + 1, replace=False)
         if (rng.random(q) >= swap_of(tested[:q])).any():
             return "abort"
         return "accept" if accept_bit(final_of(tested[q]), rng) else "reject"
     return run
 
 
-def _copy_acceptances(inst: PqmaInstance, prover_input: PqmaProverInput):
-    """(swap_of, final_of): the SWAP-test acceptances of a list of copies,
-    as an array, and the final acceptance of one copy, from the copies'
-    pairs (one pair that every copy shares for a symmetric input), each
-    computed once per pair."""
+def _copy_acceptances(params: PqmaParams, inst: PqmaInstance,
+                      prover_input: PqmaProverInput):
+    """(swap_of, final_of) of a product input: the SWAP-test acceptances of
+    a list of copies, as an array, and the final acceptance of one copy,
+    computed once per pair state (one pair that every copy shares for a
+    symmetric input)."""
     def both(pair: MixedState) -> tuple[float, float]:
-        return (_swap_accept_probability(inst, pair),
-                float(np.trace(inst.accept_operator @ pair.matrix).real))
+        return _swap_accept_probability(inst, pair), inst.final_acceptance(pair.matrix)
 
-    if prover_input.pairs is None:
-        swap, final = both(prover_input.pair_for(0))
+    if prover_input.pair is not None:
+        swap, final = both(prover_input.pair)
         return (lambda copies: np.full(len(copies), swap)), (lambda s: final)
-    swaps, finals = zip(*map(both, prover_input.pairs))
+    pairs = prover_input.pairs
+    if pairs is None:
+        raise ConfigError("per-copy acceptances need a product input, not a joint state")
+    if len(pairs) != params.prover_copies:
+        raise ConfigError(f"per-copy input holds {len(pairs)} pair states "
+                          f"for {params.prover_copies} prover copies")
+    swaps, finals = zip(*map(both, pairs))
     return np.array(swaps).__getitem__, finals.__getitem__
 
 
-def _run_entangled(params, inst, prover_input, subset, star, rng) -> str:
-    joint = prover_input.joint
-    if joint is None:
-        raise ConfigError("entangled-mode run needs a joint state")
+def _run_entangled(params: PqmaParams, inst: PqmaInstance, joint: QuantumState, rng) -> str:
     nw, ni = inst.witness_qubits, inst.psi.n_qubits
-    p = params.prover_copies
+    p, q = params.prover_copies, params.verifier_copies
     needed = p * (nw + ni)
     if joint.n_qubits != needed:
         raise DimensionMismatchError(f"joint state must hold {needed} qubits")
     if needed + ni > qubit_cap():
-        raise ConfigError("entangled mode exceeds the qubit cap")
+        raise ConfigError("entangled input exceeds the qubit cap")
     regs = []
     for i in range(p):
         regs.extend([(f"B{i}", nw), (f"A{i}", ni)])
     state: QuantumState = joint.relabel(RegisterLayout.of(*regs))
-    for s in subset:
-        fresh = inst.psi.relabel(RegisterLayout.single("Fresh", ni))
-        work = tensor(state.to_mixed(), fresh.to_mixed())
-        outcomes = symmetric_projector_outcomes(work, f"A{s}", "Fresh")
-        if rng.random() >= outcomes[0].probability:
+    tested = rng.choice(p, q + 1, replace=False)
+    for s in tested[:q]:
+        (p_pass, passed), _ = _swap_branches(state, f"A{s}", inst.psi)
+        if rng.random() >= p_pass:
             return "abort"
-        state = partial_trace(outcomes[0].post, "Fresh")
-    op = inst.accept_operator
-    targets = state.layout.qubits_of_all([f"B{star}", f"A{star}"])
-    projected = linalg.apply_to_matrix(op, state.to_mixed().matrix,
+        state = passed
+    targets = state.layout.qubits_of_all([f"B{tested[q]}", f"A{tested[q]}"])
+    projected = linalg.apply_to_matrix(inst.accept_operator, state.to_mixed().matrix,
                                        targets, state.n_qubits)
     final = float(projected.trace().real)
     return "accept" if accept_bit(final, rng) else "reject"
@@ -247,7 +222,7 @@ def _run_entangled(params, inst, prover_input, subset, star, rng) -> str:
 
 def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,
                              prover_input: PqmaProverInput) -> float:
-    """Exact overall acceptance for product-mode inputs.
+    """Exact overall acceptance for product inputs.
 
     Symmetric inputs factorize; per-copy lists are averaged over every
     (subset, starred copy) choice, which stays cheap at desk scale.
@@ -255,7 +230,7 @@ def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,
     p, q = params.prover_copies, params.verifier_copies
     if prover_input.pairs is not None and p > 8:
         raise ConfigError("per-copy exact acceptance is limited to p <= 8")
-    swap_of, final_of = _copy_acceptances(inst, prover_input)
+    swap_of, final_of = _copy_acceptances(params, inst, prover_input)
     if prover_input.pairs is None:
         return float(swap_of([0])[0]) ** q * final_of(0)
     swap_ps = swap_of(range(p)).tolist()
@@ -410,14 +385,16 @@ class CheatReport:
 def cheat_harness(params: PqmaParams, inst: PqmaInstance,
                   strategies: Sequence[CheatStrategy], trials: int, rng) -> CheatReport:
     """Largest Monte-Carlo acceptance over the strategies, its sampling
-    sigma, and the closed-form soundness value it is held against."""
+    sigma, and the closed-form soundness value it is held against. Each
+    strategy's accepted count is one binomial draw at its exact acceptance,
+    the distribution of `trials` executions, so the strategies are the
+    product inputs that `exact_acceptance_product` takes."""
     bound = soundness_bound(params.prover_copies, params.verifier_copies,
-                            params.instance_qubits)
+                            inst.psi.n_qubits)
     max_rate = 0.0
     for strat in strategies:
-        run = _runner(params, inst, strat.prover_input)
-        hits = sum(run(rng) == "accept" for _ in range(trials))
-        max_rate = max(max_rate, hits / trials)
+        exact = exact_acceptance_product(params, inst, strat.prover_input)
+        max_rate = max(max_rate, int(rng.binomial(trials, min(exact, 1.0))) / trials)
     sigma = math.sqrt(max(max_rate * (1 - max_rate), 1e-12) / trials)
     return CheatReport(max_rate, bound, sigma)
 

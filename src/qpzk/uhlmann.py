@@ -204,17 +204,15 @@ def expected_output(inst: UhlmannInstance) -> PureState:
 @dataclass
 class SoundnessRecord:
     acceptance: float
-    empirical_acceptance: Optional[float]
     trace_distance: Optional[float]
     bound: float
     verdict: str
     per_round_accept: tuple[float, ...]
 
 
-def soundness_check(inst: UhlmannInstance, prover: ProverRule,
-                    trials: int, rng) -> SoundnessRecord:
-    """Exact acceptance and conditioned output distance, plus a Monte-Carlo
-    cross-estimate; the 1/delta bound applies once acceptance reaches 1/2.
+def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecord:
+    """Exact acceptance and conditioned output distance; the 1/delta bound
+    applies once acceptance reaches 1/2.
 
     The conditioned output is the average over hidden-round positions of the
     final target state, weighted by each position's survival probability.
@@ -236,23 +234,16 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule,
         outputs.append(apply_rule_to_target(target, np.asarray(prover(star), dtype=complex)))
     acceptance = float(np.mean(weights))
 
-    empirical = None
-    if trials > 0:
-        hits = sum(run_uhlmann_protocol(inst, prover, target, rng).outcome == "accept"
-                   for _ in range(trials))
-        empirical = hits / trials
-
     bound = 1.0 / inst.delta
     if acceptance < 0.5 or sum(weights) <= 0:
-        return SoundnessRecord(acceptance, empirical, None, bound,
-                               "NOT-APPLICABLE", tuple(per_round))
+        return SoundnessRecord(acceptance, None, bound, "NOT-APPLICABLE",
+                               tuple(per_round))
     total = sum(weights)
     avg = sum(w * o.density() for w, o in zip(weights, outputs)) / total
     sigma = MixedState(avg, target.layout)
     dist = trace_distance(sigma, expected_output(inst).relabel(target.layout))
     verdict = "PASS" if dist <= bound + 1e-9 else "FAIL"
-    return SoundnessRecord(acceptance, empirical, dist, bound, verdict,
-                           tuple(per_round))
+    return SoundnessRecord(acceptance, dist, bound, verdict, tuple(per_round))
 
 
 # -- zero-knowledge simulation ---------------------------------------------------

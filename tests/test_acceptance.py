@@ -94,21 +94,21 @@ class TestAcceptance:
         # Honest completeness is exactly one on perfect-completeness
         # verifiers at one and two qubits (two-qubit: doubled instance).
         for inst in (instance_check_family("yes"), witness_match_family()):
-            params = PqmaParams(8, 2, inst.psi.n_qubits)
+            params = PqmaParams(8, 2)
             honest = PqmaProverInput.symmetric(inst.witness, inst.psi)
             assert exact_acceptance_product(params, inst, honest) \
                 == pytest.approx(1.0, abs=1e-12)
 
         # Orthogonal-copy cheater sits at exactly 2^-q.
         no_inst = instance_check_family("no")
-        params = PqmaParams(8, 2, 1)
+        params = PqmaParams(8, 2)
         cheat = orthogonal_copy_strategy(no_inst)
         assert exact_acceptance_product(params, no_inst, cheat.prover_input) \
             == pytest.approx(0.25, abs=1e-12)
 
         # Informative bound at large copy counts; every implemented family
         # stays below it over 10^4 trials.
-        big = PqmaParams(2 * 10 ** 6, 300, 1)
+        big = PqmaParams(2 * 10 ** 6, 300)
         report = cheat_harness(
             big, no_inst,
             [orthogonal_copy_strategy(no_inst), honest_shape_strategy(no_inst)],
@@ -120,7 +120,7 @@ class TestAcceptance:
         # Simulator and real verifier views coincide exactly, including for
         # entangled verifier inputs.
         yes = instance_check_family("yes")
-        small = PqmaParams(6, 2, 1)
+        small = PqmaParams(6, 2)
         for vin in (
             tensor(PureState.from_bits(RegisterLayout.single("V0", 1), "1"),
                    PureState.from_bits(RegisterLayout.single("V1", 1), "0")),
@@ -364,8 +364,7 @@ class TestAcceptance:
         assert trace_distance(result.output.to_mixed(),
                               expected_output(inst).to_mixed()) <= 1e-9
 
-        record = soundness_check(inst, perturbed_prover(inst, 0.05),
-                                 trials=2000, rng=rng_from(9103))
+        record = soundness_check(inst, perturbed_prover(inst, 0.05))
         assert record.acceptance >= 0.5
         assert record.trace_distance <= 0.5 + 1e-9
         assert record.verdict == "PASS"

@@ -155,6 +155,15 @@ def test_double_open_rows_pinned_at_seed_7():
     assert [row.verdict for row in record.rows] == ["PASS", "PASS", "PASS"]
 
 
+def test_pqma_cheat_row_pinned_at_seed_7():
+    # At eight prover copies the orthogonal-copy cheat accepts with
+    # probability 1/4, so the row is a binomial count over 20 trials.
+    record = run_experiment(ExperimentConfig(kind="pqma", seed=7,
+                                             params={"p_large": 8, "q_large": 2}))
+    row = next(row for row in record.rows if row.name == "cheat-family-max-acceptance")
+    assert (row.empirical, row.sigma, row.verdict) == (0.25, 0.09682458365518543, "VACUOUS")
+
+
 @pytest.mark.parametrize("kind", ["double-open", "pipeline"])
 def test_a_run_imports_only_the_modules_of_its_kind(kind):
     # In a fresh interpreter: the package imports load no submodule.

@@ -3,13 +3,16 @@
 import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpzk
 from qpzk import pqma, uhlmann
 from qpzk.cli import main
 from qpzk.compilers.examples import copier_base
+from qpzk.core import PureState, RegisterLayout
 from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
 from qpzk.errors import ConfigError
 from qpzk.harness.config import (
@@ -139,6 +142,12 @@ class TestRecords:
         a, b = self._record(), self._record()
         b.wall_clock_seconds = 99.0
         assert a.comparable_bytes() == b.comparable_bytes()
+
+    def test_artifact_version_is_the_project_version(self):
+        # A record's artifact_version names its stream, so a stream change
+        # bumps both. tomllib is missing on Python 3.10, hence the regex.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == qpzk.__version__
 
 
 class TestDeterminism:
@@ -287,6 +296,7 @@ class TestCli:
         ("mac", None, json.dumps({"kind": "mac", "tolerances": {"identity": -1e-9}})),
         ("mac", None, json.dumps({"kind": "mac", "instances": {"x": "y"}})),
         ("pqma", None, json.dumps({"kind": "pqma", "instances": {"instance": 2}})),
+        ("pqma", None, json.dumps({"kind": "pqma", "params": {"n": 2}})),
         ("collapse", None, json.dumps({"kind": "collapse", "instances": {"scheme": "s.json"}})),
         ("report", None, "not JSON"),
         ("report", None, json.dumps({"config": {}})),
@@ -311,6 +321,7 @@ class TestCli:
             "mac-config-tolerance-not-a-number", "mac-config-unknown-tolerance",
             "mac-config-tolerance-nan", "mac-config-tolerance-negative",
             "mac-config-unknown-instance", "pqma-config-instance-not-a-path",
+            "pqma-config-removed-param-n",
             "collapse-config-instance-of-another-kind",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
@@ -344,6 +355,19 @@ class TestCli:
             for name, value in json.loads(body).items():
                 if value != _INSTANCE_JSON[kind][name]:
                     assert name in err
+
+    def test_pqma_reads_the_instance_size_from_its_file(self, tmp_path):
+        # A two-qubit instance |11> whose verifier reads the witness |1>.
+        inst = pqma.PqmaInstance(PureState.from_bits(RegisterLayout.single("A", 2), "11"),
+                                 PureState.from_bits(RegisterLayout.single("B", 1), "1"),
+                                 np.eye(8))
+        pqma.save_instance(inst, tmp_path / "inst.json")
+        cfg, out = tmp_path / "cfg.json", tmp_path / "rec.json"
+        cfg.write_text(json.dumps({"kind": "pqma",
+                                   "instances": {"instance": str(tmp_path / "inst.json")}}))
+        assert main(["pqma", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = {row.name: row for row in load_record(str(out)).rows}
+        assert rows["small-copy-bound"].empirical == pqma.soundness_bound(8, 2, 2)
 
     def test_zk_trials_flag_below_reps_exit_two(self, capsys):
         assert main(["zk", "--trials", "1"]) == 2

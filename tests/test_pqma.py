@@ -11,7 +11,6 @@ from qpzk import pqma
 from qpzk.pqma import (
     _copy_acceptances,
     _runner,
-    _sample_distinct,
     PqmaParams,
     PqmaProverInput,
     cheat_harness,
@@ -38,8 +37,8 @@ def _verdict(report) -> str:
 
 
 def per_copy(pairs) -> PqmaProverInput:
-    """Product-mode input with its own pair state for each prover copy."""
-    return PqmaProverInput("product", pairs=tuple(pairs))
+    """Product input with its own pair state for each prover copy."""
+    return PqmaProverInput(pairs=tuple(pairs))
 
 
 def two_copies(bits: str) -> PureState:
@@ -50,7 +49,7 @@ def two_copies(bits: str) -> PureState:
 class TestParamsAndBound:
     def test_copy_counts_validated(self):
         with pytest.raises(ConfigError):
-            PqmaParams(2, 2, 1)
+            PqmaParams(2, 2)
         with pytest.raises(ConfigError):
             soundness_bound(5, 0, 1)
 
@@ -68,32 +67,15 @@ class TestParamsAndBound:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-class TestSampleDistinct:
-    @staticmethod
-    def scalar_draws(rng, n, k):
-        """Reference sampler: one scalar draw per index and per shuffle key."""
-        seen: set[int] = set()
-        while len(seen) < k:
-            seen.add(int(rng.integers(n)))
-        return sorted(seen, key=lambda _: rng.random())
-
-    @pytest.mark.parametrize("n,k", [(3, 3), (10, 4), (10, 9), (1000, 6), (2 ** 40, 5)])
-    def test_same_indices_and_stream_as_scalar_draws(self, n, k):
-        batched, scalar = rng_from(3100, n, k), rng_from(3100, n, k)
-        for _ in range(300):
-            assert _sample_distinct(batched, n, k) == self.scalar_draws(scalar, n, k)
-        assert batched.random() == scalar.random()
-
-
 def _scalar_runner(params, inst, prover_input):
-    """Reference: product-mode executions with one scalar draw for every
-    tested copy, all q of them, then the final acceptance unless a SWAP
-    test failed."""
+    """Reference: executions on a product input with one scalar draw for
+    every tested copy, all q of them, then the final acceptance unless a
+    SWAP test failed."""
     p, q = params.prover_copies, params.verifier_copies
-    swap_of, final_of = _copy_acceptances(inst, prover_input)
+    swap_of, final_of = _copy_acceptances(params, inst, prover_input)
 
     def run(rng) -> str:
-        tested = _sample_distinct(rng, p, q + 1)
+        tested = rng.choice(p, q + 1, replace=False)
         passed = [rng.random() < swap_of([s])[0] for s in tested[:q]]
         if not all(passed):
             return "abort"
@@ -116,7 +98,7 @@ class TestRunPqma:
             "honest": good,
             "per-copy": per_copy([good.pair, ortho.pair] * (p // 2) + [good.pair] * (p % 2)),
         }[strategy]
-        params = PqmaParams(p, q, 1)
+        params = PqmaParams(p, q)
         sized, scalar = rng_from(3200, p, q), rng_from(3200, p, q)
         run, reference = _runner(params, inst, prover_input), _scalar_runner(params, inst, prover_input)
         outcomes = [run(sized) for _ in range(300)]
@@ -133,14 +115,14 @@ class TestRunPqma:
             "honest": good,
             "per-copy": per_copy([good.pair, ortho.pair] * 4),
         }[strategy]
-        params = PqmaParams(8, 2, 1)
+        params = PqmaParams(8, 2)
         exact = exact_acceptance_product(params, inst, prover_input)
         run, rng, n = _runner(params, inst, prover_input), rng_from(3200), 4000
         hits = sum(run(rng) == "accept" for _ in range(n))
         assert abs(hits - n * exact) <= 4 * np.sqrt(n * exact * (1 - exact))
 
     def test_honest_perfect_completeness(self):
-        params = PqmaParams(8, 2, 1)
+        params = PqmaParams(8, 2)
         inst = instance_check_family("yes")
         honest = PqmaProverInput.symmetric(inst.witness, inst.psi)
         assert exact_acceptance_product(params, inst, honest) == pytest.approx(1.0, abs=1e-12)
@@ -151,14 +133,14 @@ class TestRunPqma:
         # On the no instance the cheater ships the orthogonal (yes) state:
         # each SWAP test accepts with probability 1/2 and the final
         # projection then accepts, so overall acceptance is exactly 2^-q.
-        params = PqmaParams(8, 2, 1)
+        params = PqmaParams(8, 2)
         inst = instance_check_family("no")
         cheat = orthogonal_copy_strategy(inst)
         exact = exact_acceptance_product(params, inst, cheat.prover_input)
         assert exact == pytest.approx(0.25, abs=1e-12)
 
     def test_bad_witness_exact_rejection(self):
-        params = PqmaParams(6, 2, 1)
+        params = PqmaParams(6, 2)
         inst = witness_match_family()
         bad = PqmaProverInput.symmetric(
             PureState.from_bits(RegisterLayout.single("B", 1), "0"), inst.psi)
@@ -169,7 +151,7 @@ class TestRunPqma:
         assert outcomes == {"reject"}
 
     def test_per_copy_permutation_symmetry(self):
-        params = PqmaParams(4, 2, 1)
+        params = PqmaParams(4, 2)
         inst = instance_check_family("yes")
         good = PqmaProverInput.symmetric(inst.witness, inst.psi).pair
         cheat = orthogonal_copy_strategy(inst).prover_input.pair
@@ -177,9 +159,23 @@ class TestRunPqma:
         b = exact_acceptance_product(params, inst, per_copy([cheat, good, cheat, good]))
         assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("count", [2, 9])
+    def test_pair_count_must_match_prover_copies(self, count):
+        params = PqmaParams(8, 2)
+        inst = instance_check_family("no")
+        prover_input = per_copy([honest_shape_strategy(inst).prover_input.pair] * count)
+        for call in (_runner, exact_acceptance_product):
+            with pytest.raises(ConfigError, match=f"{count} pair states for 8 prover copies"):
+                call(params, inst, prover_input)
+
+    @pytest.mark.parametrize("forms", [(), ("pair", "joint")])
+    def test_input_holds_exactly_one_form(self, forms):
+        pair = honest_shape_strategy(instance_check_family("no")).prover_input.pair
+        with pytest.raises(ConfigError, match="exactly one"):
+            PqmaProverInput(**{form: pair for form in forms})
+
     def test_entangled_mode_matches_product_on_product_input(self):
-        params_e = PqmaParams(3, 1, 1, joint_mode="entangled")
-        params_p = PqmaParams(3, 1, 1)
+        params = PqmaParams(3, 1)
         inst = instance_check_family("yes")
         pair = tensor(inst.witness.relabel(RegisterLayout.single("B", 1)),
                       inst.psi.relabel(RegisterLayout.single("A", 1)))
@@ -187,24 +183,24 @@ class TestRunPqma:
         for i in (1, 2):
             joint = tensor(joint.relabel(RegisterLayout.single("J", joint.n_qubits)),
                            pair.relabel(RegisterLayout.of((f"B{i}x", 1), (f"A{i}x", 1))))
-        ent = PqmaProverInput.entangled(joint)
+        ent = PqmaProverInput(joint=joint)
         rng = rng_from(32)
-        outs = [run_pqma(params_e, inst, ent, rng) for _ in range(60)]
+        outs = [run_pqma(params, inst, ent, rng) for _ in range(60)]
         assert all(o == "accept" for o in outs)
         prod = PqmaProverInput.symmetric(inst.witness, inst.psi)
-        assert exact_acceptance_product(params_p, inst, prod) == pytest.approx(1.0)
+        assert exact_acceptance_product(params, inst, prod) == pytest.approx(1.0)
 
 
 class TestSimulator:
     def test_honest_verifier_view_matches(self):
-        params = PqmaParams(6, 2, 1)
+        params = PqmaParams(6, 2)
         inst = instance_check_family("yes")
         vin = two_copies("11")
         assert view_distance(real_verifier_view(params, inst, vin),
                              hv_simulate_pqma(params, inst, vin)) < 1e-9
 
     def test_orthogonal_verifier_copies(self):
-        params = PqmaParams(6, 2, 1)
+        params = PqmaParams(6, 2)
         inst = instance_check_family("yes")
         vin = two_copies("00")
         real = real_verifier_view(params, inst, vin)
@@ -215,7 +211,7 @@ class TestSimulator:
 
     def test_entangled_verifier_input(self):
         # Verifier keeps half of a Bell pair; marginals must still agree.
-        params = PqmaParams(6, 1, 1)
+        params = PqmaParams(6, 1)
         inst = instance_check_family("yes")
         bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2),
                          RegisterLayout.of(("V0", 1), ("E", 1)))
@@ -224,7 +220,7 @@ class TestSimulator:
         assert view_distance(real, sim) < 1e-9
 
     def test_simulator_ignores_witness(self):
-        params = PqmaParams(6, 2, 1)
+        params = PqmaParams(6, 2)
         inst_a = witness_match_family()
         inst_b = bad_witness = None
         from qpzk.pqma import PqmaInstance
@@ -237,7 +233,7 @@ class TestSimulator:
                              hv_simulate_pqma(params, inst_b, vin)) < 1e-9
 
     def test_copy_budget_enforced(self):
-        params = PqmaParams(6, 2, 1)
+        params = PqmaParams(6, 2)
         inst = instance_check_family("yes")
         with pytest.raises(ConfigError):
             hv_simulate_pqma(params, inst, two_copies("11"), simulator_copies=1)
@@ -277,7 +273,7 @@ class TestViewWalk:
     def test_views_equal_the_written_out_walk(self, label, bits):
         # Copies in |0> fail the SWAP test against |1> half the time; the
         # no instance adds the real view's rejecting split.
-        params = PqmaParams(6, 2, 1)
+        params = PqmaParams(6, 2)
         inst = instance_check_family(label)
         vin = two_copies(bits)
         _assert_same_branches(real_verifier_view(params, inst, vin),
@@ -289,7 +285,7 @@ class TestViewWalk:
 
 class TestCheatHarness:
     def test_vacuous_bound_recorded(self):
-        params = PqmaParams(8, 2, 1)
+        params = PqmaParams(8, 2)
         inst = instance_check_family("no")
         report = cheat_harness(params, inst, [orthogonal_copy_strategy(inst)],
                                trials=200, rng=rng_from(33))
@@ -299,15 +295,34 @@ class TestCheatHarness:
     def test_informative_bound_passes(self):
         # Large copy counts push the closed form below one; every cheat then
         # lands far under it (orthogonal copies accept with rate ~2^-q).
-        params = PqmaParams(2 * 10 ** 6, 300, 1)
+        params = PqmaParams(2 * 10 ** 6, 300)
         inst = instance_check_family("no")
         strategies = [orthogonal_copy_strategy(inst), honest_shape_strategy(inst)]
         report = cheat_harness(params, inst, strategies, trials=60, rng=rng_from(34))
         assert report.bound <= 1.0
         assert _verdict(report) == "PASS"
 
+    def test_counts_are_one_binomial_draw_at_the_exact_acceptance(self):
+        params = PqmaParams(8, 2)
+        inst = instance_check_family("no")
+        cheat = orthogonal_copy_strategy(inst)
+        exact = exact_acceptance_product(params, inst, cheat.prover_input)
+        assert 0 < exact < 1
+        report = cheat_harness(params, inst, [cheat], trials=1000, rng=rng_from(36))
+        assert report.max_empirical == rng_from(36).binomial(1000, exact) / 1000
+
+    def test_takes_only_inputs_with_an_exact_acceptance(self):
+        inst = instance_check_family("no")
+        pair = honest_shape_strategy(inst).prover_input.pair
+        for params, prover_input, match in (
+                (PqmaParams(2, 1), PqmaProverInput(joint=pair), "product input"),
+                (PqmaParams(9, 1), per_copy([pair] * 9), "p <= 8")):
+            with pytest.raises(ConfigError, match=match):
+                cheat_harness(params, inst, [pqma.CheatStrategy("x", prover_input)],
+                              trials=10, rng=rng_from(37))
+
     def test_sequential_repetition(self):
-        params = PqmaParams(8, 2, 1)
+        params = PqmaParams(8, 2)
         inst = instance_check_family("no")
         cheat = orthogonal_copy_strategy(inst)
         rng = rng_from(35)

@@ -125,7 +125,7 @@ class TestProtocol:
         p_round = round_accept_probability(inst, np.eye(2, dtype=complex))
         overlap = abs(np.vdot(inst.d_vector(), inst.c_vector())) ** 2
         assert p_round == pytest.approx(overlap, abs=1e-12)
-        record = soundness_check(inst, identity_prover(inst), trials=0, rng=rng)
+        record = soundness_check(inst, identity_prover(inst))
         assert record.acceptance == pytest.approx(overlap ** (inst.gamma - 1), abs=1e-9)
 
     def test_round_position_invariance_for_uniform_provers(self):
@@ -133,7 +133,7 @@ class TestProtocol:
         # matter where the hidden round lands.
         rng = rng_from(45)
         inst = random_instance(1, 1, rng)
-        record = soundness_check(inst, perturbed_prover(inst, 0.3), trials=0, rng=rng)
+        record = soundness_check(inst, perturbed_prover(inst, 0.3))
         assert max(record.per_round_accept) - min(record.per_round_accept) < 1e-12
 
 
@@ -141,9 +141,11 @@ class TestSoundness:
     def test_honest_record(self):
         rng = rng_from(46)
         inst = random_instance(2, 2, rng)
-        record = soundness_check(inst, honest_prover(inst), trials=200, rng=rng)
+        record = soundness_check(inst, honest_prover(inst))
         assert record.acceptance == pytest.approx(1.0, abs=1e-12)
-        assert record.empirical_acceptance == pytest.approx(1.0, abs=1e-12)
+        target = canonical_target(inst)
+        assert all(run_uhlmann_protocol(inst, honest_prover(inst), target, rng).outcome
+                   == "accept" for _ in range(200))
         assert record.trace_distance == pytest.approx(0.0, abs=1e-9)
         assert record.verdict == "PASS"
 
@@ -153,18 +155,20 @@ class TestSoundness:
         rng = rng_from(47)
         inst = random_instance(2, 2, rng, delta=2.0)
         assert inst.gamma == 32
-        record = soundness_check(inst, perturbed_prover(inst, 0.05),
-                                 trials=400, rng=rng)
+        prover = perturbed_prover(inst, 0.05)
+        record = soundness_check(inst, prover)
         assert record.acceptance >= 0.5
         assert record.trace_distance <= 0.5 + 1e-9
         assert record.verdict == "PASS"
+        target = canonical_target(inst)
+        hits = sum(run_uhlmann_protocol(inst, prover, target, rng).outcome == "accept"
+                   for _ in range(400))
         sigma = np.sqrt(record.acceptance * (1 - record.acceptance) / 400)
-        assert abs(record.empirical_acceptance - record.acceptance) <= 3 * sigma + 0.01
+        assert abs(hits / 400 - record.acceptance) <= 3 * sigma + 0.01
 
     def test_far_instance_identity_prover_not_applicable(self):
         inst = bell_flip_instance(delta=2.0)
-        rng = rng_from(48)
-        record = soundness_check(inst, identity_prover(inst), trials=50, rng=rng)
+        record = soundness_check(inst, identity_prover(inst))
         assert record.acceptance < 0.5
         assert record.verdict == "NOT-APPLICABLE"
         assert record.trace_distance is None
