@@ -87,10 +87,6 @@ def biased_coin_flip_prover(base: PublicCoinProtocol, bit: int,
     return CoinFlipProver(lambda t, hist: strat, coin_in, name=f"biased-{bit}")
 
 
-def make_malicious_zk(base: PublicCoinProtocol, reps: int) -> CoinFlipProtocol:
-    return CoinFlipProtocol(base, reps)
-
-
 # -- verifier views ------------------------------------------------------------
 
 

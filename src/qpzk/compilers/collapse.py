@@ -19,7 +19,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import (H, P0, P1, X, CNOT, controlled, projector_onto,
                                  swap_registers)
-from qpzk.core.registers import RegisterLayout, qubit_cap
+from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, bind
@@ -62,9 +62,7 @@ class CollapsedProtocol:
             raise ConfigError("round collapse needs at least two rounds")
         self.base = base
         self.r = base.rounds
-        w, m = base.w_qubits, base.m_qubits
-        if 2 + self.r * (w + m) > qubit_cap():
-            raise ConfigError("collapsed verifier registers exceed the qubit cap")
+        self.layout(0)  # the verifier's registers alone must fit the qubit cap
         self.psi_v = initial_workspace_state(base)
 
     # -- wire bookkeeping ----------------------------------------------------
@@ -83,12 +81,6 @@ class CollapsedProtocol:
 
     # -- honest strategy -------------------------------------------------------
 
-    def snapshot(self, k: int, prover: ProverStrategy = HONEST) -> np.ndarray:
-        """State after the k-th prover move of the base protocol, on wires
-        (R, W, M); a prover with its own round unitaries stands in for the
-        honest one (simulator use)."""
-        return self.base.evolve(prover, upto_message=2 * k - 1).amplitudes
-
     def honest_strategy(self) -> CollapsedStrategy:
         return self._snapshot_strategy(HONEST, "honest")
 
@@ -102,46 +94,38 @@ class CollapsedProtocol:
         return self._snapshot_strategy(ProverStrategy(sim.unitaries),
                                        f"simulator:{sim.label}")
 
-    def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> CollapsedStrategy:
+    def _snapshots(self, prover: ProverStrategy) -> tuple[np.ndarray, RegisterLayout]:
+        """Product of the states after each prover move of the base, with its
+        layout (R1, M1), (R2, W2, M2), ..., (Rr, Wr, Mr); a prover with its
+        own round unitaries stands in for the honest one (simulator use).
+        Snapshot 1 carries no W wire (the verifier owns W_1), so its product
+        psi_v factor is stripped."""
         base = self.base
-        rounds = base.prover_unitaries if prover.unitaries is None else prover.unitaries
         w, m, rq = base.w_qubits, base.m_qubits, base.r_qubits
-        r = self.r
-        # Bundle wires: (W_2..W_r, M_1..M_r, P = R_1..R_r).
-        n_bundle = (r - 1) * w + r * m + r * rq
-        snaps = [self.snapshot(k, prover) for k in range(1, r + 1)]
-        # Assemble product of snapshots on (R_k, W_k, M_k) blocks, then move
-        # wires into bundle order. Snapshot 1 contributes no W wire (the
-        # verifier owns W_1), so its W block must be stripped: the honest
-        # snapshot 1 has W = psi_v in product form.
-        vec = np.array([1.0], dtype=complex)
-        for k, snap in enumerate(snaps, start=1):
-            if k == 1:
-                snap = _strip_w(snap, base)
-            vec = np.kron(vec, snap)
-        # Current wire order: (R1, M1), (R2, W2, M2), ..., (Rr, Wr, Mr).
-        order = _bundle_order(r, w, m, rq)
-        vec = linalg.permute_vector(vec, order, n_bundle)
+        regs = [("R1", rq), ("M1", m)]
+        vec = _strip_w(base.evolve(prover, upto_message=1).amplitudes, base)
+        for k in range(2, self.r + 1):
+            regs += [(f"R{k}", rq), (f"W{k}", w), (f"M{k}", m)]
+            vec = np.kron(vec, base.evolve(prover, upto_message=2 * k - 1).amplitudes)
+        return vec, RegisterLayout.of(*regs)
+
+    def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> CollapsedStrategy:
+        base, r = self.base, self.r
+        m, rq = base.m_qubits, base.r_qubits
+        vec, snaps = self._snapshots(prover)
+        bundle = linalg.permute_vector(vec, snaps.qubits_of_all(
+            [f"W{k}" for k in range(2, r + 1)] + [f"M{k}" for k in range(1, r + 1)]
+            + [f"R{k}" for k in range(1, r + 1)]), snaps.total_qubits)
+        rounds = base.prover_rounds if prover.unitaries is None else [
+            ((u, range(rq + m)),) for u in prover.unitaries]
 
         def responses(i: int):
-            # Apply the k = i+1 round unitary to (R_i, M_i) then swap the
-            # (M, R) pairs controlled on Bp.
-            mat_round = rounds[i]
-            local_names = (f"M{i}", f"M{i + 1}", "Bp", "P")
-            nm, nr = m, rq
-            n_local = 2 * nm + 1 + r * nr
-            # Local wire map: M_i [0..nm), M_{i+1} [nm..2nm), Bp, P = R_1..R_r.
-            r_i = list(range(2 * nm + 1 + (i - 1) * nr, 2 * nm + 1 + i * nr))
-            r_ip1 = list(range(2 * nm + 1 + i * nr, 2 * nm + 1 + (i + 1) * nr))
-            m_i = list(range(nm))
-            m_ip1 = list(range(nm, 2 * nm))
-            bp = [2 * nm]
-            return linalg.gate_product([
-                (mat_round, r_i + m_i),
-                (_controlled_swap(nm + nr), bp + m_i + r_i + m_ip1 + r_ip1),
-            ], n_local), local_names
+            local = RegisterLayout.of((f"M{i}", m), (f"M{i + 1}", m), ("Bp", 1),
+                                      *[(f"R{k}", rq) for k in range(1, r + 1)])
+            gates = _reply_gates(rounds[i], local, i, "Bp")
+            return linalg.gate_product(gates, local.total_qubits), self.prover_wire_names(i)
 
-        return CollapsedStrategy(vec, r * rq, responses, name)
+        return CollapsedStrategy(bundle, r * rq, responses, name)
 
     # -- exact execution -------------------------------------------------------
 
@@ -250,94 +234,63 @@ class CollapsedProtocol:
         return AscentProblem(lay.total_qubits, branches, fixed, fixed_qubits)
 
 
-def collapse_rounds(base: InteractiveProtocol) -> CollapsedProtocol:
-    return CollapsedProtocol(base)
-
-
 def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     """Exact standard-form cast of a two-round collapse.
 
     The verifier's extra wires hold an output qubit O, a deferred-check flag
-    F, the Bell control B, a store for the incoming workspace snapshot and a
-    junk slot that swallows whatever the prover shipped on the Bell wire;
-    the flag defers the snapshot test to the final measurement, and a swap
-    moves the snapshot into verifier-held storage so the returned message
-    register carries only fresh zeros. Acceptance statistics match the
-    native runner exactly.
+    F, the Bell control B, a store S2 for the incoming workspace snapshot and
+    a junk slot J that swallows whatever the prover shipped on the Bell wire
+    Bw; the flag defers the snapshot test to the final measurement, and a
+    swap moves the snapshot into verifier-held storage so the returned
+    message register carries only fresh zeros. The honest prover is the
+    native one: the snapshot bundle, then the reply to challenge 1.
+    Acceptance statistics match the native runner exactly.
     """
     base = collapsed.base
     if collapsed.r != 2:
         raise ConfigError("standard-form cast is implemented for two rounds")
     w, m, rq = base.w_qubits, base.m_qubits, base.r_qubits
-    total = 2 * rq + (3 + 2 * w + 1) + (w + 2 * m + 1)
-    if total > qubit_cap():
-        raise ConfigError(
-            f"standard-form cast needs {total} qubits, cap is {qubit_cap()}")
-
-    # W_std wires: O, F, B, W1 (w), S2 (w), J. M_std: W2w (w), M1, M2, Bw.
-    w_std = 3 + 2 * w + 1
-    m_std = w + 2 * m + 1
-    O, F, B = 0, 1, 2
-    W1 = list(range(3, 3 + w))
-    S2 = list(range(3 + w, 3 + 2 * w))
-    J = 3 + 2 * w
-    off = w_std
-    W2w = list(range(off, off + w))
-    M1 = list(range(off + w, off + w + m))
-    M2 = list(range(off + w + m, off + w + 2 * m))
-    Bw = off + w + 2 * m
+    prover = RegisterLayout.of(("R1", rq), ("R2", rq), ("W2", w), ("M1", m), ("M2", m),
+                               ("Bw", 1))
+    verifier = RegisterLayout.of(("O", 1), ("F", 1), ("B", 1), ("W1", w), ("S2", w),
+                                 ("J", 1), *prover.registers[2:])
+    # The whole cast on (R, W, M), laid out before any dense allocation so
+    # that it is held to the qubit cap first.
+    RegisterLayout.of(*prover.registers[:2], *verifier.registers)
+    r_std = 2 * rq
+    m_std = prover.total_qubits - r_std
+    v = verifier.qubits_of_all
 
     swap_w = swap_registers(w)
     acc = collapsed.accept_projector()
     flag_write = np.kron(acc, X) + np.kron(np.eye(acc.shape[0]) - acc, np.eye(2))
     v1 = [
-        (swap_w, W2w + S2),
-        (flag_write, S2 + M2 + [F]),
-        (H, [B]),
-        (CNOT, [B, J]),
-        (swap_registers(1), [J, Bw]),
-        *linalg.placed(base.verifier_rounds[0], W1 + M1),
-        (_controlled_swap(w), [B] + W1 + S2),
+        (swap_w, v(["W2", "S2"])),
+        (flag_write, v(["S2", "M2", "F"])),
+        (H, v(["B"])),
+        (CNOT, v(["B", "J"])),
+        (swap_registers(1), v(["J", "Bw"])),
+        *linalg.placed(base.verifier_rounds[0], v(["W1", "M1"])),
+        (_controlled_swap(w), v(["B", "W1", "S2"])),
     ]
 
     accept_write = np.kron(np.kron(P0, P1), X)
     accept_write += np.kron(np.eye(4, dtype=complex) - np.kron(P0, P1),
                             np.eye(2, dtype=complex))
-    v2 = [(CNOT, [B, Bw]), (H, [B]), (accept_write, [B, F, O])]
+    v2 = [(CNOT, v(["B", "Bw"])), (H, v(["B"])), (accept_write, v(["B", "F", "O"]))]
 
-    # Honest prover: prepare the snapshot bundle, then respond like the
-    # native strategy (round-2 unitary plus the Bell-controlled pair swap).
-    r_std = 2 * rq
-    n_p = r_std + m_std
-    chi1 = _strip_w(collapsed.snapshot(1), base)  # (R1, M1)
-    phi2 = collapsed.snapshot(2)  # (R2, W2, M2)
-    bundle = np.kron(np.kron(chi1, phi2), linalg.basis_vector(0, 2))
-    # Source order: R1, M1, R2, W2, M2, Bw -> target R1, R2, W2, M1, M2, Bw.
-    src = {}
-    pos = 0
-    for name, size in (("R1", rq), ("M1", m), ("R2", rq), ("W2", w),
-                       ("M2", m), ("Bw", 1)):
-        src[name] = list(range(pos, pos + size))
-        pos += size
-    order = src["R1"] + src["R2"] + src["W2"] + src["M1"] + src["M2"] + src["Bw"]
-    bundle = linalg.permute_vector(bundle, order, n_p)
+    vec, snaps = collapsed._snapshots(HONEST)
+    column = snaps.concat(RegisterLayout.single("Bw", 1))
+    bundle = linalg.permute_vector(np.kron(vec, linalg.basis_vector(0, 2)),
+                                   column.qubits_of_all(prover.names), prover.total_qubits)
     p1 = linalg.complete_to_unitary(bundle)
-
-    pR1 = list(range(rq))
-    pR2 = list(range(rq, 2 * rq))
-    pM1 = list(range(r_std + w, r_std + w + m))
-    pM2 = list(range(r_std + w + m, r_std + w + 2 * m))
-    pBw = r_std + w + 2 * m
-    p2 = [
-        *linalg.placed(base.prover_rounds[1], pR1 + pM1),
-        (_controlled_swap(m + rq), [pBw] + pM1 + pR1 + pM2 + pR2),
-    ]
+    p2 = _reply_gates(base.prover_rounds[1], prover, 1, "Bw")
 
     psi_v_std = np.kron(
         np.kron(linalg.basis_vector(0, 8), collapsed.psi_v),
         linalg.basis_vector(0, 2 ** (w + 1)))
     return InteractiveProtocol.from_verifier_start(
-        PureState(psi_v_std, RegisterLayout.single("W", w_std)),
+        PureState(psi_v_std, RegisterLayout.single("W", verifier.total_qubits - m_std)),
         r_std, m_std, [v1, v2], [p1, p2],
     )
 
@@ -389,26 +342,16 @@ def _strip_w(snapshot: np.ndarray, base: InteractiveProtocol) -> np.ndarray:
     return rm_part / norm
 
 
-def _bundle_order(r: int, w: int, m: int, rq: int) -> list[int]:
-    """Permutation taking snapshot-major wires to bundle order
-    (W_2..W_r, M_1..M_r, R_1..R_r)."""
-    # Source order: (R1, M1), then (Rk, Wk, Mk) for k = 2..r.
-    src: dict[str, list[int]] = {}
-    pos = 0
-    src["R1"] = list(range(pos, pos + rq)); pos += rq
-    src["M1"] = list(range(pos, pos + m)); pos += m
-    for k in range(2, r + 1):
-        src[f"R{k}"] = list(range(pos, pos + rq)); pos += rq
-        src[f"W{k}"] = list(range(pos, pos + w)); pos += w
-        src[f"M{k}"] = list(range(pos, pos + m)); pos += m
-    order: list[int] = []
-    for k in range(2, r + 1):
-        order += src[f"W{k}"]
-    for k in range(1, r + 1):
-        order += src[f"M{k}"]
-    for k in range(1, r + 1):
-        order += src[f"R{k}"]
-    return order
+def _reply_gates(round_gates, lay: RegisterLayout, i: int, bell: str) -> list:
+    """The prover's reply to challenge i on layout lay: its round-(i+1) gates
+    on (R_i, M_i), then the swap of (M_i, R_i) with (M_i+1, R_i+1)
+    controlled on the Bell wire."""
+    pair = lay.size_of(f"M{i}") + lay.size_of(f"R{i}")
+    return [
+        *linalg.placed(round_gates, lay.qubits_of_all([f"R{i}", f"M{i}"])),
+        (_controlled_swap(pair),
+         lay.qubits_of_all([bell, f"M{i}", f"R{i}", f"M{i + 1}", f"R{i + 1}"])),
+    ]
 
 
 def _controlled_swap(block: int) -> np.ndarray:

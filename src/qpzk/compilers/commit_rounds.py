@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.registers import RegisterLayout, qubit_cap
+from qpzk.core.registers import RegisterLayout
 from qpzk.crypto.commitments import CanonicalCommitment
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.protocol import InteractiveProtocol, accept_probability, initial_workspace_state
@@ -55,10 +55,7 @@ class CommitRoundProtocol:
                 "commitment must cover the verifier workspace")
         self.base = base
         self.scheme = scheme
-        total = (base.w_qubits + scheme.ancilla_qubits + base.m_qubits
-                 + base.r_qubits)
-        if total > qubit_cap():
-            raise ConfigError("commit-round registers exceed the qubit cap")
+        self.layout()  # the honest registers must fit the qubit cap
 
     def layout(self, ancilla_qubits: int = 0) -> RegisterLayout:
         regs = [("W", self.base.w_qubits)]
@@ -137,11 +134,6 @@ class CommitRoundProtocol:
             else:
                 targets.extend(lay.qubits_of(name))
         return targets
-
-
-def compile_hvzk(base: InteractiveProtocol,
-                 scheme: CanonicalCommitment) -> CommitRoundProtocol:
-    return CommitRoundProtocol(base, scheme)
 
 
 def fresh_c_substitution_strategy(protocol: CommitRoundProtocol,

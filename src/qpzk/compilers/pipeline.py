@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from qpzk.core.sampling import random_amplitudes
 from qpzk.protocol import InteractiveProtocol
-from qpzk.compilers.collapse import (
-    CollapsedProtocol,
-    as_three_message,
-    collapse_rounds,
-    collapsed_soundness,
-)
+from qpzk.compilers.collapse import CollapsedProtocol, as_three_message, collapsed_soundness
 from qpzk.compilers.public_coin import (
     PublicCoinProtocol,
     PublicCoinStrategy,
@@ -30,24 +23,16 @@ def composite_bound(zeta_base: float, r: int, k: int) -> float:
     return public_coin_soundness(inner)
 
 
-@dataclass
-class PipelineStages:
-    base: InteractiveProtocol
-    collapsed: CollapsedProtocol
-    public_coin: PublicCoinProtocol  # its base is the standard-form cast
+def build_pipeline(base: InteractiveProtocol) -> PublicCoinProtocol:
+    """Executable chain collapse -> standard-form cast -> public coin; the
+    result's base is the cast. A repetition factor k enters only the
+    certified bound, as a formula (composite_bound); the executable cast is
+    wrapped directly (k = 1 form)."""
+    return make_public_coin(as_three_message(CollapsedProtocol(base)))
 
 
-def build_pipeline(base: InteractiveProtocol) -> PipelineStages:
-    """Executable chain collapse -> standard-form cast -> public coin. A
-    repetition factor k enters only the certified bound, as a formula
-    (composite_bound); the executable cast is wrapped directly (k = 1 form)."""
-    collapsed = collapse_rounds(base)
-    return PipelineStages(base, collapsed, make_public_coin(as_three_message(collapsed)))
-
-
-def pipeline_cheat_strategies(stages: PipelineStages, rng) -> list[PublicCoinStrategy]:
+def pipeline_cheat_strategies(pc: PublicCoinProtocol, rng) -> list[PublicCoinStrategy]:
     """Concrete cheating provers against the final public-coin protocol."""
-    pc = stages.public_coin
     honest = pc.honest_strategy()
     n = pc.base.layout.total_qubits
     rm_dim = 2 ** (pc.base.r_qubits + pc.base.m_qubits)

@@ -12,7 +12,7 @@ import numpy as np
 
 from qpzk.core import linalg
 from qpzk.core.operators import X, controlled
-from qpzk.core.registers import RegisterLayout, qubit_cap
+from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError
 from qpzk.protocol import InteractiveProtocol, initial_workspace_state
@@ -39,9 +39,9 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
     if k == 1:
         return base
     r, w, m = base.r_qubits, base.w_qubits, base.m_qubits
-    total = k * (r + w + m) + 1
-    if total > qubit_cap():
-        raise ConfigError("repeated protocol exceeds the qubit cap")
+    # The repeated protocol's registers, laid out first so that they are held
+    # to the qubit cap before any dense allocation.
+    lay = RegisterLayout.of(("R", k * r), ("W", 1 + k * w), ("M", k * m))
 
     def copy_wires(block: int, size: int, offset: int) -> list[int]:
         return list(range(offset + block * size, offset + (block + 1) * size))
@@ -68,8 +68,7 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
     for _ in range(k):
         psi_v_rep = np.kron(psi_v_rep, psi_w)
     psi_v_full = np.kron(linalg.basis_vector(0, 2), psi_v_rep)
-    lay_w = RegisterLayout.single("W", 1 + k * w)
     return InteractiveProtocol.from_verifier_start(
-        PureState(psi_v_full, lay_w), k * r, k * m, [v_first, v_second],
+        PureState(psi_v_full, lay.drop(["R", "M"])), k * r, k * m, [v_first, v_second],
         [p_first, p_second],
     )

@@ -50,6 +50,8 @@ class CanonicalCommitment:
         if self.message_qubits < 0 or self.ancilla_qubits < 0:
             raise RegisterError("commitment wire counts must be non-negative")
         total = self.message_qubits + self.ancilla_qubits
+        if total < 1:
+            raise RegisterError("a commitment needs at least one wire")
         mat = np.asarray(self.com, dtype=complex)
         object.__setattr__(self, "com", mat)
         object.__setattr__(self, "c_wires", tuple(self.c_wires))
@@ -259,20 +261,21 @@ class DoubleOpenGame:
     check, M' read. The trials (run_double_open) only draw from its
     outcome probabilities.
 
-    Wire map: commitment wires 0..k-1 in natural (message, ancilla) order,
-    the challenger's swap target M' next, then the adversary's ancillas.
-    Nodes of probability zero are never reached, so they are left unset.
+    Wire map: the commitment wires in natural (message, ancilla) order, the
+    challenger's swap target M' next, then the adversary's ancillas; a
+    register without qubits is left out. Nodes of probability zero are never
+    reached, so they are left unset.
     """
 
     def __init__(self, scheme: CanonicalCommitment, adversary: Adversary):
         self.scheme = scheme
         self.adversary = adversary
-        k = scheme.total_wires
         m = scheme.message_qubits
-        self.n = k + m + adversary.ancilla_qubits
-        self.com_wires = list(range(k))
-        mprime = list(range(k, k + m))
-        own = list(range(k + m, self.n))
+        regs = (("com", scheme.total_wires), ("M'", m), ("own", adversary.ancilla_qubits))
+        lay = RegisterLayout.of(*[(name, size) for name, size in regs if size])
+        wires = {name: lay.qubits_of(name) if size else [] for name, size in regs}
+        self.n = lay.total_qubits
+        self.com_wires, mprime, own = wires["com"], wires["M'"], wires["own"]
         prepare = _checked_gates(adversary.prepare, self.com_wires + own, "prepare")
         respond = None
         if adversary.respond is not None:

@@ -326,9 +326,9 @@ def _uniform_chi_square_p(counts) -> float:
 def _run_zk(config: ExperimentConfig, record: ExperimentRecord) -> None:
     from qpzk.compilers.coin_flip import (
         HONEST_VERIFIER,
+        CoinFlipProtocol,
         MaliciousVerifier,
         biased_coin_flip_prover,
-        make_malicious_zk,
         real_malicious_views,
         view_ensemble_distance,
         zk_simulate_malicious,
@@ -344,7 +344,7 @@ def _run_zk(config: ExperimentConfig, record: ExperimentRecord) -> None:
                           f"so no coin-flip execution would run")
     base = copier_base()
     pc = make_public_coin(base)
-    cf = make_malicious_zk(pc, reps)
+    cf = CoinFlipProtocol(pc, reps)
 
     rng = _stream(config, 0)
     counts = cf.coin_marginal(biased_coin_flip_prover(pc, 1), trials // reps, rng)
@@ -528,9 +528,8 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     # Completeness leg: a perfect-completeness base survives the whole
     # executable chain untouched.
     perfect = build_pipeline(copier_base())
-    hon = perfect.public_coin.honest_strategy()
     record.add(equality_row("pipeline-honest-acceptance",
-                            perfect.public_coin.acceptance(hon), 1.0,
+                            perfect.acceptance(perfect.honest_strategy()), 1.0,
                             config.tolerance("identity", 1e-9),
                             "exact:branch-average"))
 
@@ -541,7 +540,7 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     base = _load_base(config,
                       lambda: partial_coupler_base(0.5, config.param("theta")))
     k = config.param("k")
-    stages = build_pipeline(base)
+    pc = build_pipeline(base)
 
     zeta = brute_force_prover_value(base, _stream(config, 0),
                                     restarts=6, iters=100)
@@ -561,9 +560,8 @@ def _run_pipeline(config: ExperimentConfig, record: ExperimentRecord) -> None:
     trials = config.effective_trials
     rng = _stream(config, 1)
     k1_bound = composite_bound(min(zeta, 1.0), 2, 1)
-    for idx, strat in enumerate(pipeline_cheat_strategies(stages, rng)):
-        hits, exact = stages.public_coin.sample_hits(strat, trials,
-                                                     _stream(config, 2 + idx))
+    for idx, strat in enumerate(pipeline_cheat_strategies(pc, rng)):
+        hits, exact = pc.sample_hits(strat, trials, _stream(config, 2 + idx))
         sigma = float(np.sqrt(max(exact * (1 - exact), 1e-9) / trials))
         record.add(upper_bound_row(f"pipeline-cheat-{strat.name}", hits / trials,
                                    k1_bound, sigma,

@@ -24,7 +24,7 @@ import numpy as np
 
 from qpzk.core import linalg
 from qpzk.core.operators import P1
-from qpzk.core.registers import RegisterLayout, qubit_cap
+from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import (
     MixedState,
@@ -201,12 +201,13 @@ def _run_entangled(params: PqmaParams, inst: PqmaInstance, joint: QuantumState, 
     needed = p * (nw + ni)
     if joint.n_qubits != needed:
         raise DimensionMismatchError(f"joint state must hold {needed} qubits")
-    if needed + ni > qubit_cap():
-        raise ConfigError("entangled input exceeds the qubit cap")
     regs = []
     for i in range(p):
         regs.extend([(f"B{i}", nw), (f"A{i}", ni)])
-    state: QuantumState = joint.relabel(RegisterLayout.of(*regs))
+    # Each SWAP test works beside a fresh instance copy, so that register
+    # is laid out too and held to the qubit cap.
+    lay = RegisterLayout.of(*regs, ("Fresh", ni))
+    state: QuantumState = joint.relabel(lay.drop(["Fresh"]))
     tested = rng.choice(p, q + 1, replace=False)
     for s in tested[:q]:
         (p_pass, passed), _ = _swap_branches(state, f"A{s}", inst.psi)

@@ -242,9 +242,9 @@ class TestAcceptance:
     def test_07_coin_flip_stage(self):
         from qpzk.compilers.coin_flip import (
             HONEST_VERIFIER,
+            CoinFlipProtocol,
             MaliciousVerifier,
             biased_coin_flip_prover,
-            make_malicious_zk,
             real_malicious_views,
             view_ensemble_distance,
             zk_simulate_malicious,
@@ -255,7 +255,7 @@ class TestAcceptance:
 
         base = copier_base()
         pc = make_public_coin(base)
-        cf = make_malicious_zk(pc, 1)
+        cf = CoinFlipProtocol(pc, 1)
 
         # Chi-square uniformity of the coin at 10^4 trials against biasing
         # provers in the ideal model.
@@ -267,7 +267,7 @@ class TestAcceptance:
 
         # Simulated views equal real views exactly, including abort paths.
         sim = HvzkSimulator.from_honest_prover(base)
-        cf2 = make_malicious_zk(pc, 2)
+        cf2 = CoinFlipProtocol(pc, 2)
         verifiers = [
             HONEST_VERIFIER,
             MaliciousVerifier(name="bv1"),

@@ -8,10 +8,10 @@ from scipy import stats
 from qpzk.core import rng_from
 from qpzk.compilers.coin_flip import (
     HONEST_VERIFIER,
+    CoinFlipProtocol,
     MaliciousVerifier,
     biased_coin_flip_prover,
     honest_coin_flip_prover,
-    make_malicious_zk,
     real_malicious_views,
     view_ensemble_distance,
     zk_simulate_malicious,
@@ -37,14 +37,14 @@ def simulator():
 class TestCoinUniformity:
     @pytest.mark.parametrize("bias", [0, 1])
     def test_constant_bias_cannot_tilt_the_coin(self, public_coin, bias):
-        cf = make_malicious_zk(public_coin, 1)
+        cf = CoinFlipProtocol(public_coin, 1)
         prover = biased_coin_flip_prover(public_coin, bias)
         counts = cf.coin_marginal(prover, 4000, rng_from(3000, bias))
         chi2, p = stats.chisquare(counts)
         assert p > 0.01
 
     def test_adaptive_bias_cannot_tilt_the_coin(self, public_coin):
-        cf = make_malicious_zk(public_coin, 2)
+        cf = CoinFlipProtocol(public_coin, 2)
         prover = biased_coin_flip_prover(
             public_coin, 0,
             adaptive=lambda t, hist: (hist[-1] if hist else 1))
@@ -66,7 +66,7 @@ class TestCoinUniformity:
         assert _uniform_chi_square_p([700, 700]) == 1.0
 
     def test_honest_parties_accept(self, public_coin):
-        cf = make_malicious_zk(public_coin, 3)
+        cf = CoinFlipProtocol(public_coin, 3)
         rng = rng_from(3002)
         outcomes = [cf.run(honest_coin_flip_prover(public_coin), rng)[0]
                     for _ in range(100)]
@@ -86,7 +86,7 @@ class TestSequentialProduct:
         hon = pc.honest_strategy()
         per_iteration = pc.acceptance(hon)
         assert per_iteration == pytest.approx(0.8, abs=1e-9)
-        cf = make_malicious_zk(pc, 3)
+        cf = CoinFlipProtocol(pc, 3)
         prover = honest_coin_flip_prover(pc)
         rng = rng_from(3100)
         n = 3000
@@ -98,13 +98,13 @@ class TestSequentialProduct:
 
 class TestMaliciousSimulation:
     def test_honest_verifier_views_match(self, public_coin, simulator):
-        cf = make_malicious_zk(public_coin, 2)
+        cf = CoinFlipProtocol(public_coin, 2)
         real = real_malicious_views(cf, HONEST_VERIFIER)
         sim = zk_simulate_malicious(cf, HONEST_VERIFIER, simulator)
         assert view_ensemble_distance(real, sim) < 1e-9
 
     def test_fixed_bv_verifier_views_match(self, public_coin, simulator):
-        cf = make_malicious_zk(public_coin, 2)
+        cf = CoinFlipProtocol(public_coin, 2)
         # The XOR output is uniform whatever bit the verifier inputs, so a
         # verifier with a fixed input differs from the honest one only in name.
         fixed = MaliciousVerifier(name="bv0")
@@ -113,7 +113,7 @@ class TestMaliciousSimulation:
         assert view_ensemble_distance(real, sim) < 1e-9
 
     def test_aborting_verifier_views_match(self, public_coin, simulator):
-        cf = make_malicious_zk(public_coin, 3)
+        cf = CoinFlipProtocol(public_coin, 3)
         aborting = MaliciousVerifier(lambda t, coin, hist: (t == 1 and coin == 1),
                                      "abort-second-iteration")
         real = real_malicious_views(cf, aborting)
@@ -125,7 +125,7 @@ class TestMaliciousSimulation:
 
     def test_simulated_acceptance_matches_real(self, public_coin, simulator):
         # Run the honest-verifier checks over both view ensembles.
-        cf = make_malicious_zk(public_coin, 1)
+        cf = CoinFlipProtocol(public_coin, 1)
         real = real_malicious_views(cf, HONEST_VERIFIER)
         sim = zk_simulate_malicious(cf, HONEST_VERIFIER, simulator)
 
@@ -152,7 +152,7 @@ class TestPinnedStreams:
     ], ids=["honest", "biased-1"])
     def test_coin_marginal_counts_and_state(self, public_coin, bias, counts, state,
                                             uinteger):
-        cf = make_malicious_zk(public_coin, 3)
+        cf = CoinFlipProtocol(public_coin, 3)
         prover = (honest_coin_flip_prover(public_coin) if bias is None
                   else biased_coin_flip_prover(public_coin, bias))
         rng = rng_from(4100)
@@ -165,7 +165,7 @@ class TestPinnedStreams:
     def test_run_outcomes_and_state(self):
         # A 0.8 base, so runs also stop early on a failed iteration.
         pc = make_public_coin(rotated_copier_base(2 * np.arccos(np.sqrt(0.6))))
-        cf = make_malicious_zk(pc, 3)
+        cf = CoinFlipProtocol(pc, 3)
         rng = rng_from(4101)
         runs = [cf.run(biased_coin_flip_prover(pc, 0), rng) for _ in range(8)]
         assert runs == [(True, [0, 0, 0]), (False, [1, 0]), (False, [1, 0]),
@@ -181,9 +181,9 @@ class TestPinnedStreams:
 class TestValidation:
     def test_rejects_zero_reps(self, public_coin):
         with pytest.raises(ConfigError):
-            make_malicious_zk(public_coin, 0)
+            CoinFlipProtocol(public_coin, 0)
 
     def test_sample_run_points_to_run(self, public_coin):
-        cf = make_malicious_zk(public_coin, 2)
+        cf = CoinFlipProtocol(public_coin, 2)
         with pytest.raises(ConfigError, match=r"CoinFlipProtocol.*CoinFlipProtocol\.run"):
             sample_run(cf, HONEST, [0, 1], rng_from(0))

@@ -51,6 +51,26 @@ def random_base(seed: int) -> InteractiveProtocol:
     )
 
 
+def random_perfect_three_round_base(seed: int) -> InteractiveProtocol:
+    """Three-round base with acceptance exactly one, built as
+    random_perfect_base builds its two-round ones: random P1, V1, P2, V2,
+    P3, then a V3 that rotates the reachable W M support into the
+    accepting subspace (first W qubit one)."""
+    g = rng_from(2500, seed)
+    psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
+    p1, v1, p2, v2, p3 = (random_unitary(4, g) for _ in range(5))
+    probe = InteractiveProtocol.from_verifier_start(
+        psi_v, 1, 1, [v1, v2, np.eye(4, dtype=complex)], [p1, p2, p3])
+    rho_wm = linalg.partial_trace_vector(probe.evolve(upto_message=5).amplitudes, [1, 2], 3)
+    _vals, vecs = np.linalg.eigh(rho_wm)
+    # A one-qubit R purifies rank two at most, so the eigenvectors of the two
+    # largest eigenvalues (ascending order: columns 2 and 3) span the
+    # support; V3 sends column k to |k>, the support to |10> and |11>.
+    v3 = vecs.conj().T
+    return InteractiveProtocol.from_verifier_start(
+        psi_v, 1, 1, [v1, v2, v3], [p1, p2, p3])
+
+
 class TestSoundnessFormula:
     def test_perfect_base_two_rounds(self):
         assert collapsed_soundness(0.0, 2) == pytest.approx(15.0 / 16.0, abs=1e-15)
@@ -82,6 +102,21 @@ class TestHonestExecution:
         assert want == pytest.approx(1.0, abs=1e-9)
         got = col.acceptance(col.honest_strategy())
         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_round_collapse(self, seed):
+        # The bundle order and the replies to challenges 1 and 2 of a base
+        # with r = 3: honest acceptance equals the base's, and the Bell test
+        # obeys the branch-overlap identity at both challenges.
+        base = random_perfect_three_round_base(seed)
+        col = CollapsedProtocol(base)
+        want = run_protocol(base)
+        assert want == pytest.approx(1.0, abs=1e-9)
+        honest = col.honest_strategy()
+        assert col.acceptance(honest) == pytest.approx(want, abs=1e-9)
+        for challenge in (1, 2):
+            measured, predicted = col.branch_overlap_identity(honest, challenge)
+            assert measured == pytest.approx(predicted, abs=1e-9)
 
     def test_imperfect_base_acceptance_at_most_completeness(self):
         base = random_base(0)
@@ -247,9 +282,9 @@ class TestStandardFormCast:
         base = InteractiveProtocol.from_verifier_start(
             psi_v, 1, 2, [np.kron(v, eye2) for v in copier.verifier_unitaries],
             [np.kron(p, eye2) for p in copier.prover_unitaries])
-        stages = build_pipeline(base)
-        cast = stages.public_coin.base
+        pc = build_pipeline(base)
+        cast = pc.base
         assert cast.layout.total_qubits == 14
-        honest = stages.public_coin.honest_strategy()
-        assert stages.public_coin.acceptance(honest) == pytest.approx(1.0, abs=1e-9)
+        honest = pc.honest_strategy()
+        assert pc.acceptance(honest) == pytest.approx(1.0, abs=1e-9)
         assert "verifier_unitaries" not in vars(cast)

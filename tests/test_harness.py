@@ -269,6 +269,9 @@ class TestCli:
         ("double-open", {"scheme": "junk.txt"},
          _bell_scheme_json_with(message_qubits=1, ancilla_qubits=-1,
                                 com=complex_matrix_to_json(np.eye(1)), c_wires=[], d_wires=[])),
+        ("double-open", {"scheme": "junk.txt"},
+         _bell_scheme_json_with(message_qubits=0, ancilla_qubits=0,
+                                com=complex_matrix_to_json(np.eye(1)), c_wires=[], d_wires=[])),
         ("pqma", {"instance": "junk.txt"},
          _instance_json_with("pqma", verifier_unitary=complex_matrix_to_json(2 * np.eye(4)))),
         ("pqma", {"instance": "junk.txt"},
@@ -308,6 +311,7 @@ class TestCli:
             "double-open-scheme-missing", "double-open-scheme-not-unitary",
             "double-open-scheme-wires-not-partition", "double-open-scheme-qubits-not-a-number",
             "double-open-scheme-wrong-shape", "double-open-scheme-negative-ancillas",
+            "double-open-scheme-no-wires",
             "pqma-instance-not-unitary", "pqma-instance-wrong-shape",
             "uhlmann-instance-qubits-not-a-number", "uhlmann-instance-not-unitary",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
@@ -381,6 +385,14 @@ class TestCli:
     def test_cap_exceeded_exit_three(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QPZK_QUBIT_CAP", "3")
         assert main(["uhlmann", "--seed", "1", "--trials", "10"]) == 3
+        # Every stage's breach is a resource error, whichever layout meets it
+        # first: the collapsed verifier registers at 5, the standard-form
+        # cast at 11, double-open's 4-qubit game at 2.
+        runs = [(kind, "2") for kind in EXPERIMENT_KINDS] + [("collapse", "5"),
+                                                             ("pipeline", "11")]
+        for kind, cap in runs:
+            monkeypatch.setenv("QPZK_QUBIT_CAP", cap)
+            assert main([kind, "--seed", "7"]) == 3, (kind, cap)
 
     def test_seed_override_changes_record(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

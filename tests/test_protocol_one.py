@@ -7,8 +7,8 @@ import pytest
 from qpzk.core import rng_from, random_unitary
 from qpzk.crypto.commitments import CanonicalCommitment, bell_ancilla_scheme
 from qpzk.compilers.commit_rounds import (
+    CommitRoundProtocol,
     CommitRoundStrategy,
-    compile_hvzk,
     fresh_c_substitution_strategy,
 )
 from qpzk.compilers.examples import copier_base, rotated_copier_base
@@ -29,7 +29,7 @@ def one_qubit_scheme() -> CanonicalCommitment:
 
 class TestHonestExecution:
     def test_perfect_completeness_preserved(self):
-        proto = compile_hvzk(copier_base(), one_qubit_scheme())
+        proto = CommitRoundProtocol(copier_base(), one_qubit_scheme())
         result = proto.execute(proto.honest_strategy())
         assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
@@ -38,7 +38,7 @@ class TestHonestExecution:
     def test_ideal_world_equals_base_for_any_rm_strategy(self, seed):
         g = rng_from(3200, seed)
         base = copier_base()
-        proto = compile_hvzk(base, one_qubit_scheme())
+        proto = CommitRoundProtocol(base, one_qubit_scheme())
         mats = (random_unitary(4, g), random_unitary(4, g))
         strat = CommitRoundStrategy(
             lambda i: [(mats[i - 1], ("R", "M"))], 0, "random-rm")
@@ -48,7 +48,7 @@ class TestHonestExecution:
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_scheme_roundtrips(self):
-        proto = compile_hvzk(rotated_copier_base(0.6), bell_ancilla_scheme(1))
+        proto = CommitRoundProtocol(rotated_copier_base(0.6), bell_ancilla_scheme(1))
         result = proto.execute(proto.honest_strategy())
         want = run_protocol(rotated_copier_base(0.6))
         assert result.accept_probability == pytest.approx(want, abs=1e-9)
@@ -60,7 +60,7 @@ class TestBindingDetection:
         # is caught by the ancilla check with an exactly computable rate.
         base = copier_base()
         scheme = bell_ancilla_scheme(1)
-        proto = compile_hvzk(base, scheme)
+        proto = CommitRoundProtocol(base, scheme)
         strat = fresh_c_substitution_strategy(proto, at_round=1)
         result = proto.execute(strat)
         assert result.abort_probabilities[0] > 0.1
@@ -87,7 +87,7 @@ class TestBindingDetection:
         assert result.abort_probabilities[0] == pytest.approx(1.0 - pass_prob, abs=1e-9)
 
     def test_untouched_commitment_never_aborts(self):
-        proto = compile_hvzk(copier_base(), bell_ancilla_scheme(1))
+        proto = CommitRoundProtocol(copier_base(), bell_ancilla_scheme(1))
         result = proto.execute(proto.honest_strategy())
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
 
@@ -104,15 +104,15 @@ class TestPipeline:
         from qpzk.optimize import brute_force_prover_value
 
         base = rotated_copier_base(np.pi / 3)
-        stages = build_pipeline(base)
+        pc = build_pipeline(base)
         zeta = brute_force_prover_value(base, rng_from(3300), restarts=6, iters=100)
         bound = composite_bound(min(zeta, 1.0), 2, 1)
         rng = rng_from(3301)
-        for strat in pipeline_cheat_strategies(stages, rng):
-            value = stages.public_coin.acceptance(strat)
+        for strat in pipeline_cheat_strategies(pc, rng):
+            value = pc.acceptance(strat)
             assert value <= bound + 1e-9
 
     def test_pipeline_honest_completeness(self):
-        stages = build_pipeline(copier_base())
-        hon = stages.public_coin.honest_strategy()
-        assert stages.public_coin.acceptance(hon) == pytest.approx(1.0, abs=1e-9)
+        pc = build_pipeline(copier_base())
+        hon = pc.honest_strategy()
+        assert pc.acceptance(hon) == pytest.approx(1.0, abs=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
 from qpzk.compilers.examples import copier_base
 from qpzk.compilers.repetition import parallel_repeat, repeated_soundness
-from qpzk.errors import ConfigError
+from qpzk.errors import ConfigError, QubitCapExceededError
 from qpzk.optimize import brute_force_prover_value, optimal_three_message_value
 from qpzk.protocol import InteractiveProtocol, run_protocol
 
@@ -62,5 +62,5 @@ class TestExecutable:
         assert frozen == pytest.approx(single ** 2, abs=1e-6)
 
     def test_cap_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QubitCapExceededError):
             parallel_repeat(copier_base(), 5)
