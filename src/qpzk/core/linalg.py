@@ -128,21 +128,24 @@ def half_trace_norm(diff: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() / 2)
 
 
+def close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """np.allclose(a, b, atol=tol) with its default rtol of 1e-5 written out,
+    except that any NaN or infinite entry fails the comparison."""
+    return bool(np.isfinite(b).all() and (np.abs(a - b) <= tol + 1e-5 * np.abs(b)).all())
+
+
 def is_unitary(mat: np.ndarray, tol: float = EPS) -> bool:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    eye = np.eye(mat.shape[0])
-    # np.allclose(gram, eye, atol=tol) with its default rtol of 1e-5 written
-    # out; a NaN or infinite entry fails the comparison.
-    return bool((np.abs(mat.conj().T @ mat - eye) <= tol + 1e-5 * eye).all())
+    return close(mat.conj().T @ mat, np.eye(mat.shape[0]), tol)
 
 
 def is_hermitian(mat: np.ndarray, tol: float = EPS) -> bool:
-    return bool(np.allclose(mat, mat.conj().T, atol=tol))
+    return close(mat, mat.conj().T, tol)
 
 
 def is_projector(mat: np.ndarray, tol: float = EPS) -> bool:
-    return is_hermitian(mat, tol) and bool(np.allclose(mat @ mat, mat, atol=tol))
+    return is_hermitian(mat, tol) and close(mat @ mat, mat, tol)
 
 
 def clamped_eigh(mat: np.ndarray, tol: float = EPS):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from qpzk.core.linalg import EPS, is_hermitian, is_projector, is_unitary
+from qpzk.core.linalg import EPS, close, is_hermitian, is_projector, is_unitary
 from qpzk.errors import DimensionMismatchError, StateValidationError
 
 # Standard gates.
@@ -89,7 +89,7 @@ class ProjectiveMeasurement:
             if not is_projector(p):
                 raise StateValidationError("element is not an orthogonal projector")
             total += p
-        if not np.allclose(total, np.eye(dim), atol=EPS):
+        if not close(total, np.eye(dim), EPS):
             raise StateValidationError("projectors do not sum to the identity")
         for p in projs:
             p.setflags(write=False)
@@ -120,7 +120,7 @@ class Povm:
             if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -EPS:
                 raise StateValidationError("POVM element is not PSD")
             total += e
-        if not np.allclose(total, np.eye(dim), atol=EPS):
+        if not close(total, np.eye(dim), EPS):
             raise StateValidationError("POVM elements do not sum to the identity")
         for e in elems:
             e.setflags(write=False)

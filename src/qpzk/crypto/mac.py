@@ -3,83 +3,80 @@
 Encoding appends trap qubits in |0>, applies a keyed wire permutation and a
 keyed Pauli mask. Decoding inverts both and accepts iff every trap measures
 zero; on rejection the message register is replaced by the maximally mixed
-state. A key's encoding is a signed permutation of basis indices, so it is
-applied to a matrix by an index gather and a sign multiply; no key is ever a
-dense unitary. Keys are enumerated exactly up to a configurable bound, so the
-key-averaged real channel is computed without sampling.
+state. The keys are one table of signed permutations of basis indices, so a
+key acts by an index gather and a sign multiply, never as a dense unitary.
+The key space is held to the fixed KEY_ENUMERATION_CAP, and the key-averaged
+real channel is computed exactly, as a Pauli twirl, without sampling.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from qpzk.core import linalg
 from qpzk.core.operators import P0, P1
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.states import MixedState, PureState, QuantumState, partial_trace
+from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import ConfigError, DimensionMismatchError
 
 KEY_ENUMERATION_CAP = 2 ** 16
 
 
-@dataclass(frozen=True)
-class MacKey:
-    permutation: tuple[int, ...]  # logical wire i moves to position permutation[i]
-    x_mask: tuple[int, ...]
-    z_mask: tuple[int, ...]
-
-
 class QuantumMac:
-    """Trap code with `message_qubits` payload wires and `traps` trap wires."""
+    """Trap code with `message_qubits` payload wires and `traps` trap wires.
+
+    Key k sends code basis j to sign[k, j] * e_index[k, j]. Keys run over the
+    wire permutations, then the X mask, then the Z mask, each in lexicographic
+    order.
+    """
 
     def __init__(self, message_qubits: int = 1, traps: int = 3):
         if message_qubits < 1 or traps < 1:
             raise ConfigError("need at least one message qubit and one trap")
         self.message_qubits = message_qubits
         self.traps = traps
-        self.code_qubits = message_qubits + traps
-        n_keys = math.factorial(self.code_qubits) * 4 ** self.code_qubits
+        self.code_qubits = n = message_qubits + traps
+        n_keys = math.factorial(n) * 4 ** n
         if n_keys > KEY_ENUMERATION_CAP:
             raise ConfigError(
                 f"key space {n_keys} exceeds enumeration cap {KEY_ENUMERATION_CAP}; "
                 "use fewer wires"
             )
-        self.keys: tuple[MacKey, ...] = tuple(self._all_keys())
-
-    def _all_keys(self) -> Iterable[MacKey]:
-        wires = self.code_qubits
-        for perm in itertools.permutations(range(wires)):
-            for xm in itertools.product((0, 1), repeat=wires):
-                for zm in itertools.product((0, 1), repeat=wires):
-                    yield MacKey(perm, xm, zm)
+        # Wire permutation p sends basis j to the index whose bit perm[i] is
+        # bit i of j. X^x then flips the masked bits, and Z^z signs by the
+        # parity of the masked bits that are set.
+        d, masks = 2 ** n, np.arange(2 ** n)
+        wire_perms = np.array([linalg.permute_vector(masks, perm, n)
+                               for perm in itertools.permutations(range(n))])
+        index = np.repeat(wire_perms[:, None, None, :] ^ masks[:, None, None], d, axis=2)
+        sign = 1.0 - 2.0 * (np.bitwise_count(index & masks[:, None]) & 1)
+        self.index, self.sign = index.reshape(-1, d), sign.reshape(-1, d)
+        self.keys = range(n_keys)
+        # Code basis states, and equally X masks, with every trap bit zero.
+        self.trap_zero = masks % 2 ** traps == 0
 
     # -- per-key encodings ---------------------------------------------------
 
-    def encode_unitary(self, key: MacKey) -> np.ndarray:
+    def encode_unitary(self, key: int) -> np.ndarray:
         """Pauli mask after the wire permutation, on all code wires, as a
-        dense matrix: column j is sign[j] * e_index[j]."""
-        index, sign = _signed_permutation(key)
-        out = np.zeros((index.size, index.size), dtype=complex)
-        out[index, np.arange(index.size)] = sign
-        return out
+        dense matrix: column j is sign[key, j] * e_index[key, j]."""
+        return _dense(self.index[[key]], self.sign[[key]])[0]
 
-    def encode(self, key: MacKey, message: QuantumState) -> MixedState:
+    def encode(self, key: int, message: QuantumState) -> MixedState:
         """Keyed encoding of a message state into the code register."""
         if message.n_qubits != self.message_qubits:
             raise DimensionMismatchError("message size mismatch")
-        index, sign = _signed_permutation(key)
-        rows = _traps_zero(self.message_qubits, self.traps, 0)
-        s = sign[rows]
-        out = np.zeros((index.size, index.size), dtype=complex)
-        out[np.ix_(index[rows], index[rows])] = s[:, None] * message.density() * s[None, :]
+        rows = self.trap_zero
+        index, s = self.index[key][rows], self.sign[key][rows]
+        out = np.zeros((rows.size, rows.size), dtype=complex)
+        out[np.ix_(index, index)] = s[:, None] * message.density() * s[None, :]
         return MixedState(out, RegisterLayout.single("C", self.code_qubits))
 
-    def decode(self, key: MacKey, code: QuantumState) -> tuple[float, Optional[MixedState]]:
+    def decode(self, key: int, code: QuantumState) -> tuple[float, Optional[MixedState]]:
         """Accept probability and the accepted message state (flag = 1).
 
         On rejection the decoder outputs the maximally mixed message, so the
@@ -87,47 +84,55 @@ class QuantumMac:
         """
         if code.n_qubits != self.code_qubits:
             raise DimensionMismatchError("code size mismatch")
-        trap_zero = _traps_zero(self.message_qubits, self.traps, 0)
-        accepted = (_conjugate(code.density(), *_signed_permutation(key))
-                    * np.outer(trap_zero, trap_zero))
+        accepted = (_conjugate(code.density(), self.index[key], self.sign[key])
+                    * np.outer(self.trap_zero, self.trap_zero))
         p = float(accepted.trace().real)
         if p <= 1e-12:
             return 0.0, None
-        lay = RegisterLayout.of(("Msg", self.message_qubits), ("T", self.traps))
-        post = partial_trace(MixedState(accepted / p, lay), "T")
-        return p, post
+        message = linalg.partial_trace_matrix(
+            accepted / p, list(range(self.message_qubits)), self.code_qubits)
+        return p, MixedState(message, RegisterLayout.single("Msg", self.message_qubits))
 
     # -- exact key-averaged channels ------------------------------------------
 
     def real_channel_output(self, attack: np.ndarray, rho_mr: QuantumState,
                             r_qubits: int) -> np.ndarray:
-        """Key-averaged decode(attack(encode(rho))) on registers (M, R, F)."""
-        nm, t, nr = self.message_qubits, self.traps, r_qubits
+        """Key-averaged decode(attack(encode(rho))) on registers (M, R, F).
+
+        Write the attack as sum_P P x A_P over the Paulis P = Z^z X^x on the
+        code wires. The keys' Pauli masks cancel every cross term, so only
+        the wire permutation is averaged. A term passes the trap check
+        exactly when no wire placed on a trap carries an X part; it then acts
+        on the message as P's factors on the wires placed there. Otherwise it
+        adds A_P rho_R A_P^dagger to the reject branch, wherever it lands.
+        """
+        nm, nr = self.message_qubits, r_qubits
         if rho_mr.n_qubits != nm + nr:
             raise DimensionMismatchError("joint input must live on (M, R)")
-        code_r = self.code_qubits + nr
-        if attack.shape != (2 ** code_r, 2 ** code_r):
+        d, dm, dr = 2 ** self.code_qubits, 2 ** nm, 2 ** nr
+        if attack.shape != (d * dr, d * dr):
             raise DimensionMismatchError("attack must act on (C, R)")
-        # Insert trap wires in |0> between M and R: (M, R) + T -> (M, T, R).
-        trap_zero = _traps_zero(nm, t, nr)
-        n_all = nm + t + nr
-        base = np.zeros((2 ** n_all, 2 ** n_all), dtype=complex)
-        base[np.ix_(trap_zero, trap_zero)] = rho_mr.density()
-        acc_mask = np.outer(trap_zero, trap_zero)
-        keep_mr = list(range(nm)) + list(range(nm + t, n_all))
-        keep_r = list(range(nm + t, n_all))
-        acc_mr = rej_r = 0
-        for key in self.keys:
-            conj = _conjugate(attack, *_signed_permutation(key, nr))
-            mat = conj @ base @ conj.conj().T
-            accepted = mat * acc_mask
-            acc_mr += linalg.partial_trace_matrix(accepted, keep_mr, n_all)
-            rej_r += linalg.partial_trace_matrix(mat - accepted, keep_r, n_all)
-        # Exact: the kron factors below are 0, 1 and 2^-nm, so summing over the
-        # keys before the kron adds the same numbers in the same order.
-        mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
-        total = np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
-        return total / len(self.keys)
+        # The keys with the identity permutation are the Paulis Z^z X^x, over x
+        # and then z. The keys with zero masks are the wire permutations sigma;
+        # under sigma, logical Z^z X^x is physical Z^sigma(z) X^sigma(x).
+        paulis = _dense(self.index[:d * d], self.sign[:d * d])
+        sigma = self.index[:: d * d]
+        a_p = np.einsum("pij,iajb->pab", paulis.conj(),
+                        attack.reshape(d, dr, d, dr)).reshape(d, d, dr, dr) / d
+        # A passing P acts on the message as its block between trap-zero states.
+        tz = self.trap_zero
+        msg_pauli = paulis.reshape(d, d, d, d)[np.ix_(tz, np.arange(d), tz, tz)]
+        passed = a_p[sigma[:, tz, None], sigma[:, None, :]]
+        kraus = np.einsum("xzij,pxzab->pxziajb", msg_pauli,
+                          passed).reshape(-1, dm * dr, dm * dr)
+        rho = rho_mr.density()
+        acc_mr = np.einsum("kij,jl,kml->im", kraus, rho, kraus.conj()) / len(sigma)
+        # The share of permutations under which P's X part lands on a trap.
+        reject_share = np.bincount(sigma[:, ~tz].ravel(), minlength=d) / len(sigma)
+        rho_r = linalg.partial_trace_matrix(rho, list(range(nm, nm + nr)), nm + nr)
+        rej_r = np.einsum("x,xzij,jl,xzml->im", reject_share, a_p, rho_r, a_p.conj())
+        mm = np.eye(dm, dtype=complex) / dm
+        return np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
 
     def detection_probability(self, attack: np.ndarray,
                               message: Optional[QuantumState] = None) -> float:
@@ -142,31 +147,18 @@ class QuantumMac:
         return float(flag[0, 0].real)
 
 
-def _signed_permutation(key: MacKey, r_qubits: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) such that the key's encoding, times the identity on
-    r_qubits trailing wires, sends basis j to sign[j] * e_index[j].
-
-    The wire permutation sends code basis j to sigma(j); X^x then flips the
-    masked bits and Z^z signs by the parity of the masked bits that are set.
-    """
-    n = len(key.permutation)
-    x_bits = int("".join(map(str, key.x_mask)), 2)
-    z_bits = int("".join(map(str, key.z_mask)), 2)
-    index = linalg.permute_vector(np.arange(2 ** n), key.permutation, n) ^ x_bits
-    sign = 1.0 - 2.0 * (np.bitwise_count(index & z_bits) & 1)
-    r = np.arange(2 ** r_qubits)
-    return (index[:, None] << r_qubits | r).ravel(), np.repeat(sign, r.size)
+def _dense(index: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Stacked dense matrices of signed permutation rows: column j of
+    matrix k is sign[k, j] * e_index[k, j]."""
+    k, d = index.shape
+    out = np.zeros((k, d, d), dtype=complex)
+    out[np.arange(k)[:, None], index, np.arange(d)] = sign
+    return out
 
 
 def _conjugate(mat: np.ndarray, index: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """enc^dagger @ mat @ enc for the signed permutation enc = (index, sign)."""
     return sign[:, None] * mat[index][:, index] * sign[None, :]
-
-
-def _traps_zero(message_qubits: int, traps: int, r_qubits: int) -> np.ndarray:
-    """Basis states of (M, T, R) whose trap bits are all zero."""
-    index = np.arange(2 ** (message_qubits + traps + r_qubits))
-    return (index >> r_qubits) % 2 ** traps == 0
 
 
 # -- real vs ideal -----------------------------------------------------------
@@ -179,18 +171,17 @@ def ideal_channel_output(simulator_acc, simulator_rej, rho_mr: QuantumState,
     mixed state. Simulator maps are Kraus lists on R summing to a channel."""
     nm, nr = message_qubits, r_qubits
     rho = rho_mr.density()
-    n = nm + nr
+    rho_r = linalg.partial_trace_matrix(rho, list(range(nm, nm + nr)), nm + nr)
+    eye_m = np.eye(2 ** nm, dtype=complex)
     acc = np.zeros_like(rho)
     for k in simulator_acc:
-        kk = np.kron(np.eye(2 ** nm, dtype=complex), np.asarray(k, dtype=complex))
+        kk = np.kron(eye_m, np.asarray(k, dtype=complex))
         acc += kk @ rho @ kk.conj().T
-    rej = np.zeros_like(rho)
+    rej_r = np.zeros_like(rho_r)
     for k in simulator_rej:
-        kk = np.kron(np.eye(2 ** nm, dtype=complex), np.asarray(k, dtype=complex))
-        rej += kk @ rho @ kk.conj().T
-    mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
-    rej_r = linalg.partial_trace_matrix(rej, list(range(nm, n)), n)
-    return np.kron(acc, P1) + np.kron(np.kron(mm, rej_r), P0)
+        k = np.asarray(k, dtype=complex)
+        rej_r += k @ rho_r @ k.conj().T
+    return np.kron(acc, P1) + np.kron(np.kron(eye_m / 2 ** nm, rej_r), P0)
 
 
 def mac_real_vs_ideal(mac: QuantumMac, attack: np.ndarray, rho_mr: QuantumState,

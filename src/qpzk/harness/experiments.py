@@ -18,6 +18,7 @@ from qpzk.core import (
     RegisterLayout,
     fidelity,
     gentle_post_state,
+    partial_trace,
     random_density,
     random_pure_state,
     random_unitary,
@@ -26,6 +27,7 @@ from qpzk.core import (
     tensor,
     trace_distance,
 )
+from qpzk.core.metrics import max_povm_advantage_dim2
 from qpzk.core.sampling import random_projector
 from qpzk.core.swap_test import swap_test_circuit_probability
 from qpzk.errors import ConfigError
@@ -102,16 +104,12 @@ def _run_core_check(config: ExperimentConfig, record: ExperimentRecord) -> None:
         a = random_pure_state(RegisterLayout.single("A", 1), rng)
         b = random_pure_state(RegisterLayout.single("B", 1), rng)
         joint = tensor(a, b)
-        from qpzk.core import partial_trace
-
         worst = max(worst, float(np.abs(
             partial_trace(joint, "B").matrix - a.density()).max()))
     record.add(equality_row("partial-trace-tensor-roundtrip-worst", worst,
                             0.0, tol, "formula:product-reduction"))
 
     rng = _stream(config, 4)
-    from qpzk.core.metrics import max_povm_advantage_dim2
-
     worst = 0.0
     for _ in range(min(samples, 50)):
         a = random_density(RegisterLayout.single("A", 1), rng)

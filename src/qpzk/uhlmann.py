@@ -60,7 +60,7 @@ class UhlmannInstance:
             raise ConfigError("delta must be positive")
         rc = self.reduced_r(self.c_vector())
         rd = self.reduced_r(self.d_vector())
-        if not np.allclose(rc, rd, atol=1e-9):
+        if not linalg.close(rc, rd, 1e-9):
             raise StateValidationError(
                 "the two preparations have different reduced states on R")
         if np.linalg.eigvalsh(rc).min() <= 1e-9:

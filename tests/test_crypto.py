@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpzk.core import (
@@ -14,11 +14,13 @@ from qpzk.core import (
     PureState,
     RegisterLayout,
     linalg,
+    random_density,
     random_pure_state,
+    random_unitary,
     rng_from,
     trace_distance,
 )
-from qpzk.core.operators import X, Z
+from qpzk.core.operators import P0, P1, X, Z
 from qpzk.core.sampling import accept_bit
 from qpzk.crypto.commitments import (
     Adversary,
@@ -41,7 +43,6 @@ from qpzk.crypto.commitments import (
 from qpzk.crypto.mac import (
     QuantumMac,
     _conjugate,
-    _signed_permutation,
     mac_real_vs_ideal,
     natural_simulator,
 )
@@ -494,14 +495,50 @@ class TestTrapMac:
 
 def _kron_chain_encoding(key, wires):
     """The trap code's encoding as it was first built: the Pauli mask, a
-    kron chain of Z^z X^x, after the wire permutation's unitary."""
+    kron chain of Z^z X^x, after the wire permutation's unitary. Key number
+    `key` is decoded by the key order: wire permutations, then X masks, then
+    Z masks, each in lexicographic order."""
+    bits = list(itertools.product((0, 1), repeat=wires))
+    perm_rank, masks = divmod(key, 4 ** wires)
+    permutation = list(itertools.permutations(range(wires)))[perm_rank]
+    x_mask, z_mask = (bits[m] for m in divmod(masks, 2 ** wires))
     order = [0] * wires
-    for i, p in enumerate(key.permutation):
+    for i, p in enumerate(permutation):
         order[p] = i
     mask = np.eye(1, dtype=complex)
-    for x_bit, z_bit in zip(key.x_mask, key.z_mask):
+    for x_bit, z_bit in zip(x_mask, z_mask):
         mask = np.kron(mask, np.linalg.matrix_power(Z, z_bit) @ np.linalg.matrix_power(X, x_bit))
     return mask @ linalg.permutation_unitary(order, wires)
+
+
+def _with_r(index, sign, r_qubits):
+    """A key's (index, sign) times the identity on r_qubits trailing wires."""
+    r = np.arange(2 ** r_qubits)
+    return (index[:, None] << r_qubits | r).ravel(), np.repeat(sign, r.size)
+
+
+def _enumerated_channel(mac, attack, rho_mr, r_qubits):
+    """Key-averaged decode(attack(encode(rho))) on registers (M, R, F), one
+    key at a time: the reference for the closed-form Pauli twirl."""
+    nm, t, nr = mac.message_qubits, mac.traps, r_qubits
+    n_all = nm + t + nr
+    # Insert trap wires in |0> between M and R: (M, R) + T -> (M, T, R).
+    trap_zero = (np.arange(2 ** n_all) >> nr) % 2 ** t == 0
+    base = np.zeros((2 ** n_all, 2 ** n_all), dtype=complex)
+    base[np.ix_(trap_zero, trap_zero)] = rho_mr.density()
+    acc_mask = np.outer(trap_zero, trap_zero)
+    keep_mr = list(range(nm)) + list(range(nm + t, n_all))
+    keep_r = list(range(nm + t, n_all))
+    acc_mr = rej_r = 0
+    for key in mac.keys:
+        conj = _conjugate(attack, *_with_r(mac.index[key], mac.sign[key], nr))
+        mat = conj @ base @ conj.conj().T
+        accepted = mat * acc_mask
+        acc_mr += linalg.partial_trace_matrix(accepted, keep_mr, n_all)
+        rej_r += linalg.partial_trace_matrix(mat - accepted, keep_r, n_all)
+    mm = np.eye(2 ** nm, dtype=complex) / 2 ** nm
+    total = np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
+    return total / len(mac.keys)
 
 
 def _pauli_string(pauli, wires, n):
@@ -531,7 +568,7 @@ class TestSignedPermutationKeys:
         eye_r = np.eye(2 ** r_qubits, dtype=complex)
         for key in code.keys:
             enc = np.kron(code.encode_unitary(key), eye_r)
-            gathered = _conjugate(a, *_signed_permutation(key, r_qubits))
+            gathered = _conjugate(a, *_with_r(code.index[key], code.sign[key], r_qubits))
             assert gathered.tobytes() == (enc.conj().T @ a @ enc).tobytes()
 
     @pytest.mark.parametrize("m,t", [(1, 3), (2, 2)])
@@ -551,3 +588,47 @@ class TestSignedPermutationKeys:
     def test_z_attack_is_never_detected(self, mac, wires):
         det = mac.detection_probability(_pauli_string(Z, wires, mac.code_qubits))
         assert det == pytest.approx(0.0, abs=1e-12)
+
+
+class TestPauliTwirl:
+    """The closed-form key average equals the key-by-key enumeration."""
+
+    @settings(max_examples=6)
+    @example(code=(1, 1), r_qubits=0, pauli=False, seed=0)
+    @example(code=(1, 2), r_qubits=1, pauli=True, seed=1)
+    @example(code=(1, 3), r_qubits=0, pauli=True, seed=2)
+    @example(code=(1, 3), r_qubits=1, pauli=False, seed=3)
+    @example(code=(2, 2), r_qubits=0, pauli=False, seed=4)
+    @example(code=(2, 2), r_qubits=1, pauli=True, seed=5)
+    @given(code=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 2)]),
+           r_qubits=st.sampled_from([0, 1]), pauli=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_twirl_equals_the_enumeration(self, code, r_qubits, pauli, seed):
+        mac = QuantumMac(*code)
+        n = mac.code_qubits
+        rng = rng_from(seed)
+        if pauli:
+            # Z^z X^x on the code wires: the key with the identity permutation.
+            x, z = (int(m) for m in rng.integers(0, 2 ** n, size=2))
+            attack = np.kron(_kron_chain_encoding(x * 2 ** n + z, n),
+                             random_unitary(2 ** r_qubits, rng))
+        else:
+            attack = random_unitary(2 ** (n + r_qubits), rng)
+        registers = (("M", code[0]), ("R", r_qubits)) if r_qubits else (("M", code[0]),)
+        rho = random_density(RegisterLayout.of(*registers), rng)
+        twirl = mac.real_channel_output(attack, rho, r_qubits)
+        assert np.abs(twirl - _enumerated_channel(mac, attack, rho, r_qubits)).max() <= 1e-12
+
+    @pytest.mark.parametrize("r_qubits", [0, 1])
+    def test_trap_flip_on_every_wire_always_rejects_exactly(self, mac, r_qubits):
+        # Every permutation puts an X on a trap, so the twirl gives exactly
+        # the reject branch, mm x rho_R x |0><0|, with no rounding.
+        rng = rng_from(19)
+        registers = (("M", 1), ("R", r_qubits)) if r_qubits else (("M", 1),)
+        rho = random_density(RegisterLayout.of(*registers), rng)
+        attack = np.kron(_pauli_string(X, range(mac.code_qubits), mac.code_qubits),
+                         np.eye(2 ** r_qubits, dtype=complex))
+        rho_r = linalg.partial_trace_matrix(rho.matrix, list(range(1, 1 + r_qubits)),
+                                            1 + r_qubits)
+        want = np.kron(np.kron(np.eye(2, dtype=complex) / 2, rho_r), P0)
+        assert np.array_equal(mac.real_channel_output(attack, rho, r_qubits), want)

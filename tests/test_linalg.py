@@ -55,6 +55,42 @@ class TestIsUnitary:
         assert not linalg.is_unitary(np.ones(2, dtype=complex))
 
 
+FINITE = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestClose:
+    @given(data=st.data(), dim=st.integers(1, 4),
+           scale=st.sampled_from([0.0, 1e-10, 1e-9, 1e-6, 1e-5, 1e-3]),
+           tol=st.sampled_from([0.0, linalg.EPS, 1e-6]))
+    def test_matches_allclose_on_finite_matrices(self, data, dim, scale, tol):
+        # Perturbations on both sides of atol + rtol * |b|.
+        b = np.array(data.draw(st.lists(FINITE, min_size=dim * dim, max_size=dim * dim)))
+        noise = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=2),
+                                            min_size=dim * dim, max_size=dim * dim)))
+        b = b.reshape(dim, dim)
+        a = b + scale * (1.0 + np.abs(b)) * noise.reshape(dim, dim)
+        assert linalg.close(a, b, tol) == bool(np.allclose(a, b, atol=tol))
+
+    @pytest.mark.parametrize("a,b", [
+        (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+        (np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf), (-np.inf, np.inf),
+        (complex(np.inf, 0.0), complex(np.inf, 0.0)), (complex(1.0, np.nan), 1.0),
+    ], ids=["nan-a", "nan-b", "nan-both", "inf-a", "inf-b", "equal-inf",
+            "opposite-inf", "equal-complex-inf", "complex-nan-a"])
+    def test_any_non_finite_entry_fails(self, a, b):
+        # np.allclose passes equal infinities; written out naively, so does a
+        # finite a against an infinite b.
+        a_mat, b_mat = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        a_mat[0, 1], b_mat[0, 1] = a, b
+        assert not linalg.close(a_mat, b_mat, 1e-6)
+
+    def test_decides_the_structural_checks(self):
+        h = np.array([[1.0, 1j], [-1j, np.inf]])
+        assert not linalg.is_hermitian(h)
+        assert not linalg.is_projector(np.diag([1.0, np.nan]))
+        assert linalg.is_projector(np.diag([1.0, 0.0]))
+
+
 VEC = np.arange(8, dtype=complex)
 BLOCK = np.arange(24, dtype=complex).reshape(8, 3)
 KERNELS = [
