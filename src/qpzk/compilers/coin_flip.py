@@ -130,7 +130,7 @@ def _honest_iteration_states(base: PublicCoinProtocol) -> dict[int, MixedState]:
         vec = linalg.apply_to_vector(strat.response_for(b), strat.opening,
                                      lay.qubits_of_all(["R", "M"]), n)
         red = linalg.partial_trace_vector(vec, lay.qubits_of_all(["W", "M"]), n)
-        out[b] = MixedState(red, out_lay)
+        out[b] = MixedState.computed(red, out_lay)
     return out
 
 

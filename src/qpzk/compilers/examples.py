@@ -5,19 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import swap_registers
+from qpzk.core.operators import CNOT_REVERSED, X, swap_registers
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.protocol import InteractiveProtocol
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def cnot_control_second() -> np.ndarray:
-    """CNOT on two wires with the second wire controlling the first."""
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = out[3, 1] = out[2, 2] = out[1, 3] = 1.0
-    return out
 
 
 def ry(theta: float) -> np.ndarray:
@@ -29,7 +20,7 @@ def copier_base() -> InteractiveProtocol:
     """Two rounds, single-qubit registers, perfect completeness: the honest
     prover writes 1 into M, the verifier copies it into W."""
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    v1 = cnot_control_second()
+    v1 = CNOT_REVERSED
     v2 = np.eye(4, dtype=complex)
     p = np.kron(np.eye(2, dtype=complex), X)
     return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p, p])
@@ -40,7 +31,7 @@ def rotated_copier_base(theta: float) -> InteractiveProtocol:
     cos(theta/2)^2 and cheating provers cannot beat the larger of the two
     rotation components."""
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    v1 = cnot_control_second()
+    v1 = CNOT_REVERSED
     v2 = np.kron(ry(theta), np.eye(2, dtype=complex))
     p = np.kron(np.eye(2, dtype=complex), X)
     return InteractiveProtocol.from_verifier_start(
@@ -116,7 +107,7 @@ def hidden_target_base(theta: float = 0.0) -> InteractiveProtocol:
     psi_v = PureState.from_bits(RegisterLayout.single("W", w), "00")
     n_wm = w + 1
     # V1 couples M into the first W qubit only.
-    v1 = linalg.embed(cnot_control_second(), [0, 2], n_wm)
+    v1 = linalg.embed(CNOT_REVERSED, [0, 2], n_wm)
     # V2 rotates the second W qubit by theta and swaps it into the measured
     # slot; acceptance probability for any prover is sin(theta/2)^2.
     v2 = linalg.gate_product([(ry(theta), [1]), (swap_registers(1), [0, 1])], n_wm)

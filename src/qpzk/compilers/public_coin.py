@@ -93,8 +93,8 @@ class PublicCoinProtocol:
         keep = lay.qubits_of_all(["W", "M"])
         out_lay = RegisterLayout.of(("W", base.w_qubits), ("M", base.m_qubits))
         return {
-            0: MixedState(linalg.partial_trace_vector(two, keep, n), out_lay),
-            1: MixedState(linalg.partial_trace_vector(one, keep, n), out_lay),
+            0: MixedState.computed(linalg.partial_trace_vector(two, keep, n), out_lay),
+            1: MixedState.computed(linalg.partial_trace_vector(one, keep, n), out_lay),
         }
 
     # -- exact evaluation -------------------------------------------------------

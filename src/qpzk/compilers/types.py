@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qpzk.core import linalg
-from qpzk.errors import DimensionMismatchError, StateValidationError
+from qpzk.core.operators import checked_unitary
 
 
 @dataclass(frozen=True)
@@ -26,14 +25,10 @@ class HvzkSimulator:
     label: str = "custom"
 
     def __post_init__(self):
-        mats = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
-        object.__setattr__(self, "unitaries", mats)
-        dim = 2 ** (self.m_qubits + self.s_qubits)
-        for u in mats:
-            if u.shape != (dim, dim):
-                raise DimensionMismatchError("simulator unitary must act on S and M")
-            if not linalg.is_unitary(u):
-                raise StateValidationError("simulator unitary is not unitary")
+        qubits = self.s_qubits + self.m_qubits
+        object.__setattr__(self, "unitaries", tuple(
+            checked_unitary(u, qubits, "simulator unitary on S and M")
+            for u in self.unitaries))
 
     @classmethod
     def from_honest_prover(cls, protocol) -> "HvzkSimulator":

@@ -8,7 +8,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.linalg import EPS
 from qpzk.core.states import MixedState, PureState, QuantumState
-from qpzk.errors import DimensionMismatchError, ZeroProbabilityError
+from qpzk.errors import DimensionMismatchError, StateValidationError, ZeroProbabilityError
 
 
 def _density(state: QuantumState) -> np.ndarray:
@@ -56,11 +56,14 @@ def gentle_post_state(rho: QuantumState, pi: np.ndarray, acts_on=None):
 
     acts = tuple(acts_on) if acts_on is not None else rho.layout.names
     mixed = rho.to_mixed()
-    projected = apply_matrix(mixed, np.asarray(pi, dtype=complex), acts)
+    pi = np.asarray(pi, dtype=complex)
+    if not linalg.is_projector(pi):
+        raise StateValidationError("pi is not an orthogonal projector within 1e-9")
+    projected = apply_matrix(mixed, pi, acts)
     p = float(projected.trace().real)
     if p <= EPS:
         raise ZeroProbabilityError("projector accepts with probability zero")
-    post = MixedState(projected / p, mixed.layout)
+    post = MixedState.computed(projected / p, mixed.layout)
     bound = float(np.sqrt(max(1.0 - p, 0.0)))
     return p, post, bound
 

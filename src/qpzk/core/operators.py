@@ -18,6 +18,10 @@ SWAP2 = np.array(
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+# CNOT with the second wire controlling the first.
+CNOT_REVERSED = np.array(
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+)
 # Computational-basis projectors |0><0| and |1><1|; |1><1| on the first
 # workspace qubit is every protocol's accept readout.
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -46,6 +50,24 @@ def projector_onto(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def checked_unitary(mat, qubits: int, what: str) -> np.ndarray:
+    """A caller's matrix as a read-only complex unitary on `qubits` qubits.
+
+    Raises DimensionMismatchError for a wrong shape and StateValidationError
+    for a matrix that is not unitary within 1e-9; `what` names the matrix in
+    both messages. This is the one unitarity check on data entering the
+    package.
+    """
+    out = np.array(mat, dtype=complex)
+    dim = 2 ** qubits
+    if out.shape != (dim, dim):
+        raise DimensionMismatchError(f"{what} must be {dim}x{dim}, got shape {out.shape}")
+    if not is_unitary(out):
+        raise StateValidationError(f"{what} is not unitary")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
     """A unitary matrix together with the registers it acts on.
@@ -58,12 +80,10 @@ class UnitaryOp:
     acts_on: tuple[str, ...]
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
+        mat = np.asarray(self.matrix)
+        qubits = mat.shape[0].bit_length() - 1 if mat.ndim else 0
+        object.__setattr__(self, "matrix", checked_unitary(mat, qubits, "matrix"))
         object.__setattr__(self, "acts_on", tuple(self.acts_on))
-        if not is_unitary(mat):
-            raise StateValidationError("matrix is not unitary within 1e-9")
-        mat.setflags(write=False)
 
     @property
     def dim(self) -> int:

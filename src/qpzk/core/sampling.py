@@ -52,7 +52,7 @@ def random_density(layout: RegisterLayout, rng: np.random.Generator, rank: int |
     rank = dim if rank is None else rank
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return MixedState(m / m.trace(), layout)
+    return MixedState.computed(m / m.trace(), layout)
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

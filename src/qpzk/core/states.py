@@ -23,16 +23,18 @@ class PureState:
     layout: RegisterLayout
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amp)
-        if amp.shape[0] != self.layout.dim:
-            raise DimensionMismatchError(
-                f"amplitude length {amp.shape[0]} != layout dim {self.layout.dim}"
-            )
+        amp = _layout_array(np.reshape(self.amplitudes, -1), (self.layout.dim,))
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > EPS:
             raise StateValidationError(f"state norm {norm} is not 1 within 1e-9")
-        amp.setflags(write=False)
+        _freeze(self, "amplitudes", amp)
+
+    @classmethod
+    def computed(cls, amplitudes, layout: RegisterLayout) -> "PureState":
+        """A state the package computed from checked inputs: converted and
+        shape-checked as by the constructor, without its norm check."""
+        amp = _layout_array(np.reshape(amplitudes, -1), (layout.dim,))
+        return _unchecked(cls, "amplitudes", amp, layout)
 
     @property
     def n_qubits(self) -> int:
@@ -46,7 +48,7 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def to_mixed(self) -> "MixedState":
-        return MixedState(self.density(), self.layout)
+        return MixedState.computed(self.density(), self.layout)
 
     def overlap(self, other: "PureState") -> complex:
         if self.dim != other.dim:
@@ -55,7 +57,7 @@ class PureState:
 
     def relabel(self, layout: RegisterLayout) -> "PureState":
         """Same amplitudes under a different layout of equal total size."""
-        return PureState(self.amplitudes, layout)
+        return PureState.computed(self.amplitudes, layout)
 
     @classmethod
     def computational(cls, layout: RegisterLayout, index: int = 0) -> "PureState":
@@ -70,33 +72,28 @@ class PureState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Density matrix over a register layout.
-
-    Sub-normalized matrices (trace < 1) are only produced inside
-    post-selection paths and carry the `subnormalized` flag.
-    """
+    """Density matrix over a register layout."""
 
     matrix: np.ndarray
     layout: RegisterLayout
-    subnormalized: bool = False
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        if mat.shape != (self.layout.dim, self.layout.dim):
-            raise DimensionMismatchError(
-                f"matrix shape {mat.shape} != layout dim {self.layout.dim}"
-            )
+        mat = _layout_array(self.matrix, (self.layout.dim,) * 2)
         if not linalg.is_hermitian(mat):
             raise StateValidationError("density matrix is not Hermitian within 1e-9")
         if np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -EPS:
             raise StateValidationError("density matrix is not PSD within 1e-9")
         tr = float(mat.trace().real)
-        if not self.subnormalized and abs(tr - 1.0) > EPS:
+        if abs(tr - 1.0) > EPS:
             raise StateValidationError(f"trace {tr} is not 1 within 1e-9")
-        if self.subnormalized and tr > 1.0 + EPS:
-            raise StateValidationError(f"sub-normalized trace {tr} exceeds 1")
-        mat.setflags(write=False)
+        _freeze(self, "matrix", mat)
+
+    @classmethod
+    def computed(cls, matrix, layout: RegisterLayout) -> "MixedState":
+        """A state the package computed from checked inputs: converted and
+        shape-checked as by the constructor, without its Hermitian, PSD and
+        trace checks."""
+        return _unchecked(cls, "matrix", _layout_array(matrix, (layout.dim,) * 2), layout)
 
     @property
     def n_qubits(self) -> int:
@@ -119,7 +116,7 @@ class MixedState:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def relabel(self, layout: RegisterLayout) -> "MixedState":
-        return MixedState(self.matrix, layout, self.subnormalized)
+        return MixedState.computed(self.matrix, layout)
 
     @classmethod
     def maximally_mixed(cls, layout: RegisterLayout) -> "MixedState":
@@ -130,13 +127,32 @@ class MixedState:
 QuantumState = Union[PureState, MixedState]
 
 
+def _layout_array(arr, shape: tuple) -> np.ndarray:
+    out = np.asarray(arr, dtype=complex)
+    if out.shape != shape:
+        raise DimensionMismatchError(f"state shape {out.shape} != layout shape {shape}")
+    return out
+
+
+def _freeze(state, field: str, arr: np.ndarray) -> None:
+    """Store arr, read-only, as the frozen state's field."""
+    arr.setflags(write=False)
+    object.__setattr__(state, field, arr)
+
+
+def _unchecked(cls, field: str, arr: np.ndarray, layout: RegisterLayout):
+    state = object.__new__(cls)
+    object.__setattr__(state, "layout", layout)
+    _freeze(state, field, arr)
+    return state
+
+
 def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     """Joint state on the concatenated layout; pure inputs stay pure."""
     layout = a.layout.concat(b.layout)
     if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), layout)
-    sub = getattr(a, "subnormalized", False) or getattr(b, "subnormalized", False)
-    return MixedState(np.kron(a.density(), b.density()), layout, sub)
+        return PureState.computed(np.kron(a.amplitudes, b.amplitudes), layout)
+    return MixedState.computed(np.kron(a.density(), b.density()), layout)
 
 
 def partial_trace(state: QuantumState, drop) -> MixedState:
@@ -146,9 +162,9 @@ def partial_trace(state: QuantumState, drop) -> MixedState:
     keep = state.layout.qubits_of_all(remaining.names)
     if isinstance(state, PureState):
         red = linalg.partial_trace_vector(state.amplitudes, keep, state.n_qubits)
-        return MixedState(red, remaining)
+        return MixedState.computed(red, remaining)
     red = linalg.partial_trace_matrix(state.matrix, keep, state.n_qubits)
-    return MixedState(red, remaining, state.subnormalized)
+    return MixedState.computed(red, remaining)
 
 
 def apply_unitary(state: QuantumState, u: UnitaryOp) -> QuantumState:
@@ -156,9 +172,9 @@ def apply_unitary(state: QuantumState, u: UnitaryOp) -> QuantumState:
     targets = state.layout.qubits_of_all(u.acts_on)
     if isinstance(state, PureState):
         out = linalg.apply_to_vector(u.matrix, state.amplitudes, targets, state.n_qubits)
-        return PureState(out, state.layout)
+        return PureState.computed(out, state.layout)
     out = linalg.apply_to_matrix(u.matrix, state.matrix, targets, state.n_qubits)
-    return MixedState(out, state.layout, state.subnormalized)
+    return MixedState.computed(out, state.layout)
 
 
 def apply_matrix(state: QuantumState, mat: np.ndarray, acts_on) -> np.ndarray:
@@ -206,9 +222,8 @@ def measure(
             if p <= EPS:
                 outcomes.append(MeasurementOutcome(j, p, None))
             else:
-                outcomes.append(
-                    MeasurementOutcome(j, p, PureState(branch / np.sqrt(p), state.layout))
-                )
+                outcomes.append(MeasurementOutcome(
+                    j, p, PureState.computed(branch / np.sqrt(p), state.layout)))
         else:
             branch = linalg.apply_to_matrix(proj, state.matrix, targets, state.n_qubits)
             p = float(branch.trace().real)
@@ -216,9 +231,5 @@ def measure(
                 outcomes.append(MeasurementOutcome(j, p, None))
             else:
                 outcomes.append(
-                    MeasurementOutcome(j, p, MixedState(branch / p, state.layout))
-                )
-    total = sum(o.probability for o in outcomes)
-    if abs(total - (state.trace() if isinstance(state, MixedState) else 1.0)) > 1e-7:
-        raise StateValidationError(f"outcome probabilities sum to {total}")
+                    MeasurementOutcome(j, p, MixedState.computed(branch / p, state.layout)))
     return outcomes

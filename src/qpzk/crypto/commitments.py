@@ -18,7 +18,7 @@ import numpy as np
 
 from qpzk.core import linalg
 from qpzk.core.linalg import EPS
-from qpzk.core.operators import CNOT, H, X, projector_onto
+from qpzk.core.operators import CNOT, H, X, checked_unitary, projector_onto
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import (
@@ -52,18 +52,12 @@ class CanonicalCommitment:
         total = self.message_qubits + self.ancilla_qubits
         if total < 1:
             raise RegisterError("a commitment needs at least one wire")
-        mat = np.asarray(self.com, dtype=complex)
-        object.__setattr__(self, "com", mat)
+        # com_dagger and ancilla_zero_projector are cached from com.
+        object.__setattr__(self, "com", checked_unitary(self.com, total, "commitment map"))
         object.__setattr__(self, "c_wires", tuple(self.c_wires))
         object.__setattr__(self, "d_wires", tuple(self.d_wires))
-        if mat.shape != (2 ** total, 2 ** total):
-            raise DimensionMismatchError("commitment unitary has wrong dimension")
-        if not linalg.is_unitary(mat):
-            raise StateValidationError("commitment map is not unitary")
         if sorted(self.c_wires + self.d_wires) != list(range(total)):
             raise RegisterError("C and D wires must partition the commitment wires")
-        # com_dagger and ancilla_zero_projector are cached from com.
-        mat.setflags(write=False)
 
     @property
     def total_wires(self) -> int:
@@ -328,14 +322,11 @@ def _checked_gates(gates, held: list[int], phase: str) -> list[Gate]:
     """Adversary gates as complex matrices, each unitary and on held wires."""
     checked = []
     for mat, wires in gates:
-        mat = np.asarray(mat, dtype=complex)
         if not set(wires) <= set(held):
             raise RegisterError(
                 f"adversary {phase} gate acts on wires {list(wires)}; "
                 f"it holds only wires {held} then")
-        if not linalg.is_unitary(mat):
-            raise StateValidationError("adversary operation must be unitary")
-        checked.append((mat, tuple(wires)))
+        checked.append((checked_unitary(mat, len(wires), "adversary operation"), tuple(wires)))
     return checked
 
 

@@ -46,6 +46,8 @@ class QuantumMac:
                 f"key space {n_keys} exceeds enumeration cap {KEY_ENUMERATION_CAP}; "
                 "use fewer wires"
             )
+        self.message_layout = RegisterLayout.single("Msg", message_qubits)
+        self.code_layout = RegisterLayout.single("C", n)
         # Wire permutation p sends basis j to the index whose bit perm[i] is
         # bit i of j. X^x then flips the masked bits, and Z^z signs by the
         # parity of the masked bits that are set.
@@ -74,7 +76,7 @@ class QuantumMac:
         index, s = self.index[key][rows], self.sign[key][rows]
         out = np.zeros((rows.size, rows.size), dtype=complex)
         out[np.ix_(index, index)] = s[:, None] * message.density() * s[None, :]
-        return MixedState(out, RegisterLayout.single("C", self.code_qubits))
+        return MixedState.computed(out, self.code_layout)
 
     def decode(self, key: int, code: QuantumState) -> tuple[float, Optional[MixedState]]:
         """Accept probability and the accepted message state (flag = 1).
@@ -91,7 +93,7 @@ class QuantumMac:
             return 0.0, None
         message = linalg.partial_trace_matrix(
             accepted / p, list(range(self.message_qubits)), self.code_qubits)
-        return p, MixedState(message, RegisterLayout.single("Msg", self.message_qubits))
+        return p, MixedState.computed(message, self.message_layout)
 
     # -- exact key-averaged channels ------------------------------------------
 
@@ -138,8 +140,7 @@ class QuantumMac:
                               message: Optional[QuantumState] = None) -> float:
         """Exact key-averaged probability that the flag reads 0."""
         if message is None:
-            message = PureState.computational(
-                RegisterLayout.single("Msg", self.message_qubits))
+            message = PureState.computational(self.message_layout)
         out = self.real_channel_output(
             np.asarray(attack, dtype=complex), message, r_qubits=0)
         n_out = self.message_qubits + 1

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import P1
+from qpzk.core.operators import P1, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import (
@@ -67,14 +67,9 @@ class PqmaInstance:
     completeness_error: float = 0.0
 
     def __post_init__(self):
-        nv = self.witness.n_qubits + self.psi.n_qubits
-        v = np.asarray(self.verifier_unitary, dtype=complex)
-        object.__setattr__(self, "verifier_unitary", v)
-        if v.shape != (2 ** nv, 2 ** nv):
-            raise DimensionMismatchError(f"verifier_unitary must be {2 ** nv}x{2 ** nv} "
-                                         f"to act on witness and instance, got {v.shape}")
-        if not linalg.is_unitary(v):
-            raise StateValidationError("verifier_unitary is not unitary")
+        object.__setattr__(self, "verifier_unitary", checked_unitary(
+            self.verifier_unitary, self.witness.n_qubits + self.psi.n_qubits,
+            "verifier_unitary on witness and instance"))
         if self.label not in ("yes", "no"):
             raise StateValidationError("label must be 'yes' or 'no'")
         if self.label == "yes":
@@ -418,13 +413,10 @@ def instance_check_family(label: str = "yes") -> PqmaInstance:
 def witness_match_family() -> PqmaInstance:
     """Yes instance |1> whose verifier accepts iff the witness matches the
     instance in the computational basis; bad witnesses reject exactly."""
-    from qpzk.core.operators import X
+    from qpzk.core.operators import CNOT_REVERSED, X
 
     # (witness, instance) wires; accept <=> witness == instance.
-    flip_b = np.kron(X, np.eye(2, dtype=complex))
-    cnot_a_to_b = np.zeros((4, 4), dtype=complex)
-    cnot_a_to_b[0, 0] = cnot_a_to_b[3, 1] = cnot_a_to_b[2, 2] = cnot_a_to_b[1, 3] = 1.0
-    v = cnot_a_to_b @ flip_b
+    v = CNOT_REVERSED @ np.kron(X, np.eye(2, dtype=complex))
     psi = PureState.from_bits(RegisterLayout.single("A", 1), "1")
     witness = PureState.from_bits(RegisterLayout.single("B", 1), "1")
     return PqmaInstance(psi, witness, v, label="yes")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import P1
+from qpzk.core.operators import P1, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState, PureState, partial_trace, tensor
@@ -62,11 +62,10 @@ class ProverStrategy:
 
     def __post_init__(self):
         if self.unitaries is not None:
-            mats = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
-            for u in mats:
-                if not linalg.is_unitary(u):
-                    raise StateValidationError("strategy unitary is not unitary")
-            object.__setattr__(self, "unitaries", mats)
+            mats = tuple(np.asarray(u) for u in self.unitaries)
+            object.__setattr__(self, "unitaries", tuple(
+                checked_unitary(u, u.shape[0].bit_length() - 1 if u.ndim else 0,
+                                "strategy unitary") for u in mats))
 
     def unitary_for(self, round_index: int) -> Optional[np.ndarray]:
         """Unitary for a round; None means honest."""
@@ -191,7 +190,7 @@ class InteractiveProtocol:
             if 2 * i + 2 > last:
                 break
             vec = linalg.apply_gates(linalg.placed(self.verifier_rounds[i], wm), vec, n)
-        return PureState(vec, lay)
+        return PureState.computed(vec, lay)
 
     def acceptance(self, state: PureState) -> float:
         return accept_probability(state.amplitudes, state.layout)
@@ -208,14 +207,9 @@ def _checked_round(op, n: int, role: str, regs: str) -> tuple:
             raise DimensionMismatchError(f"{role} unitary must act on {regs}")
     out = []
     for mat, wires in gates:
-        mat = np.array(mat, dtype=complex)
         wires = tuple(int(w) for w in wires)
-        if mat.ndim != 2:
-            raise DimensionMismatchError(f"{role} gate must be a matrix")
+        mat = checked_unitary(mat, len(wires), f"{role} unitary")
         linalg.target_plan(wires, n, mat.shape[0])
-        if not linalg.is_unitary(mat):
-            raise StateValidationError(f"{role} unitary is not unitary")
-        mat.setflags(write=False)
         out.append((mat, wires))
     return tuple(out)
 

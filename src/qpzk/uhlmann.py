@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import UnitaryOp
+from qpzk.core.operators import UnitaryOp, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import MixedState, PureState, QuantumState, apply_unitary
 from qpzk.errors import (
@@ -48,14 +48,9 @@ class UhlmannInstance:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
-        dim = 2 ** (self.r_qubits + self.s_qubits)
         for name in ("c_unitary", "d_unitary"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            object.__setattr__(self, name, mat)
-            if mat.shape != (dim, dim):
-                raise DimensionMismatchError(f"{name} must act on R and S")
-            if not linalg.is_unitary(mat):
-                raise StateValidationError(f"{name} is not unitary")
+            object.__setattr__(self, name, checked_unitary(
+                getattr(self, name), self.r_qubits + self.s_qubits, f"{name} on R and S"))
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
         rc = self.reduced_r(self.c_vector())
@@ -116,8 +111,6 @@ def compute_uhlmann(inst: UhlmannInstance) -> UhlmannUnitary:
     if residual > 1e-9:
         raise StateValidationError(
             f"matching unitary residual {residual:.3e} exceeds tolerance")
-    if not linalg.is_unitary(u):
-        raise StateValidationError("matching map is not unitary")
     return UhlmannUnitary(u, residual)
 
 
@@ -240,7 +233,7 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecor
                                tuple(per_round))
     total = sum(weights)
     avg = sum(w * o.density() for w, o in zip(weights, outputs)) / total
-    sigma = MixedState(avg, target.layout)
+    sigma = MixedState.computed(avg, target.layout)
     dist = trace_distance(sigma, expected_output(inst).relabel(target.layout))
     verdict = "PASS" if dist <= bound + 1e-9 else "FAIL"
     return SoundnessRecord(acceptance, dist, bound, verdict, tuple(per_round))

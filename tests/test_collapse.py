@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
-from qpzk.core.operators import H, X
+from qpzk.core.operators import CNOT_REVERSED, H, X
 from qpzk.compilers.collapse import (
     CollapsedProtocol,
     CollapsedStrategy,
@@ -14,7 +14,6 @@ from qpzk.compilers.collapse import (
     hv_simulate_collapsed,
 )
 from qpzk.compilers.examples import (
-    cnot_control_second,
     copier_base,
     partial_coupler_base,
     random_perfect_base,
@@ -34,8 +33,8 @@ def entangling_copier_base() -> InteractiveProtocol:
     copies, and the final check uncopies and flips. Perfect completeness
     with a genuinely quantum intermediate state."""
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    v1 = cnot_control_second()
-    v2 = np.kron(X, np.eye(2, dtype=complex)) @ cnot_control_second()
+    v1 = CNOT_REVERSED
+    v2 = np.kron(X, np.eye(2, dtype=complex)) @ CNOT_REVERSED
     p1 = np.kron(np.eye(2, dtype=complex), H)
     p2 = np.eye(4, dtype=complex)
     return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p1, p2])

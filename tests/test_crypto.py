@@ -415,7 +415,7 @@ class TestBlockDraws:
 class TestAdversaryChecks:
     def test_non_unitary_gate_rejected_at_construction(self):
         adversary = Adversary(((2 * X, (0,)),), (), reads_swap_target=False)
-        with pytest.raises(StateValidationError, match="adversary operation must be unitary"):
+        with pytest.raises(StateValidationError, match="adversary operation is not unitary"):
             DoubleOpenGame(bell_ancilla_scheme(), adversary)
 
     # bell-ancilla: C = (0, 1), D = (2,), M' = (3,), adversary ancilla 4.

@@ -20,7 +20,7 @@ from qpzk.core import (
 )
 from qpzk.core.metrics import max_povm_advantage_dim2
 from qpzk.core.sampling import random_projector
-from qpzk.errors import ZeroProbabilityError
+from qpzk.errors import StateValidationError, ZeroProbabilityError
 
 A = RegisterLayout.single("A", 1)
 AB = RegisterLayout.of(("A", 1), ("B", 1))
@@ -123,6 +123,12 @@ class TestGentleMeasurement:
     def test_zero_probability_raises(self):
         with pytest.raises(ZeroProbabilityError):
             gentle_post_state(KET1.to_mixed(), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("pi", [np.diag([1.0, -1.0]), np.diag([0.5, 0.5]),
+                                    np.array([[1.0, 1.0], [0.0, 0.0]])])
+    def test_non_projector_rejected(self, pi):
+        with pytest.raises(StateValidationError, match="not an orthogonal projector"):
+            gentle_post_state(PLUS.to_mixed(), pi)
 
     def test_bound_holds_on_random_instances(self):
         # Two-qubit states against random rank-2 projectors, p >= 1/2 slice.

@@ -12,7 +12,7 @@ import qpzk
 from qpzk import pqma, uhlmann
 from qpzk.cli import main
 from qpzk.compilers.examples import copier_base
-from qpzk.core import PureState, RegisterLayout
+from qpzk.core import MixedState, PureState, RegisterLayout
 from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
 from qpzk.errors import ConfigError
 from qpzk.harness.config import (
@@ -158,11 +158,19 @@ class TestDeterminism:
         ("collapse", 1, {"bases": 2, "oracle_restarts": 3, "oracle_iters": 60}),
         ("public-coin", 300, {"bases": 2, "oracle_restarts": 3, "oracle_iters": 60}),
         ("pipeline", 60, {}),
+        ("core-check", 1, {"samples": 50}),
+        ("pqma", 200, {}),
+        ("zk", 200, {}),
     ], ids=["mac-1", "double-open-200", "uhlmann-50", "collapse-1",
-            "public-coin-300", "pipeline-60"])
-    def test_same_seed_identical_records(self, kind, trials, params):
+            "public-coin-300", "pipeline-60", "core-check-50", "pqma-200", "zk-200"])
+    def test_same_seed_identical_records(self, kind, trials, params, monkeypatch):
+        """The second run builds every state the package computes through the
+        checking constructors, so a computed state that is not a valid state
+        fails it."""
         cfg = ExperimentConfig(kind=kind, seed=11, trials=trials, params=params)
         first = run_experiment(cfg)
+        monkeypatch.setattr(PureState, "computed", PureState)
+        monkeypatch.setattr(MixedState, "computed", MixedState)
         second = run_experiment(cfg)
         assert first.comparable_bytes() == second.comparable_bytes()
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qpzk.core import (
     MixedState,
@@ -12,6 +13,7 @@ from qpzk.core import (
     apply_unitary,
     measure,
     partial_trace,
+    random_density,
     random_pure_state,
     random_unitary,
     rng_from,
@@ -71,8 +73,6 @@ class TestStateInvariants:
     def test_mixed_trace_checked(self):
         with pytest.raises(StateValidationError):
             MixedState(np.eye(2, dtype=complex), A)
-        # Flagged sub-normalized variant is allowed.
-        MixedState(np.eye(2, dtype=complex) / 4, A, subnormalized=True)
 
     def test_states_immutable(self):
         s = PureState.computational(A)
@@ -203,3 +203,66 @@ class TestMeasure:
             s = random_pure_state(lay, rng)
             outcomes = measure(s, self.COMP, acts_on=("Q",))
             assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+
+
+# -- computed states: property tests ----------------------------------------------
+
+
+@st.composite
+def checked_states(draw, names="PQR"):
+    """A checked random state, pure or mixed, on one to three registers of one
+    or two qubits; a random order of its register names; and a generator for
+    the operation's arrays."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=len(names)))
+    layout = RegisterLayout.of(*zip(names, sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    state = random_pure_state(layout, rng)
+    if draw(st.booleans()):
+        state = MixedState(random_density(layout, rng).matrix, layout)
+    return state, list(draw(st.permutations(layout.names))), rng
+
+
+def _recheck(state):
+    """Rebuild a state through its checking constructor, which raises unless
+    it is a valid state on its layout."""
+    if isinstance(state, PureState):
+        return PureState(state.amplitudes, state.layout)
+    return MixedState(state.matrix, state.layout)
+
+
+class TestComputedStatesPassTheChecks:
+    """The kernels build their results without the constructors' checks;
+    on checked inputs those results pass them."""
+
+    @given(checked_states(), checked_states(names="XYZ"))
+    def test_tensor(self, a, b):
+        _recheck(tensor(a[0], b[0]))
+
+    @given(checked_states(), st.data())
+    def test_partial_trace(self, case, data):
+        state, order, _ = case
+        drop = order[:data.draw(st.integers(0, len(order) - 1))]
+        if drop:
+            _recheck(partial_trace(state, drop))
+
+    @given(checked_states(), st.data())
+    def test_apply_unitary(self, case, data):
+        state, order, rng = case
+        acts = order[:data.draw(st.integers(1, len(order)))]
+        u = random_unitary(2 ** sum(state.layout.size_of(n) for n in acts), rng)
+        _recheck(apply_unitary(state, UnitaryOp(u, acts)))
+
+    @given(checked_states(), st.data())
+    def test_measure(self, case, data):
+        state, order, rng = case
+        acts = order[:data.draw(st.integers(1, len(order)))]
+        dim = 2 ** sum(state.layout.size_of(n) for n in acts)
+        u = random_unitary(dim, rng)
+        rank = data.draw(st.integers(1, dim - 1))
+        meas = ProjectiveMeasurement((u[:, :rank] @ u[:, :rank].conj().T,
+                                      u[:, rank:] @ u[:, rank:].conj().T))
+        outcomes = measure(state, meas, acts)
+        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+        for outcome in outcomes:
+            if outcome.post is not None:
+                _recheck(outcome.post)
