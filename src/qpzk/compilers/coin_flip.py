@@ -37,22 +37,36 @@ class CoinFlipProtocol:
 
     def run(self, prover: "CoinFlipProver", rng):
         """One full sequential execution; returns (accepted, coins)."""
+        return self._run(prover, rng, self.base.branch_value)
+
+    def _run(self, prover: "CoinFlipProver", rng, branch_value):
         coins: list[int] = []
         for t in range(self.reps):
             strategy = prover.strategy_for(t, tuple(coins))
             b_p = int(prover.coin_input(t, tuple(coins), rng)) & 1
             coin = b_p ^ int(rng.integers(2))
             coins.append(coin)
-            value = self.base.branch_value(strategy, coin)
+            value = branch_value(strategy, coin)
             if rng.random() >= value:
                 return False, coins
         return True, coins
 
     def coin_marginal(self, prover: "CoinFlipProver", trials: int, rng):
-        """Observed per-coin counts over trials, for uniformity tests."""
+        """Observed per-coin counts over trials, for uniformity tests. The
+        draws are those of `trials` calls to run, but each (strategy, coin)
+        branch is evaluated once."""
+        values: dict = {}
+
+        def branch_value(strategy, coin: int) -> float:
+            # Keyed by identity; holding the strategy keeps its id unique.
+            key = (id(strategy), coin)
+            if key not in values:
+                values[key] = (strategy, self.base.branch_value(strategy, coin))
+            return values[key][1]
+
         counts = np.zeros(2, dtype=int)
         for _ in range(trials):
-            _, coins = self.run(prover, rng)
+            _, coins = self._run(prover, rng, branch_value)
             for c in coins:
                 counts[c] += 1
         return counts

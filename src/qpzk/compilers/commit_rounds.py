@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qpzk.core import linalg
+from qpzk.core.operators import checked_unitary, swap_registers
 from qpzk.core.registers import RegisterLayout
 from qpzk.crypto.commitments import CanonicalCommitment
 from qpzk.errors import ConfigError, DimensionMismatchError
@@ -28,7 +29,8 @@ class CommitRoundStrategy:
 
     ops_for(i) returns a list of (matrix, wire names) with names drawn from
     C (commitment register), M, R and Anc; wire order inside an operation
-    follows the listed names."""
+    follows the listed names. Each matrix is checked as a unitary on those
+    wires when execute applies it."""
 
     ops_for: Callable[[int], Sequence[tuple]]
     ancilla_qubits: int = 0
@@ -98,26 +100,24 @@ class CommitRoundProtocol:
         vec = np.kron(vec, linalg.basis_vector(
             0, 2 ** (base.m_qubits + base.r_qubits + strat.ancilla_qubits)))
         # Round 0: commit the initialized workspace.
-        vec = linalg.apply_to_vector(scheme.com, vec, com_wires, n)
+        vec = scheme.commit_on(vec, com_wires, n)
 
-        zero_anc = scheme.ancilla_zero_projector
         aborts: list[float] = []
         wm = lay.qubits_of_all(["W", "M"])
         for i in range(1, base.rounds + 1):
             for mat, names in strat.ops_for(i):
-                vec = linalg.apply_to_vector(np.asarray(mat, dtype=complex), vec,
-                                             self._prover_wires(names, lay), n)
-            vec = linalg.apply_to_vector(scheme.com_dagger, vec, com_wires, n)
-            passed = linalg.apply_to_vector(zero_anc, vec, com_wires, n)
+                wires = self._prover_wires(names, lay)
+                op = checked_unitary(mat, len(wires), "stage-I prover operation")
+                vec = linalg.apply_to_vector(op, vec, wires, n)
             p_before = float(np.linalg.norm(vec) ** 2)
-            p_pass = float(np.linalg.norm(passed) ** 2)
+            vec = scheme.open_on(vec, com_wires, n)
+            p_pass = float(np.linalg.norm(vec) ** 2)
             aborts.append(p_before - p_pass)
             if p_pass <= 1e-15:
                 return CommitRunResult(0.0, 0.0, tuple(aborts))
-            vec = passed
             vec = linalg.apply_gates(linalg.placed(base.verifier_rounds[i - 1], wm), vec, n)
             if i < base.rounds:
-                vec = linalg.apply_to_vector(scheme.com, vec, com_wires, n)
+                vec = scheme.commit_on(vec, com_wires, n)
         p_accept = accept_probability(vec, lay)
         p_reject = float(np.linalg.norm(vec) ** 2) - p_accept
         return CommitRunResult(p_accept, max(p_reject, 0.0), tuple(aborts))
@@ -144,8 +144,6 @@ def fresh_c_substitution_strategy(protocol: CommitRoundProtocol,
     c_count = len(protocol.scheme.c_wires)
     if c_count == 0:
         raise ConfigError("scheme keeps no commitment register to substitute")
-    from qpzk.core.operators import swap_registers
-
     swap = swap_registers(c_count)
 
     def ops(i: int):

@@ -17,10 +17,8 @@ from typing import Optional
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.linalg import EPS
 from qpzk.core.operators import CNOT, H, X, checked_unitary, projector_onto
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.states import MixedState, PureState, QuantumState
 from qpzk.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -34,8 +32,9 @@ from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, rea
 class CanonicalCommitment:
     """Commitment unitary on message (n) + ancilla (lambda_c) wires.
 
-    c_wires and d_wires partition the n + lambda_c output wires; the
-    role_swapped flag marks the dual scheme with C and D exchanged.
+    c_wires and d_wires partition the n + lambda_c output wires. The
+    verifier's two actions, commit_on and open_on, act on those wires placed
+    anywhere in a larger register.
     """
 
     name: str
@@ -44,7 +43,6 @@ class CanonicalCommitment:
     com: np.ndarray
     c_wires: tuple[int, ...]
     d_wires: tuple[int, ...]
-    role_swapped: bool = False
 
     def __post_init__(self):
         if self.message_qubits < 0 or self.ancilla_qubits < 0:
@@ -52,7 +50,7 @@ class CanonicalCommitment:
         total = self.message_qubits + self.ancilla_qubits
         if total < 1:
             raise RegisterError("a commitment needs at least one wire")
-        # com_dagger and ancilla_zero_projector are cached from com.
+        # com_dagger is cached from com.
         object.__setattr__(self, "com", checked_unitary(self.com, total, "commitment map"))
         object.__setattr__(self, "c_wires", tuple(self.c_wires))
         object.__setattr__(self, "d_wires", tuple(self.d_wires))
@@ -63,89 +61,30 @@ class CanonicalCommitment:
     def total_wires(self) -> int:
         return self.message_qubits + self.ancilla_qubits
 
-    def swapped(self) -> "CanonicalCommitment":
-        """The dual scheme: exchange the roles of C and D."""
-        return CanonicalCommitment(
-            self.name + "-swapped", self.message_qubits, self.ancilla_qubits,
-            self.com, self.d_wires, self.c_wires, not self.role_swapped,
-        )
-
     @functools.cached_property
     def com_dagger(self) -> np.ndarray:
         """com^dagger, the inverse of com; read-only."""
         return _read_only(self.com.conj().T)
 
-    @functools.cached_property
-    def ancilla_zero_projector(self) -> np.ndarray:
-        """Projector onto ancilla wires all-zero, identity on the message;
-        read-only."""
-        if self.ancilla_qubits == 0:
-            return _read_only(np.eye(2 ** self.message_qubits, dtype=complex))
+    def commit_on(self, vec: np.ndarray, wires, n: int) -> np.ndarray:
+        """com on `wires` of an n-qubit vector or (2^n, k) column block. The
+        wires are the message wires, then the ancilla wires."""
+        return linalg.apply_to_vector(self.com, vec, wires, n)
+
+    def open_on(self, vec: np.ndarray, wires, n: int) -> np.ndarray:
+        """The canonical opening check on `wires`, ordered as in commit_on:
+        com^dagger, then the ancilla wires projected onto all-zero. The
+        squared norm of the result is the pass probability."""
+        vec = linalg.apply_to_vector(self.com_dagger, vec, wires, n)
+        if not self.ancilla_qubits:
+            return vec
         zeros = projector_onto(linalg.basis_vector(0, 2 ** self.ancilla_qubits))
-        return _read_only(np.kron(np.eye(2 ** self.message_qubits, dtype=complex), zeros))
+        return linalg.apply_to_vector(zeros, vec, wires[self.message_qubits:], n)
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
     mat.setflags(write=False)
     return mat
-
-
-def commit(scheme: CanonicalCommitment, message: QuantumState) -> QuantumState:
-    """Commitment state on C then D wires."""
-    if message.n_qubits != scheme.message_qubits:
-        raise DimensionMismatchError(
-            f"scheme commits {scheme.message_qubits} qubits, got {message.n_qubits}"
-        )
-    total = scheme.total_wires
-    order = list(scheme.c_wires) + list(scheme.d_wires)
-    lay_pairs = [(n_, c) for n_, c in (("C", len(scheme.c_wires)), ("D", len(scheme.d_wires))) if c > 0]
-    layout = RegisterLayout.of(*lay_pairs)
-    if isinstance(message, PureState):
-        vec = message.amplitudes
-        if scheme.ancilla_qubits:
-            vec = np.kron(vec, linalg.basis_vector(0, 2 ** scheme.ancilla_qubits))
-        vec = scheme.com @ vec
-        vec = linalg.permute_vector(vec, order, total)
-        return PureState(vec, layout)
-    mat = message.density()
-    if scheme.ancilla_qubits:
-        anc = projector_onto(linalg.basis_vector(0, 2 ** scheme.ancilla_qubits))
-        mat = np.kron(mat, anc)
-    mat = scheme.com @ mat @ scheme.com_dagger
-    mat = linalg.permute_matrix(mat, order, total)
-    return MixedState(mat, layout)
-
-
-def verify_open(scheme: CanonicalCommitment, state_cd: QuantumState):
-    """Canonical verification: uncompute, project ancillas to zero.
-
-    Returns (accept_probability, recovered_message_or_None); the recovered
-    state is the reduced message register after a successful check.
-    """
-    total = scheme.total_wires
-    if state_cd.n_qubits != total:
-        raise DimensionMismatchError("commitment state has wrong wire count")
-    # Undo the (C, D) wire ordering back to (message, ancilla).
-    order = list(scheme.c_wires) + list(scheme.d_wires)
-    inverse = list(np.argsort(order))
-    mat = state_cd.density()
-    mat = linalg.permute_matrix(mat, inverse, total)
-    mat = scheme.com_dagger @ mat @ scheme.com
-    proj = scheme.ancilla_zero_projector
-    accepted = proj @ mat @ proj
-    p = float(accepted.trace().real)
-    if p <= EPS:
-        return p, None
-    lay_pairs = [("Msg", scheme.message_qubits)]
-    if scheme.ancilla_qubits:
-        lay_pairs.append(("Anc", scheme.ancilla_qubits))
-    lay = RegisterLayout.of(*lay_pairs)
-    post = MixedState(accepted / p, lay)
-    if scheme.ancilla_qubits:
-        from qpzk.core.states import partial_trace
-
-        return p, partial_trace(post, "Anc")
-    return p, post
 
 
 # -- built-in schemes --------------------------------------------------------
@@ -195,7 +134,6 @@ def scheme_to_json(scheme: CanonicalCommitment) -> dict:
         "com": complex_matrix_to_json(scheme.com),
         "c_wires": list(scheme.c_wires),
         "d_wires": list(scheme.d_wires),
-        "role_swapped": scheme.role_swapped,
     }
 
 
@@ -205,7 +143,6 @@ def scheme_from_json(data: dict) -> CanonicalCommitment:
             str(data["name"]), int(data["message_qubits"]), int(data["ancilla_qubits"]),
             complex_matrix_from_json(data["com"]),
             tuple(data["c_wires"]), tuple(data["d_wires"]),
-            bool(data.get("role_swapped", False)),
         )
     except KeyError as exc:
         raise ConfigError(f"commitment scheme file missing field {exc}") from exc
@@ -298,16 +235,14 @@ class DoubleOpenGame:
     def _open_check(self, vec: np.ndarray) -> tuple[float, Optional[np.ndarray]]:
         """Pass probability of the canonical opening check and the
         normalised state after passing (None when it cannot pass)."""
-        vec = linalg.apply_to_vector(self.scheme.com_dagger, vec, self.com_wires, self.n)
-        vec = linalg.apply_to_vector(self.scheme.ancilla_zero_projector, vec,
-                                     self.com_wires, self.n)
+        vec = self.scheme.open_on(vec, self.com_wires, self.n)
         p = float(np.linalg.norm(vec) ** 2)
         return p, (vec / np.sqrt(p) if p > 0 else None)
 
     def _recommit(self, vec: np.ndarray, swap: bool) -> np.ndarray:
         if swap:
             vec = linalg.permute_vector(vec, self._swap_order, self.n)
-        return linalg.apply_to_vector(self.scheme.com, vec, self.com_wires, self.n)
+        return self.scheme.commit_on(vec, self.com_wires, self.n)
 
     def _marginal(self, vec: np.ndarray, targets: list[int]) -> np.ndarray:
         """Normalised computational-basis distribution of the target wires."""

@@ -425,7 +425,7 @@ def _run_mac(config: ExperimentConfig, record: ExperimentRecord) -> None:
     det = mac.detection_probability(attack)
     want = mac.traps / mac.code_qubits
     record.add(equality_row("single-wire-flip-detection", det, want, 1e-12,
-                            "exact:key-enumeration"))
+                            "exact:pauli-twirl"))
 
     rho = random_pure_state(RegisterLayout.of(("M", mac.message_qubits),
                                               ("R", 1)), rng).to_mixed()
@@ -436,12 +436,12 @@ def _run_mac(config: ExperimentConfig, record: ExperimentRecord) -> None:
     dist = mac_real_vs_ideal(mac, np.kron(x_all, np.eye(2, dtype=complex)),
                              rho, acc, rej, r_qubits=1)
     record.add(upper_bound_row("trap-flip-attack-simulation-distance", dist,
-                               0.05, 0.0, "exact:key-enumeration"))
+                               0.05, 0.0, "exact:pauli-twirl"))
 
     dist_wrong = mac_real_vs_ideal(mac, np.kron(attack, np.eye(2, dtype=complex)),
                                    rho, [np.eye(2, dtype=complex)], [], r_qubits=1)
     record.add(threshold_row("wrong-simulator-distance-near-detection-gap",
-                             dist_wrong, 0.5, "exact:key-enumeration", above=True))
+                             dist_wrong, 0.5, "exact:pauli-twirl", above=True))
 
 
 # -- uhlmann -----------------------------------------------------------------------

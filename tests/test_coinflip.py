@@ -52,6 +52,19 @@ class TestCoinUniformity:
         chi2, p = stats.chisquare(counts)
         assert p > 0.01
 
+    def test_coin_marginal_evaluates_each_branch_once(self, public_coin, monkeypatch):
+        calls = []
+        branch_value = type(public_coin).branch_value
+
+        def counting_branch_value(self, strat, b):
+            calls.append(b)
+            return branch_value(self, strat, b)
+
+        monkeypatch.setattr(type(public_coin), "branch_value", counting_branch_value)
+        cf = CoinFlipProtocol(public_coin, 2)
+        cf.coin_marginal(biased_coin_flip_prover(public_coin, 1), 5000, rng_from(3002))
+        assert sorted(calls) == [0, 1]
+
     def test_p_value_matches_scipy_chisquare(self):
         # One degree of freedom: the closed form erfc(sqrt(x / 2)) against
         # scipy's chi-square tail, on count pairs of coins with biases from

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpzk.core import (
-    MixedState,
     PureState,
     RegisterLayout,
     linalg,
@@ -24,10 +23,10 @@ from qpzk.core.operators import P0, P1, X, Z
 from qpzk.core.sampling import accept_bit
 from qpzk.crypto.commitments import (
     Adversary,
+    CanonicalCommitment,
     DoubleOpenGame,
     aborting_adversary,
     bell_ancilla_scheme,
-    commit,
     double_open_win_rate,
     identity_scheme,
     layered_cnot_scheme,
@@ -38,7 +37,6 @@ from qpzk.crypto.commitments import (
     scheme_from_json,
     scheme_to_json,
     tamper_and_read_adversary,
-    verify_open,
 )
 from qpzk.crypto.mac import (
     QuantumMac,
@@ -56,20 +54,68 @@ def mac():
     return QuantumMac(message_qubits=1, traps=3)
 
 
+def _pass_probability_dense(scheme: CanonicalCommitment, rho: np.ndarray) -> float:
+    """Tr(Pi_0 com^dagger rho com) for rho on the commitment wires in
+    (message, ancilla) order, Pi_0 projecting the ancillas onto zero."""
+    zeros = np.zeros((2 ** scheme.ancilla_qubits,) * 2, dtype=complex)
+    zeros[0, 0] = 1.0
+    pi0 = np.kron(np.eye(2 ** scheme.message_qubits), zeros)
+    return float(np.trace(pi0 @ scheme.com.conj().T @ rho @ scheme.com).real)
+
+
+@st.composite
+def _schemes(draw):
+    """A built-in scheme, or a Haar-random com with a random C/D split."""
+    builtin = draw(st.sampled_from([None, identity_scheme, bell_ancilla_scheme,
+                                    layered_cnot_scheme]))
+    if builtin is not None:
+        return builtin()
+    m = draw(st.integers(0, 2))
+    a = draw(st.integers(0 if m else 1, 2))
+    com = random_unitary(2 ** (m + a), rng_from(draw(st.integers(0, 2 ** 16))))
+    wires = draw(st.permutations(range(m + a)))
+    split = draw(st.integers(0, m + a))
+    return CanonicalCommitment("random", m, a, com, c_wires=tuple(sorted(wires[:split])),
+                               d_wires=tuple(sorted(wires[split:])))
+
+
 class TestCommitments:
+    @settings(max_examples=150, deadline=None)
+    @given(scheme=_schemes(), extra=st.integers(0, 1), columns=st.integers(0, 3),
+           data=st.data())
+    def test_open_on_pass_probability_equals_dense_formula(self, scheme, extra,
+                                                           columns, data):
+        # A pure input (columns = 0) or a mixed one as a column block V with
+        # rho = V V^dagger, on commitment wires placed anywhere in a larger
+        # register.
+        n = scheme.total_wires + extra
+        wires = data.draw(st.permutations(range(n)))[:scheme.total_wires]
+        rng = rng_from(data.draw(st.integers(0, 2 ** 16)))
+        shape = (2 ** n,) + ((columns,) if columns else ())
+        vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vec /= np.linalg.norm(vec)
+        block = vec.reshape(2 ** n, -1)
+        rho = linalg.partial_trace_matrix(block @ block.conj().T, wires, n)
+        p = float(np.linalg.norm(scheme.open_on(vec, wires, n)) ** 2)
+        assert p == pytest.approx(_pass_probability_dense(scheme, rho), abs=1e-12)
+
     def test_trivial_scheme_commitment_is_message(self):
-        m = PureState.from_bits(MSG1, "1")
-        cd = commit(identity_scheme(1), m)
-        assert np.allclose(cd.amplitudes, m.amplitudes)
+        m = PureState.from_bits(MSG1, "1").amplitudes
+        assert np.allclose(identity_scheme(1).commit_on(m, [0], 1), m)
 
     def test_commit_verify_roundtrip(self):
+        # Message on wires (3, 1), ancilla on wire 0, a spectator on wire 2.
         rng = rng_from(9)
         scheme = layered_cnot_scheme()
+        wires = [3, 1, 0]
         for _ in range(10):
-            m = random_pure_state(RegisterLayout.single("Msg", 2), rng)
-            p, recovered = verify_open(scheme, commit(scheme, m))
-            assert p == pytest.approx(1.0, abs=1e-12)
-            assert trace_distance(recovered, m.to_mixed()) < 1e-9
+            m = random_pure_state(RegisterLayout.single("Msg", 2), rng).amplitudes
+            spectator = random_pure_state(MSG1, rng).amplitudes
+            start = linalg.permute_vector(
+                np.kron(np.kron(m, [1, 0]), spectator), [2, 1, 3, 0], 4)
+            opened = scheme.open_on(scheme.commit_on(start, wires, 4), wires, 4)
+            assert np.linalg.norm(opened) ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(opened, start, atol=1e-12)
 
     def test_layered_cnot_against_hand_built_matrix(self):
         # Wires (m0, m1, a): CNOT m0->a then CNOT m1->m0, built here from
@@ -85,48 +131,39 @@ class TestCommitments:
                     want[dst, src] = 1.0
         scheme = layered_cnot_scheme()
         assert np.allclose(scheme.com, want)
-        m = PureState.from_bits(RegisterLayout.single("Msg", 2), "11")
-        cd = commit(scheme, m)
-        # |11,0> -> m0^=m1 after a^=m0: basis |1,1,1> -> CNOT m1->m0 -> |0,1,1>,
-        # then reorder wires to (C=(m0,a), D=(m1,)): |0,1, 1>.
+        start = np.zeros(8, dtype=complex)
+        start[int("110", 2)] = 1.0
+        # |11,0> -> a^=m0: |1,1,1> -> m0^=m1: |0,1,1>.
         expect = np.zeros(8, dtype=complex)
         expect[int("011", 2)] = 1.0
-        assert np.allclose(cd.amplitudes, expect)
+        assert np.allclose(scheme.commit_on(start, [0, 1, 2], 3), expect)
 
     def test_maximally_mixed_accept_probability(self):
+        # The maximally mixed state on three wires as a column block.
         scheme = layered_cnot_scheme()
-        mixed = MixedState.maximally_mixed(RegisterLayout.single("CD", 3))
-        p, _ = verify_open(scheme, mixed)
+        block = np.eye(8, dtype=complex) / np.sqrt(8)
+        p = np.linalg.norm(scheme.open_on(block, [0, 1, 2], 3)) ** 2
         assert p == pytest.approx(0.5, abs=1e-12)  # 2^-lambda_c with one ancilla
 
     def test_flipped_ancilla_rejected_under_identity_com(self):
         # One message qubit plus one ancilla wire, Com = Id: flipping the
         # ancilla makes the zero check fail with certainty.
-        from qpzk.crypto.commitments import CanonicalCommitment
-
         scheme = CanonicalCommitment("id-anc", 1, 1, np.eye(4, dtype=complex),
                                      c_wires=(0,), d_wires=(1,))
-        m = PureState.from_bits(MSG1, "0")
-        cd = commit(scheme, m)
-        flipped = cd.relabel(RegisterLayout.of(("C", 1), ("D", 1)))
-        from qpzk.core import apply_unitary
-        from qpzk.core.operators import UnitaryOp
-
-        flipped = apply_unitary(flipped, UnitaryOp(X, ("D",)))
-        p, _ = verify_open(scheme, flipped)
-        assert p == pytest.approx(0.0, abs=1e-12)
+        committed = scheme.commit_on(linalg.basis_vector(0, 4), [0, 1], 2)
+        flipped = linalg.apply_to_vector(X, committed, list(scheme.d_wires), 2)
+        assert np.linalg.norm(scheme.open_on(flipped, [0, 1], 2)) == 0.0
 
     def test_scheme_json_roundtrip(self):
         scheme = bell_ancilla_scheme()
-        back = scheme_from_json(scheme_to_json(scheme))
+        data = scheme_to_json(scheme)
+        back = scheme_from_json(data)
         assert np.allclose(back.com, scheme.com)
         assert back.c_wires == scheme.c_wires
-
-    def test_role_swap_duality(self):
-        scheme = bell_ancilla_scheme()
-        dual = scheme.swapped()
-        assert dual.role_swapped
-        assert dual.c_wires == scheme.d_wires
+        # Older files carry a role_swapped key; c_wires and d_wires alone
+        # say which register is which, so it is ignored.
+        old = scheme_from_json({**data, "role_swapped": True})
+        assert (old.c_wires, old.d_wires) == (scheme.c_wires, scheme.d_wires)
 
 
 def _win_rate_given_completion(game: DoubleOpenGame) -> float:

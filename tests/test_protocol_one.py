@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qpzk.core import rng_from, random_unitary
+from qpzk.errors import DimensionMismatchError, StateValidationError
 from qpzk.crypto.commitments import CanonicalCommitment, bell_ancilla_scheme
 from qpzk.compilers.commit_rounds import (
     CommitRoundProtocol,
@@ -54,6 +55,19 @@ class TestHonestExecution:
         assert result.accept_probability == pytest.approx(want, abs=1e-9)
 
 
+class TestProverOperationChecks:
+    @pytest.mark.parametrize("mat,error", [
+        (2 * np.eye(4), StateValidationError),
+        (np.eye(4)[:, :2], DimensionMismatchError),
+        (np.eye(2), DimensionMismatchError),
+    ], ids=["not-unitary", "not-square", "wrong-size"])
+    def test_bad_prover_operation_rejected(self, mat, error):
+        proto = CommitRoundProtocol(copier_base(), bell_ancilla_scheme(1))
+        strat = CommitRoundStrategy(lambda i: [(mat, ("R", "M"))])
+        with pytest.raises(error, match="stage-I prover operation"):
+            proto.execute(strat)
+
+
 class TestBindingDetection:
     def test_fresh_commitment_substitution_detected(self):
         # Swapping the kept commitment wire for fresh zeros before reopening
@@ -82,7 +96,7 @@ class TestBindingDetection:
         inv = list(np.argsort(order))
         rebuilt = linalg.permute_matrix(rebuilt, inv, 3)
         opened = scheme.com.conj().T @ rebuilt @ scheme.com
-        zero_anc = scheme.ancilla_zero_projector
+        zero_anc = np.kron(np.eye(2), np.diag([1, 0, 0, 0]))  # message, ancillas
         pass_prob = float(np.trace(zero_anc @ opened).real)
         assert result.abort_probabilities[0] == pytest.approx(1.0 - pass_prob, abs=1e-9)
 
