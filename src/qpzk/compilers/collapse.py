@@ -12,21 +12,22 @@ controlled-X and a Hadamard-basis test of the Bell pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import (H, P0, P1, X, CNOT, controlled, projector_onto,
-                                 swap_registers)
+from qpzk.core.operators import (H, P0, P1, X, CNOT, accept_projector, controlled,
+                                 projector_onto, swap_registers)
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
-from qpzk.errors import ConfigError, DimensionMismatchError
+from qpzk.errors import ConfigError, DimensionMismatchError, ZeroProbabilityError
 from qpzk.optimize import AscentProblem, Branch, bind
 from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, initial_workspace_state
 from qpzk.compilers.types import HvzkSimulator
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
+BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def collapsed_soundness(zeta: float, r: int) -> float:
@@ -54,6 +55,18 @@ class CollapsedStrategy:
     name: str = "custom"
 
 
+class _ChallengeRun(NamedTuple):
+    """One challenge run past the accept check: the pass probabilities of
+    the accept check and of the Bell test given it, the unnormalized states
+    right before and after the verifier's controlled-X, and their layout."""
+
+    p_acc: float
+    p_bell: float
+    pre_cnot: np.ndarray
+    post_cnot: np.ndarray
+    lay: RegisterLayout
+
+
 class CollapsedProtocol:
     """Executable stage-II object with exact branch evaluation."""
 
@@ -64,6 +77,8 @@ class CollapsedProtocol:
         self.r = base.rounds
         self.layout(0)  # the verifier's registers alone must fit the qubit cap
         self.psi_v = initial_workspace_state(base)
+        # The verifier's start, on the wires B, Bp and W1 that lead every layout.
+        self.verifier_start = np.kron(BELL, self.psi_v)
 
     # -- wire bookkeeping ----------------------------------------------------
 
@@ -129,22 +144,6 @@ class CollapsedProtocol:
 
     # -- exact execution -------------------------------------------------------
 
-    def initial_joint(self, strat: CollapsedStrategy) -> PureState:
-        lay = self.layout(strat.private_qubits)
-        n = lay.total_qubits
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        vec = np.kron(np.kron(bell, self.psi_v), strat.bundle)
-        # Wires currently: (B, Bp, W1, bundle...) = target layout order.
-        if vec.shape[0] != 2 ** n:
-            raise DimensionMismatchError("bundle size does not match the layout")
-        return PureState(vec, lay)
-
-    def accept_projector(self) -> np.ndarray:
-        base = self.base
-        v_r = base.verifier_unitaries[-1]
-        pi1 = linalg.embed(P1, [0], base.w_qubits + base.m_qubits)
-        return v_r.conj().T @ pi1 @ v_r
-
     def _challenge_steps(self, challenge: int, lay: RegisterLayout,
                          reply_wires: tuple[str, ...]) -> tuple:
         """The verifier's run for one challenge i on layout lay, as gates:
@@ -154,7 +153,8 @@ class CollapsedProtocol:
         i = challenge
         wires = lay.qubits_of_all
         return (
-            (self.accept_projector(), tuple(wires([f"W{self.r}", f"M{self.r}"]))),
+            (accept_projector(self.base.verifier_unitaries[-1]),
+             tuple(wires([f"W{self.r}", f"M{self.r}"]))),
             (self.base.verifier_unitaries[i - 1], tuple(wires([f"W{i}", f"M{i}"]))),
             (_controlled_swap(self.base.w_qubits), tuple(wires(["B", f"W{i}", f"W{i + 1}"]))),
             (f"U{i}", tuple(wires(reply_wires))),
@@ -162,10 +162,9 @@ class CollapsedProtocol:
             (PLUS_PROJ, tuple(wires(["B"]))),
         )
 
-    def challenge_outcome(self, strat: CollapsedStrategy, challenge: int,
-                          keep_state: bool = False):
-        """Exact probabilities for one challenge: (p_acc_check, p_bell_given
-        _acc, overall); optionally the final unnormalized vector."""
+    def _run(self, strat: CollapsedStrategy, challenge: int) -> Optional[_ChallengeRun]:
+        """One challenge run exactly, as its named intermediate vectors, or
+        None when the accept check cannot pass."""
         if not 1 <= challenge <= self.r - 1:
             raise ConfigError(f"challenge {challenge} outside 1..{self.r - 1}")
         mat, names = strat.responses(challenge)
@@ -173,20 +172,28 @@ class CollapsedProtocol:
             raise ConfigError(f"strategy touches verifier wires: {names}")
         lay = self.layout(strat.private_qubits)
         n = lay.total_qubits
+        joint = np.kron(self.verifier_start, strat.bundle)
+        if joint.shape[0] != 2 ** n:
+            raise DimensionMismatchError("bundle size does not match the layout")
         gates = bind(self._challenge_steps(challenge, lay, names), {f"U{challenge}": mat})
 
-        vec = linalg.apply_gates(gates[:1], self.initial_joint(strat).amplitudes, n)
+        vec = linalg.apply_gates(gates[:1], PureState(joint, lay).amplitudes, n)
         p_acc = float(np.linalg.norm(vec) ** 2)
         if p_acc <= 1e-15:
-            return (0.0, 0.0, 0.0, None) if keep_state else (0.0, 0.0, 0.0)
+            return None
         pre_cnot = linalg.apply_gates(gates[1:4], vec, n)
-        vec = linalg.apply_gates(gates[4:5], pre_cnot, n)
-        final = linalg.apply_gates(gates[5:], vec, n)
+        post_cnot = linalg.apply_gates(gates[4:5], pre_cnot, n)
+        final = linalg.apply_gates(gates[5:], post_cnot, n)
         p_bell = float(np.linalg.norm(final) ** 2) / p_acc
-        overall = p_acc * p_bell
-        if keep_state:
-            return p_acc, p_bell, overall, (pre_cnot, vec, final, lay)
-        return p_acc, p_bell, overall
+        return _ChallengeRun(p_acc, p_bell, pre_cnot, post_cnot, lay)
+
+    def challenge_outcome(self, strat: CollapsedStrategy, challenge: int):
+        """Exact probabilities for one challenge: (p_acc_check, p_bell_given
+        _acc, overall)."""
+        run = self._run(strat, challenge)
+        if run is None:
+            return 0.0, 0.0, 0.0
+        return run.p_acc, run.p_bell, run.p_acc * run.p_bell
 
     def acceptance(self, strat: CollapsedStrategy) -> float:
         """Exact acceptance, averaged over the uniform challenge."""
@@ -195,29 +202,29 @@ class CollapsedProtocol:
 
     def branch_overlap_identity(self, strat: CollapsedStrategy, challenge: int):
         """The Bell-test probability against 1/2 + Re<psi0|psi1>/2 computed
-        from the two control branches of the post-controlled-X state."""
-        p_acc, p_bell, overall, kept = self.challenge_outcome(
-            strat, challenge, keep_state=True)
-        _pre, vec, _final, lay = kept
+        from the two control branches of the post-controlled-X state, or
+        None when the accept check cannot pass."""
+        run = self._run(strat, challenge)
+        if run is None:
+            return None
         # Normalize the post-check state, split on the B wire.
-        vec = vec / np.linalg.norm(vec)
-        b_wire = lay.qubits_of("B")[0]
-        n = lay.total_qubits
-        t = linalg.permute_vector(vec, [b_wire] + [q for q in range(n) if q != b_wire], n)
-        t = t.reshape(2, -1)
+        vec = run.post_cnot / np.linalg.norm(run.post_cnot)
+        t = linalg.split(vec, run.lay.qubits_of("B"), run.lay.total_qubits)
         psi0 = t[0] * np.sqrt(2)
         psi1 = t[1] * np.sqrt(2)
         predicted = 0.5 + 0.5 * float(np.real(np.vdot(psi0, psi1)))
-        return p_bell, predicted
+        return run.p_bell, predicted
 
     def bell_pair_reduced(self, strat: CollapsedStrategy, challenge: int) -> np.ndarray:
         """Reduced (B, Bp) density right before the verifier's controlled-X,
         normalized on the accept-check branch."""
-        *_, kept = self.challenge_outcome(strat, challenge, keep_state=True)
-        pre_cnot, _vec, _final, lay = kept
-        pre_cnot = pre_cnot / np.linalg.norm(pre_cnot)
-        keep = lay.qubits_of_all(["B", "Bp"])
-        return linalg.partial_trace_vector(pre_cnot, keep, lay.total_qubits)
+        run = self._run(strat, challenge)
+        if run is None:
+            raise ZeroProbabilityError(
+                f"challenge {challenge}: the accept check passes with probability zero")
+        pre_cnot = run.pre_cnot / np.linalg.norm(run.pre_cnot)
+        keep = run.lay.qubits_of_all(["B", "Bp"])
+        return linalg.partial_trace_vector(pre_cnot, keep, run.lay.total_qubits)
 
     # -- cheat oracle -----------------------------------------------------------
 
@@ -228,10 +235,7 @@ class CollapsedProtocol:
         branches = tuple(
             Branch(weight, self._challenge_steps(i, lay, self.prover_wire_names(i)))
             for i in range(1, self.r))
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        fixed = np.kron(bell, self.psi_v)
-        fixed_qubits = tuple(lay.qubits_of_all(["B", "Bp", "W1"]))
-        return AscentProblem(lay.total_qubits, branches, fixed, fixed_qubits)
+        return AscentProblem(lay.total_qubits, branches, self.verifier_start)
 
 
 def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
@@ -262,7 +266,7 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     v = verifier.qubits_of_all
 
     swap_w = swap_registers(w)
-    acc = collapsed.accept_projector()
+    acc = accept_projector(base.verifier_unitaries[-1])
     flag_write = np.kron(acc, X) + np.kron(np.eye(acc.shape[0]) - acc, np.eye(2))
     v1 = [
         (swap_w, v(["W2", "S2"])),
@@ -316,9 +320,8 @@ def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: HvzkSimulator,
     strat = collapsed.simulator_strategy(sim)
     p_acc, p_bell, _overall = collapsed.challenge_outcome(strat, challenge)
     pair = collapsed.bell_pair_reduced(strat, challenge)
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    fid = float(np.real(np.vdot(bell, pair @ bell)))
-    residual = linalg.half_trace_norm(pair - np.outer(bell, bell.conj()))
+    fid = float(np.real(np.vdot(BELL, pair @ BELL)))
+    residual = linalg.half_trace_norm(pair - np.outer(BELL, BELL.conj()))
     return CollapsedSimulationReport(challenge, p_acc, p_bell, fid, residual)
 
 
@@ -329,10 +332,7 @@ def _strip_w(snapshot: np.ndarray, base: InteractiveProtocol) -> np.ndarray:
     """Remove the product psi_v factor from a first-round snapshot, leaving
     the (R, M) part."""
     lay = base.layout
-    n = lay.total_qubits
-    w = lay.qubits_of("W")
-    rest = [q for q in range(n) if q not in w]
-    t = linalg.permute_vector(snapshot, w + rest, n).reshape(2 ** len(w), -1)
+    t = linalg.split(snapshot, lay.qubits_of("W"), lay.total_qubits)
     # Project onto the psi_v component; the remainder must vanish.
     psi_v = initial_workspace_state(base)
     rm_part = psi_v.conj() @ t

@@ -53,9 +53,8 @@ class PublicCoinProtocol:
         self.psi_v = initial_workspace_state(base)
         self.layout = base.layout  # (R, W, M)
         w = base.w_qubits
-        psi_proj = projector_onto(self.psi_v)
-        self.swap_accept = (np.eye(2 ** w, dtype=complex) + psi_proj) / 2.0
-        self.sqrt_swap_accept = linalg.psd_sqrt(self.swap_accept)
+        swap_accept = (np.eye(2 ** w, dtype=complex) + projector_onto(self.psi_v)) / 2.0
+        self.sqrt_swap_accept = linalg.psd_sqrt(swap_accept)
 
     # -- strategies -----------------------------------------------------------
 
@@ -99,22 +98,25 @@ class PublicCoinProtocol:
 
     # -- exact evaluation -------------------------------------------------------
 
+    def _checks(self, b: int, lay: RegisterLayout) -> tuple:
+        """The verifier's check of branch b as gates on the W and M wires of
+        lay: for b = 0 the gates of V_2 and |1><1| on the first W qubit, for
+        b = 1 the gates of V_1^dagger and the square root of the SWAP-test
+        accept operator on W."""
+        wm = lay.qubits_of_all(["W", "M"])
+        w = tuple(lay.qubits_of("W"))
+        if b == 0:
+            return (*linalg.placed(self.base.verifier_rounds[1], wm), (P1, w[:1]))
+        return (*linalg.adjoint(linalg.placed(self.base.verifier_rounds[0], wm)),
+                (self.sqrt_swap_accept, w))
+
     def _branch_steps(self, b: int, ancilla_qubits: int = 0) -> tuple:
         """Branch b as gates on (R, W, M, ancilla): the response slot U_b on
-        R M and the ancilla, then for b = 0 the gates of V_2 and |1><1| on
-        the first W qubit, for b = 1 the gates of V_1^dagger and the square
-        root of the SWAP-test accept operator on W."""
+        R M and the ancilla, then the verifier's check of branch b."""
         lay = self.base.layout
         n = lay.total_qubits + ancilla_qubits
         rm = tuple(lay.qubits_of_all(["R", "M"]) + list(range(lay.total_qubits, n)))
-        wm = lay.qubits_of_all(["W", "M"])
-        if b == 0:
-            gates = linalg.placed(self.base.verifier_rounds[1], wm)
-            check = (P1, (lay.qubits_of("W")[0],))
-        else:
-            gates = linalg.adjoint(linalg.placed(self.base.verifier_rounds[0], wm))
-            check = (self.sqrt_swap_accept, tuple(lay.qubits_of("W")))
-        return ((f"U{b}", rm), *gates, check)
+        return ((f"U{b}", rm), *self._checks(b, lay))
 
     def branch_value(self, strat: PublicCoinStrategy, b: int) -> float:
         n = self.layout.total_qubits
@@ -129,18 +131,10 @@ class PublicCoinProtocol:
         """Verifier branch check applied to a bare (W, M) transcript."""
         base = self.base
         lay = RegisterLayout.of(("W", base.w_qubits), ("M", base.m_qubits))
-        state = wm_state.relabel(lay)
-        n = lay.total_qubits
-        if b == 0:
-            mat = linalg.apply_to_matrix(base.verifier_unitaries[1], state.matrix,
-                                         list(range(n)), n)
-            first_w = lay.qubits_of("W")[0]
-            out = linalg.apply_to_matrix(P1, mat, [first_w], n)
-            return float(out.trace().real)
-        mat = linalg.apply_to_matrix(base.verifier_unitaries[0].conj().T,
-                                     state.matrix, list(range(n)), n)
-        red = linalg.partial_trace_matrix(mat, lay.qubits_of("W"), n)
-        return float(np.trace(self.swap_accept @ red).real)
+        mat = wm_state.relabel(lay).matrix
+        for op, wires in self._checks(b, lay):
+            mat = linalg.apply_to_matrix(op, mat, wires, lay.total_qubits)
+        return float(mat.trace().real)
 
     def acceptance(self, strat: PublicCoinStrategy) -> float:
         return 0.5 * self.branch_value(strat, 0) + 0.5 * self.branch_value(strat, 1)

@@ -114,11 +114,17 @@ def partial_trace_matrix(mat: np.ndarray, keep, n: int) -> np.ndarray:
     return np.einsum("idjd->ij", t)
 
 
+def split(vec: np.ndarray, qubits, n: int) -> np.ndarray:
+    """An n-qubit vector as the (2^k, 2^(n-k)) matrix whose rows index the k
+    given qubits in the given order and whose columns index the others in
+    natural order; raises DimensionMismatchError for bad qubits."""
+    perm, _, shape = target_plan(qubits, n, 2 ** len(qubits))
+    return vec.reshape(shape).transpose(perm).reshape(2 ** len(qubits), -1)
+
+
 def partial_trace_vector(vec: np.ndarray, keep, n: int) -> np.ndarray:
     """Reduced density matrix of a pure state on the kept qubits."""
-    drop = [q for q in range(n) if q not in keep]
-    perm = list(keep) + drop
-    a = vec.reshape((2,) * n).transpose(perm).reshape(2 ** len(keep), -1)
+    a = split(vec, keep, n)
     return a @ a.conj().T
 
 

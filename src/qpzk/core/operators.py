@@ -45,6 +45,12 @@ def controlled(op: np.ndarray, control_qubits: int = 1) -> np.ndarray:
     return out
 
 
+def accept_projector(v: np.ndarray) -> np.ndarray:
+    """V^dagger (|1><1| x Id) V: the accepting projector of a check that
+    applies the unitary v and then reads its first qubit."""
+    return v.conj().T @ np.kron(P1, np.eye(v.shape[0] // 2, dtype=complex)) @ v
+
+
 def projector_onto(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())

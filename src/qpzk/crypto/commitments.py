@@ -246,10 +246,7 @@ class DoubleOpenGame:
 
     def _marginal(self, vec: np.ndarray, targets: list[int]) -> np.ndarray:
         """Normalised computational-basis distribution of the target wires."""
-        probs = np.abs(vec.reshape((2,) * self.n)) ** 2
-        axes = [q for q in range(self.n) if q not in targets]
-        marginal = probs.sum(axis=tuple(axes)) if axes else probs
-        marginal = marginal.reshape(-1)
+        marginal = (np.abs(linalg.split(vec, targets, self.n)) ** 2).sum(axis=1)
         return marginal / marginal.sum()
 
 

@@ -211,10 +211,14 @@ def _run_collapse(config: ExperimentConfig, record: ExperimentRecord) -> None:
                             col.acceptance(honest), run_protocol(base),
                             config.tolerance("identity", 1e-9),
                             "exact:base-protocol"))
-    measured, predicted = col.branch_overlap_identity(honest, 1)
-    record.add(equality_row("branch-overlap-identity", measured, predicted,
-                            config.tolerance("identity", 1e-9),
-                            "formula:branch-overlap"))
+    overlap = col.branch_overlap_identity(honest, 1)
+    if overlap is None:
+        record.add(MetricRow("branch-overlap-identity", None, None, 0.0,
+                             "NOT-APPLICABLE", "formula:branch-overlap"))
+    else:
+        record.add(equality_row("branch-overlap-identity", *overlap,
+                                config.tolerance("identity", 1e-9),
+                                "formula:branch-overlap"))
 
     bases = (random_perfect_base(idx) if idx % 2 == 0 else _random_base(config, idx)
              for idx in range(config.param("bases")))

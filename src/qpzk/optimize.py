@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import P1, projector_onto
+from qpzk.core.operators import P1, accept_projector, projector_onto
 from qpzk.core.sampling import random_amplitudes, random_unitary
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
@@ -51,8 +51,7 @@ def optimal_three_message_value(v1: np.ndarray, v2: np.ndarray, psi_v: PureState
     dim = 2 ** n
     if v1.shape != (dim, dim) or v2.shape != (dim, dim):
         raise DimensionMismatchError("verifier unitaries must act on W M")
-    accept_first_w = linalg.embed(P1, [0], n)
-    pi_a = v2.conj().T @ accept_first_w @ v2
+    pi_a = accept_projector(v2)
     psi_proj = projector_onto(psi_v.amplitudes)
     pi_b = v1 @ np.kron(psi_proj, np.eye(2 ** m_qubits, dtype=complex)) @ v1.conj().T
     top = np.linalg.svd(pi_a @ pi_b, compute_uv=False)[0]
@@ -76,14 +75,17 @@ class Branch:
 @dataclass(frozen=True)
 class AscentProblem:
     """Maximize sum_b weight_b ||T_b(U) phi||^2 over slot unitaries and the
-    free part of the initial product state."""
+    free part of the initial product state. The fixed start, if any, is the
+    state of the leading qubits; the free part is the rest."""
 
     n_qubits: int
     branches: tuple[Branch, ...]
-    fixed_init: Optional[np.ndarray] = None  # vector on fixed_qubits
-    fixed_qubits: tuple[int, ...] = ()
+    fixed_init: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        dims = [(2 ** k,) for k in range(self.n_qubits + 1)]
+        if self.fixed_init is not None and self.fixed_init.shape not in dims:
+            raise DimensionMismatchError("fixed initial vector is not a state of leading qubits")
         seen: set[str] = set()
         for b in self.branches:
             for op, _ in b.steps:
@@ -95,9 +97,11 @@ class AscentProblem:
                     seen.add(op)
 
     @property
-    def free_qubits(self) -> tuple[int, ...]:
-        fixed = set(self.fixed_qubits)
-        return tuple(q for q in range(self.n_qubits) if q not in fixed)
+    def free_dim(self) -> int:
+        """Dimension of the free part of the start; 0 when it is all fixed."""
+        fixed_dim = 1 if self.fixed_init is None else len(self.fixed_init)
+        free_dim = 2 ** self.n_qubits // fixed_dim
+        return free_dim if free_dim > 1 else 0
 
     def slot_specs(self) -> dict[str, int]:
         return {op: len(wires) for b in self.branches for op, wires in b.steps
@@ -119,20 +123,13 @@ def bind(steps, slots: dict) -> tuple:
 
 
 def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndarray:
-    """Full initial vector from the fixed part and the free part."""
-    n = problem.n_qubits
-    if not problem.free_qubits:
-        full = problem.fixed_init
-        if full is None or full.shape[0] != 2 ** n:
-            raise DimensionMismatchError("fixed initial vector has wrong dim")
-        return full
-    if problem.fixed_init is None or not problem.fixed_qubits:
-        assert free_vec is not None
+    """Full initial vector: the fixed start on the leading qubits, the free
+    part on the rest."""
+    if problem.fixed_init is None:
         return free_vec
-    fixed_q = list(problem.fixed_qubits)
-    free_q = list(problem.free_qubits)
-    combined = np.kron(problem.fixed_init, free_vec)
-    return linalg.permute_vector(combined, np.argsort(fixed_q + free_q), n)
+    if not problem.free_dim:
+        return problem.fixed_init
+    return np.kron(problem.fixed_init, free_vec)
 
 
 def _trace(gates, vec: np.ndarray, n: int) -> list:
@@ -148,10 +145,7 @@ def _traced_value(problem: AscentProblem, traces: list) -> float:
 
 def _contraction(x: np.ndarray, y: np.ndarray, targets, n: int) -> np.ndarray:
     """Matrix A with <y| (U on targets) |x> = Tr(U A)."""
-    perm = list(targets) + [q for q in range(n) if q not in targets]
-    x = linalg.permute_vector(x, perm, n).reshape(2 ** len(targets), -1)
-    y = linalg.permute_vector(y, perm, n).reshape(2 ** len(targets), -1)
-    return x @ y.conj().T
+    return linalg.split(x, targets, n) @ linalg.split(y, targets, n).conj().T
 
 
 def _align(a: np.ndarray) -> np.ndarray:
@@ -181,7 +175,7 @@ def alternating_ascent(
     """
     n = problem.n_qubits
     slot_specs = problem.slot_specs()
-    free_dim = 2 ** len(problem.free_qubits) if problem.free_qubits else 0
+    free_dim = problem.free_dim
     best: Optional[AscentResult] = None
 
     starts: list[Optional[dict]] = list(warm_starts) + [None] * restarts
@@ -251,14 +245,10 @@ def alternating_ascent(
 def _init_contraction(problem: AscentProblem, t_dag_z: np.ndarray) -> np.ndarray:
     """Vector v with <z| T_b |phi(free)> = <v|free> for the free-init step,
     from t_dag_z = T_b^dagger |z>."""
-    n = problem.n_qubits
-    free_q = list(problem.free_qubits)
-    fixed_q = list(problem.fixed_qubits)
-    perm = free_q + fixed_q
-    t = t_dag_z.reshape((2,) * n).transpose(perm).reshape(2 ** len(free_q), -1)
-    if problem.fixed_init is None:
-        return t.reshape(-1)
-    return t @ problem.fixed_init.conj()
+    fixed = problem.fixed_init
+    if fixed is None:
+        return t_dag_z
+    return fixed.conj() @ t_dag_z.reshape(len(fixed), -1)
 
 
 # -- protocol adapters -------------------------------------------------------
@@ -293,7 +283,6 @@ def protocol_ascent_problem(
         n_qubits=n,
         branches=(Branch(1.0, tuple(steps)),),
         fixed_init=init,
-        fixed_qubits=tuple(range(n)),
     )
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import P1, checked_unitary
+from qpzk.core.operators import accept_projector, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import (
@@ -87,10 +87,7 @@ class PqmaInstance:
     def accept_operator(self) -> np.ndarray:
         """V^dag (|1><1| x Id) V on (witness, instance), built once and
         read-only, since every trial shares it."""
-        n = self.witness_qubits + self.psi.n_qubits
-        pi1 = linalg.embed(P1, [0], n)
-        v = self.verifier_unitary
-        op = v.conj().T @ pi1 @ v
+        op = accept_projector(self.verifier_unitary)
         op.setflags(write=False)
         return op
 
@@ -270,15 +267,16 @@ def _swap_branches(state: QuantumState, copy_name: str, psi: PureState):
 
 def _swap_walk(params: PqmaParams, inst: PqmaInstance, verifier_input: QuantumState):
     """(failures, (reach, state)): the outcome-0 branch of each verifier copy
-    that fails its SWAP test, and the probability and state once every copy
-    has passed. A copy passes with probability (1 + <psi|rho|psi>)/2 >= 1/2
-    whatever its state rho, so the walk always reaches the end."""
+    that fails its SWAP test, kept when the failure leaves a post-state, and
+    the probability and state once every copy has passed. A copy passes
+    with probability (1 + <psi|rho|psi>)/2 >= 1/2 whatever its state rho,
+    so the walk always reaches the end."""
     failures: list[ViewBranch] = []
     state = verifier_input
     reach = 1.0
     for j in range(params.verifier_copies):
         (p_pass, passed), (p_fail, failed) = _swap_branches(state, f"V{j}", inst.psi)
-        if p_fail > 1e-15:
+        if failed is not None:
             failures.append(ViewBranch(0, reach * p_fail, failed))
         reach *= p_pass
         state = passed

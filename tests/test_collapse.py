@@ -1,6 +1,8 @@
 """Round collapse: honest equality, branch-overlap identity, soundness
 bound against the prover oracle, simulator checks, standard-form cast."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,11 @@ from qpzk.compilers.examples import (
 from qpzk.compilers.pipeline import build_pipeline
 from qpzk.core import linalg
 from qpzk.compilers.types import HvzkSimulator
-from qpzk.errors import ConfigError
+from qpzk.cli import main
+from qpzk.errors import ConfigError, ZeroProbabilityError
+from qpzk.harness.records import load_record
 from qpzk.optimize import alternating_ascent, brute_force_prover_value
-from qpzk.protocol import InteractiveProtocol, run_protocol
+from qpzk.protocol import InteractiveProtocol, run_protocol, save_protocol
 
 
 def entangling_copier_base() -> InteractiveProtocol:
@@ -38,6 +42,16 @@ def entangling_copier_base() -> InteractiveProtocol:
     p1 = np.kron(np.eye(2, dtype=complex), H)
     p2 = np.eye(4, dtype=complex)
     return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p1, p2])
+
+
+def never_passing_copier_base() -> InteractiveProtocol:
+    """copier_base with V2 = X x I: the final check flips the copied 1 back
+    to 0, so the honest prover never passes it."""
+    copier = copier_base()
+    psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
+    return InteractiveProtocol.from_verifier_start(
+        psi_v, 1, 1, [copier.verifier_unitaries[0], np.kron(X, np.eye(2, dtype=complex))],
+        list(copier.prover_unitaries))
 
 
 def random_base(seed: int) -> InteractiveProtocol:
@@ -248,6 +262,31 @@ class TestSimulator:
                 for i in range(1, col.r)]
         assert col.acceptance(col.honest_strategy()) == pytest.approx(
             float(np.mean(vals)), abs=1e-12)
+
+
+class TestNeverPassingBase:
+    """A base whose honest prover never passes the final check leaves no
+    state past the collapse's accept check."""
+
+    def test_no_state_past_the_accept_check(self):
+        col = CollapsedProtocol(never_passing_copier_base())
+        honest = col.honest_strategy()
+        assert col.challenge_outcome(honest, 1) == (0.0, 0.0, 0.0)
+        assert col.branch_overlap_identity(honest, 1) is None
+        with pytest.raises(ZeroProbabilityError):
+            col.bell_pair_reduced(honest, 1)
+
+    def test_run_marks_the_overlap_identity_not_applicable(self, tmp_path):
+        base, cfg, out = tmp_path / "base.json", tmp_path / "cfg.json", tmp_path / "rec.json"
+        save_protocol(never_passing_copier_base(), base)
+        cfg.write_text(json.dumps({
+            "kind": "collapse", "instances": {"base_protocol": str(base)},
+            "params": {"bases": 1, "oracle_restarts": 1, "oracle_iters": 20}}))
+        assert main(["collapse", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = {row.name: row for row in load_record(str(out)).rows}
+        assert rows["honest-acceptance-vs-base-completeness"].verdict == "PASS"
+        row = rows["branch-overlap-identity"]
+        assert (row.verdict, row.empirical, row.reference) == ("NOT-APPLICABLE", None, None)
 
 
 class TestStandardFormCast:

@@ -2,6 +2,8 @@
 and the operator-on-wires identities as property tests."""
 
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,43 @@ class TestPartialTrace:
         vec = _complex(np.random.default_rng(seed), 2 ** n)
         _close(linalg.partial_trace_vector(vec, keep, n),
                _einsum_partial_trace(np.outer(vec, vec.conj()), keep, n))
+
+
+class TestSplit:
+    @given(kept_wires())
+    def test_matches_a_bit_by_bit_index(self, case):
+        n, qubits, seed = case
+        vec = _complex(np.random.default_rng(seed), 2 ** n)
+        rest = [q for q in range(n) if q not in qubits]
+        got = linalg.split(vec, qubits, n)
+        assert got.shape == (2 ** len(qubits), 2 ** len(rest))
+        for index in range(2 ** n):
+            bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+            row = sum(bits[q] << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
+            col = sum(bits[q] << (len(rest) - 1 - k) for k, q in enumerate(rest))
+            assert got[row, col] == vec[index]
+
+    @pytest.mark.parametrize("qubits,message", [
+        ([1, 1], "repeated target qubits"),
+        ([0, 2, 0], "repeated target qubits"),
+        ([0, 3], "outside 0..2"),
+        ([-1], "outside 0..2"),
+    ], ids=["repeated", "repeated-apart", "out-of-range", "negative"])
+    def test_bad_qubits_raise(self, qubits, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            linalg.split(np.zeros(8, dtype=complex), qubits, 3)
+
+
+def test_only_linalg_splits_an_index_into_qubit_axes():
+    """Viewing a state along qubits is linalg's job (split, permute_vector):
+    no other source file reshapes to (2,) * n or transposes axes."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qpzk"
+    pattern = re.compile(r"reshape\(\(2,\) \*|\.transpose\(")
+    found = [f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+             for path in sorted(src.rglob("*.py")) if path != src / "core" / "linalg.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, "\n".join(found)
 
 
 class TestPermutations:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qpzk.core import PureState, RegisterLayout, linalg, random_pure_state, random_unitary, rng_from
 from qpzk.core.operators import P0, P1, X
 from qpzk.core.sampling import random_amplitudes, random_projector
-from qpzk.errors import ConfigError
+from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.compilers.collapse import CollapsedProtocol
 from qpzk.compilers.examples import partial_coupler_base, rotated_copier_base
 from qpzk.compilers.public_coin import make_public_coin
@@ -62,6 +62,12 @@ class TestAscentProblem:
     def test_slot_in_two_steps_rejected(self, branches):
         with pytest.raises(ConfigError, match="more than one step"):
             AscentProblem(2, branches)
+
+    @pytest.mark.parametrize("fixed_init", [np.ones(3), np.ones(8), np.ones((2, 2))],
+                             ids=["not-a-power-of-two", "more-than-n-qubits", "not-a-vector"])
+    def test_fixed_start_of_wrong_shape_rejected(self, fixed_init):
+        with pytest.raises(DimensionMismatchError, match="leading qubits"):
+            AscentProblem(2, (), fixed_init.astype(complex))
 
 
 class TestBruteForce:
@@ -179,6 +185,8 @@ def _reference_ascent(problem, rng, iters, restarts, tol, warm_starts=()):
     each output, contraction and objective; alternating_ascent keeps branch
     traces instead and must match it bit for bit."""
     n = problem.n_qubits
+    k = 0 if problem.fixed_init is None else len(problem.fixed_init).bit_length() - 1
+    fixed_q, free_q = list(range(k)), list(range(k, n))
 
     def run(vec, steps, slots):
         return linalg.apply_gates(bind(steps, slots), vec, n)
@@ -201,14 +209,13 @@ def _reference_ascent(problem, rng, iters, restarts, tol, warm_starts=()):
 
     def init_contraction(steps, slots, z):
         t_dag_z = run_back(z, steps, slots)
-        free_q, fixed_q = list(problem.free_qubits), list(problem.fixed_qubits)
         t = t_dag_z.reshape((2,) * n).transpose(free_q + fixed_q).reshape(2 ** len(free_q), -1)
         if problem.fixed_init is None:
             return t.reshape(-1)
         return t @ problem.fixed_init.conj()
 
     slot_specs = problem.slot_specs()
-    free_dim = 2 ** len(problem.free_qubits) if problem.free_qubits else 0
+    free_dim = 2 ** len(free_q) if free_q else 0
     best = None
     for start in list(warm_starts) + [None] * restarts:
         if start is not None:
@@ -265,7 +272,8 @@ def _ascent_cases(draw):
     """A random ascent problem with warm starts: one or two branches of one
     or two slots, each after zero to two fixed gates (unitaries or
     projectors); optionally a branch that ends in |0><0| then |1><1| on one
-    wire, so its output vanishes; a fully fixed, fully free or mixed start."""
+    wire, so its output vanishes; a fully fixed or fully free start, or one
+    fixed on a leading prefix of the qubits."""
     n = draw(st.integers(2, 3))
     gen = rng_from(draw(st.integers(0, 2 ** 16)))
     names = (f"S{k}" for k in itertools.count())
@@ -293,18 +301,18 @@ def _ascent_cases(draw):
             steps += [(P0, q), (P1, q)]
         branches.append(Branch(draw(st.sampled_from([1.0, 0.5, 0.25])), tuple(steps)))
 
-    start = draw(st.sampled_from(["fixed", "free", "mixed"]))
+    start = draw(st.sampled_from(["fixed", "free", "leading"]))
     if start == "fixed":
-        fixed_qubits = tuple(range(n))
+        fixed = n
     elif start == "free":
-        fixed_qubits = ()
+        fixed = 0
     else:
-        fixed_qubits = tuple(sorted(wires(draw(st.integers(1, n - 1)))))
-    fixed_init = random_amplitudes(2 ** len(fixed_qubits), gen) if fixed_qubits else None
-    problem = AscentProblem(n, tuple(branches), fixed_init, fixed_qubits)
+        fixed = draw(st.integers(1, n - 1))
+    fixed_init = random_amplitudes(2 ** fixed, gen) if fixed else None
+    problem = AscentProblem(n, tuple(branches), fixed_init)
 
     warm = []
-    free_dim = 2 ** len(problem.free_qubits) if problem.free_qubits else 0
+    free_dim = 2 ** (n - fixed) if fixed < n else 0
     for _ in range(draw(st.integers(0, 1))):
         w = {"slots": {k: random_unitary(2 ** a, gen)
                        for k, a in problem.slot_specs().items()}}

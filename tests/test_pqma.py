@@ -232,6 +232,18 @@ class TestSimulator:
         assert view_distance(hv_simulate_pqma(params, inst_a, vin),
                              hv_simulate_pqma(params, inst_b, vin)) < 1e-9
 
+    def test_failure_too_unlikely_for_a_post_state(self):
+        # A copy 1e-5 rad from |1> fails its SWAP test with probability about
+        # 5e-11, below the cut under which a measurement leaves no
+        # post-state, so both views leave that failure branch out.
+        params = PqmaParams(4, 1)
+        inst = instance_check_family("yes")
+        vin = PureState(np.array([np.sin(1e-5), np.cos(1e-5)]), V1)
+        real = real_verifier_view(params, inst, vin)
+        sim = hv_simulate_pqma(params, inst, vin)
+        assert view_distance(real, sim) < 1e-9
+        assert all(b.residual is not None for b in real + sim)
+
     def test_copy_budget_enforced(self):
         params = PqmaParams(6, 2)
         inst = instance_check_family("yes")
