@@ -1,4 +1,4 @@
 """qpzk: desk-scale simulator and verification harness for zero-knowledge
 protocols over quantum promise problems."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

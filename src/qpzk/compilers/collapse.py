@@ -66,6 +66,13 @@ class _ChallengeRun(NamedTuple):
     post_cnot: np.ndarray
     lay: RegisterLayout
 
+    def bell_pair(self) -> np.ndarray:
+        """Reduced (B, Bp) density right before the verifier's controlled-X,
+        normalized on the accept-check branch."""
+        pre_cnot = self.pre_cnot / np.linalg.norm(self.pre_cnot)
+        keep = self.lay.qubits_of_all(["B", "Bp"])
+        return linalg.partial_trace_vector(pre_cnot, keep, self.lay.total_qubits)
+
 
 class CollapsedProtocol:
     """Executable stage-II object with exact branch evaluation."""
@@ -215,16 +222,18 @@ class CollapsedProtocol:
         predicted = 0.5 + 0.5 * float(np.real(np.vdot(psi0, psi1)))
         return run.p_bell, predicted
 
-    def bell_pair_reduced(self, strat: CollapsedStrategy, challenge: int) -> np.ndarray:
-        """Reduced (B, Bp) density right before the verifier's controlled-X,
-        normalized on the accept-check branch."""
+    def _passing_run(self, strat: CollapsedStrategy, challenge: int) -> _ChallengeRun:
+        """_run, raising ZeroProbabilityError when the accept check cannot pass."""
         run = self._run(strat, challenge)
         if run is None:
             raise ZeroProbabilityError(
                 f"challenge {challenge}: the accept check passes with probability zero")
-        pre_cnot = run.pre_cnot / np.linalg.norm(run.pre_cnot)
-        keep = run.lay.qubits_of_all(["B", "Bp"])
-        return linalg.partial_trace_vector(pre_cnot, keep, run.lay.total_qubits)
+        return run
+
+    def bell_pair_reduced(self, strat: CollapsedStrategy, challenge: int) -> np.ndarray:
+        """Reduced (B, Bp) density right before the verifier's controlled-X,
+        normalized on the accept-check branch."""
+        return self._passing_run(strat, challenge).bell_pair()
 
     # -- cheat oracle -----------------------------------------------------------
 
@@ -317,12 +326,11 @@ def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: HvzkSimulator,
     (B, Bp) pair times a product of identical snapshots; the residual is the
     distance of the reduced pair from that maximally entangled state.
     """
-    strat = collapsed.simulator_strategy(sim)
-    p_acc, p_bell, _overall = collapsed.challenge_outcome(strat, challenge)
-    pair = collapsed.bell_pair_reduced(strat, challenge)
+    run = collapsed._passing_run(collapsed.simulator_strategy(sim), challenge)
+    pair = run.bell_pair()
     fid = float(np.real(np.vdot(BELL, pair @ BELL)))
     residual = linalg.half_trace_norm(pair - np.outer(BELL, BELL.conj()))
-    return CollapsedSimulationReport(challenge, p_acc, p_bell, fid, residual)
+    return CollapsedSimulationReport(challenge, run.p_acc, run.p_bell, fid, residual)
 
 
 # -- helpers -------------------------------------------------------------------

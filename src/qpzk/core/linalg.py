@@ -46,8 +46,13 @@ def target_plan(targets, n: int, op_dim: int):
 
 def apply_to_vector(op: np.ndarray, vec: np.ndarray, targets, n: int) -> np.ndarray:
     """Apply op on the given qubits of an n-qubit state vector, or of every
-    column of a (2^n, k) block."""
-    perm, inv, shape = target_plan(targets, n, op.shape[0])
+    column of a (2^n, k) block. An (s, d, d) stack of ops, or one op as
+    (1, d, d), acts on an (s, 2^n) stack of vectors, op i on vector i, and
+    each vector's result is bit for bit that of its own call."""
+    perm, inv, shape = target_plan(targets, n, op.shape[-1])
+    if op.ndim == 3:
+        t = op @ split(vec, targets, n)
+        return t.reshape(vec.shape[:1] + shape).transpose(_stacked(inv)).reshape(vec.shape)
     if vec.ndim == 2:
         perm, inv, shape = perm + (n,), inv + (n,), shape + vec.shape[1:]
     t = vec.reshape(shape).transpose(perm).reshape(op.shape[0], -1)
@@ -76,8 +81,9 @@ def placed(gates, wires) -> tuple:
 
 
 def adjoint(gates) -> tuple:
-    """Gate list of the inverse: the daggers in reverse order."""
-    return tuple((op.conj().T, wires) for op, wires in reversed(gates))
+    """Gate list of the inverse: the daggers in reverse order (of each op
+    of a stack)."""
+    return tuple((op.conj().swapaxes(-1, -2), wires) for op, wires in reversed(gates))
 
 
 def gate_product(gates, n: int) -> np.ndarray:
@@ -117,9 +123,18 @@ def partial_trace_matrix(mat: np.ndarray, keep, n: int) -> np.ndarray:
 def split(vec: np.ndarray, qubits, n: int) -> np.ndarray:
     """An n-qubit vector as the (2^k, 2^(n-k)) matrix whose rows index the k
     given qubits in the given order and whose columns index the others in
-    natural order; raises DimensionMismatchError for bad qubits."""
+    natural order, or an (s, 2^n) stack of vectors as the (s, 2^k, 2^(n-k))
+    stack of theirs; raises DimensionMismatchError for bad qubits."""
     perm, _, shape = target_plan(qubits, n, 2 ** len(qubits))
-    return vec.reshape(shape).transpose(perm).reshape(2 ** len(qubits), -1)
+    if vec.ndim == 2:
+        perm, shape = _stacked(perm), vec.shape[:1] + shape
+    return vec.reshape(shape).transpose(perm).reshape(vec.shape[:-1] + (2 ** len(qubits), -1))
+
+
+@functools.lru_cache(maxsize=1024)
+def _stacked(order: tuple) -> tuple:
+    """An axis order of the qubit axes, behind a leading stack axis."""
+    return (0,) + tuple(q + 1 for q in order)
 
 
 def partial_trace_vector(vec: np.ndarray, keep, n: int) -> np.ndarray:

@@ -123,8 +123,8 @@ def bind(steps, slots: dict) -> tuple:
 
 
 def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndarray:
-    """Full initial vector: the fixed start on the leading qubits, the free
-    part on the rest."""
+    """Full initial vector, or stack of them: the fixed start on the leading
+    qubits, the free part on the rest."""
     if problem.fixed_init is None:
         return free_vec
     if not problem.free_dim:
@@ -138,20 +138,49 @@ def _trace(gates, vec: np.ndarray, n: int) -> list:
         gates, lambda v, g: linalg.apply_to_vector(g[0], v, g[1], n), initial=vec))
 
 
-def _traced_value(problem: AscentProblem, traces: list) -> float:
-    return sum(b.weight * float(np.linalg.norm(t[-1]) ** 2)
-               for b, t in zip(problem.branches, traces))
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The norm of each vector or matrix of a stack, bit for bit as
+    np.linalg.norm takes it alone: sqrt(re.re + im.im), each a BLAS dot."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
+def _unit(vecs: np.ndarray, norms: np.ndarray, ok: np.ndarray, other) -> np.ndarray:
+    """vecs[i] / norms[i] where ok[i], other (or other[i]) elsewhere."""
+    return np.where(ok[:, None], vecs / np.where(ok, norms, 1.0)[:, None], other)
+
+
+def _traced_values(problem: AscentProblem, traces: list) -> list:
+    norms = [_norms(t[-1]) for t in traces]
+    return [sum(b.weight * float(nb[r] ** 2) for b, nb in zip(problem.branches, norms))
+            for r in range(len(norms[0]))]
 
 
 def _contraction(x: np.ndarray, y: np.ndarray, targets, n: int) -> np.ndarray:
-    """Matrix A with <y| (U on targets) |x> = Tr(U A)."""
-    return linalg.split(x, targets, n) @ linalg.split(y, targets, n).conj().T
+    """Matrix A with <y| (U on targets) |x> = Tr(U A), for each start of a stack."""
+    return linalg.split(x, targets, n) @ linalg.split(y, targets, n).conj().swapaxes(-1, -2)
 
 
 def _align(a: np.ndarray) -> np.ndarray:
-    """Unitary maximizing Re Tr(U a): polar alignment from the SVD of a."""
+    """Unitary maximizing Re Tr(U a), or a stack of them: polar alignment
+    from the SVD of a."""
     u, _, vh = np.linalg.svd(a)
-    return (u @ vh).conj().T
+    return (u @ vh).conj().swapaxes(-1, -2)
+
+
+def _start(problem: AscentProblem, rng: np.random.Generator, start: Optional[dict]):
+    """One start's slots and free part (None when the start is all fixed);
+    a restart draws its slots, then its free part."""
+    if start is None:
+        slots = {k: random_unitary(2 ** a, rng) for k, a in problem.slot_specs().items()}
+        free = None
+    else:
+        slots = {k: np.asarray(v, dtype=complex) for k, v in start["slots"].items()}
+        free = start.get("free")
+    if free is not None:
+        return slots, np.asarray(free, dtype=complex)
+    return slots, (random_amplitudes(problem.free_dim, rng) if problem.free_dim else None)
 
 
 def alternating_ascent(
@@ -169,86 +198,97 @@ def alternating_ascent(
     eigenvector of the branch-averaged objective. The reported value never
     decreases across iterations, and extra restarts can only improve it.
 
-    Each branch keeps its state after every step (its trace): a slot update
-    re-runs the branch from that slot's step, and all branches are re-run
-    only when the initial vector changes.
+    The starts (warm starts, then restarts) run as one stack along a leading
+    axis: fixed gates act on all of them at once, slots are (starts, d, d)
+    stacks, and the SVDs and eigh are stacked. A start stops, and leaves the
+    stack, once an iteration gains less than tol. Each start's arithmetic is
+    bit for bit that of a run of its own. Each branch keeps its state after
+    every step (its trace): a slot update re-runs the branch from that
+    slot's step, and all branches are re-run only when the inits change.
+
+    Draws: all starts' initial draws come first, in start order. A branch
+    output that vanishes at the start of an iteration gets a fresh random
+    direction, drawn in start order and, within a start, in branch order.
     """
     n = problem.n_qubits
-    slot_specs = problem.slot_specs()
-    free_dim = problem.free_dim
-    best: Optional[AscentResult] = None
+    drawn = [_start(problem, rng, s) for s in list(warm_starts) + [None] * restarts]
+    slots = {k: np.stack([s[k] for s, _ in drawn]) for k in problem.slot_specs()}
+    free = np.stack([f for _, f in drawn]) if problem.free_dim else None
+    # Fixed gates as one-op stacks, so that every step acts on the stack.
+    steps = [tuple((op if isinstance(op, str) else op[None], wires) for op, wires in b.steps)
+             for b in problem.branches]
+    rows = list(range(len(drawn)))  # the start of each stack row
+    init = np.broadcast_to(_assemble(problem, free), (len(rows), 2 ** n))
+    traces = [_trace(bind(st, slots), init, n) for st in steps]
+    value = _traced_values(problem, traces)
+    history, results = [[v] for v in value], [None] * len(rows)
 
-    starts: list[Optional[dict]] = list(warm_starts) + [None] * restarts
-    for start in starts:
-        if start is not None:
-            slots = {k: np.asarray(v, dtype=complex) for k, v in start["slots"].items()}
-            free = start.get("free")
-            if free is not None:
-                free = np.asarray(free, dtype=complex)
-            elif free_dim:
-                free = random_amplitudes(free_dim, rng)
-        else:
-            slots = {k: random_unitary(2 ** a, rng) for k, a in slot_specs.items()}
-            free = random_amplitudes(free_dim, rng) if free_dim else None
+    def result(r: int) -> AscentResult:
+        return AscentResult(value[r], {k: s[r] for k, s in slots.items()}, init[r],
+                            history[rows[r]])
 
-        init = _assemble(problem, free)
-        traces = [_trace(bind(b.steps, slots), init, n) for b in problem.branches]
-        value = _traced_value(problem, traces)
-        history = [value]
-        for _ in range(iters):
-            # z-step + slot updates per branch.
-            for branch, trace in zip(problem.branches, traces):
-                norm = np.linalg.norm(trace[-1])
-                if norm < 1e-14:
-                    z = random_amplitudes(2 ** n, rng)
-                else:
-                    z = trace[-1] / norm
-                for idx, (op, wires) in enumerate(branch.steps):
-                    if not isinstance(op, str):
-                        continue
-                    after = linalg.adjoint(bind(branch.steps[idx + 1:], slots))
+    for _ in range(iters):
+        # A branch's output depends only on its own slots and the init, so
+        # all of this iteration's directions are known here.
+        norms = [_norms(t[-1]) for t in traces]
+        zs = [_unit(t[-1], nb, nb >= 1e-14, 0) for t, nb in zip(traces, norms)]
+        for r, b in itertools.product(range(len(rows)), range(len(steps))):
+            if norms[b][r] < 1e-14:
+                zs[b][r] = random_amplitudes(2 ** n, rng)
+        # z-step + slot updates per branch.
+        for bsteps, trace, z in zip(steps, traces, zs):
+            for idx, (op, wires) in enumerate(bsteps):
+                if isinstance(op, str):
+                    after = linalg.adjoint(bind(bsteps[idx + 1:], slots))
                     a = _contraction(trace[idx], linalg.apply_gates(after, z, n), wires, n)
                     slots[op] = _align(a)
-                    trace[idx:] = _trace(bind(branch.steps[idx:], slots), trace[idx], n)
-                    norm = np.linalg.norm(trace[-1])
-                    if norm > 1e-14:
-                        z = trace[-1] / norm
-            # Free-init step: top eigenvector of the averaged objective.
-            if free_dim:
-                h = np.zeros((free_dim, free_dim), dtype=complex)
-                for branch, trace in zip(problem.branches, traces):
-                    norm = np.linalg.norm(trace[-1])
-                    if norm < 1e-14:
-                        continue
-                    z = trace[-1] / norm
-                    back = linalg.apply_gates(linalg.adjoint(bind(branch.steps, slots)), z, n)
-                    v = _init_contraction(problem, back)
-                    h += branch.weight * np.outer(v, v.conj())
-                if np.linalg.norm(h) > 0:
-                    vals, vecs = np.linalg.eigh(h)
-                    free = vecs[:, -1]
-                    init = _assemble(problem, free)
-                    traces = [_trace(bind(b.steps, slots), init, n) for b in problem.branches]
-            new_value = _traced_value(problem, traces)
-            history.append(new_value)
-            if new_value - value < tol:
-                value = max(value, new_value)
-                break
-            value = new_value
-        result = AscentResult(value, dict(slots), init, history)
-        if best is None or result.value > best.value:
-            best = result
-    assert best is not None
-    return best
+                    trace[idx:] = _trace(bind(bsteps[idx:], slots), trace[idx], n)
+                    norm = _norms(trace[-1])
+                    z = _unit(trace[-1], norm, norm > 1e-14, z)
+        # Free-init step: top eigenvector of the averaged objective.
+        if free is not None:
+            h = np.zeros((len(rows),) + (problem.free_dim,) * 2, dtype=complex)
+            for branch, bsteps, trace in zip(problem.branches, steps, traces):
+                norm = _norms(trace[-1])
+                ok = norm >= 1e-14
+                z = _unit(trace[-1], norm, ok, 0)
+                back = linalg.apply_gates(linalg.adjoint(bind(bsteps, slots)), z, n)
+                v = _init_contraction(problem, back)[ok]
+                h[ok] += branch.weight * (v[:, :, None] * v.conj()[:, None, :])
+            moved = _norms(h) > 0
+            if moved.any():
+                free = free.copy()
+                free[moved] = np.linalg.eigh(h[moved])[1][..., -1]
+                init = _assemble(problem, free)
+                traces = [_trace(bind(st, slots), init, n) for st in steps]
+        old, value = value, _traced_values(problem, traces)
+        keep = []
+        for r, start in enumerate(rows):
+            history[start].append(value[r])
+            if value[r] - old[r] < tol:
+                value[r] = max(old[r], value[r])
+                results[start] = result(r)
+            else:
+                keep.append(r)
+        if len(keep) < len(rows):
+            rows, value = [rows[r] for r in keep], [value[r] for r in keep]
+            slots, init = {k: s[keep] for k, s in slots.items()}, init[keep]
+            free = None if free is None else free[keep]
+            traces = [[t[keep] for t in trace] for trace in traces]
+        if not rows:
+            break
+    for r, start in enumerate(rows):
+        results[start] = result(r)
+    return max(results, key=lambda res: res.value)
 
 
 def _init_contraction(problem: AscentProblem, t_dag_z: np.ndarray) -> np.ndarray:
     """Vector v with <z| T_b |phi(free)> = <v|free> for the free-init step,
-    from t_dag_z = T_b^dagger |z>."""
+    from t_dag_z = T_b^dagger |z>, for each start of a stack."""
     fixed = problem.fixed_init
     if fixed is None:
         return t_dag_z
-    return fixed.conj() @ t_dag_z.reshape(len(fixed), -1)
+    return fixed.conj() @ t_dag_z.reshape(t_dag_z.shape[:-1] + (len(fixed), -1))
 
 
 # -- protocol adapters -------------------------------------------------------

@@ -235,6 +235,16 @@ class TestSimulator:
         assert rep.bell_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.factorization_residual < 1e-9
 
+    def test_report_runs_the_challenge_once(self, monkeypatch):
+        base = copier_base()
+        col = CollapsedProtocol(base)
+        calls = []
+        run = CollapsedProtocol._run
+        monkeypatch.setattr(CollapsedProtocol, "_run",
+                            lambda self, *args: calls.append(args) or run(self, *args))
+        hv_simulate_collapsed(col, HvzkSimulator.from_honest_prover(base), 1)
+        assert len(calls) == 1
+
     def test_inconsistent_response_fails_bell_check(self):
         # Tamper with the response only, on a base whose workspace is
         # entangled with the message mid-protocol: the bundle says one

@@ -199,6 +199,16 @@ def test_only_the_command_pins_blas_threads(module, preset, expected):
         assert threads == 1
 
 
+@pytest.mark.parametrize("module,frozen", [("qpzk.cli", True), ("qpzk.core", False)])
+def test_only_the_command_freezes_the_import_heap(module, frozen):
+    # In a fresh interpreter: the command moves the modules it loads out of
+    # the collector's reach; a library import leaves the collector alone.
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert (int(out) > 0) == frozen
+
+
 def test_double_open_record_does_not_depend_on_blas_threads(tmp_path):
     records = []
     for threads in ("1", "2"):

@@ -323,6 +323,35 @@ class TestSplit:
             linalg.split(np.zeros(8, dtype=complex), qubits, 3)
 
 
+class TestStackForm:
+    """A stack of vectors gives, vector by vector, exactly the results of
+    one call per vector."""
+
+    @given(wires(), st.integers(1, 4), st.booleans(), st.booleans())
+    def test_apply_matches_each_vector_bit_for_bit(self, case, s, one_op, daggered):
+        n, targets, seed = case
+        rng = np.random.default_rng(seed)
+        ops = np.stack([random_unitary(2 ** len(targets), rng)
+                        for _ in range(1 if one_op else s)])
+        if daggered:  # each op a transposed view, as an aligned slot is
+            ops = ops.conj().swapaxes(-1, -2)
+        stack = _complex(rng, s, 2 ** n)
+        got = linalg.apply_to_vector(ops, stack, targets, n)
+        assert got.shape == stack.shape
+        for i in range(s):
+            want = linalg.apply_to_vector(ops[0 if one_op else i], stack[i], targets, n)
+            assert np.array_equal(got[i], want)
+
+    @given(kept_wires(), st.integers(1, 4))
+    def test_split_matches_each_vector(self, case, s):
+        n, qubits, seed = case
+        stack = _complex(np.random.default_rng(seed), s, 2 ** n)
+        got = linalg.split(stack, qubits, n)
+        assert got.shape == (s, 2 ** len(qubits), 2 ** (n - len(qubits)))
+        for i in range(s):
+            assert np.array_equal(got[i], linalg.split(stack[i], qubits, n))
+
+
 def test_only_linalg_splits_an_index_into_qubit_axes():
     """Viewing a state along qubits is linalg's job (split, permute_vector):
     no other source file reshapes to (2,) * n or transposes axes."""
