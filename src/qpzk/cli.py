@@ -23,10 +23,10 @@ from qpzk.harness.config import (
 )
 from qpzk.harness.experiments import run_experiment
 from qpzk.harness.records import load_record, save_record
-from qpzk.harness.report import report
 
 # The modules loaded so far live until exit: moved out of the collector's
 # reach, they are walked by no collection and not by interpreter teardown.
+# A run's own kind module, and what it imports, load later and stay collectable.
 gc.freeze()
 
 EXIT_OK = 0
@@ -72,6 +72,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
+            from qpzk.harness.report import report
+
             records = [load_record(path) for path in args.records]
             summary = report(records)
             print("\n".join(summary.lines))

@@ -1,4 +1,5 @@
-"""Seeded random generation of states and unitaries.
+"""Seeded random generation of unitaries, amplitudes and projectors (the
+random states are built in `qpzk.core.states`).
 
 Streams are derived from a master seed by spawn keys, so independent trials
 produce identical results regardless of execution order.
@@ -7,9 +8,6 @@ produce identical results regardless of execution order.
 from __future__ import annotations
 
 import numpy as np
-
-from qpzk.core.registers import RegisterLayout
-from qpzk.core.states import MixedState, PureState
 
 
 def rng_from(seed, *spawn_key: int) -> np.random.Generator:
@@ -34,25 +32,9 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def random_pure_state(layout: RegisterLayout, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state: normalized complex Gaussian vector."""
-    dim = layout.dim
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v), layout)
-
-
 def random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_density(layout: RegisterLayout, rng: np.random.Generator, rank: int | None = None) -> MixedState:
-    """Random full- or fixed-rank density matrix (partial trace of a Haar state)."""
-    dim = layout.dim
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return MixedState.computed(m / m.trace(), layout)
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,7 @@ from qpzk.core import linalg
 from qpzk.core.linalg import EPS
 from qpzk.core.operators import ProjectiveMeasurement, UnitaryOp
 from qpzk.core.registers import RegisterLayout
+from qpzk.core.sampling import random_amplitudes
 from qpzk.errors import DimensionMismatchError, StateValidationError
 
 
@@ -112,9 +113,6 @@ class MixedState:
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def relabel(self, layout: RegisterLayout) -> "MixedState":
         return MixedState.computed(self.matrix, layout)
 
@@ -125,6 +123,20 @@ class MixedState:
 
 
 QuantumState = Union[PureState, MixedState]
+
+
+def random_pure_state(layout: RegisterLayout, rng: np.random.Generator) -> PureState:
+    """Haar-random pure state: normalized complex Gaussian vector."""
+    return PureState(random_amplitudes(layout.dim, rng), layout)
+
+
+def random_density(layout: RegisterLayout, rng: np.random.Generator, rank: int | None = None) -> MixedState:
+    """Random full- or fixed-rank density matrix (partial trace of a Haar state)."""
+    dim = layout.dim
+    rank = dim if rank is None else rank
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return MixedState.computed(m / m.trace(), layout)
 
 
 def _layout_array(arr, shape: tuple) -> np.ndarray:

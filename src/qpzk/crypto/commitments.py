@@ -337,8 +337,3 @@ def tamper_and_read_adversary(scheme: CanonicalCommitment) -> Adversary:
     outright."""
     flips = tuple((X, (w,)) for w in scheme.d_wires)
     return Adversary(_commit_gates(scheme, ones=True), flips, reads_swap_target=True)
-
-
-def aborting_adversary(scheme: CanonicalCommitment) -> Adversary:
-    """Walks away when asked for the second opening."""
-    return Adversary(_commit_gates(scheme, ones=False), None, reads_swap_target=False)

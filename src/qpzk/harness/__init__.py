@@ -1,29 +1,27 @@
-"""Configuration, seeded experiment orchestration, result persistence."""
+"""Configuration, seeded experiment orchestration, result persistence.
 
-from qpzk.harness.config import (
-    EXPERIMENT_KINDS,
-    ExperimentConfig,
-    config_from_dict,
-    load_config,
-)
-from qpzk.harness.experiments import run_experiment
-from qpzk.harness.records import (
-    ExperimentRecord,
-    MetricRow,
-    load_record,
-    save_record,
-)
-from qpzk.harness.report import report
+Importing the package loads no submodule: each name below loads its
+submodule on first access. A run loads the runner of its kind alone, from
+`qpzk.harness.kinds`."""
 
-__all__ = [
-    "EXPERIMENT_KINDS",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "MetricRow",
-    "config_from_dict",
-    "load_config",
-    "load_record",
-    "report",
-    "run_experiment",
-    "save_record",
-]
+import importlib
+
+_NAMES = {
+    "config": ("EXPERIMENT_KINDS", "ExperimentConfig", "config_from_dict", "load_config"),
+    "experiments": ("run_experiment",),
+    "records": ("ExperimentRecord", "MetricRow", "load_record", "save_record"),
+    "report": ("report",),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name == _HOME[name]:
+        # Loading `report` bound its submodule here; the package name is the function.
+        globals()[name] = value
+    return value

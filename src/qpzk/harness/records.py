@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -96,6 +95,8 @@ class ExperimentRecord:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["kind", "seed", "row", "empirical", "reference",

@@ -20,7 +20,7 @@ from qpzk.compilers.examples import copier_base, rotated_copier_base
 from qpzk.compilers.public_coin import make_public_coin
 from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
-from qpzk.harness.experiments import _uniform_chi_square_p
+from qpzk.harness.kinds.zk import _uniform_chi_square_p
 from qpzk.protocol import HONEST, sample_run
 
 

@@ -26,6 +26,8 @@ from qpzk.core import linalg
 from qpzk.compilers.types import HvzkSimulator
 from qpzk.cli import main
 from qpzk.errors import ConfigError, ZeroProbabilityError
+from qpzk.harness.config import ExperimentConfig
+from qpzk.harness.experiments import run_experiment
 from qpzk.harness.records import load_record
 from qpzk.optimize import alternating_ascent, brute_force_prover_value
 from qpzk.protocol import InteractiveProtocol, run_protocol, save_protocol
@@ -297,6 +299,38 @@ class TestNeverPassingBase:
         assert rows["honest-acceptance-vs-base-completeness"].verdict == "PASS"
         row = rows["branch-overlap-identity"]
         assert (row.verdict, row.empirical, row.reference) == ("NOT-APPLICABLE", None, None)
+
+    def test_soundness_oracle_runs_on_the_loaded_base(self, tmp_path, monkeypatch):
+        import qpzk.optimize
+        import qpzk.protocol
+
+        path = tmp_path / "base.json"
+        save_protocol(never_passing_copier_base(), path)
+        loaded, oracle_bases, ascent_bases = [], [], []
+        load = qpzk.protocol.load_protocol
+        monkeypatch.setattr(qpzk.protocol, "load_protocol",
+                            lambda p: loaded.append(load(p)) or loaded[-1])
+        value = qpzk.optimize.brute_force_prover_value
+
+        def recording_value(base, *args, **kwargs):
+            oracle_bases.append(base)
+            return value(base, *args, **kwargs)
+
+        problem = CollapsedProtocol.ascent_problem
+
+        def recording_problem(self, *args):
+            ascent_bases.append(self.base)
+            return problem(self, *args)
+
+        monkeypatch.setattr(qpzk.optimize, "brute_force_prover_value", recording_value)
+        monkeypatch.setattr(CollapsedProtocol, "ascent_problem", recording_problem)
+        run_experiment(ExperimentConfig(
+            kind="collapse", seed=7, instances={"base_protocol": str(path)},
+            params={"bases": 2, "oracle_restarts": 1, "oracle_iters": 20}))
+        # The two built-in bases, then the loaded one: one oracle value and
+        # one compiled ascent each.
+        assert [b is loaded[0] for b in oracle_bases] == [False, False, True]
+        assert [b is loaded[0] for b in ascent_bases] == [False, False, True]
 
 
 class TestStandardFormCast:

@@ -1,5 +1,6 @@
 """Commitments, double-opening game, trap MAC."""
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -25,7 +26,6 @@ from qpzk.crypto.commitments import (
     Adversary,
     CanonicalCommitment,
     DoubleOpenGame,
-    aborting_adversary,
     bell_ancilla_scheme,
     double_open_win_rate,
     identity_scheme,
@@ -47,6 +47,12 @@ from qpzk.crypto.mac import (
 from qpzk.errors import ConfigError, RegisterError, StateValidationError
 
 MSG1 = RegisterLayout.single("Msg", 1)
+
+
+def aborting_adversary(scheme: CanonicalCommitment) -> Adversary:
+    """Commits honestly to |0...0>, then walks away when asked for the
+    second opening."""
+    return dataclasses.replace(random_guess_adversary(scheme), respond=None)
 
 
 @pytest.fixture(scope="module")

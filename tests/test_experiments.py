@@ -61,7 +61,9 @@ def test_pipeline_cheat_rows_draw_from_their_own_substreams(monkeypatch):
         requested.append(substream)
         return stream(config, substream)
 
-    monkeypatch.setattr(experiments, "_stream", recording_stream)
+    # Wherever _stream is bound: the shared helpers and the kind's module.
+    for module in (experiments, experiments.kind_module("pipeline")):
+        monkeypatch.setattr(module, "_stream", recording_stream)
     run_experiment(ExperimentConfig(kind="pipeline", seed=5, trials=5))
     # 0: oracle, 1: cheat strategies, 2-4: one sampling stream per cheat row.
     assert requested == [0, 1, 2, 3, 4]
@@ -207,6 +209,35 @@ def test_only_the_command_freezes_the_import_heap(module, frozen):
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert (int(out) > 0) == frozen
+
+
+def _modules_loaded_by(code: str) -> set:
+    """The qpzk modules, and csv, loaded in a fresh interpreter by `code`."""
+    code += ("; import sys; print(' '.join(m for m in sys.modules "
+             "if m == 'csv' or m.split('.')[0] == 'qpzk'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_a_double_open_run_loads_only_what_it_executes():
+    loaded = _modules_loaded_by(
+        "from qpzk.cli import main; main(['double-open', '--seed', '7'])")
+    # No core.states, core.metrics, core.swap_test, harness.report, other
+    # kind's runner or csv.
+    assert loaded == {
+        "qpzk", "qpzk.cli", "qpzk.errors", "qpzk.serialize",
+        "qpzk.core", "qpzk.core.linalg", "qpzk.core.operators", "qpzk.core.registers",
+        "qpzk.core.sampling", "qpzk.crypto", "qpzk.crypto.commitments",
+        "qpzk.harness", "qpzk.harness.config", "qpzk.harness.experiments",
+        "qpzk.harness.records", "qpzk.harness.kinds", "qpzk.harness.kinds.double_open",
+    }
+
+
+def test_package_imports_load_no_runner_and_no_submodule():
+    assert not {m for m in _modules_loaded_by("import qpzk.cli")
+                if m.startswith("qpzk.harness.kinds")}
+    assert _modules_loaded_by("import qpzk.core") == {"qpzk", "qpzk.core"}
 
 
 def test_double_open_record_does_not_depend_on_blas_threads(tmp_path):

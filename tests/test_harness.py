@@ -31,7 +31,7 @@ from qpzk.harness.records import (
     save_record,
     upper_bound_row,
 )
-from qpzk.harness.experiments import _RUNNERS, _load_base, run_experiment
+from qpzk.harness.experiments import _load_base, kind_module, run_experiment
 from qpzk.harness.report import report
 from qpzk.protocol import protocol_to_json
 from qpzk.serialize import complex_matrix_to_json
@@ -81,7 +81,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_default_param_is_read(self, kind):
-        source = inspect.getsource(_RUNNERS[kind])
+        source = inspect.getsource(kind_module(kind))
         for name in _DEFAULT_PARAMS[kind]:
             assert f'config.param("{name}")' in source, name
         # Every instance key the config accepts for the kind is read, and no other.

@@ -108,7 +108,8 @@ class TestVerifierView:
         for i in range(1, prot.messages + 1):
             view = verifier_view(prot, HONEST, i).view
             assert abs(view.trace() - 1.0) < 1e-9
-            assert view.purity() <= 1 + 1e-9
+            # Purity Tr(rho^2) is at most 1.
+            assert np.trace(view.matrix @ view.matrix).real <= 1 + 1e-9
 
     def test_index_out_of_range(self):
         with pytest.raises(ConfigError):
