@@ -15,12 +15,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from qpzk.core import linalg
 from qpzk.core.metrics import trace_distance
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError
 from qpzk.compilers.public_coin import PublicCoinProtocol, PublicCoinStrategy
-from qpzk.compilers.types import HvzkSimulator
+from qpzk.protocol import HONEST, ProverStrategy
 
 
 class CoinFlipProtocol:
@@ -92,10 +91,10 @@ def honest_coin_flip_prover(base: PublicCoinProtocol) -> CoinFlipProver:
 
 
 def biased_coin_flip_prover(base: PublicCoinProtocol, bit: int,
-                            strategy: Optional[PublicCoinStrategy] = None,
                             adaptive: Optional[Callable] = None) -> CoinFlipProver:
-    """A prover that always inputs `bit` (or an adaptive rule) into the XOR."""
-    strat = strategy or base.honest_strategy()
+    """An honest-strategy prover that always inputs `bit` (or an adaptive
+    rule) into the XOR."""
+    strat = base.honest_strategy()
     coin_in = (lambda t, hist, rng: adaptive(t, hist)) if adaptive \
         else (lambda t, hist, rng: bit)
     return CoinFlipProver(lambda t, hist: strat, coin_in, name=f"biased-{bit}")
@@ -131,23 +130,6 @@ class ViewBranchIV:
     aborted_at: Optional[int]
 
 
-def _honest_iteration_states(base: PublicCoinProtocol) -> dict[int, MixedState]:
-    """Real (W, M) joint per coin under the honest prover."""
-    from qpzk.core.registers import RegisterLayout
-
-    strat = base.honest_strategy()
-    lay = base.base.layout
-    n = lay.total_qubits
-    out = {}
-    out_lay = RegisterLayout.of(("W", base.base.w_qubits), ("M", base.base.m_qubits))
-    for b in (0, 1):
-        vec = linalg.apply_to_vector(strat.response_for(b), strat.opening,
-                                     lay.qubits_of_all(["R", "M"]), n)
-        red = linalg.partial_trace_vector(vec, lay.qubits_of_all(["W", "M"]), n)
-        out[b] = MixedState.computed(red, out_lay)
-    return out
-
-
 def _enumerate_views(compiled: CoinFlipProtocol, verifier: MaliciousVerifier,
                      states_per_coin: dict[int, MixedState]) -> list[ViewBranchIV]:
     """All coin-sequence branches with exact probabilities (coins are
@@ -175,18 +157,15 @@ def real_malicious_views(compiled: CoinFlipProtocol,
     """Exact view ensemble of the corrupted verifier against the honest
     prover: the honest coin input is uniform, so the XOR output is uniform
     whatever coin input the verifier chooses."""
-    return _enumerate_views(compiled, verifier,
-                            _honest_iteration_states(compiled.base))
+    return _enumerate_views(compiled, verifier, compiled.base.coin_views(HONEST))
 
 
 def zk_simulate_malicious(compiled: CoinFlipProtocol, verifier: MaliciousVerifier,
-                          sim: HvzkSimulator) -> list[ViewBranchIV]:
+                          sim: ProverStrategy) -> list[ViewBranchIV]:
     """Simulated view ensemble: per iteration the simulator draws (W, M, b)
     itself and takes b as the XOR output, whatever coin input the verifier
     chooses."""
-    transcripts = compiled.base.simulator_transcripts(sim)
-    states = {b: transcripts[b] for b in (0, 1)}
-    return _enumerate_views(compiled, verifier, states)
+    return _enumerate_views(compiled, verifier, compiled.base.coin_views(sim))
 
 
 def view_ensemble_distance(a: Sequence[ViewBranchIV], b: Sequence[ViewBranchIV]) -> float:

@@ -24,7 +24,6 @@ from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError, ZeroProbabilityError
 from qpzk.optimize import AscentProblem, Branch, bind
 from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, initial_workspace_state
-from qpzk.compilers.types import HvzkSimulator
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -106,15 +105,12 @@ class CollapsedProtocol:
     def honest_strategy(self) -> CollapsedStrategy:
         return self._snapshot_strategy(HONEST, "honest")
 
-    def simulator_strategy(self, sim: HvzkSimulator) -> CollapsedStrategy:
+    def simulator_strategy(self, sim: ProverStrategy) -> CollapsedStrategy:
         """The round simulator driving the same interface as a prover; its
         private register stands in for the prover workspace."""
-        if len(sim.unitaries) != self.r:
-            raise ConfigError("simulator round count mismatch")
-        if sim.m_qubits != self.base.m_qubits or sim.s_qubits != self.base.r_qubits:
-            raise DimensionMismatchError("simulator register sizes mismatch")
-        return self._snapshot_strategy(ProverStrategy(sim.unitaries),
-                                       f"simulator:{sim.label}")
+        if sim.ancilla_qubits:
+            raise ConfigError("a round simulator's snapshots carry no ancilla")
+        return self._snapshot_strategy(sim, f"simulator:{sim.name}")
 
     def _snapshots(self, prover: ProverStrategy) -> tuple[np.ndarray, RegisterLayout]:
         """Product of the states after each prover move of the base, with its
@@ -317,7 +313,7 @@ class CollapsedSimulationReport:
     factorization_residual: float
 
 
-def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: HvzkSimulator,
+def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: ProverStrategy,
                           challenge: int) -> CollapsedSimulationReport:
     """Run the simulator transcript through the verifier's checks.
 

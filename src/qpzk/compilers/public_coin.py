@@ -21,8 +21,8 @@ from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.optimize import AscentProblem, Branch, bind
-from qpzk.protocol import InteractiveProtocol, initial_workspace_state
-from qpzk.compilers.types import HvzkSimulator
+from qpzk.protocol import (InteractiveProtocol, ProverStrategy, initial_workspace_state,
+                           verifier_view)
 
 
 def public_coin_soundness(zeta: float) -> float:
@@ -68,33 +68,11 @@ class PublicCoinProtocol:
 
         return PublicCoinStrategy(vec, respond, "honest")
 
-    def simulator_transcripts(self, sim: HvzkSimulator):
-        """The two equal-probability simulated (W, M) transcripts.
-
-        Branch b = 0 plays both simulator rounds through V_1; branch b = 1
-        stops after the first round. Returns {b: MixedState on (W, M)}."""
-        base = self.base
-        if len(sim.unitaries) != 2:
-            raise ConfigError("need a two-round simulator")
-        if sim.m_qubits != base.m_qubits or sim.s_qubits != base.r_qubits:
-            raise DimensionMismatchError("simulator register sizes mismatch")
-        lay = RegisterLayout.of(("S", sim.s_qubits), ("W", base.w_qubits),
-                                ("M", base.m_qubits))
-        n = lay.total_qubits
-        sm = lay.qubits_of_all(["S", "M"])
-        wm = lay.qubits_of_all(["W", "M"])
-        start = np.kron(
-            np.kron(linalg.basis_vector(0, 2 ** sim.s_qubits), self.psi_v),
-            linalg.basis_vector(0, 2 ** base.m_qubits))
-        one = linalg.apply_to_vector(sim.unitaries[0], start, sm, n)
-        one = linalg.apply_gates(linalg.placed(base.verifier_rounds[0], wm), one, n)
-        two = linalg.apply_to_vector(sim.unitaries[1], one, sm, n)
-        keep = lay.qubits_of_all(["W", "M"])
-        out_lay = RegisterLayout.of(("W", base.w_qubits), ("M", base.m_qubits))
-        return {
-            0: MixedState.computed(linalg.partial_trace_vector(two, keep, n), out_lay),
-            1: MixedState.computed(linalg.partial_trace_vector(one, keep, n), out_lay),
-        }
+    def coin_views(self, prover: ProverStrategy) -> dict[int, MixedState]:
+        """Each coin's (W, M) view with `prover` on the base's (R, M) wires:
+        after its second round (message 3) for b = 0, after V_1 (message 2)
+        for b = 1."""
+        return {b: verifier_view(self.base, prover, 3 - b).view for b in (0, 1)}
 
     # -- exact evaluation -------------------------------------------------------
 
@@ -178,10 +156,10 @@ class SimulatedCoinTranscript:
     wm_state: MixedState
 
 
-def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: HvzkSimulator,
+def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: ProverStrategy,
                             trials: int, rng) -> list[SimulatedCoinTranscript]:
     """`trials` simulated (W, M, b) transcripts, each with a uniform coin;
     the two transcripts are built once."""
-    transcripts = compiled.simulator_transcripts(sim)
+    transcripts = compiled.coin_views(sim)
     return [SimulatedCoinTranscript(b, transcripts[b])
             for b in rng.integers(2, size=trials).tolist()]

@@ -136,13 +136,12 @@ class QuantumMac:
         mm = np.eye(dm, dtype=complex) / dm
         return np.kron(acc_mr, P1) + np.kron(np.kron(mm, rej_r), P0)
 
-    def detection_probability(self, attack: np.ndarray,
-                              message: Optional[QuantumState] = None) -> float:
-        """Exact key-averaged probability that the flag reads 0."""
-        if message is None:
-            message = PureState.computational(self.message_layout)
-        out = self.real_channel_output(
-            np.asarray(attack, dtype=complex), message, r_qubits=0)
+    def detection_probability(self, attack: np.ndarray) -> float:
+        """Exact key-averaged probability that the flag reads 0 on the
+        all-zeros message."""
+        out = self.real_channel_output(np.asarray(attack, dtype=complex),
+                                       PureState.computational(self.message_layout),
+                                       r_qubits=0)
         n_out = self.message_qubits + 1
         flag = linalg.partial_trace_matrix(out, [n_out - 1], n_out)
         return float(flag[0, 0].real)
@@ -195,13 +194,12 @@ def mac_real_vs_ideal(mac: QuantumMac, attack: np.ndarray, rho_mr: QuantumState,
     return linalg.half_trace_norm(real - ideal)
 
 
-def natural_simulator(mac: QuantumMac, code_attack: np.ndarray, r_qubits: int,
-                      r_unitary: Optional[np.ndarray] = None):
-    """Simulator pair for a product attack code_attack x r_unitary: the
+def natural_simulator(mac: QuantumMac, code_attack: np.ndarray, r_qubits: int):
+    """Simulator pair for a product attack code_attack x identity on R: the
     accept weight is the exact key-averaged non-detection probability and
-    the R side applies the attack's own R factor."""
+    R is left alone."""
     q = 1.0 - mac.detection_probability(np.asarray(code_attack, dtype=complex))
-    u = np.eye(2 ** r_qubits, dtype=complex) if r_unitary is None else r_unitary
+    u = np.eye(2 ** r_qubits, dtype=complex)
     acc = [np.sqrt(q) * u] if q > 0 else []
     rej = [np.sqrt(1.0 - q) * u] if q < 1.0 else []
     return acc, rej

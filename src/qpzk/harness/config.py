@@ -81,11 +81,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"kind: unknown experiment {self.kind!r}; "
                 f"choose one of {', '.join(EXPERIMENT_KINDS)}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
         trials = self.effective_trials
-        if not isinstance(trials, int) or trials < 1:
-            raise ConfigError("trials: must be a positive integer")
+        if not _is_int(trials) or trials < 1:
+            raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError("format: must be 'json' or 'csv'")
         defaults = _DEFAULT_PARAMS[self.kind]
@@ -140,6 +140,11 @@ class ExperimentConfig:
         }
 
 
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true and false)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked_object(name: str, value) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name}: must be a JSON object, got {value!r}")
@@ -173,13 +178,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "kind" not in data:
         raise ConfigError("kind: required field is missing")
-    try:
-        seed = int(data.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"seed: must be an integer, got {data['seed']!r}") from exc
     return ExperimentConfig(
         kind=data["kind"],
-        seed=seed,
+        seed=data.get("seed", 0),
         trials=data.get("trials"),
         params=data.get("params", {}),
         instances=data.get("instances", {}),

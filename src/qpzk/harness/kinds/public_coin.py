@@ -11,11 +11,10 @@ from qpzk.compilers.public_coin import (
     make_public_coin,
     public_coin_soundness,
 )
-from qpzk.compilers.types import HvzkSimulator
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import _oracle_excess_row, _stream
 from qpzk.harness.records import ExperimentRecord, equality_row, upper_bound_row
-from qpzk.protocol import run_protocol
+from qpzk.protocol import ProverStrategy, run_protocol
 
 
 def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
@@ -39,8 +38,8 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     # accepted with certainty on both branches.
     perfect = copier_base()
     pc_perfect = make_public_coin(perfect)
-    sim = HvzkSimulator.from_honest_prover(perfect)
-    transcripts = pc_perfect.simulator_transcripts(sim)
+    sim = ProverStrategy(perfect.prover_unitaries, name="honest-prover-standin")
+    transcripts = pc_perfect.coin_views(sim)
     record.add(equality_row(
         "simulator-transcript-acceptance",
         0.5 * pc_perfect.transcript_acceptance(transcripts[0], 0)

@@ -50,7 +50,8 @@ class TranscriptPoint:
 
 @dataclass(frozen=True)
 class ProverStrategy:
-    """Per-round prover unitaries, honest or adversarial.
+    """Per-round prover unitaries, honest, adversarial or a round
+    simulator's (whose private register takes the place of R).
 
     `unitaries` act on R, M and an optional fresh ancilla declared upfront;
     None means "use the protocol's honest unitaries".
@@ -175,6 +176,10 @@ class InteractiveProtocol:
 
     def evolve(self, strat: ProverStrategy = HONEST, upto_message: Optional[int] = None) -> PureState:
         """State after the given message (default: after the final V_r)."""
+        if strat.unitaries is not None and len(strat.unitaries) != self.rounds:
+            raise DimensionMismatchError(
+                f"strategy {strat.name or 'custom'!r} has {len(strat.unitaries)} "
+                f"rounds; the protocol has {self.rounds}")
         state = self._initial_state(strat)
         lay = state.layout
         n = lay.total_qubits

@@ -246,16 +246,16 @@ class UOracle:
     """Single-use handle on the matching unitary; a second query is a hard
     failure rather than a silent extra power."""
 
-    def __init__(self, inst: UhlmannInstance, budget: int = 1):
+    def __init__(self, inst: UhlmannInstance):
         self._matrix = compute_uhlmann(inst).matrix
-        self.budget = budget
         self.calls = 0
 
-    def apply(self, state: QuantumState, register: str = "T") -> QuantumState:
-        if self.calls >= self.budget:
+    def apply(self, state: QuantumState) -> QuantumState:
+        """The matching unitary on the target register T of state."""
+        if self.calls:
             raise OracleBudgetError("matching-unitary oracle budget exhausted")
         self.calls += 1
-        return apply_unitary(state, UnitaryOp(self._matrix, (register,)))
+        return apply_unitary(state, UnitaryOp(self._matrix, ("T",)))
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def zk_simulate_uhlmann(inst: UhlmannInstance, verifier_input: QuantumState,
     """
     _target_layout(verifier_input, inst.s_qubits)
     oracle = oracle or UOracle(inst)
-    out = oracle.apply(verifier_input, "T")
+    out = oracle.apply(verifier_input)
     return SimulatedUhlmannView(out, oracle.calls)
 
 

@@ -206,9 +206,8 @@ class TestAcceptance:
             make_public_coin,
             public_coin_soundness,
         )
-        from qpzk.compilers.types import HvzkSimulator
         from qpzk.optimize import alternating_ascent, brute_force_prover_value
-        from qpzk.protocol import run_protocol
+        from qpzk.protocol import ProverStrategy, run_protocol
 
         # Honest acceptance at least one minus the base completeness error.
         for theta in (0.0, 0.5, 1.0):
@@ -233,8 +232,8 @@ class TestAcceptance:
         # Exact simulator transcripts are accepted with probability one.
         base = copier_base()
         pc = make_public_coin(base)
-        sim = HvzkSimulator.from_honest_prover(base)
-        transcripts = pc.simulator_transcripts(sim)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        transcripts = pc.coin_views(sim)
         assert pc.transcript_acceptance(transcripts[0], 0) == pytest.approx(1.0, abs=1e-9)
         assert pc.transcript_acceptance(transcripts[1], 1) == pytest.approx(1.0, abs=1e-9)
         _announce(6, "public-coin completeness, soundness bound, simulator")
@@ -251,7 +250,7 @@ class TestAcceptance:
         )
         from qpzk.compilers.examples import copier_base
         from qpzk.compilers.public_coin import make_public_coin
-        from qpzk.compilers.types import HvzkSimulator
+        from qpzk.protocol import ProverStrategy
 
         base = copier_base()
         pc = make_public_coin(base)
@@ -266,7 +265,7 @@ class TestAcceptance:
             assert p_value > 0.01
 
         # Simulated views equal real views exactly, including abort paths.
-        sim = HvzkSimulator.from_honest_prover(base)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
         cf2 = CoinFlipProtocol(pc, 2)
         verifiers = [
             HONEST_VERIFIER,

@@ -18,10 +18,9 @@ from qpzk.compilers.coin_flip import (
 )
 from qpzk.compilers.examples import copier_base, rotated_copier_base
 from qpzk.compilers.public_coin import make_public_coin
-from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
 from qpzk.harness.kinds.zk import _uniform_chi_square_p
-from qpzk.protocol import HONEST, sample_run
+from qpzk.protocol import HONEST, ProverStrategy, sample_run
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +30,7 @@ def public_coin():
 
 @pytest.fixture(scope="module")
 def simulator():
-    return HvzkSimulator.from_honest_prover(copier_base())
+    return ProverStrategy(copier_base().prover_unitaries, name="honest-prover-standin")
 
 
 class TestCoinUniformity:

@@ -23,14 +23,13 @@ from qpzk.compilers.examples import (
 )
 from qpzk.compilers.pipeline import build_pipeline
 from qpzk.core import linalg
-from qpzk.compilers.types import HvzkSimulator
 from qpzk.cli import main
 from qpzk.errors import ConfigError, ZeroProbabilityError
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import run_experiment
 from qpzk.harness.records import load_record
 from qpzk.optimize import alternating_ascent, brute_force_prover_value
-from qpzk.protocol import InteractiveProtocol, run_protocol, save_protocol
+from qpzk.protocol import InteractiveProtocol, ProverStrategy, run_protocol, save_protocol
 
 
 def entangling_copier_base() -> InteractiveProtocol:
@@ -216,7 +215,7 @@ class TestSimulator:
     def test_exact_simulator_passes_bell_check(self):
         base = copier_base()
         col = CollapsedProtocol(base)
-        sim = HvzkSimulator.from_honest_prover(base)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
         rep = hv_simulate_collapsed(col, sim, 1)
         assert rep.bell_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.accept_check_probability == pytest.approx(1.0, abs=1e-9)
@@ -230,12 +229,17 @@ class TestSimulator:
         base = copier_base()
         col = CollapsedProtocol(base)
         g = rng_from(2400)
-        sim = HvzkSimulator((base.prover_unitaries[0], random_unitary(4, g)),
-                            1, 1, label="twisted-second-round")
+        sim = ProverStrategy((base.prover_unitaries[0], random_unitary(4, g)),
+                             name="twisted-second-round")
         rep = hv_simulate_collapsed(col, sim, 1)
         assert rep.accept_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.bell_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.factorization_residual < 1e-9
+
+    def test_simulator_with_an_ancilla_rejected(self):
+        col = CollapsedProtocol(copier_base())
+        with pytest.raises(ConfigError, match="ancilla"):
+            hv_simulate_collapsed(col, ProverStrategy(ancilla_qubits=1), 1)
 
     def test_report_runs_the_challenge_once(self, monkeypatch):
         base = copier_base()
@@ -244,7 +248,7 @@ class TestSimulator:
         run = CollapsedProtocol._run
         monkeypatch.setattr(CollapsedProtocol, "_run",
                             lambda self, *args: calls.append(args) or run(self, *args))
-        hv_simulate_collapsed(col, HvzkSimulator.from_honest_prover(base), 1)
+        hv_simulate_collapsed(col, ProverStrategy(base.prover_unitaries, name="honest-prover-standin"), 1)
         assert len(calls) == 1
 
     def test_inconsistent_response_fails_bell_check(self):
@@ -253,7 +257,7 @@ class TestSimulator:
         # chain, the reply plays another, and the Bell test sees it.
         base = entangling_copier_base()
         col = CollapsedProtocol(base)
-        strat = col.simulator_strategy(HvzkSimulator.from_honest_prover(base))
+        strat = col.simulator_strategy(ProverStrategy(base.prover_unitaries, name="honest-prover-standin"))
 
         def tampered(i):
             mat, names = strat.responses(i)

@@ -133,13 +133,13 @@ def test_public_coin_builds_simulator_transcripts_once_per_row(monkeypatch):
     from qpzk.compilers.public_coin import PublicCoinProtocol
 
     calls = []
-    build = PublicCoinProtocol.simulator_transcripts
+    build = PublicCoinProtocol.coin_views
 
     def counting_build(self, sim):
         calls.append(sim)
         return build(self, sim)
 
-    monkeypatch.setattr(PublicCoinProtocol, "simulator_transcripts", counting_build)
+    monkeypatch.setattr(PublicCoinProtocol, "coin_views", counting_build)
     params = {"bases": 1, "oracle_restarts": 1, "oracle_iters": 5}
     for trials in (20, 200):
         calls.clear()
@@ -231,6 +231,24 @@ def test_a_double_open_run_loads_only_what_it_executes():
         "qpzk.core.sampling", "qpzk.crypto", "qpzk.crypto.commitments",
         "qpzk.harness", "qpzk.harness.config", "qpzk.harness.experiments",
         "qpzk.harness.records", "qpzk.harness.kinds", "qpzk.harness.kinds.double_open",
+    }
+
+
+def test_a_pipeline_run_loads_only_what_it_executes():
+    loaded = _modules_loaded_by(
+        "from qpzk.cli import main; main(['pipeline', '--seed', '7'])")
+    # No coin flip, commitment rounds, crypto, metrics, harness.report,
+    # other kind's runner or csv.
+    assert loaded == {
+        "qpzk", "qpzk.cli", "qpzk.errors", "qpzk.serialize", "qpzk.optimize",
+        "qpzk.protocol",
+        "qpzk.core", "qpzk.core.linalg", "qpzk.core.operators", "qpzk.core.registers",
+        "qpzk.core.sampling", "qpzk.core.states",
+        "qpzk.compilers", "qpzk.compilers.collapse", "qpzk.compilers.examples",
+        "qpzk.compilers.pipeline", "qpzk.compilers.public_coin",
+        "qpzk.compilers.repetition",
+        "qpzk.harness", "qpzk.harness.config", "qpzk.harness.experiments",
+        "qpzk.harness.records", "qpzk.harness.kinds", "qpzk.harness.kinds.pipeline",
     }
 
 

@@ -289,6 +289,10 @@ class TestCli:
          _instance_json_with("uhlmann", c_unitary=complex_matrix_to_json(2 * np.eye(4)))),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": 7.5})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": "7"})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": True})),
+        ("double-open", None, json.dumps({"kind": "double-open", "trials": True})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": "x"}})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": 2.7}})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"trapz": 2}})),
@@ -323,6 +327,8 @@ class TestCli:
             "pqma-instance-not-unitary", "pqma-instance-wrong-shape",
             "uhlmann-instance-qubits-not-a-number", "uhlmann-instance-not-unitary",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
+            "uhlmann-config-seed-a-float", "uhlmann-config-seed-a-string",
+            "uhlmann-config-seed-a-bool", "double-open-config-trials-a-bool",
             "mac-config-param-not-a-number", "mac-config-param-not-an-integer",
             "mac-config-unknown-param",
             "collapse-config-no-bases", "public-coin-config-no-bases",
@@ -357,6 +363,10 @@ class TestCli:
         assert "configuration error" in err
         if instances is None and kind != "report":
             data = json.loads(body)
+            for field in ("seed", "trials"):
+                value = data.get(field, 1)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    assert f"{field}:" in err
             for field in ("params", "tolerances", "instances"):
                 value = data.get(field, {})
                 if not isinstance(value, dict):

@@ -85,6 +85,18 @@ class TestRunProtocol:
         with pytest.raises(StateValidationError):
             ProverStrategy(unitaries=(np.ones((4, 4)),))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_strategy_round_count_must_match(self, count):
+        # A short strategy would run out of rounds mid-run and a long one
+        # would be cut short; both fail where the strategy meets the protocol.
+        from qpzk.compilers.examples import copier_base
+
+        strat = ProverStrategy(unitaries=(np.eye(4),) * count)
+        with pytest.raises(DimensionMismatchError, match=rf"has {count} rounds.* has 2"):
+            run_protocol(copier_base(), strat)
+        with pytest.raises(DimensionMismatchError):
+            verifier_view(copier_base(), strat, 1)
+
 
 class TestVerifierView:
     def test_identity_prover_first_view_is_initial_reduction(self):

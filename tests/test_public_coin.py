@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
@@ -15,10 +15,9 @@ from qpzk.compilers.public_coin import (
     make_public_coin,
     public_coin_soundness,
 )
-from qpzk.compilers.types import HvzkSimulator
 from qpzk.errors import ConfigError
 from qpzk.optimize import alternating_ascent, brute_force_prover_value
-from qpzk.protocol import InteractiveProtocol, run_protocol, sample_run
+from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol, sample_run
 
 
 class TestFormula:
@@ -172,15 +171,15 @@ class TestSimulator:
     def test_exact_simulator_transcripts_accepted(self):
         base = copier_base()
         pc = make_public_coin(base)
-        sim = HvzkSimulator.from_honest_prover(base)
-        transcripts = pc.simulator_transcripts(sim)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        transcripts = pc.coin_views(sim)
         assert pc.transcript_acceptance(transcripts[0], 0) == pytest.approx(1.0, abs=1e-9)
         assert pc.transcript_acceptance(transcripts[1], 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_branch_frequency_uniform(self):
         base = copier_base()
         pc = make_public_coin(base)
-        sim = HvzkSimulator.from_honest_prover(base)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
         rng = rng_from(2800)
         n = 4000
         ones = sum(t.coin for t in hv_simulate_public_coin(pc, sim, n, rng))
@@ -191,7 +190,7 @@ class TestSimulator:
     def test_coins_are_the_scalar_coin_draws(self, trials):
         base = copier_base()
         pc = make_public_coin(base)
-        sim = HvzkSimulator.from_honest_prover(base)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
         loop_rng, sim_rng = rng_from(2801), rng_from(2801)
         coins = [int(loop_rng.integers(2)) for _ in range(trials)]
         assert [t.coin for t in hv_simulate_public_coin(pc, sim, trials, sim_rng)] == coins
@@ -200,6 +199,51 @@ class TestSimulator:
     def test_simulated_swap_branch_passes_exactly(self):
         base = rotated_copier_base(0.7)
         pc = make_public_coin(base)
-        sim = HvzkSimulator.from_honest_prover(base)
-        transcripts = pc.simulator_transcripts(sim)
+        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        transcripts = pc.coin_views(sim)
         assert pc.transcript_acceptance(transcripts[1], 1) == pytest.approx(1.0, abs=1e-9)
+
+
+def _dense_apply(op: np.ndarray, vec: np.ndarray, dims: tuple, on_r: bool) -> np.ndarray:
+    """op on (R, M) if on_r else on (W, M) of a vector in (R, W, M) order."""
+    dr, dw, dm = dims
+    t = vec.reshape(dims)
+    if on_r:
+        out = np.einsum("amcn,cwn->awm", op.reshape(dr, dm, dr, dm), t)
+    else:
+        out = np.einsum("wmvn,rvn->rwm", op.reshape(dw, dm, dw, dm), t)
+    return out.reshape(-1)
+
+
+def _dense_trace_r(vec: np.ndarray, dims: tuple) -> np.ndarray:
+    t = vec.reshape(dims[0], -1)
+    return t.T @ t.conj()
+
+
+class TestCoinViews:
+    @given(r=st.integers(1, 2), w=st.integers(1, 2), m=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_views_match_the_dense_reference(self, r, w, m, seed):
+        # b = 0 sees Tr_R P2 V1 P1 |psi0>, b = 1 sees Tr_R V1 P1 |psi0>, for
+        # the honest prover and for a simulator with its own rounds alike.
+        from scipy.stats import unitary_group
+
+        g = np.random.default_rng(seed)
+        dims = (2 ** r, 2 ** w, 2 ** m)
+        haar = lambda d: unitary_group.rvs(d, random_state=g)
+        psi_v = g.normal(size=dims[1]) + 1j * g.normal(size=dims[1])
+        psi_v /= np.linalg.norm(psi_v)
+        vs = [haar(dims[1] * dims[2]) for _ in range(2)]
+        honest = [haar(dims[0] * dims[2]) for _ in range(2)]
+        base = InteractiveProtocol.from_verifier_start(
+            PureState(psi_v, RegisterLayout.single("W", w)), r, m, vs, honest)
+        pc = PublicCoinProtocol(base)
+        start = np.kron(np.kron(np.eye(dims[0])[0], psi_v), np.eye(dims[2])[0])
+        sim = ProverStrategy(tuple(haar(dims[0] * dims[2]) for _ in range(2)), name="sim")
+        for prover, (p1, p2) in ((HONEST, honest), (sim, sim.unitaries)):
+            one = _dense_apply(vs[0], _dense_apply(p1, start, dims, True), dims, False)
+            two = _dense_apply(p2, one, dims, True)
+            views = pc.coin_views(prover)
+            np.testing.assert_allclose(views[0].matrix, _dense_trace_r(two, dims), atol=1e-12)
+            np.testing.assert_allclose(views[1].matrix, _dense_trace_r(one, dims), atol=1e-12)

@@ -226,7 +226,7 @@ class TestZeroKnowledge:
     def test_oracle_budget_is_hard(self):
         rng = rng_from(52)
         inst = random_instance(1, 1, rng)
-        oracle = UOracle(inst, budget=1)
+        oracle = UOracle(inst)
         target = canonical_target(inst)
         oracle.apply(target)
         with pytest.raises(OracleBudgetError):
