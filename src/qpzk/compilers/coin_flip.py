@@ -11,11 +11,10 @@ drawn coin as the XOR output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from qpzk.core.metrics import trace_distance
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError
 from qpzk.compilers.public_coin import PublicCoinProtocol, PublicCoinStrategy
@@ -117,72 +116,38 @@ class MaliciousVerifier:
 HONEST_VERIFIER = MaliciousVerifier(name="honest")
 
 
-@dataclass(frozen=True)
-class IterationView:
-    coin: int
-    wm_state: MixedState
-
-
-@dataclass(frozen=True)
-class ViewBranchIV:
-    probability: float
-    iterations: tuple[IterationView, ...]
-    aborted_at: Optional[int]
-
-
 def _enumerate_views(compiled: CoinFlipProtocol, verifier: MaliciousVerifier,
-                     states_per_coin: dict[int, MixedState]) -> list[ViewBranchIV]:
-    """All coin-sequence branches with exact probabilities (coins are
-    uniform in both the real and the simulated world)."""
-    branches: list[ViewBranchIV] = []
+                     states_per_coin: dict[int, MixedState]) -> dict:
+    """{(coins, aborted_at): (p, [each iteration's (W, M) state])} over every
+    coin sequence, with exact probabilities (coins are uniform in both the
+    real and the simulated world)."""
+    view = {}
 
-    def walk(t: int, prob: float, history: tuple, acc: tuple):
+    def walk(t: int, prob: float, history: tuple):
         if t == compiled.reps:
-            branches.append(ViewBranchIV(prob, acc, None))
+            view[history, None] = (prob, [states_per_coin[c] for c in history])
             return
         for coin in (0, 1):
-            p = prob * 0.5
-            view = IterationView(coin, states_per_coin[coin])
+            seen = history + (coin,)
             if verifier.abort_after_coin(t, coin, history):
-                branches.append(ViewBranchIV(p, acc + (view,), t))
-                continue
-            walk(t + 1, p, history + (coin,), acc + (view,))
+                view[seen, t] = (prob * 0.5, [states_per_coin[c] for c in seen])
+            else:
+                walk(t + 1, prob * 0.5, seen)
 
-    walk(0, 1.0, (), ())
-    return branches
+    walk(0, 1.0, ())
+    return view
 
 
-def real_malicious_views(compiled: CoinFlipProtocol,
-                         verifier: MaliciousVerifier) -> list[ViewBranchIV]:
-    """Exact view ensemble of the corrupted verifier against the honest
-    prover: the honest coin input is uniform, so the XOR output is uniform
-    whatever coin input the verifier chooses."""
+def real_malicious_views(compiled: CoinFlipProtocol, verifier: MaliciousVerifier) -> dict:
+    """Exact view of the corrupted verifier against the honest prover: the
+    honest coin input is uniform, so the XOR output is uniform whatever
+    coin input the verifier chooses."""
     return _enumerate_views(compiled, verifier, compiled.base.coin_views(HONEST))
 
 
 def zk_simulate_malicious(compiled: CoinFlipProtocol, verifier: MaliciousVerifier,
-                          sim: ProverStrategy) -> list[ViewBranchIV]:
-    """Simulated view ensemble: per iteration the simulator draws (W, M, b)
-    itself and takes b as the XOR output, whatever coin input the verifier
+                          sim: ProverStrategy) -> dict:
+    """Simulated view: per iteration the simulator draws (W, M, b) itself
+    and takes b as the XOR output, whatever coin input the verifier
     chooses."""
     return _enumerate_views(compiled, verifier, compiled.base.coin_views(sim))
-
-
-def view_ensemble_distance(a: Sequence[ViewBranchIV], b: Sequence[ViewBranchIV]) -> float:
-    """Worst-case mismatch between two view ensembles: probability gaps plus
-    per-iteration trace distances over matching coin sequences."""
-    def key(branch: ViewBranchIV):
-        return (tuple(v.coin for v in branch.iterations), branch.aborted_at)
-
-    da = {key(x): x for x in a}
-    db = {key(x): x for x in b}
-    worst = 0.0
-    for k in set(da) | set(db):
-        xa, xb = da.get(k), db.get(k)
-        if xa is None or xb is None:
-            worst = max(worst, (xa or xb).probability)
-            continue
-        worst = max(worst, abs(xa.probability - xb.probability))
-        for va, vb in zip(xa.iterations, xb.iterations):
-            worst = max(worst, trace_distance(va.wm_state, vb.wm_state))
-    return worst

@@ -72,7 +72,7 @@ class PublicCoinProtocol:
         """Each coin's (W, M) view with `prover` on the base's (R, M) wires:
         after its second round (message 3) for b = 0, after V_1 (message 2)
         for b = 1."""
-        return {b: verifier_view(self.base, prover, 3 - b).view for b in (0, 1)}
+        return {b: verifier_view(self.base, prover, 3 - b) for b in (0, 1)}
 
     # -- exact evaluation -------------------------------------------------------
 

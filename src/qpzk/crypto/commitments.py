@@ -25,7 +25,8 @@ from qpzk.errors import (
     RegisterError,
     StateValidationError,
 )
-from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, read_json
+from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, read_field,
+                            read_int, read_json, read_str)
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,14 @@ def scheme_to_json(scheme: CanonicalCommitment) -> dict:
 
 
 def scheme_from_json(data: dict) -> CanonicalCommitment:
+    name = read_field(data, "name", read_str)
+    message, ancilla = (read_field(data, field, read_int)
+                        for field in ("message_qubits", "ancilla_qubits"))
+    com = read_field(data, "com", complex_matrix_from_json)
+    c_wires, d_wires = (read_field(data, field, lambda wires: tuple(map(read_int, wires)))
+                        for field in ("c_wires", "d_wires"))
     try:
-        return CanonicalCommitment(
-            str(data["name"]), int(data["message_qubits"]), int(data["ancilla_qubits"]),
-            complex_matrix_from_json(data["com"]),
-            tuple(data["c_wires"]), tuple(data["d_wires"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"commitment scheme file missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed commitment scheme file: {exc}") from exc
+        return CanonicalCommitment(name, message, ancilla, com, c_wires, d_wires)
     except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
         raise ConfigError(f"invalid commitment scheme file: {exc}") from exc
 

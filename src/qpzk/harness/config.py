@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from qpzk.errors import ConfigError
-from qpzk.serialize import read_json
+from qpzk.serialize import is_int, read_json
 
 SCHEMA_VERSION = 1
 
@@ -81,11 +81,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"kind: unknown experiment {self.kind!r}; "
                 f"choose one of {', '.join(EXPERIMENT_KINDS)}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
         trials = self.effective_trials
-        if not _is_int(trials) or trials < 1:
+        if not is_int(trials) or trials < 1:
             raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a file path, got {self.out!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError("format: must be 'json' or 'csv'")
         defaults = _DEFAULT_PARAMS[self.kind]
@@ -138,11 +140,6 @@ class ExperimentConfig:
             "instances": dict(sorted(self.instances.items())),
             "tolerances": dict(sorted(self.tolerances.items())),
         }
-
-
-def _is_int(value) -> bool:
-    """True for an integer that is not a bool (JSON true and false)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _checked_object(name: str, value) -> dict:

@@ -3,6 +3,7 @@ the simulator's view distance of the proof system for pure-state QMA."""
 
 from __future__ import annotations
 
+from qpzk.core.metrics import cq_trace_distance
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import random_pure_state
 from qpzk.harness.config import ExperimentConfig
@@ -20,7 +21,6 @@ from qpzk.pqma import (
     orthogonal_copy_strategy,
     real_verifier_view,
     soundness_bound,
-    view_distance,
 )
 
 
@@ -67,8 +67,8 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     lay = RegisterLayout.of(*[(f"V{j}", n) for j in range(q)])
     rng = _stream(config, 2)
     vin = random_pure_state(lay, rng)
-    dist = view_distance(real_verifier_view(params, yes_inst, vin),
-                         hv_simulate_pqma(params, yes_inst, vin))
+    dist = cq_trace_distance(real_verifier_view(params, yes_inst, vin),
+                             hv_simulate_pqma(params, yes_inst, vin))
     record.add(equality_row("simulator-view-distance", dist, 0.0,
                             config.tolerance("identity", 1e-9),
                             "exact:branch-ensemble"))

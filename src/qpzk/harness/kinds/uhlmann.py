@@ -67,7 +67,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     view = zk_simulate_uhlmann(inst, vin, oracle)
     real = real_verifier_output(inst, vin)
     record.add(equality_row("simulator-view-distance",
-                            trace_distance(real.to_mixed(), view.output.to_mixed()),
+                            trace_distance(real.to_mixed(), view.to_mixed()),
                             0.0, config.tolerance("identity", 1e-9),
                             "exact:state-evolution"))
     record.add(equality_row("simulator-oracle-calls", float(oracle.calls), 1.0,

@@ -1,5 +1,5 @@
-"""zk: the coin-flip stage's coin uniformity and its malicious-verifier
-simulator's view distances."""
+"""zk: the coin-flip stage's coin uniformity and the trace distance of its
+malicious-verifier simulator's whole view."""
 
 from __future__ import annotations
 
@@ -13,11 +13,11 @@ from qpzk.compilers.coin_flip import (
     MaliciousVerifier,
     biased_coin_flip_prover,
     real_malicious_views,
-    view_ensemble_distance,
     zk_simulate_malicious,
 )
 from qpzk.compilers.examples import copier_base
 from qpzk.compilers.public_coin import make_public_coin
+from qpzk.core.metrics import cq_trace_distance
 from qpzk.errors import ConfigError
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import _stream
@@ -56,8 +56,8 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
         MaliciousVerifier(name="fixed-bv0"),
         MaliciousVerifier(lambda t, c, h: t == 1 and c == 1, "aborting"),
     ):
-        dist = view_ensemble_distance(real_malicious_views(cf, verifier),
-                                      zk_simulate_malicious(cf, verifier, sim))
+        dist = cq_trace_distance(real_malicious_views(cf, verifier),
+                                 zk_simulate_malicious(cf, verifier, sim))
         record.add(equality_row(f"view-distance-{verifier.name}", dist, 0.0,
                                 config.tolerance("identity", 1e-9),
                                 "exact:view-ensemble"))

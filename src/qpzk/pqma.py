@@ -41,7 +41,9 @@ from qpzk.serialize import (
     complex_vector_from_json,
     complex_vector_to_json,
     read_field,
+    read_float,
     read_json,
+    read_str,
 )
 
 
@@ -243,15 +245,6 @@ def exact_acceptance_product(params: PqmaParams, inst: PqmaInstance,
 # -- honest-verifier simulation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ViewBranch:
-    """One leaf of the verifier-view ensemble."""
-
-    outcome: int           # functionality output bit as seen by the verifier
-    probability: float
-    residual: Optional[MixedState]
-
-
 def _swap_branches(state: QuantumState, copy_name: str, psi: PureState):
     """Symmetric/antisymmetric branch of testing one verifier copy against a
     fresh instance copy; the fresh register is traced back out."""
@@ -266,78 +259,63 @@ def _swap_branches(state: QuantumState, copy_name: str, psi: PureState):
 
 
 def _swap_walk(params: PqmaParams, inst: PqmaInstance, verifier_input: QuantumState):
-    """(failures, (reach, state)): the outcome-0 branch of each verifier copy
-    that fails its SWAP test, kept when the failure leaves a post-state, and
-    the probability and state once every copy has passed. A copy passes
-    with probability (1 + <psi|rho|psi>)/2 >= 1/2 whatever its state rho,
-    so the walk always reaches the end."""
-    failures: list[ViewBranch] = []
+    """(failures, (reach, state)): the (probability, post-state) of each
+    verifier copy that fails its SWAP test, kept when the failure leaves a
+    post-state, and the probability and state once every copy has passed.
+    A copy passes with probability (1 + <psi|rho|psi>)/2 >= 1/2 whatever its
+    state rho, so the walk always reaches the end."""
+    failures = []
     state = verifier_input
     reach = 1.0
     for j in range(params.verifier_copies):
         (p_pass, passed), (p_fail, failed) = _swap_branches(state, f"V{j}", inst.psi)
         if failed is not None:
-            failures.append(ViewBranch(0, reach * p_fail, failed))
+            failures.append((reach * p_fail, failed))
         reach *= p_pass
         state = passed
     return failures, (reach, state.to_mixed())
 
 
+def _view(branches: dict) -> dict:
+    """{output bit: (p, [conditional state])} of each output bit's
+    (probability, state) branches, which sum into one block; a bit without
+    branches is left out."""
+    view = {}
+    for bit, parts in branches.items():
+        if parts:
+            p = sum(w for w, _ in parts)
+            mix = sum(w * state.matrix for w, state in parts) / p
+            view[bit] = (p, [MixedState.computed(mix, parts[0][1].layout)])
+    return view
+
+
 def real_verifier_view(params: PqmaParams, inst: PqmaInstance,
-                       verifier_input: QuantumState) -> list[ViewBranch]:
-    """Exact ideal-world view ensemble with the honest prover.
+                       verifier_input: QuantumState) -> dict:
+    """Exact ideal-world view with the honest prover.
 
     Every tested prover copy is a perfect instance copy, so each verifier
     copy meets an independent SWAP test against a fresh pure instance state;
     the final projection happens on prover-side registers and contributes
     only the acceptance split.
     """
-    branches, (reach, state) = _swap_walk(params, inst, verifier_input)
+    failures, (reach, state) = _swap_walk(params, inst, verifier_input)
     final = inst.honest_acceptance()
     if final < 1.0 - 1e-15:
-        branches.append(ViewBranch(0, reach * (1.0 - final), state))
-    branches.append(ViewBranch(1, reach * final, state))
-    return branches
+        failures.append((reach * (1.0 - final), state))
+    return _view({0: failures, 1: [(reach * final, state)] if final > 1e-15 else []})
 
 
 def hv_simulate_pqma(params: PqmaParams, inst: PqmaInstance,
                      verifier_input: QuantumState,
-                     simulator_copies: Optional[int] = None) -> list[ViewBranch]:
-    """Simulator view ensemble: SWAP-test each verifier copy against the
-    simulator's own fresh instance copies, with output 0 on any failure and
-    1 otherwise. The witness is never consulted."""
+                     simulator_copies: Optional[int] = None) -> dict:
+    """Simulator view: SWAP-test each verifier copy against the simulator's
+    own fresh instance copies, with output 0 on any failure and 1
+    otherwise. The witness is never consulted."""
     budget = simulator_copies if simulator_copies is not None else params.verifier_copies
     if budget < params.verifier_copies:
         raise ConfigError("simulator copy budget exhausted")
-    branches, passed = _swap_walk(params, inst, verifier_input)
-    return branches + [ViewBranch(1, *passed)]
-
-
-def view_distance(a: list[ViewBranch], b: list[ViewBranch]) -> float:
-    """Total variation over outcomes plus weighted residual trace distance."""
-
-    def collapse(branches):
-        out = {}
-        for br in branches:
-            if br.probability <= 1e-15:
-                continue
-            prob, acc = out.get(br.outcome, (0.0, None))
-            mat = br.residual.matrix * br.probability
-            acc = mat if acc is None else acc + mat
-            out[br.outcome] = (prob + br.probability, acc)
-        return out
-
-    ca, cb = collapse(a), collapse(b)
-    dims = [m.shape[0] for _, m in list(ca.values()) + list(cb.values()) if m is not None]
-    dim = dims[0] if dims else 1
-    dist = 0.0
-    for key in set(ca) | set(cb):
-        _, ma = ca.get(key, (0.0, None))
-        _, mb = cb.get(key, (0.0, None))
-        za = ma if ma is not None else np.zeros((dim, dim), dtype=complex)
-        zb = mb if mb is not None else np.zeros((dim, dim), dtype=complex)
-        dist += linalg.half_trace_norm(za - zb)
-    return dist
+    failures, passed = _swap_walk(params, inst, verifier_input)
+    return _view({0: failures, 1: [passed]})
 
 
 # -- adversarial harness -------------------------------------------------------
@@ -438,8 +416,8 @@ def instance_from_json(data: dict) -> PqmaInstance:
         psi = PureState(psi_amp, RegisterLayout.single("A", len(psi_amp).bit_length() - 1))
         witness = MixedState(witness_mat,
                              RegisterLayout.single("B", len(witness_mat).bit_length() - 1))
-        return PqmaInstance(psi, witness, v, read_field(data, "label", str, "yes"),
-                            read_field(data, "completeness_error", float, 0.0))
+        return PqmaInstance(psi, witness, v, read_field(data, "label", read_str, "yes"),
+                            read_field(data, "completeness_error", read_float, 0.0))
     except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
         raise ConfigError(f"invalid instance file: {exc}") from exc
 

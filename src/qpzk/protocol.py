@@ -34,18 +34,12 @@ from qpzk.serialize import (
     complex_matrix_to_json,
     complex_vector_from_json,
     complex_vector_to_json,
+    read_field,
+    read_int,
     read_json,
 )
 
 PROTOCOL_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TranscriptPoint:
-    """Verifier-visible reduced state right after the i-th message."""
-
-    message_index: int
-    view: MixedState
 
 
 @dataclass(frozen=True)
@@ -260,17 +254,18 @@ def initial_workspace_state(protocol: InteractiveProtocol) -> np.ndarray:
     return top * np.exp(-1j * np.angle(top[np.argmax(np.abs(top))]))
 
 
-def verifier_view(protocol: InteractiveProtocol, strat: ProverStrategy, i: int) -> TranscriptPoint:
+def verifier_view(protocol: InteractiveProtocol, strat: ProverStrategy, i: int) -> MixedState:
     """Reduced W M state after the i-th message, prover side traced out."""
     if not 1 <= i <= protocol.messages:
         raise ConfigError(f"message index {i} outside 1..{protocol.messages}")
     state = protocol.evolve(strat, upto_message=i)
     drop = ["R"] + (["Anc"] if strat.ancilla_qubits else [])
-    return TranscriptPoint(i, partial_trace(state, drop))
+    return partial_trace(state, drop)
 
 
 def sample_run(protocol, strat: ProverStrategy, coin_schedule, rng):
-    """One seeded run: sampled accept bit plus the per-message transcript.
+    """One seeded run: sampled accept bit plus the transcript, the verifier's
+    (W, M) view after each message.
 
     Deterministic protocols take no coins (the schedule must be empty); a
     protocol with its own `sample_run` (the public-coin one) handles its coin.
@@ -307,17 +302,12 @@ def protocol_to_json(protocol: InteractiveProtocol) -> dict:
 
 
 def protocol_from_json(data: dict) -> InteractiveProtocol:
-    try:
-        regs = data["registers"]
-        r, w, m = int(regs["R"]), int(regs["W"]), int(regs["M"])
-        rounds = int(data["rounds"])
-        init = complex_vector_from_json(data["initial_state"])
-        vs = [complex_matrix_from_json(v) for v in data["verifier_unitaries"]]
-        ps = [complex_matrix_from_json(p) for p in data["prover_unitaries"]]
-    except KeyError as exc:
-        raise ConfigError(f"protocol file missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed protocol file: {exc}") from exc
+    r, w, m = read_field(data, "registers",
+                         lambda regs: [read_field(regs, name, read_int) for name in "RWM"])
+    rounds = read_field(data, "rounds", read_int)
+    init = read_field(data, "initial_state", complex_vector_from_json)
+    vs, ps = (read_field(data, name, lambda mats: [complex_matrix_from_json(u) for u in mats])
+              for name in ("verifier_unitaries", "prover_unitaries"))
     if len(vs) != rounds or len(ps) != rounds:
         raise ConfigError("unitary counts do not match declared round count")
     try:

@@ -23,19 +23,39 @@ def read_json(path):
 
 
 def read_field(data, name: str, read, default=None):
-    """read(data[name]) for a field of a JSON object read from an instance
-    file, or `default` when the field is absent and a default is given; a
-    missing or unreadable field raises ConfigError naming the field."""
+    """read(data[name]) for a field of a JSON object read from a file, or
+    `default` when the field is absent and a default is given; a missing or
+    unreadable field raises ConfigError naming the field."""
     if not isinstance(data, dict):
-        raise ConfigError("instance file: expected a JSON object")
+        raise ConfigError("file: expected a JSON object")
     if name not in data:
         if default is None:
-            raise ConfigError(f"instance file missing field '{name}'")
+            raise ConfigError(f"file missing field '{name}'")
         return default
     try:
         return read(data[name])
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true and false)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reader(accepts, what: str, cast):
+    def read(value):
+        if not accepts(value):
+            raise ConfigError(f"must be {what}, got {value!r}")
+        return cast(value)
+    return read
+
+
+# read_field readers of JSON scalars: a bool is no number, and a float or a
+# string is no integer.
+read_int = _reader(is_int, "an integer", int)
+read_float = _reader(lambda v: is_int(v) or isinstance(v, float), "a number", float)
+read_str = _reader(lambda v: isinstance(v, str), "a string", str)
 
 
 def complex_vector_to_json(vec: np.ndarray) -> list:

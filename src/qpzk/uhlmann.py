@@ -32,7 +32,8 @@ from qpzk.errors import (
     RegisterError,
     StateValidationError,
 )
-from qpzk.serialize import complex_matrix_from_json, complex_matrix_to_json, read_field, read_json
+from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, read_field,
+                            read_float, read_int, read_json)
 
 DEFAULT_DELTA = 2.0
 
@@ -258,14 +259,8 @@ class UOracle:
         return apply_unitary(state, UnitaryOp(self._matrix, ("T",)))
 
 
-@dataclass(frozen=True)
-class SimulatedUhlmannView:
-    output: QuantumState
-    oracle_calls: int
-
-
 def zk_simulate_uhlmann(inst: UhlmannInstance, verifier_input: QuantumState,
-                        oracle: Optional[UOracle] = None) -> SimulatedUhlmannView:
+                        oracle: Optional[UOracle] = None) -> QuantumState:
     """Reproduce a corrupted verifier's view with one oracle query.
 
     The verifier only ever sees its returned target: every test round runs
@@ -276,8 +271,7 @@ def zk_simulate_uhlmann(inst: UhlmannInstance, verifier_input: QuantumState,
     """
     _target_layout(verifier_input, inst.s_qubits)
     oracle = oracle or UOracle(inst)
-    out = oracle.apply(verifier_input)
-    return SimulatedUhlmannView(out, oracle.calls)
+    return oracle.apply(verifier_input)
 
 
 def real_verifier_output(inst: UhlmannInstance,
@@ -339,9 +333,9 @@ def instance_to_json(inst: UhlmannInstance) -> dict:
 def instance_from_json(data: dict) -> UhlmannInstance:
     c, d = (read_field(data, name, complex_matrix_from_json)
             for name in ("c_unitary", "d_unitary"))
-    r, s = (read_field(data, name, int) for name in ("r_qubits", "s_qubits"))
+    r, s = (read_field(data, name, read_int) for name in ("r_qubits", "s_qubits"))
     try:
-        return UhlmannInstance(c, d, r, s, read_field(data, "delta", float, DEFAULT_DELTA))
+        return UhlmannInstance(c, d, r, s, read_field(data, "delta", read_float, DEFAULT_DELTA))
     except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
         raise ConfigError(f"invalid instance file: {exc}") from exc
 

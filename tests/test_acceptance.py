@@ -85,9 +85,9 @@ class TestAcceptance:
             instance_check_family,
             orthogonal_copy_strategy,
             real_verifier_view,
-            view_distance,
             witness_match_family,
         )
+        from qpzk.core.metrics import cq_trace_distance
         from qpzk.harness.records import upper_bound_row
 
         started = time.monotonic()
@@ -127,8 +127,8 @@ class TestAcceptance:
             random_pure_state(RegisterLayout.of(("V0", 1), ("V1", 1), ("E", 1)),
                               rng_from(9004)),
         ):
-            dist = view_distance(real_verifier_view(small, yes, vin),
-                                 hv_simulate_pqma(small, yes, vin))
+            dist = cq_trace_distance(real_verifier_view(small, yes, vin),
+                                     hv_simulate_pqma(small, yes, vin))
             assert dist <= 1e-9
         elapsed = time.monotonic() - started
         assert elapsed < 300.0
@@ -245,9 +245,9 @@ class TestAcceptance:
             MaliciousVerifier,
             biased_coin_flip_prover,
             real_malicious_views,
-            view_ensemble_distance,
             zk_simulate_malicious,
         )
+        from qpzk.core.metrics import cq_trace_distance
         from qpzk.compilers.examples import copier_base
         from qpzk.compilers.public_coin import make_public_coin
         from qpzk.protocol import ProverStrategy
@@ -273,7 +273,7 @@ class TestAcceptance:
             MaliciousVerifier(lambda t, c, h: t == 1 and c == 0, "aborter"),
         ]
         for verifier in verifiers:
-            dist = view_ensemble_distance(
+            dist = cq_trace_distance(
                 real_malicious_views(cf2, verifier),
                 zk_simulate_malicious(cf2, verifier, sim))
             assert dist <= 1e-9
@@ -374,7 +374,7 @@ class TestAcceptance:
         view = zk_simulate_uhlmann(inst, vin, oracle)
         assert oracle.calls == 1
         assert trace_distance(real_verifier_output(inst, vin).to_mixed(),
-                              view.output.to_mixed()) <= 1e-9
+                              view.to_mixed()) <= 1e-9
         _announce(10, "matching unitary, delegation protocol, single-query simulator")
 
     def test_11_reproducibility(self):

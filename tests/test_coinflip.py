@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qpzk.core import rng_from
+from qpzk.core import MixedState, rng_from
+from qpzk.core.metrics import cq_trace_distance, trace_distance
 from qpzk.compilers.coin_flip import (
     HONEST_VERIFIER,
     CoinFlipProtocol,
@@ -13,7 +14,6 @@ from qpzk.compilers.coin_flip import (
     biased_coin_flip_prover,
     honest_coin_flip_prover,
     real_malicious_views,
-    view_ensemble_distance,
     zk_simulate_malicious,
 )
 from qpzk.compilers.examples import copier_base, rotated_copier_base
@@ -113,7 +113,7 @@ class TestMaliciousSimulation:
         cf = CoinFlipProtocol(public_coin, 2)
         real = real_malicious_views(cf, HONEST_VERIFIER)
         sim = zk_simulate_malicious(cf, HONEST_VERIFIER, simulator)
-        assert view_ensemble_distance(real, sim) < 1e-9
+        assert cq_trace_distance(real, sim) < 1e-9
 
     def test_fixed_bv_verifier_views_match(self, public_coin, simulator):
         cf = CoinFlipProtocol(public_coin, 2)
@@ -122,7 +122,7 @@ class TestMaliciousSimulation:
         fixed = MaliciousVerifier(name="bv0")
         real = real_malicious_views(cf, fixed)
         sim = zk_simulate_malicious(cf, fixed, simulator)
-        assert view_ensemble_distance(real, sim) < 1e-9
+        assert cq_trace_distance(real, sim) < 1e-9
 
     def test_aborting_verifier_views_match(self, public_coin, simulator):
         cf = CoinFlipProtocol(public_coin, 3)
@@ -130,10 +130,10 @@ class TestMaliciousSimulation:
                                      "abort-second-iteration")
         real = real_malicious_views(cf, aborting)
         sim = zk_simulate_malicious(cf, aborting, simulator)
-        assert view_ensemble_distance(real, sim) < 1e-9
-        aborted = [b for b in real if b.aborted_at is not None]
-        assert aborted and all(b.aborted_at == 1 for b in aborted)
-        assert sum(b.probability for b in aborted) == pytest.approx(0.5, abs=1e-12)
+        assert cq_trace_distance(real, sim) < 1e-9
+        aborted = [(coins, p) for (coins, at), (p, _) in real.items() if at is not None]
+        assert aborted and all(len(coins) == 2 and coins[1] == 1 for coins, _ in aborted)
+        assert sum(p for _, p in aborted) == pytest.approx(0.5, abs=1e-12)
 
     def test_simulated_acceptance_matches_real(self, public_coin, simulator):
         # Run the honest-verifier checks over both view ensembles.
@@ -143,15 +143,42 @@ class TestMaliciousSimulation:
 
         def acceptance(views):
             total = 0.0
-            for branch in views:
+            for (coins, _), (p, states) in views.items():
                 value = 1.0
-                for it in branch.iterations:
-                    value *= public_coin.transcript_acceptance(it.wm_state, it.coin)
-                total += branch.probability * value
+                for coin, state in zip(coins, states):
+                    value *= public_coin.transcript_acceptance(state, coin)
+                total += p * value
             return total
 
         assert acceptance(real) == pytest.approx(acceptance(sim), abs=1e-9)
         assert acceptance(real) == pytest.approx(1.0, abs=1e-9)
+
+
+def _depolarized(view, eps):
+    """The view with each iteration's (W, M) state depolarized by eps."""
+    def noisy(state):
+        mix = (1 - eps) * state.matrix + eps * np.eye(state.dim) / state.dim
+        return MixedState(mix, state.layout)
+    return {key: (p, [noisy(s) for s in states]) for key, (p, states) in view.items()}
+
+
+class TestWholeViewDistance:
+    """A simulator that depolarizes each iteration's (W, M) state by 0.02:
+    a verifier sees all its iterations at once, so the distance of the
+    whole view grows with the iteration count."""
+
+    def test_one_iteration_is_the_per_iteration_distance(self, public_coin):
+        real = real_malicious_views(CoinFlipProtocol(public_coin, 1), HONEST_VERIFIER)
+        per_coin = [trace_distance(states[0], _depolarized(real, 0.02)[key][1][0])
+                    for key, (_, states) in real.items()]
+        dist = cq_trace_distance(real, _depolarized(real, 0.02))
+        assert dist == pytest.approx(np.mean(per_coin), abs=1e-12)
+        assert dist == pytest.approx(0.0150, abs=1e-4)
+
+    def test_two_iterations_double_the_advantage(self, public_coin):
+        real = real_malicious_views(CoinFlipProtocol(public_coin, 2), HONEST_VERIFIER)
+        assert cq_trace_distance(real, _depolarized(real, 0.02)) == pytest.approx(
+            0.0298, abs=1e-4)
 
 
 class TestPinnedStreams:

@@ -6,6 +6,8 @@ are frozen below; sampled properties use fixed seeds.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import block_diag
 
 from qpzk.core import (
     MixedState,
@@ -18,9 +20,10 @@ from qpzk.core import (
     rng_from,
     trace_distance,
 )
-from qpzk.core.metrics import max_povm_advantage_dim2
+from qpzk.core.linalg import half_trace_norm
+from qpzk.core.metrics import cq_trace_distance, max_povm_advantage_dim2
 from qpzk.core.sampling import random_projector
-from qpzk.errors import StateValidationError, ZeroProbabilityError
+from qpzk.errors import QubitCapExceededError, StateValidationError, ZeroProbabilityError
 
 A = RegisterLayout.single("A", 1)
 AB = RegisterLayout.of(("A", 1), ("B", 1))
@@ -142,3 +145,53 @@ class TestGentleMeasurement:
             p, post, bound = gentle_post_state(rho, pi)
             assert trace_distance(rho, post) <= bound + 1e-9
             checked += 1
+
+
+@st.composite
+def _cq_view_pairs(draw):
+    """Two views over one to three outcomes, each outcome with one to three
+    factors of one or two qubits, and each present in one view or both."""
+    rng = rng_from(draw(st.integers(0, 2 ** 16)))
+    a, b = {}, {}
+    for key in range(draw(st.integers(1, 3))):
+        sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+        for view in draw(st.sampled_from([(a,), (b,), (a, b)])):
+            factors = [random_density(RegisterLayout.single("F", n), rng) for n in sizes]
+            view[key] = (draw(st.floats(0, 1)), factors)
+    return a, b
+
+
+def _dense_cq(view, keys, dims):
+    """The block-diagonal matrix of a classical register and the blocks."""
+    blocks = []
+    for key in keys:
+        if key in view:
+            p, factors = view[key]
+            block = np.eye(1)
+            for f in factors:
+                block = np.kron(block, f.density())
+            blocks.append(p * block)
+        else:
+            blocks.append(np.zeros((dims[key],) * 2))
+    return block_diag(*blocks)
+
+
+class TestCqTraceDistance:
+    @given(_cq_view_pairs())
+    def test_equals_the_dense_block_diagonal_distance(self, views):
+        a, b = views
+        keys = [*a, *(k for k in b if k not in a)]
+        dims = {k: 2 ** sum(f.n_qubits for f in (a.get(k) or b[k])[1]) for k in keys}
+        want = half_trace_norm(_dense_cq(a, keys, dims) - _dense_cq(b, keys, dims))
+        assert cq_trace_distance(a, b) == pytest.approx(want, abs=1e-12)
+
+    def test_block_over_the_cap_raises_before_allocating(self, monkeypatch):
+        pair = random_density(AB, rng_from(5))
+        monkeypatch.setenv("QPZK_QUBIT_CAP", "3")
+
+        def no_kron(*args):
+            raise AssertionError("a block over the cap was allocated")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(QubitCapExceededError):
+            cq_trace_distance({0: (1.0, [pair, pair])}, {0: (1.0, [pair, pair])})

@@ -227,6 +227,23 @@ def _instance_json_with(kind: str, **fields) -> str:
     return json.dumps(dict(_INSTANCE_JSON[kind], **fields))
 
 
+# Every file the bad-file cases start from, by kind, as read back from JSON.
+_FILE_JSON = json.loads(json.dumps(dict(_INSTANCE_JSON,
+                                        collapse=protocol_to_json(copier_base()),
+                                        **{"double-open": scheme_to_json(bell_ancilla_scheme())})))
+
+
+def _retyped(value, base) -> bool:
+    """Whether some entry of a JSON value has another type than the entry
+    in the same place of base: lists go element by element, objects key by
+    key, and a bool is no number."""
+    if isinstance(value, list) and isinstance(base, list):
+        return any(_retyped(v, b) for v, b in zip(value, base))
+    if isinstance(value, dict) and isinstance(base, dict):
+        return any(_retyped(value[k], base[k]) for k in value.keys() & base.keys())
+    return type(value) is not type(base)
+
+
 class TestCli:
     def test_mac_run_and_report(self, tmp_path, capsys):
         out = tmp_path / "mac.json"
@@ -287,11 +304,23 @@ class TestCli:
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", r_qubits="x")),
         ("uhlmann", {"instance": "junk.txt"},
          _instance_json_with("uhlmann", c_unitary=complex_matrix_to_json(2 * np.eye(4)))),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", r_qubits=1.9)),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", s_qubits=True)),
+        ("collapse", {"base_protocol": "junk.txt"},
+         _copier_json_with(registers={"R": 1.7, "W": 1, "M": 1})),
+        ("collapse", {"base_protocol": "junk.txt"}, _copier_json_with(rounds="2")),
+        ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(message_qubits=True)),
+        ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(ancilla_qubits=2.5)),
+        ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(name=5)),
+        ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(c_wires=[0.0, 1.0])),
+        ("pqma", {"instance": "junk.txt"}, _instance_json_with("pqma", completeness_error=True)),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": 7.5})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": "7"})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": True})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "out": 7})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "out": True})),
         ("double-open", None, json.dumps({"kind": "double-open", "trials": True})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": "x"}})),
         ("mac", None, json.dumps({"kind": "mac", "params": {"traps": 2.7}})),
@@ -326,9 +355,15 @@ class TestCli:
             "double-open-scheme-no-wires",
             "pqma-instance-not-unitary", "pqma-instance-wrong-shape",
             "uhlmann-instance-qubits-not-a-number", "uhlmann-instance-not-unitary",
+            "uhlmann-instance-qubits-a-float", "uhlmann-instance-qubits-a-bool",
+            "collapse-base-register-size-a-float", "collapse-base-rounds-a-string",
+            "double-open-scheme-qubits-a-bool", "double-open-scheme-ancillas-a-float",
+            "double-open-scheme-name-a-number", "double-open-scheme-wires-floats",
+            "pqma-instance-completeness-error-a-bool",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "uhlmann-config-seed-a-float", "uhlmann-config-seed-a-string",
-            "uhlmann-config-seed-a-bool", "double-open-config-trials-a-bool",
+            "uhlmann-config-seed-a-bool", "uhlmann-config-out-a-number",
+            "uhlmann-config-out-a-bool", "double-open-config-trials-a-bool",
             "mac-config-param-not-a-number", "mac-config-param-not-an-integer",
             "mac-config-unknown-param",
             "collapse-config-no-bases", "public-coin-config-no-bases",
@@ -367,15 +402,18 @@ class TestCli:
                 value = data.get(field, 1)
                 if isinstance(value, bool) or not isinstance(value, int):
                     assert f"{field}:" in err
+            if not isinstance(data.get("out", ""), str):
+                assert "out:" in err
             for field in ("params", "tolerances", "instances"):
                 value = data.get(field, {})
                 if not isinstance(value, dict):
                     assert f"{field}:" in err
                 for name in value if isinstance(value, dict) else ():
                     assert f"{field}.{name}" in err
-        if instances is not None and kind in _INSTANCE_JSON:
+        if instances is not None and kind in _FILE_JSON and body.startswith("{"):
             for name, value in json.loads(body).items():
-                if value != _INSTANCE_JSON[kind][name]:
+                base = _FILE_JSON[kind][name]
+                if _retyped(value, base) or kind in _INSTANCE_JSON and value != base:
                     assert name in err
 
     def test_pqma_reads_the_instance_size_from_its_file(self, tmp_path):
@@ -405,9 +443,11 @@ class TestCli:
         assert main(["uhlmann", "--seed", "1", "--trials", "10"]) == 3
         # Every stage's breach is a resource error, whichever layout meets it
         # first: the collapsed verifier registers at 5, the standard-form
-        # cast at 11, double-open's 4-qubit game at 2.
+        # cast at 11, double-open's 4-qubit game at 2, the zk view's 4-qubit
+        # block of two iterations at 3.
         runs = [(kind, "2") for kind in EXPERIMENT_KINDS] + [("collapse", "5"),
-                                                             ("pipeline", "11")]
+                                                             ("pipeline", "11"),
+                                                             ("zk", "3")]
         for kind, cap in runs:
             monkeypatch.setenv("QPZK_QUBIT_CAP", cap)
             assert main([kind, "--seed", "7"]) == 3, (kind, cap)

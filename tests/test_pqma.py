@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qpzk.core import PureState, RegisterLayout, rng_from, tensor
+from qpzk.core import MixedState, PureState, RegisterLayout, rng_from, tensor
+from qpzk.core.metrics import cq_trace_distance
 from qpzk.core.sampling import accept_bit
 from qpzk.errors import ConfigError
 from qpzk.harness.records import upper_bound_row
@@ -24,7 +25,6 @@ from qpzk.pqma import (
     real_verifier_view,
     run_pqma,
     soundness_bound,
-    view_distance,
     witness_match_family,
 )
 
@@ -196,7 +196,7 @@ class TestSimulator:
         params = PqmaParams(6, 2)
         inst = instance_check_family("yes")
         vin = two_copies("11")
-        assert view_distance(real_verifier_view(params, inst, vin),
+        assert cq_trace_distance(real_verifier_view(params, inst, vin),
                              hv_simulate_pqma(params, inst, vin)) < 1e-9
 
     def test_orthogonal_verifier_copies(self):
@@ -205,9 +205,8 @@ class TestSimulator:
         vin = two_copies("00")
         real = real_verifier_view(params, inst, vin)
         sim = hv_simulate_pqma(params, inst, vin)
-        assert view_distance(real, sim) < 1e-9
-        accept = sum(b.probability for b in sim if b.outcome == 1)
-        assert accept == pytest.approx(0.25, abs=1e-12)
+        assert cq_trace_distance(real, sim) < 1e-9
+        assert sim[1][0] == pytest.approx(0.25, abs=1e-12)
 
     def test_entangled_verifier_input(self):
         # Verifier keeps half of a Bell pair; marginals must still agree.
@@ -217,7 +216,7 @@ class TestSimulator:
                          RegisterLayout.of(("V0", 1), ("E", 1)))
         real = real_verifier_view(params, inst, bell)
         sim = hv_simulate_pqma(params, inst, bell)
-        assert view_distance(real, sim) < 1e-9
+        assert cq_trace_distance(real, sim) < 1e-9
 
     def test_simulator_ignores_witness(self):
         params = PqmaParams(6, 2)
@@ -229,7 +228,7 @@ class TestSimulator:
                               PureState.from_bits(RegisterLayout.single("B", 1), "0"),
                               inst_a.verifier_unitary, label="no")
         vin = two_copies("11")
-        assert view_distance(hv_simulate_pqma(params, inst_a, vin),
+        assert cq_trace_distance(hv_simulate_pqma(params, inst_a, vin),
                              hv_simulate_pqma(params, inst_b, vin)) < 1e-9
 
     def test_failure_too_unlikely_for_a_post_state(self):
@@ -241,8 +240,8 @@ class TestSimulator:
         vin = PureState(np.array([np.sin(1e-5), np.cos(1e-5)]), V1)
         real = real_verifier_view(params, inst, vin)
         sim = hv_simulate_pqma(params, inst, vin)
-        assert view_distance(real, sim) < 1e-9
-        assert all(b.residual is not None for b in real + sim)
+        assert cq_trace_distance(real, sim) < 1e-9
+        assert list(real) == list(sim) == [1]
 
     def test_copy_budget_enforced(self):
         params = PqmaParams(6, 2)
@@ -254,7 +253,8 @@ class TestSimulator:
 def _walk_reference(params, inst, vin, finals):
     """Reference for both views, with the SWAP-test walk written out in
     full: failure branches per copy, then `finals(reach, state)` once every
-    copy has passed."""
+    copy has passed; each output bit's branches are summed into one block,
+    (probability, [conditional state])."""
     branches, state, reach = [], vin, 1.0
     for j in range(params.verifier_copies):
         (p_pass, passed), (p_fail, failed) = pqma._swap_branches(state, f"V{j}", inst.psi)
@@ -262,7 +262,15 @@ def _walk_reference(params, inst, vin, finals):
             branches.append((0, reach * p_fail, failed))
         reach *= p_pass
         state = passed
-    return branches + finals(reach, state.to_mixed())
+    view = {}
+    for bit in (0, 1):
+        parts = [(p, rho) for b, p, rho in branches + finals(reach, state.to_mixed())
+                 if b == bit and p > 0]
+        if parts:
+            total = sum(p for p, _ in parts)
+            mix = sum(p * rho.matrix for p, rho in parts) / total
+            view[bit] = (total, [MixedState(mix, parts[0][1].layout)])
+    return view
 
 
 def _real_finals(inst):
@@ -274,10 +282,11 @@ def _real_finals(inst):
 
 
 def _assert_same_branches(view, reference):
-    assert len(view) == len(reference)
-    for got, (outcome, probability, residual) in zip(view, reference):
-        assert got.outcome == outcome and got.probability == probability
-        assert np.array_equal(got.residual.matrix, residual.matrix)
+    assert list(view) == list(reference)
+    for bit, (probability, [state]) in reference.items():
+        got, [got_state] = view[bit]
+        assert got == probability
+        assert np.array_equal(got_state.matrix, state.matrix)
 
 
 class TestViewWalk:

@@ -102,11 +102,11 @@ class TestVerifierView:
     def test_identity_prover_first_view_is_initial_reduction(self):
         idle = ProverStrategy(unitaries=(np.eye(4, dtype=complex),))
         prot = copier_protocol()
-        point = verifier_view(prot, idle, 1)
+        view = verifier_view(prot, idle, 1)
         from qpzk.core import partial_trace
 
         want = partial_trace(prot.initial, "R")
-        assert np.allclose(point.view.matrix, want.matrix, atol=1e-12)
+        assert np.allclose(view.matrix, want.matrix, atol=1e-12)
 
     def test_views_are_valid_densities(self):
         from qpzk.core import random_unitary
@@ -118,7 +118,7 @@ class TestVerifierView:
             [random_unitary(4, rng), random_unitary(4, rng)],
         )
         for i in range(1, prot.messages + 1):
-            view = verifier_view(prot, HONEST, i).view
+            view = verifier_view(prot, HONEST, i)
             assert abs(view.trace() - 1.0) < 1e-9
             # Purity Tr(rho^2) is at most 1.
             assert np.trace(view.matrix @ view.matrix).real <= 1 + 1e-9
@@ -141,7 +141,7 @@ class TestSampleRun:
         out2 = sample_run(copier_protocol(), HONEST, (), rng_from(75))
         assert out1[0] == out2[0]
         for a, b in zip(out1[1], out2[1]):
-            assert np.array_equal(a.view.matrix, b.view.matrix)
+            assert np.array_equal(a.matrix, b.matrix)
 
     def test_mean_converges_to_exact(self):
         p1 = np.kron(np.eye(2), ry(np.pi / 3))
