@@ -17,7 +17,8 @@ import numpy as np
 
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError
-from qpzk.compilers.public_coin import PublicCoinProtocol, PublicCoinStrategy
+from qpzk.compilers.public_coin import PublicCoinProtocol
+from qpzk.optimize import Strategy
 from qpzk.protocol import HONEST, ProverStrategy
 
 
@@ -75,7 +76,7 @@ class CoinFlipProver:
     """Prover side of stage IV: a coin input and a strategy per iteration,
     both allowed to depend on the coin history."""
 
-    strategy_for: Callable[[int, tuple], PublicCoinStrategy]
+    strategy_for: Callable[[int, tuple], Strategy]
     coin_input: Callable[[int, tuple, object], int]
     name: str = "honest"
 

@@ -12,7 +12,7 @@ controlled-X and a Hadamard-basis test of the Bell pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from qpzk.core.operators import (H, P0, P1, X, CNOT, accept_projector, controlle
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError, ZeroProbabilityError
-from qpzk.optimize import AscentProblem, Branch, bind
+from qpzk.optimize import AscentProblem, Branch, Strategy, bind
 from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, initial_workspace_state
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
@@ -36,22 +36,6 @@ def collapsed_soundness(zeta: float, r: int) -> float:
     if not 0.0 <= zeta <= 1.0:
         raise ConfigError("base soundness must lie in [0, 1]")
     return 1.0 - (1.0 - zeta) ** 2 / (16.0 * (r - 1) ** 2)
-
-
-@dataclass(frozen=True)
-class CollapsedStrategy:
-    """Prover behavior: the message-1 bundle and one response per challenge.
-
-    bundle: pure state on (W_2..W_r, M_1..M_r, private wires), given as a
-    preparation over those wires in that order. responses maps challenge i
-    (1-based) to (matrix, wire names) acting only on prover-visible wires:
-    M_i, M_i+1, Bp and private wires.
-    """
-
-    bundle: np.ndarray
-    private_qubits: int
-    responses: Callable[[int], tuple[np.ndarray, tuple[str, ...]]]
-    name: str = "custom"
 
 
 class _ChallengeRun(NamedTuple):
@@ -74,14 +58,21 @@ class _ChallengeRun(NamedTuple):
 
 
 class CollapsedProtocol:
-    """Executable stage-II object with exact branch evaluation."""
+    """Executable stage-II object with exact branch evaluation.
+
+    A prover is a `Strategy`: its free part is the message-1 bundle, a pure
+    state on (W_2..W_r, M_1..M_r, P) in that order, with P its private
+    wires, and slot U_i is its reply to challenge i (1-based), a unitary on
+    the prover-visible wires M_i, M_i+1, Bp and P.
+    """
 
     def __init__(self, base: InteractiveProtocol):
         if base.rounds < 2:
             raise ConfigError("round collapse needs at least two rounds")
         self.base = base
         self.r = base.rounds
-        self.layout(0)  # the verifier's registers alone must fit the qubit cap
+        # All registers but P; they alone must fit the qubit cap.
+        self.public_qubits = self.layout(0).total_qubits
         self.psi_v = initial_workspace_state(base)
         # The verifier's start, on the wires B, Bp and W1 that lead every layout.
         self.verifier_start = np.kron(BELL, self.psi_v)
@@ -102,10 +93,10 @@ class CollapsedProtocol:
 
     # -- honest strategy -------------------------------------------------------
 
-    def honest_strategy(self) -> CollapsedStrategy:
+    def honest_strategy(self) -> Strategy:
         return self._snapshot_strategy(HONEST, "honest")
 
-    def simulator_strategy(self, sim: ProverStrategy) -> CollapsedStrategy:
+    def simulator_strategy(self, sim: ProverStrategy) -> Strategy:
         """The round simulator driving the same interface as a prover; its
         private register stands in for the prover workspace."""
         if sim.ancilla_qubits:
@@ -127,7 +118,7 @@ class CollapsedProtocol:
             vec = np.kron(vec, base.evolve(prover, upto_message=2 * k - 1).amplitudes)
         return vec, RegisterLayout.of(*regs)
 
-    def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> CollapsedStrategy:
+    def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> Strategy:
         base, r = self.base, self.r
         m, rq = base.m_qubits, base.r_qubits
         vec, snaps = self._snapshots(prover)
@@ -136,23 +127,23 @@ class CollapsedProtocol:
             + [f"R{k}" for k in range(1, r + 1)]), snaps.total_qubits)
         rounds = base.prover_rounds if prover.unitaries is None else [
             ((u, range(rq + m)),) for u in prover.unitaries]
-
-        def responses(i: int):
+        replies = {}
+        for i in range(1, r):
+            # The reply's wires in the order of prover_wire_names(i), with P
+            # made of R_1..R_r.
             local = RegisterLayout.of((f"M{i}", m), (f"M{i + 1}", m), ("Bp", 1),
                                       *[(f"R{k}", rq) for k in range(1, r + 1)])
-            gates = _reply_gates(rounds[i], local, i, "Bp")
-            return linalg.gate_product(gates, local.total_qubits), self.prover_wire_names(i)
-
-        return CollapsedStrategy(bundle, r * rq, responses, name)
+            replies[f"U{i}"] = linalg.gate_product(_reply_gates(rounds[i], local, i, "Bp"),
+                                                   local.total_qubits)
+        return Strategy(replies, bundle, name)
 
     # -- exact execution -------------------------------------------------------
 
-    def _challenge_steps(self, challenge: int, lay: RegisterLayout,
-                         reply_wires: tuple[str, ...]) -> tuple:
+    def _challenge_steps(self, challenge: int, lay: RegisterLayout) -> tuple:
         """The verifier's run for one challenge i on layout lay, as gates:
         accept projector on W_r M_r, V_i on W_i M_i, swap of W_i and W_i+1
-        controlled on B, the prover's reply as slot U_i on reply_wires,
-        controlled-X from B to Bp, then |+><+| on B."""
+        controlled on B, the prover's reply as slot U_i on its wires
+        (prover_wire_names), controlled-X from B to Bp, then |+><+| on B."""
         i = challenge
         wires = lay.qubits_of_all
         return (
@@ -160,25 +151,24 @@ class CollapsedProtocol:
              tuple(wires([f"W{self.r}", f"M{self.r}"]))),
             (self.base.verifier_unitaries[i - 1], tuple(wires([f"W{i}", f"M{i}"]))),
             (_controlled_swap(self.base.w_qubits), tuple(wires(["B", f"W{i}", f"W{i + 1}"]))),
-            (f"U{i}", tuple(wires(reply_wires))),
+            (f"U{i}", tuple(wires(self.prover_wire_names(i)))),
             (CNOT, tuple(wires(["B", "Bp"]))),
             (PLUS_PROJ, tuple(wires(["B"]))),
         )
 
-    def _run(self, strat: CollapsedStrategy, challenge: int) -> Optional[_ChallengeRun]:
+    def _run(self, strat: Strategy, challenge: int) -> Optional[_ChallengeRun]:
         """One challenge run exactly, as its named intermediate vectors, or
-        None when the accept check cannot pass."""
+        None when the accept check cannot pass. The size of P is what the
+        bundle holds past the snapshot registers."""
         if not 1 <= challenge <= self.r - 1:
             raise ConfigError(f"challenge {challenge} outside 1..{self.r - 1}")
-        mat, names = strat.responses(challenge)
-        if not set(names) <= set(self.prover_wire_names(challenge)):
-            raise ConfigError(f"strategy touches verifier wires: {names}")
-        lay = self.layout(strat.private_qubits)
+        joint = np.kron(self.verifier_start, strat.free)
+        private_qubits = len(joint).bit_length() - 1 - self.public_qubits
+        if private_qubits < 0:
+            raise DimensionMismatchError("bundle is smaller than the snapshot registers")
+        lay = self.layout(private_qubits)
         n = lay.total_qubits
-        joint = np.kron(self.verifier_start, strat.bundle)
-        if joint.shape[0] != 2 ** n:
-            raise DimensionMismatchError("bundle size does not match the layout")
-        gates = bind(self._challenge_steps(challenge, lay, names), {f"U{challenge}": mat})
+        gates = bind(self._challenge_steps(challenge, lay), strat.slots)
 
         vec = linalg.apply_gates(gates[:1], PureState(joint, lay).amplitudes, n)
         p_acc = float(np.linalg.norm(vec) ** 2)
@@ -190,7 +180,7 @@ class CollapsedProtocol:
         p_bell = float(np.linalg.norm(final) ** 2) / p_acc
         return _ChallengeRun(p_acc, p_bell, pre_cnot, post_cnot, lay)
 
-    def challenge_outcome(self, strat: CollapsedStrategy, challenge: int):
+    def challenge_outcome(self, strat: Strategy, challenge: int):
         """Exact probabilities for one challenge: (p_acc_check, p_bell_given
         _acc, overall)."""
         run = self._run(strat, challenge)
@@ -198,12 +188,12 @@ class CollapsedProtocol:
             return 0.0, 0.0, 0.0
         return run.p_acc, run.p_bell, run.p_acc * run.p_bell
 
-    def acceptance(self, strat: CollapsedStrategy) -> float:
+    def acceptance(self, strat: Strategy) -> float:
         """Exact acceptance, averaged over the uniform challenge."""
         vals = [self.challenge_outcome(strat, i)[2] for i in range(1, self.r)]
         return float(np.mean(vals))
 
-    def branch_overlap_identity(self, strat: CollapsedStrategy, challenge: int):
+    def branch_overlap_identity(self, strat: Strategy, challenge: int):
         """The Bell-test probability against 1/2 + Re<psi0|psi1>/2 computed
         from the two control branches of the post-controlled-X state, or
         None when the accept check cannot pass."""
@@ -218,7 +208,7 @@ class CollapsedProtocol:
         predicted = 0.5 + 0.5 * float(np.real(np.vdot(psi0, psi1)))
         return run.p_bell, predicted
 
-    def _passing_run(self, strat: CollapsedStrategy, challenge: int) -> _ChallengeRun:
+    def _passing_run(self, strat: Strategy, challenge: int) -> _ChallengeRun:
         """_run, raising ZeroProbabilityError when the accept check cannot pass."""
         run = self._run(strat, challenge)
         if run is None:
@@ -226,20 +216,14 @@ class CollapsedProtocol:
                 f"challenge {challenge}: the accept check passes with probability zero")
         return run
 
-    def bell_pair_reduced(self, strat: CollapsedStrategy, challenge: int) -> np.ndarray:
-        """Reduced (B, Bp) density right before the verifier's controlled-X,
-        normalized on the accept-check branch."""
-        return self._passing_run(strat, challenge).bell_pair()
-
     # -- cheat oracle -----------------------------------------------------------
 
     def ascent_problem(self, private_qubits: int = 2) -> AscentProblem:
         """Free bundle + per-challenge response slots for the prover oracle."""
         lay = self.layout(private_qubits)
         weight = 1.0 / (self.r - 1)
-        branches = tuple(
-            Branch(weight, self._challenge_steps(i, lay, self.prover_wire_names(i)))
-            for i in range(1, self.r))
+        branches = tuple(Branch(weight, self._challenge_steps(i, lay))
+                         for i in range(1, self.r))
         return AscentProblem(lay.total_qubits, branches, self.verifier_start)
 
 

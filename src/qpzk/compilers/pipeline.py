@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from qpzk.core.sampling import random_amplitudes
+from qpzk.optimize import Strategy
 from qpzk.protocol import InteractiveProtocol
 from qpzk.compilers.collapse import CollapsedProtocol, as_three_message, collapsed_soundness
 from qpzk.compilers.public_coin import (
     PublicCoinProtocol,
-    PublicCoinStrategy,
     make_public_coin,
     public_coin_soundness,
 )
@@ -31,17 +31,16 @@ def build_pipeline(base: InteractiveProtocol) -> PublicCoinProtocol:
     return make_public_coin(as_three_message(CollapsedProtocol(base)))
 
 
-def pipeline_cheat_strategies(pc: PublicCoinProtocol, rng) -> list[PublicCoinStrategy]:
+def pipeline_cheat_strategies(pc: PublicCoinProtocol, rng) -> list[Strategy]:
     """Concrete cheating provers against the final public-coin protocol."""
     honest = pc.honest_strategy()
     n = pc.base.layout.total_qubits
     rm_dim = 2 ** (pc.base.r_qubits + pc.base.m_qubits)
-    ident = np.eye(rm_dim, dtype=complex)
+    idle = dict.fromkeys(("U0", "U1"), np.eye(rm_dim, dtype=complex))
 
-    garbage = PublicCoinStrategy(random_amplitudes(2 ** n, rng),
-                                 lambda b: ident, "garbage-opening")
-    lazy = PublicCoinStrategy(honest.opening, lambda b: ident, "always-idle")
-    eager = PublicCoinStrategy(honest.opening,
-                               lambda b: honest.response_for(0), "always-final-move")
+    garbage = Strategy(idle, random_amplitudes(2 ** n, rng), "garbage-opening")
+    lazy = Strategy(idle, honest.free, "always-idle")
+    final_move = dict.fromkeys(("U0", "U1"), honest.slots["U0"])
+    eager = Strategy(final_move, honest.free, "always-final-move")
     return [garbage, lazy, eager]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from qpzk.core.operators import P1, projector_onto
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState
-from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.optimize import AscentProblem, Branch, bind
+from qpzk.errors import ConfigError
+from qpzk.optimize import AscentProblem, Branch, Strategy
 from qpzk.protocol import (InteractiveProtocol, ProverStrategy, initial_workspace_state,
                            verifier_view)
 
@@ -31,16 +30,6 @@ def public_coin_soundness(zeta: float) -> float:
     if not 0.0 <= zeta <= 1.0:
         raise ConfigError("base soundness must lie in [0, 1]")
     return 0.75 + math.sqrt(zeta) / 2.0
-
-
-@dataclass(frozen=True)
-class PublicCoinStrategy:
-    """Message-1 state on (R, W, M) plus one response unitary on (R, M) per
-    coin value."""
-
-    opening: np.ndarray
-    response_for: Callable[[int], np.ndarray]
-    name: str = "custom"
 
 
 class PublicCoinProtocol:
@@ -55,18 +44,20 @@ class PublicCoinProtocol:
         w = base.w_qubits
         swap_accept = (np.eye(2 ** w, dtype=complex) + projector_onto(self.psi_v)) / 2.0
         self.sqrt_swap_accept = linalg.psd_sqrt(swap_accept)
+        # The two coin branches as step lists: the exact branch values and
+        # the prover oracle both evaluate this one problem.
+        self.problem = AscentProblem(self.layout.total_qubits,
+                                     tuple(Branch(0.5, self._branch_steps(b)) for b in (0, 1)))
 
     # -- strategies -----------------------------------------------------------
 
-    def honest_strategy(self) -> PublicCoinStrategy:
+    def honest_strategy(self) -> Strategy:
+        """The opening is the base's state on (R, W, M) after message 2; the
+        response to coin 0 is the base's second prover round, to coin 1 the
+        identity on (R, M)."""
         vec = self.base.evolve(upto_message=2).amplitudes
         p2 = self.base.prover_unitaries[1]
-        ident = np.eye(p2.shape[0], dtype=complex)
-
-        def respond(b: int) -> np.ndarray:
-            return p2 if b == 0 else ident
-
-        return PublicCoinStrategy(vec, respond, "honest")
+        return Strategy({"U0": p2, "U1": np.eye(p2.shape[0], dtype=complex)}, vec, "honest")
 
     def coin_views(self, prover: ProverStrategy) -> dict[int, MixedState]:
         """Each coin's (W, M) view with `prover` on the base's (R, M) wires:
@@ -88,22 +79,15 @@ class PublicCoinProtocol:
         return (*linalg.adjoint(linalg.placed(self.base.verifier_rounds[0], wm)),
                 (self.sqrt_swap_accept, w))
 
-    def _branch_steps(self, b: int, ancilla_qubits: int = 0) -> tuple:
-        """Branch b as gates on (R, W, M, ancilla): the response slot U_b on
-        R M and the ancilla, then the verifier's check of branch b."""
+    def _branch_steps(self, b: int) -> tuple:
+        """Branch b as gates on (R, W, M): the response slot U_b on R M, then
+        the verifier's check of branch b."""
         lay = self.base.layout
-        n = lay.total_qubits + ancilla_qubits
-        rm = tuple(lay.qubits_of_all(["R", "M"]) + list(range(lay.total_qubits, n)))
+        rm = tuple(lay.qubits_of_all(["R", "M"]))
         return ((f"U{b}", rm), *self._checks(b, lay))
 
-    def branch_value(self, strat: PublicCoinStrategy, b: int) -> float:
-        n = self.layout.total_qubits
-        vec = np.asarray(strat.opening, dtype=complex)
-        if vec.shape[0] != 2 ** n:
-            raise DimensionMismatchError("opening state must live on (R, W, M)")
-        gates = bind(self._branch_steps(b), {f"U{b}": strat.response_for(b)})
-        out = linalg.apply_gates(gates, vec, n)
-        return float(np.linalg.norm(out) ** 2)
+    def branch_value(self, strat: Strategy, b: int) -> float:
+        return self.problem.branch_value(strat, b)
 
     def transcript_acceptance(self, wm_state: MixedState, b: int) -> float:
         """Verifier branch check applied to a bare (W, M) transcript."""
@@ -114,10 +98,10 @@ class PublicCoinProtocol:
             mat = linalg.apply_to_matrix(op, mat, wires, lay.total_qubits)
         return float(mat.trace().real)
 
-    def acceptance(self, strat: PublicCoinStrategy) -> float:
+    def acceptance(self, strat: Strategy) -> float:
         return 0.5 * self.branch_value(strat, 0) + 0.5 * self.branch_value(strat, 1)
 
-    def sample_run(self, strat: PublicCoinStrategy, coin_schedule, rng):
+    def sample_run(self, strat: Strategy, coin_schedule, rng):
         """(outcome bit, transcript) with the coin drawn unless scheduled."""
         coins = tuple(coin_schedule or ())
         if len(coins) > 1:
@@ -131,19 +115,12 @@ class PublicCoinProtocol:
         value = self.branch_value(strat, b)
         return accept_bit(value, rng), (b, value)
 
-    def sample_hits(self, strat: PublicCoinStrategy, trials: int, rng) -> tuple[int, float]:
+    def sample_hits(self, strat: Strategy, trials: int, rng) -> tuple[int, float]:
         """(accepted runs out of `trials`, exact acceptance): each branch is
         evaluated once, and the hit count is one binomial draw at the exact
         acceptance, the distribution of `trials` calls to `sample_run`."""
         exact = self.acceptance(strat)
         return int(rng.binomial(trials, min(exact, 1.0))), exact
-
-    # -- cheat oracle -------------------------------------------------------------
-
-    def ascent_problem(self, ancilla_qubits: int = 0) -> AscentProblem:
-        n = self.layout.total_qubits + ancilla_qubits
-        return AscentProblem(n, tuple(Branch(0.5, self._branch_steps(b, ancilla_qubits))
-                                      for b in (0, 1)))
 
 
 def make_public_coin(base: InteractiveProtocol) -> PublicCoinProtocol:

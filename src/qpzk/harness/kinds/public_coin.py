@@ -31,7 +31,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     bases = (hidden_target_base(0.3 + 0.25 * idx) for idx in range(config.param("bases")))
     record.add(_oracle_excess_row(
         config, "public-coin-oracle-worst-excess-over-bound", bases, public_coin_soundness,
-        lambda b: make_public_coin(b).ascent_problem(0),
+        lambda b: make_public_coin(b).problem,
         config.param("oracle_restarts"), config.param("oracle_iters")))
 
     # Exact simulator rows need perfect completeness; the transcript is then

@@ -52,7 +52,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
                             "exact:state-evolution"))
 
     rec = soundness_check(inst, perturbed_prover(inst, config.param("perturbation")))
-    if rec.verdict == "NOT-APPLICABLE":
+    if rec.trace_distance is None:
         record.add(MetricRow("perturbed-prover-output-distance", rec.acceptance,
                              rec.bound, 0.0, "NOT-APPLICABLE",
                              "formula:inverse-delta"))

@@ -107,19 +107,49 @@ class AscentProblem:
         return {op: len(wires) for b in self.branches for op, wires in b.steps
                 if isinstance(op, str)}
 
+    def branch_value(self, strategy: Strategy, b: int) -> float:
+        """||T_b(U) phi||^2 of branch b, unweighted, at the strategy's slots
+        and start."""
+        free = strategy.free
+        want = (self.free_dim,) if self.free_dim else ()
+        if np.shape(free) != want:
+            raise DimensionMismatchError(
+                f"strategy {strategy.name!r}: the start's free part has shape "
+                f"{np.shape(free)}, the problem takes {want or 'none (an all-fixed start)'}")
+        gates = bind(self.branches[b].steps, strategy.slots)
+        out = linalg.apply_gates(gates, _assemble(self, free), self.n_qubits)
+        return float(np.linalg.norm(out) ** 2)
+
+    def value(self, strategy: Strategy) -> float:
+        """The objective at the strategy: the weighted sum of its branch values."""
+        return sum(b.weight * self.branch_value(strategy, i)
+                   for i, b in enumerate(self.branches))
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """A prover of a step-list problem: a unitary per slot name, and the free
+    part of the start (None when the start is all fixed)."""
+
+    slots: dict[str, np.ndarray]
+    free: Optional[np.ndarray] = None
+    name: str = "custom"
+
 
 @dataclass
 class AscentResult:
     value: float
-    slots: dict[str, np.ndarray]
-    initial: np.ndarray
+    strategy: Strategy
     history: list[float] = field(default_factory=list)
 
 
 def bind(steps, slots: dict) -> tuple:
     """The steps as a plain gate list: each slot name replaced by its
     unitary in slots."""
-    return tuple((slots[op] if isinstance(op, str) else op, wires) for op, wires in steps)
+    try:
+        return tuple((slots[op] if isinstance(op, str) else op, wires) for op, wires in steps)
+    except KeyError as exc:
+        raise ConfigError(f"strategy has no unitary for slot {exc.args[0]!r}") from None
 
 
 def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndarray:
@@ -169,15 +199,16 @@ def _align(a: np.ndarray) -> np.ndarray:
     return (u @ vh).conj().swapaxes(-1, -2)
 
 
-def _start(problem: AscentProblem, rng: np.random.Generator, start: Optional[dict]):
+def _start(problem: AscentProblem, rng: np.random.Generator, start: Optional[Strategy]):
     """One start's slots and free part (None when the start is all fixed);
-    a restart draws its slots, then its free part."""
+    a restart draws its slots, then its free part, and a warm start without
+    a free part draws that."""
     if start is None:
         slots = {k: random_unitary(2 ** a, rng) for k, a in problem.slot_specs().items()}
         free = None
     else:
-        slots = {k: np.asarray(v, dtype=complex) for k, v in start["slots"].items()}
-        free = start.get("free")
+        slots = {k: np.asarray(v, dtype=complex) for k, v in start.slots.items()}
+        free = start.free
     if free is not None:
         return slots, np.asarray(free, dtype=complex)
     return slots, (random_amplitudes(problem.free_dim, rng) if problem.free_dim else None)
@@ -189,7 +220,7 @@ def alternating_ascent(
     iters: int = DEFAULT_ITERS,
     restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
-    warm_starts: Sequence[dict] = (),
+    warm_starts: Sequence[Strategy] = (),
 ) -> AscentResult:
     """Monotone alternating maximization over slot unitaries and free init.
 
@@ -224,8 +255,9 @@ def alternating_ascent(
     history, results = [[v] for v in value], [None] * len(rows)
 
     def result(r: int) -> AscentResult:
-        return AscentResult(value[r], {k: s[r] for k, s in slots.items()}, init[r],
-                            history[rows[r]])
+        strategy = Strategy({k: s[r] for k, s in slots.items()},
+                            None if free is None else free[r], "ascent")
+        return AscentResult(value[r], strategy, history[rows[r]])
 
     for _ in range(iters):
         # A branch's output depends only on its own slots and the init, so
@@ -272,7 +304,7 @@ def alternating_ascent(
                 keep.append(r)
         if len(keep) < len(rows):
             rows, value = [rows[r] for r in keep], [value[r] for r in keep]
-            slots, init = {k: s[keep] for k, s in slots.items()}, init[keep]
+            slots = {k: s[keep] for k, s in slots.items()}
             free = None if free is None else free[keep]
             traces = [[t[keep] for t in trace] for trace in traces]
         if not rows:
@@ -356,7 +388,7 @@ def brute_force_prover_value(
     }
     result = alternating_ascent(
         problem, rng, iters=iters, restarts=restarts, tol=tol,
-        warm_starts=[{"slots": honest}] if honest else (),
+        warm_starts=[Strategy(honest, name="honest")] if honest else (),
     )
     return result.value
 

@@ -72,6 +72,9 @@ class PqmaInstance:
         object.__setattr__(self, "verifier_unitary", checked_unitary(
             self.verifier_unitary, self.witness.n_qubits + self.psi.n_qubits,
             "verifier_unitary on witness and instance"))
+        if not 0 <= self.completeness_error < 1:
+            raise ConfigError("completeness_error must lie in [0, 1), "
+                              f"got {self.completeness_error!r}")
         if self.label not in ("yes", "no"):
             raise StateValidationError("label must be 'yes' or 'no'")
         if self.label == "yes":
@@ -140,12 +143,6 @@ def _swap_accept_probability(inst: PqmaInstance, pair: MixedState) -> float:
     """SWAP-test acceptance of the pair's instance side against a fresh psi."""
     a = partial_trace(pair, "B") if "B" in pair.layout.names else pair
     return swap_test_povm(a, inst.psi.relabel(a.layout))
-
-
-def run_pqma(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput,
-             rng) -> str:
-    """One seeded functionality execution: 'accept', 'reject' or 'abort'."""
-    return _runner(params, inst, prover_input)(rng)
 
 
 def _runner(params: PqmaParams, inst: PqmaInstance, prover_input: PqmaProverInput):

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -51,10 +52,11 @@ def _reader(accepts, what: str, cast):
     return read
 
 
-# read_field readers of JSON scalars: a bool is no number, and a float or a
-# string is no integer.
+# read_field readers of JSON scalars: a bool is no number, a float or a
+# string is no integer, and NaN or an infinity is no float.
 read_int = _reader(is_int, "an integer", int)
-read_float = _reader(lambda v: is_int(v) or isinstance(v, float), "a number", float)
+read_float = _reader(lambda v: (is_int(v) or isinstance(v, float))
+                     and abs(v) <= sys.float_info.max, "a finite number", float)
 read_str = _reader(lambda v: isinstance(v, str), "a string", str)
 
 

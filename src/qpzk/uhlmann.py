@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,8 +53,8 @@ class UhlmannInstance:
         for name in ("c_unitary", "d_unitary"):
             object.__setattr__(self, name, checked_unitary(
                 getattr(self, name), self.r_qubits + self.s_qubits, f"{name} on R and S"))
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not 0 < self.delta <= sys.float_info.max:
+            raise ConfigError(f"delta must be finite and positive, got {self.delta!r}")
         rc = self.reduced_r(self.c_vector())
         rd = self.reduced_r(self.d_vector())
         if not linalg.close(rc, rd, 1e-9):
@@ -200,7 +201,6 @@ class SoundnessRecord:
     acceptance: float
     trace_distance: Optional[float]
     bound: float
-    verdict: str
     per_round_accept: tuple[float, ...]
 
 
@@ -230,14 +230,12 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecor
 
     bound = 1.0 / inst.delta
     if acceptance < 0.5 or sum(weights) <= 0:
-        return SoundnessRecord(acceptance, None, bound, "NOT-APPLICABLE",
-                               tuple(per_round))
+        return SoundnessRecord(acceptance, None, bound, tuple(per_round))
     total = sum(weights)
     avg = sum(w * o.density() for w, o in zip(weights, outputs)) / total
     sigma = MixedState.computed(avg, target.layout)
     dist = trace_distance(sigma, expected_output(inst).relabel(target.layout))
-    verdict = "PASS" if dist <= bound + 1e-9 else "FAIL"
-    return SoundnessRecord(acceptance, dist, bound, verdict, tuple(per_round))
+    return SoundnessRecord(acceptance, dist, bound, tuple(per_round))
 
 
 # -- zero-knowledge simulation ---------------------------------------------------

@@ -10,7 +10,6 @@ from qpzk.core import PureState, RegisterLayout, rng_from, random_unitary
 from qpzk.core.operators import CNOT_REVERSED, H, X
 from qpzk.compilers.collapse import (
     CollapsedProtocol,
-    CollapsedStrategy,
     as_three_message,
     collapsed_soundness,
     hv_simulate_collapsed,
@@ -28,8 +27,8 @@ from qpzk.errors import ConfigError, ZeroProbabilityError
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import run_experiment
 from qpzk.harness.records import load_record
-from qpzk.optimize import alternating_ascent, brute_force_prover_value
-from qpzk.protocol import InteractiveProtocol, ProverStrategy, run_protocol, save_protocol
+from qpzk.optimize import Strategy, alternating_ascent, brute_force_prover_value
+from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol, save_protocol
 
 
 def entangling_copier_base() -> InteractiveProtocol:
@@ -150,13 +149,8 @@ class TestHonestExecution:
         base = copier_base()
         col = CollapsedProtocol(base)
         honest = col.honest_strategy()
-        dim = 2 ** (2 * base.m_qubits + 1 + honest.private_qubits)
-        lazy = CollapsedStrategy(
-            honest.bundle, honest.private_qubits,
-            lambda i: (np.eye(dim, dtype=complex),
-                       (f"M{i}", f"M{i + 1}", "Bp", "P")),
-            "lazy",
-        )
+        lazy = Strategy({"U1": np.eye(honest.slots["U1"].shape[0], dtype=complex)},
+                        honest.free, "lazy")
         measured, predicted = col.branch_overlap_identity(lazy, 1)
         assert measured == pytest.approx(predicted, abs=1e-9)
 
@@ -182,14 +176,8 @@ class TestSoundnessBoundAgainstOracle:
         col = CollapsedProtocol(base)
         honest = col.honest_strategy()
         rng = rng_from(2350)
-        dim = 2 ** (2 * base.m_qubits + 1 + honest.private_qubits)
-        garbage = CollapsedStrategy(
-            random_amplitudes(honest.bundle.shape[0], rng),
-            honest.private_qubits,
-            lambda i: (np.eye(dim, dtype=complex),
-                       (f"M{i}", f"M{i + 1}", "Bp", "P")),
-            "garbage-bundle",
-        )
+        garbage = Strategy({"U1": np.eye(honest.slots["U1"].shape[0], dtype=complex)},
+                           random_amplitudes(honest.free.shape[0], rng), "garbage-bundle")
         zeta = brute_force_prover_value(base, rng_from(2351), restarts=4, iters=80)
         bound = collapsed_soundness(min(zeta, 1.0), 2)
         exact = col.acceptance(garbage)
@@ -258,13 +246,8 @@ class TestSimulator:
         base = entangling_copier_base()
         col = CollapsedProtocol(base)
         strat = col.simulator_strategy(ProverStrategy(base.prover_unitaries, name="honest-prover-standin"))
-
-        def tampered(i):
-            mat, names = strat.responses(i)
-            return np.eye(mat.shape[0], dtype=complex), names
-
-        tampered_strat = CollapsedStrategy(strat.bundle, strat.private_qubits,
-                                           tampered, "tampered")
+        tampered_strat = Strategy({"U1": np.eye(strat.slots["U1"].shape[0], dtype=complex)},
+                                  strat.free, "tampered")
         honest_bell = col.challenge_outcome(strat, 1)[1]
         _, p_bell, _ = col.challenge_outcome(tampered_strat, 1)
         assert honest_bell == pytest.approx(1.0, abs=1e-9)
@@ -290,7 +273,7 @@ class TestNeverPassingBase:
         assert col.challenge_outcome(honest, 1) == (0.0, 0.0, 0.0)
         assert col.branch_overlap_identity(honest, 1) is None
         with pytest.raises(ZeroProbabilityError):
-            col.bell_pair_reduced(honest, 1)
+            hv_simulate_collapsed(col, HONEST, 1)
 
     def test_run_marks_the_overlap_identity_not_applicable(self, tmp_path):
         base, cfg, out = tmp_path / "base.json", tmp_path / "cfg.json", tmp_path / "rec.json"

@@ -314,6 +314,13 @@ class TestCli:
         ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(name=5)),
         ("double-open", {"scheme": "junk.txt"}, _bell_scheme_json_with(c_wires=[0.0, 1.0])),
         ("pqma", {"instance": "junk.txt"}, _instance_json_with("pqma", completeness_error=True)),
+        ("pqma", {"instance": "junk.txt"},
+         _instance_json_with("pqma", completeness_error=float("nan"))),
+        ("pqma", {"instance": "junk.txt"}, _instance_json_with("pqma", completeness_error=2.0)),
+        ("pqma", {"instance": "junk.txt"}, _instance_json_with("pqma", completeness_error=-0.5)),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=float("nan"))),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=float("inf"))),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=0.0)),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": 7.5})),
@@ -360,6 +367,10 @@ class TestCli:
             "double-open-scheme-qubits-a-bool", "double-open-scheme-ancillas-a-float",
             "double-open-scheme-name-a-number", "double-open-scheme-wires-floats",
             "pqma-instance-completeness-error-a-bool",
+            "pqma-instance-completeness-error-nan", "pqma-instance-completeness-error-two",
+            "pqma-instance-completeness-error-negative",
+            "uhlmann-instance-delta-nan", "uhlmann-instance-delta-infinite",
+            "uhlmann-instance-delta-zero",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "uhlmann-config-seed-a-float", "uhlmann-config-seed-a-string",
             "uhlmann-config-seed-a-bool", "uhlmann-config-out-a-number",

@@ -18,6 +18,7 @@ from qpzk.optimize import (
     DEFAULT_TOL,
     AscentProblem,
     Branch,
+    Strategy,
     _align,
     _assemble,
     alternating_ascent,
@@ -27,7 +28,7 @@ from qpzk.optimize import (
     protocol_ascent_problem,
     three_message_protocol,
 )
-from qpzk.protocol import HONEST, InteractiveProtocol, run_protocol
+from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol
 
 W1 = RegisterLayout.single("W", 1)
 
@@ -145,12 +146,6 @@ class TestCrossCheck:
         assert exceeded
 
 
-def _steps_value(problem: AscentProblem, slots: dict, init: np.ndarray) -> float:
-    return sum(b.weight * float(np.linalg.norm(
-        linalg.apply_gates(bind(b.steps, slots), init, problem.n_qubits)) ** 2)
-        for b in problem.branches)
-
-
 class TestOracleMatchesRunner:
     """At the honest prover, each ascent problem's step lists give the
     acceptance that the exact runner computes."""
@@ -159,25 +154,68 @@ class TestOracleMatchesRunner:
                                       partial_coupler_base(0.5, 0.7)],
                              ids=["rotated-copier", "partial-coupler"])
     def test_honest_value_matches_exact(self, base):
-        problem = protocol_ascent_problem(base)
-        slots = {f"P{i + 1}": u for i, u in enumerate(base.prover_unitaries)}
-        assert _steps_value(problem, slots, problem.fixed_init) \
+        honest = Strategy({f"P{i + 1}": u for i, u in enumerate(base.prover_unitaries)})
+        assert protocol_ascent_problem(base).value(honest) \
             == pytest.approx(run_protocol(base), abs=1e-12)
 
         pc = make_public_coin(base)
         honest = pc.honest_strategy()
-        p2 = base.prover_unitaries[1]
-        slots = {"U0": p2, "U1": np.eye(p2.shape[0], dtype=complex)}
-        assert _steps_value(pc.ascent_problem(0), slots, honest.opening) \
+        assert pc.problem.value(honest) \
             == pytest.approx(pc.acceptance(honest), abs=1e-12)
 
         col = CollapsedProtocol(base)
         honest = col.honest_strategy()
-        problem = col.ascent_problem(2)
-        slots = {"U1": honest.responses(1)[0]}
-        init = _assemble(problem, honest.bundle)
-        assert _steps_value(problem, slots, init) \
+        assert col.ascent_problem(2).value(honest) \
             == pytest.approx(col.acceptance(honest), abs=1e-12)
+
+
+class TestEvaluator:
+    """The evaluator names what is wrong with a strategy that does not fit
+    its problem."""
+
+    @pytest.mark.parametrize("free", [None, np.ones(4) / 2, np.ones((2, 2)) / 2],
+                             ids=["missing", "too-small", "not-a-vector"])
+    def test_free_part_of_the_wrong_size_rejected(self, free):
+        problem = make_public_coin(rotated_copier_base(0.7)).problem
+        slots = {"U0": np.eye(4, dtype=complex), "U1": np.eye(4, dtype=complex)}
+        with pytest.raises(DimensionMismatchError, match="free part has shape"):
+            problem.value(Strategy(slots, free))
+
+    def test_free_part_of_an_all_fixed_start_rejected(self):
+        base = rotated_copier_base(0.7)
+        slots = {f"P{i + 1}": u for i, u in enumerate(base.prover_unitaries)}
+        with pytest.raises(DimensionMismatchError, match="all-fixed start"):
+            protocol_ascent_problem(base).value(Strategy(slots, np.ones(2) / np.sqrt(2)))
+
+    def test_missing_slot_rejected(self):
+        base = rotated_copier_base(0.7)
+        with pytest.raises(ConfigError, match="no unitary for slot 'P2'"):
+            protocol_ascent_problem(base).value(Strategy({"P1": base.prover_unitaries[0]}))
+
+
+class TestReplay:
+    """The ascent's answer is a prover that the exact runners replay: on a
+    base, its public coin and its collapse, the runner gives the ascent's
+    value for the strategy the ascent returns."""
+
+    @given(seed=st.integers(0, 2 ** 16), iters=st.integers(1, 4), restarts=st.integers(1, 2))
+    def test_runners_replay_the_ascent_value(self, seed, iters, restarts):
+        gen = rng_from(95, seed)
+        base = InteractiveProtocol.from_verifier_start(
+            random_pure_state(W1, gen), 1, 1, [random_unitary(4, gen) for _ in range(2)],
+            [random_unitary(4, gen) for _ in range(2)])
+        pc, col = make_public_coin(base), CollapsedProtocol(base)
+
+        def run_base(strategy):
+            rounds = (strategy.slots["P1"], strategy.slots["P2"])
+            return run_protocol(base, ProverStrategy(rounds, ancilla_qubits=1))
+
+        for problem, runner in ((protocol_ascent_problem(base, ancilla_qubits=1), run_base),
+                                (pc.problem, pc.acceptance),
+                                (col.ascent_problem(2), col.acceptance)):
+            res = alternating_ascent(problem, rng_from(96, seed), iters=iters,
+                                     restarts=restarts)
+            assert runner(res.strategy) == pytest.approx(res.value, abs=1e-12)
 
 
 def _reference_ascent(problem, rng, iters, restarts, tol, warm_starts=()):
@@ -248,8 +286,8 @@ def _reference_ascent(problem, rng, iters, restarts, tol, warm_starts=()):
     starts = []
     for start in list(warm_starts) + [None] * restarts:
         if start is not None:
-            slots = {k: np.asarray(v, dtype=complex) for k, v in start["slots"].items()}
-            free = start.get("free")
+            slots = {k: np.asarray(v, dtype=complex) for k, v in start.slots.items()}
+            free = start.free
             if free is not None:
                 free = np.asarray(free, dtype=complex)
             elif free_dim:
@@ -335,11 +373,10 @@ def _ascent_cases(draw):
     warm = []
     free_dim = 2 ** (n - fixed) if fixed < n else 0
     for _ in range(draw(st.integers(0, 2))):
-        w = {"slots": {k: X if k in flips else random_unitary(2 ** a, gen)
-                       for k, a in problem.slot_specs().items()}}
-        if free_dim and draw(st.booleans()):
-            w["free"] = random_amplitudes(free_dim, gen)
-        warm.append(w)
+        slots = {k: X if k in flips else random_unitary(2 ** a, gen)
+                 for k, a in problem.slot_specs().items()}
+        free = random_amplitudes(free_dim, gen) if free_dim and draw(st.booleans()) else None
+        warm.append(Strategy(slots, free))
     return problem, warm
 
 
@@ -356,7 +393,7 @@ class TestTracedAscent:
             problem, ref_rng, iters, restarts, tol, warm)
         assert np.array_equal(got.value, value)
         assert np.array_equal(got.history, history)
-        assert got.slots.keys() == slots.keys()
-        assert all(np.array_equal(got.slots[k], slots[k]) for k in slots)
-        assert np.array_equal(got.initial, initial)
+        assert got.strategy.slots.keys() == slots.keys()
+        assert all(np.array_equal(got.strategy.slots[k], slots[k]) for k in slots)
+        assert np.array_equal(_assemble(problem, got.strategy.free), initial)
         assert np.array_equal(rng.bit_generator.state, ref_rng.bit_generator.state)

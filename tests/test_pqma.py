@@ -23,7 +23,6 @@ from qpzk.pqma import (
     instance_to_json,
     orthogonal_copy_strategy,
     real_verifier_view,
-    run_pqma,
     soundness_bound,
     witness_match_family,
 )
@@ -126,8 +125,8 @@ class TestRunPqma:
         inst = instance_check_family("yes")
         honest = PqmaProverInput.symmetric(inst.witness, inst.psi)
         assert exact_acceptance_product(params, inst, honest) == pytest.approx(1.0, abs=1e-12)
-        rng = rng_from(30)
-        assert all(run_pqma(params, inst, honest, rng) == "accept" for _ in range(200))
+        run, rng = _runner(params, inst, honest), rng_from(30)
+        assert all(run(rng) == "accept" for _ in range(200))
 
     def test_orthogonal_copies_pass_rate(self):
         # On the no instance the cheater ships the orthogonal (yes) state:
@@ -146,8 +145,8 @@ class TestRunPqma:
             PureState.from_bits(RegisterLayout.single("B", 1), "0"), inst.psi)
         # All SWAP tests pass; the final projection rejects with certainty.
         assert exact_acceptance_product(params, inst, bad) == pytest.approx(0.0, abs=1e-12)
-        rng = rng_from(31)
-        outcomes = {run_pqma(params, inst, bad, rng) for _ in range(100)}
+        run, rng = _runner(params, inst, bad), rng_from(31)
+        outcomes = {run(rng) for _ in range(100)}
         assert outcomes == {"reject"}
 
     def test_per_copy_permutation_symmetry(self):
@@ -184,8 +183,8 @@ class TestRunPqma:
             joint = tensor(joint.relabel(RegisterLayout.single("J", joint.n_qubits)),
                            pair.relabel(RegisterLayout.of((f"B{i}x", 1), (f"A{i}x", 1))))
         ent = PqmaProverInput(joint=joint)
-        rng = rng_from(32)
-        outs = [run_pqma(params, inst, ent, rng) for _ in range(60)]
+        run, rng = _runner(params, inst, ent), rng_from(32)
+        outs = [run(rng) for _ in range(60)]
         assert all(o == "accept" for o in outs)
         prod = PqmaProverInput.symmetric(inst.witness, inst.psi)
         assert exact_acceptance_product(params, inst, prod) == pytest.approx(1.0)

@@ -10,13 +10,12 @@ from qpzk.core.sampling import random_amplitudes
 from qpzk.compilers.examples import copier_base, hidden_target_base, rotated_copier_base
 from qpzk.compilers.public_coin import (
     PublicCoinProtocol,
-    PublicCoinStrategy,
     hv_simulate_public_coin,
     make_public_coin,
     public_coin_soundness,
 )
 from qpzk.errors import ConfigError
-from qpzk.optimize import alternating_ascent, brute_force_prover_value
+from qpzk.optimize import Strategy, alternating_ascent, brute_force_prover_value
 from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol, sample_run
 
 
@@ -86,8 +85,8 @@ class TestSampling:
     def test_hits_within_4_sigma_of_the_exact_acceptance(self):
         pc = make_public_coin(rotated_copier_base(0.8))
         g = rng_from(2550)
-        responses = [random_unitary(4, g), random_unitary(4, g)]
-        strat = PublicCoinStrategy(random_amplitudes(8, g), lambda b: responses[b], "random")
+        responses = {"U0": random_unitary(4, g), "U1": random_unitary(4, g)}
+        strat = Strategy(responses, random_amplitudes(8, g), "random")
         assert 0.05 < pc.branch_value(strat, 0) < 0.95
         assert 0.05 < pc.branch_value(strat, 1) < 0.95
         n = 10 ** 5
@@ -108,8 +107,8 @@ class TestSampling:
     def test_sampler_matches_sample_run_loop(self):
         pc = make_public_coin(rotated_copier_base(0.8))
         g = rng_from(2550)
-        responses = [random_unitary(4, g), random_unitary(4, g)]
-        strat = PublicCoinStrategy(random_amplitudes(8, g), lambda b: responses[b], "random")
+        responses = {"U0": random_unitary(4, g), "U1": random_unitary(4, g)}
+        strat = Strategy(responses, random_amplitudes(8, g), "random")
         n = 2000
         loop_rng = rng_from(2552, 0)
         loop_hits = sum(pc.sample_run(strat, None, loop_rng)[0] for _ in range(n))
@@ -147,7 +146,7 @@ class TestSoundness:
         zeta = brute_force_prover_value(base, rng_from(2600), restarts=6, iters=100)
         bound = public_coin_soundness(min(zeta, 1.0))
         pc = make_public_coin(base)
-        res = alternating_ascent(pc.ascent_problem(0), rng_from(2601),
+        res = alternating_ascent(pc.problem, rng_from(2601),
                                  restarts=6, iters=120)
         assert res.value <= bound + 1e-6
 
@@ -162,7 +161,7 @@ class TestSoundness:
                                         restarts=6, iters=100)
         bound = public_coin_soundness(min(zeta, 1.0))
         pc = PublicCoinProtocol(base)
-        res = alternating_ascent(pc.ascent_problem(0), rng_from(2720, seed),
+        res = alternating_ascent(pc.problem, rng_from(2720, seed),
                                  restarts=6, iters=120)
         assert res.value <= bound + 1e-6
 
