@@ -18,8 +18,7 @@ import numpy as np
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError
 from qpzk.compilers.public_coin import PublicCoinProtocol
-from qpzk.optimize import Strategy
-from qpzk.protocol import HONEST, ProverStrategy
+from qpzk.protocol import Strategy
 
 
 class CoinFlipProtocol:
@@ -143,11 +142,12 @@ def real_malicious_views(compiled: CoinFlipProtocol, verifier: MaliciousVerifier
     """Exact view of the corrupted verifier against the honest prover: the
     honest coin input is uniform, so the XOR output is uniform whatever
     coin input the verifier chooses."""
-    return _enumerate_views(compiled, verifier, compiled.base.coin_views(HONEST))
+    pc = compiled.base
+    return _enumerate_views(compiled, verifier, pc.coin_views(pc.base.honest))
 
 
 def zk_simulate_malicious(compiled: CoinFlipProtocol, verifier: MaliciousVerifier,
-                          sim: ProverStrategy) -> dict:
+                          sim: Strategy) -> dict:
     """Simulated view: per iteration the simulator draws (W, M, b) itself
     and takes b as the XOR output, whatever coin input the verifier
     chooses."""

@@ -22,8 +22,8 @@ from qpzk.core.operators import (H, P0, P1, X, CNOT, accept_projector, controlle
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError, ZeroProbabilityError
-from qpzk.optimize import AscentProblem, Branch, Strategy, bind
-from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, initial_workspace_state
+from qpzk.optimize import AscentProblem, Branch
+from qpzk.protocol import InteractiveProtocol, Strategy, bind, initial_workspace_state
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -94,48 +94,48 @@ class CollapsedProtocol:
     # -- honest strategy -------------------------------------------------------
 
     def honest_strategy(self) -> Strategy:
-        return self._snapshot_strategy(HONEST, "honest")
+        return self._snapshot_strategy(self.base.honest, "honest")
 
-    def simulator_strategy(self, sim: ProverStrategy) -> Strategy:
-        """The round simulator driving the same interface as a prover; its
-        private register stands in for the prover workspace."""
-        if sim.ancilla_qubits:
-            raise ConfigError("a round simulator's snapshots carry no ancilla")
+    def simulator_strategy(self, sim: Strategy) -> Strategy:
+        """The round simulator, a prover of the base, driving the same
+        interface as a prover; its workspace stands in for the prover's."""
         return self._snapshot_strategy(sim, f"simulator:{sim.name}")
 
-    def _snapshots(self, prover: ProverStrategy) -> tuple[np.ndarray, RegisterLayout]:
+    def _snapshots(self, prover: Strategy) -> tuple[np.ndarray, RegisterLayout]:
         """Product of the states after each prover move of the base, with its
-        layout (R1, M1), (R2, W2, M2), ..., (Rr, Wr, Mr); a prover with its
-        own round unitaries stands in for the honest one (simulator use).
-        Snapshot 1 carries no W wire (the verifier owns W_1), so its product
-        psi_v factor is stripped."""
+        layout (R1, M1), (R2, W2, M2), ..., (Rr, Wr, Mr); a prover of the
+        base other than the honest one stands in for it (simulator use), and
+        an ancilla has no register here. Snapshot 1 carries no W wire (the
+        verifier owns W_1), so its product psi_v factor is stripped."""
         base = self.base
+        first = base.evolve(prover, upto_message=1)
+        if first.layout != base.layout:
+            raise ConfigError(f"strategy {prover.name!r}: a round simulator's snapshots "
+                              "carry no ancilla")
         w, m, rq = base.w_qubits, base.m_qubits, base.r_qubits
         regs = [("R1", rq), ("M1", m)]
-        vec = _strip_w(base.evolve(prover, upto_message=1).amplitudes, base)
+        vec = _strip_w(first.amplitudes, base)
         for k in range(2, self.r + 1):
             regs += [(f"R{k}", rq), (f"W{k}", w), (f"M{k}", m)]
             vec = np.kron(vec, base.evolve(prover, upto_message=2 * k - 1).amplitudes)
         return vec, RegisterLayout.of(*regs)
 
-    def _snapshot_strategy(self, prover: ProverStrategy, name: str) -> Strategy:
+    def _snapshot_strategy(self, prover: Strategy, name: str) -> Strategy:
         base, r = self.base, self.r
         m, rq = base.m_qubits, base.r_qubits
         vec, snaps = self._snapshots(prover)
         bundle = linalg.permute_vector(vec, snaps.qubits_of_all(
             [f"W{k}" for k in range(2, r + 1)] + [f"M{k}" for k in range(1, r + 1)]
             + [f"R{k}" for k in range(1, r + 1)]), snaps.total_qubits)
-        rounds = base.prover_rounds if prover.unitaries is None else [
-            ((u, range(rq + m)),) for u in prover.unitaries]
         replies = {}
         for i in range(1, r):
             # The reply's wires in the order of prover_wire_names(i), with P
             # made of R_1..R_r.
             local = RegisterLayout.of((f"M{i}", m), (f"M{i + 1}", m), ("Bp", 1),
                                       *[(f"R{k}", rq) for k in range(1, r + 1)])
-            replies[f"U{i}"] = linalg.gate_product(_reply_gates(rounds[i], local, i, "Bp"),
+            replies[f"U{i}"] = linalg.gate_product(_reply_gates(prover, local, i, "Bp"),
                                                    local.total_qubits)
-        return Strategy(replies, bundle, name)
+        return Strategy.computed(replies, bundle, name)
 
     # -- exact execution -------------------------------------------------------
 
@@ -272,12 +272,12 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
                             np.eye(2, dtype=complex))
     v2 = [(CNOT, v(["B", "Bw"])), (H, v(["B"])), (accept_write, v(["B", "F", "O"]))]
 
-    vec, snaps = collapsed._snapshots(HONEST)
+    vec, snaps = collapsed._snapshots(base.honest)
     column = snaps.concat(RegisterLayout.single("Bw", 1))
     bundle = linalg.permute_vector(np.kron(vec, linalg.basis_vector(0, 2)),
                                    column.qubits_of_all(prover.names), prover.total_qubits)
     p1 = linalg.complete_to_unitary(bundle)
-    p2 = _reply_gates(base.prover_rounds[1], prover, 1, "Bw")
+    p2 = _reply_gates(base.honest, prover, 1, "Bw")
 
     psi_v_std = np.kron(
         np.kron(linalg.basis_vector(0, 8), collapsed.psi_v),
@@ -297,7 +297,7 @@ class CollapsedSimulationReport:
     factorization_residual: float
 
 
-def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: ProverStrategy,
+def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: Strategy,
                           challenge: int) -> CollapsedSimulationReport:
     """Run the simulator transcript through the verifier's checks.
 
@@ -330,13 +330,13 @@ def _strip_w(snapshot: np.ndarray, base: InteractiveProtocol) -> np.ndarray:
     return rm_part / norm
 
 
-def _reply_gates(round_gates, lay: RegisterLayout, i: int, bell: str) -> list:
-    """The prover's reply to challenge i on layout lay: its round-(i+1) gates
-    on (R_i, M_i), then the swap of (M_i, R_i) with (M_i+1, R_i+1)
-    controlled on the Bell wire."""
+def _reply_gates(prover: Strategy, lay: RegisterLayout, i: int, bell: str) -> list:
+    """The reply to challenge i, on layout lay, of a prover of the base: its
+    slot P_i+1 on (R_i, M_i), then the swap of (M_i, R_i) with (M_i+1,
+    R_i+1) controlled on the Bell wire."""
     pair = lay.size_of(f"M{i}") + lay.size_of(f"R{i}")
     return [
-        *linalg.placed(round_gates, lay.qubits_of_all([f"R{i}", f"M{i}"])),
+        *bind(((f"P{i + 1}", tuple(lay.qubits_of_all([f"R{i}", f"M{i}"]))),), prover.slots),
         (_controlled_swap(pair),
          lay.qubits_of_all([bell, f"M{i}", f"R{i}", f"M{i + 1}", f"R{i + 1}"])),
     ]

@@ -11,30 +11,16 @@ pairs telescope into exactly the base protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from qpzk.core import linalg
-from qpzk.core.operators import checked_unitary, swap_registers
+from qpzk.core.operators import swap_registers
 from qpzk.core.registers import RegisterLayout
 from qpzk.crypto.commitments import CanonicalCommitment
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.protocol import InteractiveProtocol, accept_probability, initial_workspace_state
-
-
-@dataclass(frozen=True)
-class CommitRoundStrategy:
-    """Prover operations before each functionality round.
-
-    ops_for(i) returns a list of (matrix, wire names) with names drawn from
-    C (commitment register), M, R and Anc; wire order inside an operation
-    follows the listed names. Each matrix is checked as a unitary on those
-    wires when execute applies it."""
-
-    ops_for: Callable[[int], Sequence[tuple]]
-    ancilla_qubits: int = 0
-    name: str = "custom"
+from qpzk.protocol import (InteractiveProtocol, Strategy, accept_probability, bind,
+                           initial_workspace_state, prover_ancilla)
 
 
 @dataclass(frozen=True)
@@ -68,14 +54,6 @@ class CommitRoundProtocol:
             regs.append(("Anc", ancilla_qubits))
         return RegisterLayout.of(*regs)
 
-    def honest_strategy(self) -> CommitRoundStrategy:
-        base = self.base
-
-        def ops(i: int):
-            return [(base.prover_unitaries[i - 1], ("R", "M"))]
-
-        return CommitRoundStrategy(ops, 0, "honest")
-
     def commitment_wires(self, lay: RegisterLayout) -> list[int]:
         wires = lay.qubits_of("W")
         if self.scheme.ancilla_qubits:
@@ -86,29 +64,30 @@ class CommitRoundProtocol:
         com = self.commitment_wires(lay)
         return [com[i] for i in self.scheme.c_wires]
 
-    def execute(self, strat: CommitRoundStrategy) -> CommitRunResult:
-        """Exact probability accounting over every abort branch."""
+    def execute(self, strat: Strategy) -> CommitRunResult:
+        """Exact probability accounting over every abort branch. Slot P_i is
+        the prover's move before round i, on (R, M), then C, then its
+        ancilla, which the slot widths give."""
         base, scheme = self.base, self.scheme
-        lay = self.layout(strat.ancilla_qubits)
+        anc = prover_ancilla(strat, base.honest.slots,
+                             base.r_qubits + base.m_qubits + len(scheme.c_wires))
+        lay = self.layout(anc)
         n = lay.total_qubits
         com_wires = self.commitment_wires(lay)
+        prover = tuple(lay.qubits_of_all(["R", "M"]) + self.c_wire_positions(lay)
+                       + (lay.qubits_of("Anc") if anc else []))
 
-        psi_w = initial_workspace_state(base)
-        vec = psi_w
+        vec = initial_workspace_state(base)
         if scheme.ancilla_qubits:
             vec = np.kron(vec, linalg.basis_vector(0, 2 ** scheme.ancilla_qubits))
-        vec = np.kron(vec, linalg.basis_vector(
-            0, 2 ** (base.m_qubits + base.r_qubits + strat.ancilla_qubits)))
+        vec = np.kron(vec, linalg.basis_vector(0, 2 ** (base.m_qubits + base.r_qubits + anc)))
         # Round 0: commit the initialized workspace.
         vec = scheme.commit_on(vec, com_wires, n)
 
         aborts: list[float] = []
         wm = lay.qubits_of_all(["W", "M"])
         for i in range(1, base.rounds + 1):
-            for mat, names in strat.ops_for(i):
-                wires = self._prover_wires(names, lay)
-                op = checked_unitary(mat, len(wires), "stage-I prover operation")
-                vec = linalg.apply_to_vector(op, vec, wires, n)
+            vec = linalg.apply_gates(bind(((f"P{i}", prover),), strat.slots), vec, n)
             p_before = float(np.linalg.norm(vec) ** 2)
             vec = scheme.open_on(vec, com_wires, n)
             p_pass = float(np.linalg.norm(vec) ** 2)
@@ -122,36 +101,19 @@ class CommitRoundProtocol:
         p_reject = float(np.linalg.norm(vec) ** 2) - p_accept
         return CommitRunResult(p_accept, max(p_reject, 0.0), tuple(aborts))
 
-    def _prover_wires(self, names, lay: RegisterLayout) -> list[int]:
-        """Wires of the named prover registers; C is the commitment register."""
-        allowed = {"C", "M", "R", "Anc"}
-        if not set(names) <= allowed:
-            raise ConfigError(f"prover operation touches verifier wires: {names}")
-        targets: list[int] = []
-        for name in names:
-            if name == "C":
-                targets.extend(self.c_wire_positions(lay))
-            else:
-                targets.extend(lay.qubits_of(name))
-        return targets
-
 
 def fresh_c_substitution_strategy(protocol: CommitRoundProtocol,
-                                  at_round: int = 1) -> CommitRoundStrategy:
+                                  at_round: int = 1) -> Strategy:
     """Honest play except that before the given round the prover swaps the
     whole commitment register for fresh zeros from its ancilla."""
     base = protocol.base
     c_count = len(protocol.scheme.c_wires)
     if c_count == 0:
         raise ConfigError("scheme keeps no commitment register to substitute")
-    swap = swap_registers(c_count)
-
-    def ops(i: int):
-        honest = [(base.prover_unitaries[i - 1], ("R", "M"))]
-        if i == at_round:
-            return honest + [(swap, ("C", "Anc"))]
-        return honest
-
-    return CommitRoundStrategy(ops, ancilla_qubits=c_count,
-                               name=f"fresh-C-at-round-{at_round}")
-
+    if not 1 <= at_round <= base.rounds:
+        raise ConfigError(f"at_round {at_round} outside 1..{base.rounds}")
+    slots = dict(base.honest.slots)
+    # Local wires of the slot: (R, M), then C, then the ancilla.
+    c = base.r_qubits + base.m_qubits
+    slots[f"P{at_round}"] += ((swap_registers(c_count), tuple(range(c, c + 2 * c_count))),)
+    return Strategy.computed(slots, name=f"fresh-C-at-round-{at_round}")

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from qpzk.core.sampling import random_amplitudes
-from qpzk.optimize import Strategy
-from qpzk.protocol import InteractiveProtocol
+from qpzk.protocol import InteractiveProtocol, Strategy
 from qpzk.compilers.collapse import CollapsedProtocol, as_three_message, collapsed_soundness
 from qpzk.compilers.public_coin import (
     PublicCoinProtocol,
@@ -38,9 +37,9 @@ def pipeline_cheat_strategies(pc: PublicCoinProtocol, rng) -> list[Strategy]:
     rm_dim = 2 ** (pc.base.r_qubits + pc.base.m_qubits)
     idle = dict.fromkeys(("U0", "U1"), np.eye(rm_dim, dtype=complex))
 
-    garbage = Strategy(idle, random_amplitudes(2 ** n, rng), "garbage-opening")
-    lazy = Strategy(idle, honest.free, "always-idle")
+    garbage = Strategy.computed(idle, random_amplitudes(2 ** n, rng), "garbage-opening")
+    lazy = Strategy.computed(idle, honest.free, "always-idle")
     final_move = dict.fromkeys(("U0", "U1"), honest.slots["U0"])
-    eager = Strategy(final_move, honest.free, "always-final-move")
+    eager = Strategy.computed(final_move, honest.free, "always-final-move")
     return [garbage, lazy, eager]
 

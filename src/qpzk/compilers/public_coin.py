@@ -19,9 +19,8 @@ from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError
-from qpzk.optimize import AscentProblem, Branch, Strategy
-from qpzk.protocol import (InteractiveProtocol, ProverStrategy, initial_workspace_state,
-                           verifier_view)
+from qpzk.optimize import AscentProblem, Branch
+from qpzk.protocol import InteractiveProtocol, Strategy, initial_workspace_state, verifier_view
 
 
 def public_coin_soundness(zeta: float) -> float:
@@ -54,15 +53,13 @@ class PublicCoinProtocol:
     def honest_strategy(self) -> Strategy:
         """The opening is the base's state on (R, W, M) after message 2; the
         response to coin 0 is the base's second prover round, to coin 1 the
-        identity on (R, M)."""
+        identity on (R, M), an empty gate list."""
         vec = self.base.evolve(upto_message=2).amplitudes
-        p2 = self.base.prover_unitaries[1]
-        return Strategy({"U0": p2, "U1": np.eye(p2.shape[0], dtype=complex)}, vec, "honest")
+        return Strategy.computed({"U0": self.base.prover_unitaries[1], "U1": ()}, vec, "honest")
 
-    def coin_views(self, prover: ProverStrategy) -> dict[int, MixedState]:
-        """Each coin's (W, M) view with `prover` on the base's (R, M) wires:
-        after its second round (message 3) for b = 0, after V_1 (message 2)
-        for b = 1."""
+    def coin_views(self, prover: Strategy) -> dict[int, MixedState]:
+        """Each coin's (W, M) view with a prover of the base: after its
+        second round (message 3) for b = 0, after V_1 (message 2) for b = 1."""
         return {b: verifier_view(self.base, prover, 3 - b) for b in (0, 1)}
 
     # -- exact evaluation -------------------------------------------------------
@@ -133,7 +130,7 @@ class SimulatedCoinTranscript:
     wm_state: MixedState
 
 
-def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: ProverStrategy,
+def hv_simulate_public_coin(compiled: PublicCoinProtocol, sim: Strategy,
                             trials: int, rng) -> list[SimulatedCoinTranscript]:
     """`trials` simulated (W, M, b) transcripts, each with a uniform coin;
     the two transcripts are built once."""

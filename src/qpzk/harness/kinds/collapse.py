@@ -18,8 +18,12 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     base = _load_base(config, copier_base)
     col = CollapsedProtocol(base)
     honest = col.honest_strategy()
+    # With base completeness c every challenge's accept check passes with
+    # probability c; the Bell test of the last one passes with (1 + c) / 2
+    # and the others' with 1.
+    c, r = run_protocol(base), col.r
     record.add(equality_row("honest-acceptance-vs-base-completeness",
-                            col.acceptance(honest), run_protocol(base),
+                            col.acceptance(honest), c * (r - 2 + (1 + c) / 2) / (r - 1),
                             config.tolerance("identity", 1e-9),
                             "exact:base-protocol"))
     overlap = col.branch_overlap_identity(honest, 1)

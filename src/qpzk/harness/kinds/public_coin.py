@@ -14,7 +14,7 @@ from qpzk.compilers.public_coin import (
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import _oracle_excess_row, _stream
 from qpzk.harness.records import ExperimentRecord, equality_row, upper_bound_row
-from qpzk.protocol import ProverStrategy, run_protocol
+from qpzk.protocol import Strategy, run_protocol
 
 
 def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
@@ -38,7 +38,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     # accepted with certainty on both branches.
     perfect = copier_base()
     pc_perfect = make_public_coin(perfect)
-    sim = ProverStrategy(perfect.prover_unitaries, name="honest-prover-standin")
+    sim = Strategy(perfect.honest.slots, name="honest-prover-standin")
     transcripts = pc_perfect.coin_views(sim)
     record.add(equality_row(
         "simulator-transcript-acceptance",

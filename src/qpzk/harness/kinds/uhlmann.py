@@ -19,6 +19,7 @@ from qpzk.uhlmann import (
     perturbed_prover,
     random_instance,
     real_verifier_output,
+    rounds_for,
     run_uhlmann_protocol,
     soundness_check,
     zk_simulate_uhlmann,
@@ -27,6 +28,7 @@ from qpzk.uhlmann import (
 
 def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     delta = config.param("delta")
+    rounds_for(delta, "params.delta")
     rq, sq = config.param("r_qubits"), config.param("s_qubits")
     count = config.param("instances")
 

@@ -22,7 +22,7 @@ from qpzk.errors import ConfigError
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import _stream
 from qpzk.harness.records import ExperimentRecord, equality_row, threshold_row
-from qpzk.protocol import ProverStrategy
+from qpzk.protocol import Strategy
 
 
 def _uniform_chi_square_p(counts) -> float:
@@ -50,7 +50,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     record.add(threshold_row("coin-uniformity-chi-square-p", _uniform_chi_square_p(counts),
                              0.01, "formula:ideal-xor-uniformity", above=True))
 
-    sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+    sim = Strategy(base.honest.slots, name="honest-prover-standin")
     for verifier in (
         HONEST_VERIFIER,
         MaliciousVerifier(name="fixed-bv0"),

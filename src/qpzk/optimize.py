@@ -31,7 +31,7 @@ from qpzk.core.operators import P1, accept_projector, projector_onto
 from qpzk.core.sampling import random_amplitudes, random_unitary
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.protocol import InteractiveProtocol
+from qpzk.protocol import InteractiveProtocol, Strategy, bind
 
 DEFAULT_ITERS = 200
 DEFAULT_RESTARTS = 16
@@ -126,30 +126,11 @@ class AscentProblem:
                    for i, b in enumerate(self.branches))
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """A prover of a step-list problem: a unitary per slot name, and the free
-    part of the start (None when the start is all fixed)."""
-
-    slots: dict[str, np.ndarray]
-    free: Optional[np.ndarray] = None
-    name: str = "custom"
-
-
 @dataclass
 class AscentResult:
     value: float
     strategy: Strategy
     history: list[float] = field(default_factory=list)
-
-
-def bind(steps, slots: dict) -> tuple:
-    """The steps as a plain gate list: each slot name replaced by its
-    unitary in slots."""
-    try:
-        return tuple((slots[op] if isinstance(op, str) else op, wires) for op, wires in steps)
-    except KeyError as exc:
-        raise ConfigError(f"strategy has no unitary for slot {exc.args[0]!r}") from None
 
 
 def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndarray:
@@ -255,8 +236,8 @@ def alternating_ascent(
     history, results = [[v] for v in value], [None] * len(rows)
 
     def result(r: int) -> AscentResult:
-        strategy = Strategy({k: s[r] for k, s in slots.items()},
-                            None if free is None else free[r], "ascent")
+        strategy = Strategy.computed({k: s[r] for k, s in slots.items()},
+                                     None if free is None else free[r], "ascent")
         return AscentResult(value[r], strategy, history[rows[r]])
 
     for _ in range(iters):
@@ -331,28 +312,20 @@ def protocol_ascent_problem(
     ancilla_qubits: int = 0,
     frozen_slots: tuple[str, ...] = (),
 ) -> AscentProblem:
-    """Single-branch problem: prover slots per round, fixed initial state.
+    """Single-branch problem: the protocol's step list (`steps`) and then
+    the accept projector, from the protocol's fixed start.
 
     Slots named in frozen_slots are pinned to the identity (their step is
     dropped), which models a prover that stays idle in those rounds.
     """
-    n = protocol.layout.total_qubits + ancilla_qubits
-    base = protocol.layout
-    rm = base.qubits_of_all(["R", "M"]) + list(range(base.total_qubits, n))
-    wm = base.qubits_of_all(["W", "M"])
-    first_w = base.qubits_of("W")[0]
-    steps: list = []
-    for i in range(protocol.rounds):
-        slot = f"P{i + 1}"
-        if slot not in frozen_slots:
-            steps.append((slot, tuple(rm)))
-        steps.extend(linalg.placed(protocol.verifier_rounds[i], wm))
-    steps.append((P1, (first_w,)))
+    steps = [(op, wires) for op, wires in protocol.steps(ancilla_qubits)
+             if not (isinstance(op, str) and op in frozen_slots)]
+    steps.append((P1, (protocol.layout.qubits_of("W")[0],)))
     init = protocol.initial.amplitudes
     if ancilla_qubits:
         init = np.kron(init, linalg.basis_vector(0, 2 ** ancilla_qubits))
     return AscentProblem(
-        n_qubits=n,
+        n_qubits=protocol.layout.total_qubits + ancilla_qubits,
         branches=(Branch(1.0, tuple(steps)),),
         fixed_init=init,
     )
@@ -388,7 +361,7 @@ def brute_force_prover_value(
     }
     result = alternating_ascent(
         problem, rng, iters=iters, restarts=restarts, tol=tol,
-        warm_starts=[Strategy(honest, name="honest")] if honest else (),
+        warm_starts=[Strategy.computed(honest, name="honest")] if honest else (),
     )
     return result.value
 

@@ -12,6 +12,7 @@ matrices are built only on request.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,33 +44,72 @@ PROTOCOL_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ProverStrategy:
-    """Per-round prover unitaries, honest, adversarial or a round
-    simulator's (whose private register takes the place of R).
+class Strategy:
+    """A prover: a unitary per slot name, and the free part of the start
+    (None when the start is all fixed). A slot's unitary is a matrix on all
+    of the slot's wires, or a gate list of (matrix, local wires) whose local
+    wire k is the slot's k-th wire; each is checked here for unitarity, and
+    the free part for unit norm."""
 
-    `unitaries` act on R, M and an optional fresh ancilla declared upfront;
-    None means "use the protocol's honest unitaries".
-    """
-
-    unitaries: Optional[tuple[np.ndarray, ...]] = None
-    ancilla_qubits: int = 0
-    name: str = ""
+    slots: dict
+    free: Optional[np.ndarray] = None
+    name: str = "custom"
 
     def __post_init__(self):
-        if self.unitaries is not None:
-            mats = tuple(np.asarray(u) for u in self.unitaries)
-            object.__setattr__(self, "unitaries", tuple(
-                checked_unitary(u, u.shape[0].bit_length() - 1 if u.ndim else 0,
-                                "strategy unitary") for u in mats))
+        what = f"strategy {self.name!r}"
+        object.__setattr__(self, "slots", {
+            k: _checked_slot(v, f"{what} slot {k}") for k, v in self.slots.items()})
+        if self.free is not None and not abs(np.linalg.norm(self.free) - 1.0) <= linalg.EPS:
+            raise StateValidationError(
+                f"{what}: the start's free part has norm {np.linalg.norm(self.free)}, "
+                "not 1 within 1e-9")
 
-    def unitary_for(self, round_index: int) -> Optional[np.ndarray]:
-        """Unitary for a round; None means honest."""
-        if self.unitaries is None:
-            return None
-        return self.unitaries[round_index]
+    @classmethod
+    def computed(cls, slots: dict, free=None, name: str = "custom") -> "Strategy":
+        """A strategy the package computed from checked inputs (a gate list
+        as a tuple), without the constructor's checks."""
+        out = object.__new__(cls)
+        for field, value in (("slots", slots), ("free", free), ("name", name)):
+            object.__setattr__(out, field, value)
+        return out
 
 
-HONEST = ProverStrategy(name="honest")
+def bind(steps, slots: dict) -> tuple:
+    """The steps as a plain gate list: each slot name replaced by its
+    unitary in slots, a gate list's local wires placed on the slot's wires."""
+    out = []
+    for op, wires in steps:
+        if isinstance(op, str):
+            if op not in slots:
+                raise ConfigError(f"strategy has no unitary for slot {op!r}")
+            op = slots[op]
+            if isinstance(op, tuple):
+                out.extend(linalg.placed(op, wires))
+                continue
+        out.append((op, wires))
+    return tuple(out)
+
+
+def prover_ancilla(strategy: Strategy, names, wires: int) -> int:
+    """The ancilla of a run from a fixed start whose slots `names` each
+    act on `wires` prover wires, then the ancilla: what the widest slot
+    takes past them. Each matrix must act on all of a slot's wires."""
+    what = f"strategy {strategy.name!r}"
+    if set(strategy.slots) != set(names):
+        raise ConfigError(f"{what} has slots {sorted(strategy.slots)}; "
+                          f"the run takes {list(names)}")
+    if strategy.free is not None:
+        raise DimensionMismatchError(f"{what}: the run's start is fixed; it takes no free part")
+    # A gate list reaches up to its highest local wire, a matrix all its qubits.
+    widths = {k: max((w + 1 for _, ws in v for w in ws), default=0) if isinstance(v, tuple)
+              else v.shape[0].bit_length() - 1 for k, v in strategy.slots.items()}
+    anc = max(max(widths.values(), default=0) - wires, 0)
+    for k, v in strategy.slots.items():
+        if not isinstance(v, tuple) and widths[k] != wires + anc:
+            raise DimensionMismatchError(
+                f"{what}: slot {k} acts on {widths[k]} qubits; the prover's wires "
+                f"are {wires}, and {anc} more of ancilla")
+    return anc
 
 
 class InteractiveProtocol:
@@ -102,6 +142,18 @@ class InteractiveProtocol:
         self.prover_rounds = tuple(
             _checked_round(p, r_qubits + m_qubits, "prover", "R M")
             for p in prover_unitaries)
+        # The step list, by message: slot P_i on (R, M), V_i's gates on (W, M).
+        rm = tuple(self.layout.qubits_of_all(["R", "M"]))
+        wm = self.layout.qubits_of_all(["W", "M"])
+        self._messages = tuple(itertools.chain.from_iterable(
+            (((f"P{i + 1}", rm),), linalg.placed(g, wm))
+            for i, g in enumerate(self.verifier_rounds)))
+
+    @functools.cached_property
+    def honest(self) -> Strategy:
+        """The honest prover: slot P_i is round i's checked gate list."""
+        return Strategy.computed({f"P{i + 1}": g for i, g in enumerate(self.prover_rounds)},
+                                 name="honest")
 
     @functools.cached_property
     def verifier_unitaries(self) -> tuple[np.ndarray, ...]:
@@ -153,42 +205,29 @@ class InteractiveProtocol:
 
     # -- execution ---------------------------------------------------------
 
-    def _initial_state(self, strat: ProverStrategy) -> PureState:
-        if strat.ancilla_qubits == 0:
-            return self.initial
-        anc = PureState.computational(RegisterLayout.single("Anc", strat.ancilla_qubits))
-        return tensor(self.initial, anc)
-
-    def _prover_gates(self, strat: ProverStrategy, i: int, wires) -> tuple:
-        """Round i of the prover on the given (R, M[, Anc]) wires: the
-        strategy's unitary on all of them, or the honest gates, which leave
-        the ancilla untouched."""
-        u = strat.unitary_for(i)
-        if u is None:
-            return linalg.placed(self.prover_rounds[i], wires)
-        return ((u, tuple(wires)),)
-
-    def evolve(self, strat: ProverStrategy = HONEST, upto_message: Optional[int] = None) -> PureState:
-        """State after the given message (default: after the final V_r)."""
-        if strat.unitaries is not None and len(strat.unitaries) != self.rounds:
-            raise DimensionMismatchError(
-                f"strategy {strat.name or 'custom'!r} has {len(strat.unitaries)} "
-                f"rounds; the protocol has {self.rounds}")
-        state = self._initial_state(strat)
-        lay = state.layout
-        n = lay.total_qubits
-        names = ("R", "M") if strat.ancilla_qubits == 0 else ("R", "M", "Anc")
-        prover = lay.qubits_of_all(names)
-        wm = lay.qubits_of_all(["W", "M"])
-        vec = state.amplitudes
+    def steps(self, ancilla_qubits: int = 0, upto_message: Optional[int] = None) -> tuple:
+        """The step list through the given message (default: V_r, message
+        2r) on (R, W, M), then an ancilla that each slot's wires end with."""
         last = 2 * self.rounds if upto_message is None else upto_message
-        for i in range(self.rounds):
-            if 2 * i + 1 > last:
-                break
-            vec = linalg.apply_gates(self._prover_gates(strat, i, prover), vec, n)
-            if 2 * i + 2 > last:
-                break
-            vec = linalg.apply_gates(linalg.placed(self.verifier_rounds[i], wm), vec, n)
+        if not 0 <= last <= 2 * self.rounds:
+            raise ConfigError(f"upto_message {last} outside 0..{2 * self.rounds}")
+        n = self.layout.total_qubits
+        anc = tuple(range(n, n + ancilla_qubits))
+        return tuple((op, wires + anc) if isinstance(op, str) else (op, wires)
+                     for op, wires in itertools.chain.from_iterable(self._messages[:last]))
+
+    def evolve(self, strategy: Optional[Strategy] = None,
+               upto_message: Optional[int] = None) -> PureState:
+        """State after the given message (default: V_r) with the given prover
+        (default: the honest one); its ancilla starts in zeros after (R, W, M)."""
+        strategy = self.honest if strategy is None else strategy
+        anc = prover_ancilla(strategy, self.honest.slots, self.r_qubits + self.m_qubits)
+        lay, vec = self.layout, self.initial.amplitudes
+        if anc:
+            lay = lay.concat(RegisterLayout.single("Anc", anc))
+            vec = np.kron(vec, linalg.basis_vector(0, 2 ** anc))
+        gates = bind(self.steps(anc, upto_message), strategy.slots)
+        vec = linalg.apply_gates(gates, vec, lay.total_qubits)
         return PureState.computed(vec, lay)
 
     def acceptance(self, state: PureState) -> float:
@@ -198,17 +237,31 @@ class InteractiveProtocol:
 def _checked_round(op, n: int, role: str, regs: str) -> tuple:
     """One round as a tuple of read-only (matrix, wires) gates on n local
     wires, each checked for its wires and for unitarity."""
-    if _is_gate_list(op):
-        gates = op
-    else:
-        gates = [(op, range(n))]
+    if not _is_gate_list(op):
         if np.shape(op) != (2 ** n, 2 ** n):
             raise DimensionMismatchError(f"{role} unitary must act on {regs}")
+        op = [(op, range(n))]
+    return _checked_gates(op, n, f"{role} unitary")
+
+
+def _checked_slot(op, what: str):
+    """A slot's unitary checked: a gate list as a tuple of gates, a matrix
+    as a read-only unitary on the qubits its size gives."""
+    if _is_gate_list(op):
+        return _checked_gates(op, None, what)
+    mat = np.asarray(op)
+    return checked_unitary(mat, mat.shape[0].bit_length() - 1 if mat.ndim else 0, what)
+
+
+def _checked_gates(gates, n: Optional[int], what: str) -> tuple:
+    """The gates as a tuple of read-only (matrix, wires) pairs, each checked
+    for unitarity and for distinct wires in 0..n-1 (any distinct
+    non-negative wires when n is None)."""
     out = []
     for mat, wires in gates:
         wires = tuple(int(w) for w in wires)
-        mat = checked_unitary(mat, len(wires), f"{role} unitary")
-        linalg.target_plan(wires, n, mat.shape[0])
+        mat = checked_unitary(mat, len(wires), what)
+        linalg.target_plan(wires, max(wires, default=0) + 1 if n is None else n, mat.shape[0])
         out.append((mat, wires))
     return tuple(out)
 
@@ -235,8 +288,9 @@ def accept_probability(vec: np.ndarray, layout: RegisterLayout) -> float:
     return float(np.linalg.norm(out) ** 2)
 
 
-def run_protocol(protocol: InteractiveProtocol, strat: ProverStrategy = HONEST) -> float:
-    """Exact acceptance probability by full state evolution."""
+def run_protocol(protocol: InteractiveProtocol, strat: Optional[Strategy] = None) -> float:
+    """Exact acceptance probability by full state evolution (default: of
+    the honest prover)."""
     final = protocol.evolve(strat)
     return protocol.acceptance(final)
 
@@ -254,16 +308,15 @@ def initial_workspace_state(protocol: InteractiveProtocol) -> np.ndarray:
     return top * np.exp(-1j * np.angle(top[np.argmax(np.abs(top))]))
 
 
-def verifier_view(protocol: InteractiveProtocol, strat: ProverStrategy, i: int) -> MixedState:
+def verifier_view(protocol: InteractiveProtocol, strat: Optional[Strategy], i: int) -> MixedState:
     """Reduced W M state after the i-th message, prover side traced out."""
     if not 1 <= i <= protocol.messages:
         raise ConfigError(f"message index {i} outside 1..{protocol.messages}")
     state = protocol.evolve(strat, upto_message=i)
-    drop = ["R"] + (["Anc"] if strat.ancilla_qubits else [])
-    return partial_trace(state, drop)
+    return partial_trace(state, [r for r in state.layout.names if r not in ("W", "M")])
 
 
-def sample_run(protocol, strat: ProverStrategy, coin_schedule, rng):
+def sample_run(protocol, strat: Optional[Strategy], coin_schedule, rng):
     """One seeded run: sampled accept bit plus the transcript, the verifier's
     (W, M) view after each message.
 

@@ -39,6 +39,15 @@ from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, re
 DEFAULT_DELTA = 2.0
 
 
+def rounds_for(delta: float, field: str = "delta") -> int:
+    """gamma = round(8 delta^2), the protocol's round count; a delta that
+    is not finite or gives no round is a ConfigError naming `field`."""
+    if not 0.25 < delta <= sys.float_info.max:
+        raise ConfigError(f"{field}: must be finite and above 0.25, so that "
+                          f"round(8 delta^2) is at least one round; got {delta!r}")
+    return int(round(8 * delta ** 2))
+
+
 @dataclass(frozen=True)
 class UhlmannInstance:
     """Preparation unitaries on (R, S) plus the round parameters."""
@@ -53,8 +62,7 @@ class UhlmannInstance:
         for name in ("c_unitary", "d_unitary"):
             object.__setattr__(self, name, checked_unitary(
                 getattr(self, name), self.r_qubits + self.s_qubits, f"{name} on R and S"))
-        if not 0 < self.delta <= sys.float_info.max:
-            raise ConfigError(f"delta must be finite and positive, got {self.delta!r}")
+        rounds_for(self.delta)
         rc = self.reduced_r(self.c_vector())
         rd = self.reduced_r(self.d_vector())
         if not linalg.close(rc, rd, 1e-9):
@@ -65,7 +73,7 @@ class UhlmannInstance:
 
     @property
     def gamma(self) -> int:
-        return int(round(8 * self.delta ** 2))
+        return rounds_for(self.delta)
 
     @property
     def layout(self) -> RegisterLayout:

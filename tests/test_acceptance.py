@@ -207,7 +207,7 @@ class TestAcceptance:
             public_coin_soundness,
         )
         from qpzk.optimize import alternating_ascent, brute_force_prover_value
-        from qpzk.protocol import ProverStrategy, run_protocol
+        from qpzk.protocol import Strategy, run_protocol
 
         # Honest acceptance at least one minus the base completeness error.
         for theta in (0.0, 0.5, 1.0):
@@ -232,7 +232,7 @@ class TestAcceptance:
         # Exact simulator transcripts are accepted with probability one.
         base = copier_base()
         pc = make_public_coin(base)
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         transcripts = pc.coin_views(sim)
         assert pc.transcript_acceptance(transcripts[0], 0) == pytest.approx(1.0, abs=1e-9)
         assert pc.transcript_acceptance(transcripts[1], 1) == pytest.approx(1.0, abs=1e-9)
@@ -250,7 +250,7 @@ class TestAcceptance:
         from qpzk.core.metrics import cq_trace_distance
         from qpzk.compilers.examples import copier_base
         from qpzk.compilers.public_coin import make_public_coin
-        from qpzk.protocol import ProverStrategy
+        from qpzk.protocol import Strategy
 
         base = copier_base()
         pc = make_public_coin(base)
@@ -265,7 +265,7 @@ class TestAcceptance:
             assert p_value > 0.01
 
         # Simulated views equal real views exactly, including abort paths.
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         cf2 = CoinFlipProtocol(pc, 2)
         verifiers = [
             HONEST_VERIFIER,

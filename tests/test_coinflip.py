@@ -20,7 +20,7 @@ from qpzk.compilers.examples import copier_base, rotated_copier_base
 from qpzk.compilers.public_coin import make_public_coin
 from qpzk.errors import ConfigError
 from qpzk.harness.kinds.zk import _uniform_chi_square_p
-from qpzk.protocol import HONEST, ProverStrategy, sample_run
+from qpzk.protocol import Strategy, sample_run
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def public_coin():
 
 @pytest.fixture(scope="module")
 def simulator():
-    return ProverStrategy(copier_base().prover_unitaries, name="honest-prover-standin")
+    return Strategy(copier_base().honest.slots, name="honest-prover-standin")
 
 
 class TestCoinUniformity:
@@ -225,4 +225,4 @@ class TestValidation:
     def test_sample_run_points_to_run(self, public_coin):
         cf = CoinFlipProtocol(public_coin, 2)
         with pytest.raises(ConfigError, match=r"CoinFlipProtocol.*CoinFlipProtocol\.run"):
-            sample_run(cf, HONEST, [0, 1], rng_from(0))
+            sample_run(cf, public_coin.honest_strategy(), [0, 1], rng_from(0))

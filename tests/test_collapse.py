@@ -27,8 +27,8 @@ from qpzk.errors import ConfigError, ZeroProbabilityError
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import run_experiment
 from qpzk.harness.records import load_record
-from qpzk.optimize import Strategy, alternating_ascent, brute_force_prover_value
-from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol, save_protocol
+from qpzk.optimize import alternating_ascent, brute_force_prover_value
+from qpzk.protocol import InteractiveProtocol, Strategy, run_protocol, save_protocol
 
 
 def entangling_copier_base() -> InteractiveProtocol:
@@ -203,7 +203,7 @@ class TestSimulator:
     def test_exact_simulator_passes_bell_check(self):
         base = copier_base()
         col = CollapsedProtocol(base)
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         rep = hv_simulate_collapsed(col, sim, 1)
         assert rep.bell_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.accept_check_probability == pytest.approx(1.0, abs=1e-9)
@@ -217,17 +217,19 @@ class TestSimulator:
         base = copier_base()
         col = CollapsedProtocol(base)
         g = rng_from(2400)
-        sim = ProverStrategy((base.prover_unitaries[0], random_unitary(4, g)),
-                             name="twisted-second-round")
+        sim = Strategy({"P1": base.prover_unitaries[0], "P2": random_unitary(4, g)},
+                       name="twisted-second-round")
         rep = hv_simulate_collapsed(col, sim, 1)
         assert rep.accept_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.bell_check_probability == pytest.approx(1.0, abs=1e-9)
         assert rep.factorization_residual < 1e-9
 
     def test_simulator_with_an_ancilla_rejected(self):
-        col = CollapsedProtocol(copier_base())
-        with pytest.raises(ConfigError, match="ancilla"):
-            hv_simulate_collapsed(col, ProverStrategy(ancilla_qubits=1), 1)
+        base = copier_base()
+        col = CollapsedProtocol(base)
+        wide = {k: v + ((np.eye(2), (2,)),) for k, v in base.honest.slots.items()}
+        with pytest.raises(ConfigError, match="'wide': .* carry no ancilla"):
+            hv_simulate_collapsed(col, Strategy(wide, name="wide"), 1)
 
     def test_report_runs_the_challenge_once(self, monkeypatch):
         base = copier_base()
@@ -236,7 +238,7 @@ class TestSimulator:
         run = CollapsedProtocol._run
         monkeypatch.setattr(CollapsedProtocol, "_run",
                             lambda self, *args: calls.append(args) or run(self, *args))
-        hv_simulate_collapsed(col, ProverStrategy(base.prover_unitaries, name="honest-prover-standin"), 1)
+        hv_simulate_collapsed(col, Strategy(base.honest.slots, name="honest-prover-standin"), 1)
         assert len(calls) == 1
 
     def test_inconsistent_response_fails_bell_check(self):
@@ -245,7 +247,7 @@ class TestSimulator:
         # chain, the reply plays another, and the Bell test sees it.
         base = entangling_copier_base()
         col = CollapsedProtocol(base)
-        strat = col.simulator_strategy(ProverStrategy(base.prover_unitaries, name="honest-prover-standin"))
+        strat = col.simulator_strategy(Strategy(base.honest.slots, name="honest-prover-standin"))
         tampered_strat = Strategy({"U1": np.eye(strat.slots["U1"].shape[0], dtype=complex)},
                                   strat.free, "tampered")
         honest_bell = col.challenge_outcome(strat, 1)[1]
@@ -273,7 +275,7 @@ class TestNeverPassingBase:
         assert col.challenge_outcome(honest, 1) == (0.0, 0.0, 0.0)
         assert col.branch_overlap_identity(honest, 1) is None
         with pytest.raises(ZeroProbabilityError):
-            hv_simulate_collapsed(col, HONEST, 1)
+            hv_simulate_collapsed(col, col.base.honest, 1)
 
     def test_run_marks_the_overlap_identity_not_applicable(self, tmp_path):
         base, cfg, out = tmp_path / "base.json", tmp_path / "cfg.json", tmp_path / "rec.json"
@@ -318,6 +320,39 @@ class TestNeverPassingBase:
         # one compiled ascent each.
         assert [b is loaded[0] for b in oracle_bases] == [False, False, True]
         assert [b is loaded[0] for b in ascent_bases] == [False, False, True]
+
+
+class TestImperfectBase:
+    """On a base of completeness c, every challenge's accept check passes
+    with probability c and the last challenge's Bell test with (1 + c) / 2,
+    so the honest collapsed acceptance is c (r - 2 + (1 + c) / 2) / (r - 1)."""
+
+    @pytest.mark.parametrize("rounds", [2, 3, 4])
+    def test_honest_acceptance_follows_the_completeness(self, rounds):
+        g = rng_from(2500, rounds)
+        psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
+        base = InteractiveProtocol.from_verifier_start(
+            psi_v, 1, 1, [random_unitary(4, g) for _ in range(rounds)],
+            [random_unitary(4, g) for _ in range(rounds)])
+        c = run_protocol(base)
+        col = CollapsedProtocol(base)
+        assert c < 0.99
+        assert col.acceptance(col.honest_strategy()) == pytest.approx(
+            c * (rounds - 2 + (1 + c) / 2) / (rounds - 1), abs=1e-12)
+
+    def test_run_on_a_loaded_imperfect_base_passes(self, tmp_path):
+        base, cfg, out = tmp_path / "base.json", tmp_path / "cfg.json", tmp_path / "rec.json"
+        save_protocol(rotated_copier_base(0.8), base)
+        cfg.write_text(json.dumps({
+            "kind": "collapse", "instances": {"base_protocol": str(base)},
+            "params": {"bases": 1, "oracle_restarts": 1, "oracle_iters": 20}}))
+        assert main(["collapse", "--config", str(cfg), "--out", str(out)]) == 0
+        row = {row.name: row for row in load_record(str(out)).rows}[
+            "honest-acceptance-vs-base-completeness"]
+        c = run_protocol(rotated_copier_base(0.8))
+        assert row.verdict == "PASS"
+        assert row.reference == pytest.approx(c * (1 + c) / 2, abs=1e-12)
+        assert row.reference < c - 0.05
 
 
 class TestStandardFormCast:

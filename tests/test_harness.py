@@ -33,7 +33,7 @@ from qpzk.harness.records import (
 )
 from qpzk.harness.experiments import _load_base, kind_module, run_experiment
 from qpzk.harness.report import report
-from qpzk.protocol import protocol_to_json
+from qpzk.protocol import Strategy, protocol_to_json
 from qpzk.serialize import complex_matrix_to_json
 
 
@@ -164,13 +164,15 @@ class TestDeterminism:
     ], ids=["mac-1", "double-open-200", "uhlmann-50", "collapse-1",
             "public-coin-300", "pipeline-60", "core-check-50", "pqma-200", "zk-200"])
     def test_same_seed_identical_records(self, kind, trials, params, monkeypatch):
-        """The second run builds every state the package computes through the
-        checking constructors, so a computed state that is not a valid state
+        """The second run builds every state and strategy the package
+        computes through the checking constructors, so a computed state that
+        is not a valid state, or a computed strategy that is not unitary,
         fails it."""
         cfg = ExperimentConfig(kind=kind, seed=11, trials=trials, params=params)
         first = run_experiment(cfg)
         monkeypatch.setattr(PureState, "computed", PureState)
         monkeypatch.setattr(MixedState, "computed", MixedState)
+        monkeypatch.setattr(Strategy, "computed", Strategy)
         second = run_experiment(cfg)
         assert first.comparable_bytes() == second.comparable_bytes()
 
@@ -321,6 +323,7 @@ class TestCli:
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=float("nan"))),
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=float("inf"))),
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=0.0)),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=0.2)),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": 7.5})),
@@ -337,6 +340,7 @@ class TestCli:
         ("collapse", None, json.dumps({"kind": "collapse", "params": {"oracle_restarts": 0}})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"r_qubits": 0}})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"instances": 0}})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"delta": 0.25}})),
         ("core-check", None, json.dumps({"kind": "core-check", "params": {"samples": -5}})),
         ("zk", None, json.dumps({"kind": "zk", "trials": 5, "params": {"reps": 10}})),
         ("mac", None, json.dumps({"kind": "mac", "params": [1]})),
@@ -370,7 +374,7 @@ class TestCli:
             "pqma-instance-completeness-error-nan", "pqma-instance-completeness-error-two",
             "pqma-instance-completeness-error-negative",
             "uhlmann-instance-delta-nan", "uhlmann-instance-delta-infinite",
-            "uhlmann-instance-delta-zero",
+            "uhlmann-instance-delta-zero", "uhlmann-instance-delta-no-round",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "uhlmann-config-seed-a-float", "uhlmann-config-seed-a-string",
             "uhlmann-config-seed-a-bool", "uhlmann-config-out-a-number",
@@ -379,7 +383,8 @@ class TestCli:
             "mac-config-unknown-param",
             "collapse-config-no-bases", "public-coin-config-no-bases",
             "collapse-config-no-oracle-restarts", "uhlmann-config-no-r-qubits",
-            "uhlmann-config-no-instances", "core-check-config-negative-samples",
+            "uhlmann-config-no-instances", "uhlmann-config-delta-no-round",
+            "core-check-config-negative-samples",
             "zk-config-fewer-trials-than-reps",
             "mac-config-params-not-an-object", "mac-config-tolerances-not-an-object",
             "mac-config-tolerance-not-a-number", "mac-config-unknown-tolerance",

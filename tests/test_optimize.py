@@ -1,5 +1,6 @@
 """Principal-angle closed form vs the alternating-ascent prover oracle."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,17 +19,15 @@ from qpzk.optimize import (
     DEFAULT_TOL,
     AscentProblem,
     Branch,
-    Strategy,
     _align,
     _assemble,
     alternating_ascent,
-    bind,
     brute_force_prover_value,
     optimal_three_message_value,
     protocol_ascent_problem,
     three_message_protocol,
 )
-from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol
+from qpzk.protocol import InteractiveProtocol, Strategy, bind, run_protocol
 
 W1 = RegisterLayout.single("W", 1)
 
@@ -89,7 +88,7 @@ class TestBruteForce:
                 [random_unitary(4, gen), random_unitary(4, gen)],
                 [random_unitary(4, gen), random_unitary(4, gen)],
             )
-            honest = run_protocol(prot, HONEST)
+            honest = run_protocol(prot, prot.honest)
             val = brute_force_prover_value(prot, rng, restarts=2, iters=40)
             assert val >= honest - 1e-9
 
@@ -154,8 +153,7 @@ class TestOracleMatchesRunner:
                                       partial_coupler_base(0.5, 0.7)],
                              ids=["rotated-copier", "partial-coupler"])
     def test_honest_value_matches_exact(self, base):
-        honest = Strategy({f"P{i + 1}": u for i, u in enumerate(base.prover_unitaries)})
-        assert protocol_ascent_problem(base).value(honest) \
+        assert protocol_ascent_problem(base).value(base.honest) \
             == pytest.approx(run_protocol(base), abs=1e-12)
 
         pc = make_public_coin(base)
@@ -205,12 +203,8 @@ class TestReplay:
             random_pure_state(W1, gen), 1, 1, [random_unitary(4, gen) for _ in range(2)],
             [random_unitary(4, gen) for _ in range(2)])
         pc, col = make_public_coin(base), CollapsedProtocol(base)
-
-        def run_base(strategy):
-            rounds = (strategy.slots["P1"], strategy.slots["P2"])
-            return run_protocol(base, ProverStrategy(rounds, ancilla_qubits=1))
-
-        for problem, runner in ((protocol_ascent_problem(base, ancilla_qubits=1), run_base),
+        for problem, runner in ((protocol_ascent_problem(base, ancilla_qubits=1),
+                                 functools.partial(run_protocol, base)),
                                 (pc.problem, pc.acceptance),
                                 (col.ascent_problem(2), col.acceptance)):
             res = alternating_ascent(problem, rng_from(96, seed), iters=iters,

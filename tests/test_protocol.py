@@ -9,9 +9,8 @@ from qpzk.core import (PureState, RegisterLayout, linalg, random_pure_state, ran
 from qpzk.core.operators import X
 from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.protocol import (
-    HONEST,
     InteractiveProtocol,
-    ProverStrategy,
+    Strategy,
     protocol_from_json,
     protocol_to_json,
     run_protocol,
@@ -53,9 +52,10 @@ class TestRunProtocol:
         assert run_protocol(writer_protocol()) == pytest.approx(1.0, abs=1e-12)
 
     def test_idle_prover_never_accepted_by_copier(self):
-        idle = ProverStrategy(unitaries=(np.eye(4, dtype=complex),))
-        assert run_protocol(copier_protocol(), idle) == pytest.approx(0.0, abs=1e-12)
-        assert run_protocol(copier_protocol(), HONEST) == pytest.approx(1.0, abs=1e-12)
+        idle = Strategy({"P1": np.eye(4, dtype=complex)})
+        prot = copier_protocol()
+        assert run_protocol(prot, idle) == pytest.approx(0.0, abs=1e-12)
+        assert run_protocol(prot, prot.honest) == pytest.approx(1.0, abs=1e-12)
 
     def test_toy_protocol_hand_computed(self):
         # One round, R = W = M = 1 qubit, psi_init = |000>.
@@ -77,13 +77,13 @@ class TestRunProtocol:
             prot = InteractiveProtocol.from_verifier_start(
                 PSI0, 1, 1, [random_unitary(4, rng)], [random_unitary(4, rng)]
             )
-            strat = ProverStrategy(unitaries=(random_unitary(4, rng),))
+            strat = Strategy({"P1": random_unitary(4, rng)})
             val = run_protocol(prot, strat)
             assert -1e-12 <= val <= 1 + 1e-12
 
     def test_strategy_register_violation(self):
         with pytest.raises(StateValidationError):
-            ProverStrategy(unitaries=(np.ones((4, 4)),))
+            Strategy({"P1": np.ones((4, 4))})
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_strategy_round_count_must_match(self, count):
@@ -91,16 +91,65 @@ class TestRunProtocol:
         # would be cut short; both fail where the strategy meets the protocol.
         from qpzk.compilers.examples import copier_base
 
-        strat = ProverStrategy(unitaries=(np.eye(4),) * count)
-        with pytest.raises(DimensionMismatchError, match=rf"has {count} rounds.* has 2"):
+        strat = Strategy({f"P{i + 1}": np.eye(4) for i in range(count)}, name="short-or-long")
+        with pytest.raises(ConfigError, match=r"'short-or-long' has slots .* takes \['P1', 'P2'\]"):
             run_protocol(copier_base(), strat)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError):
             verifier_view(copier_base(), strat, 1)
+
+    @pytest.mark.parametrize("slot", [2 * np.eye(4), [(np.eye(4), (0, 1)), (2 * np.eye(2), (1,))]],
+                             ids=["matrix", "gate-list"])
+    def test_non_unitary_slot_rejected_naming_the_strategy(self, slot):
+        with pytest.raises(StateValidationError, match="strategy 'doubled' slot P1"):
+            Strategy({"P1": slot, "P2": np.eye(4)}, name="doubled")
+
+    @pytest.mark.parametrize("free", [np.ones(4), np.zeros(4), np.full(4, np.nan)],
+                             ids=["norm-two", "zero", "nan"])
+    def test_free_part_not_a_unit_vector_rejected(self, free):
+        with pytest.raises(StateValidationError, match="strategy 'long-free': .* not 1"):
+            Strategy({}, free, "long-free")
+
+    def test_free_part_rejected_by_a_fixed_start(self):
+        prot = copier_protocol()
+        strat = Strategy(prot.honest.slots, np.ones(2) / np.sqrt(2), "with-free")
+        with pytest.raises(DimensionMismatchError, match="'with-free': the run's start is fixed"):
+            run_protocol(prot, strat)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matrix_on_other_than_the_prover_wires_rejected(self, width):
+        # A 2x2 matrix cannot act on (R, M); an 8x8 one declares an ancilla
+        # that the other slot's 4x4 matrix then does not act on.
+        from qpzk.compilers.examples import copier_base
+
+        strat = Strategy({"P1": np.eye(2 ** width), "P2": np.eye(4)}, name="misfit")
+        with pytest.raises(DimensionMismatchError, match="'misfit': slot P"):
+            run_protocol(copier_base(), strat)
+
+    def test_gate_list_slot_acts_on_its_local_wires(self):
+        # X on local wire 1 of (R, M) is the honest copier move.
+        prot = copier_protocol()
+        assert run_protocol(prot, Strategy({"P1": [(X, (1,))]})) == pytest.approx(1.0, abs=1e-12)
+        assert run_protocol(prot, Strategy({"P1": [(X, (0,))]})) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [-3, -1, 5, 9])
+    def test_message_index_outside_the_run_rejected(self, k):
+        from qpzk.compilers.examples import copier_base
+
+        with pytest.raises(ConfigError, match=r"upto_message .* outside 0\.\.4"):
+            copier_base().evolve(upto_message=k)
+
+    def test_every_message_index_of_the_run_accepted(self):
+        from qpzk.compilers.examples import copier_base
+
+        base = copier_base()
+        states = [base.evolve(upto_message=k).amplitudes for k in range(5)]
+        assert np.array_equal(states[0], base.initial.amplitudes)
+        assert np.array_equal(states[4], base.evolve().amplitudes)
 
 
 class TestVerifierView:
     def test_identity_prover_first_view_is_initial_reduction(self):
-        idle = ProverStrategy(unitaries=(np.eye(4, dtype=complex),))
+        idle = Strategy({"P1": np.eye(4, dtype=complex)})
         prot = copier_protocol()
         view = verifier_view(prot, idle, 1)
         from qpzk.core import partial_trace
@@ -118,27 +167,29 @@ class TestVerifierView:
             [random_unitary(4, rng), random_unitary(4, rng)],
         )
         for i in range(1, prot.messages + 1):
-            view = verifier_view(prot, HONEST, i)
+            view = verifier_view(prot, prot.honest, i)
             assert abs(view.trace() - 1.0) < 1e-9
             # Purity Tr(rho^2) is at most 1.
             assert np.trace(view.matrix @ view.matrix).real <= 1 + 1e-9
 
     def test_index_out_of_range(self):
         with pytest.raises(ConfigError):
-            verifier_view(copier_protocol(), HONEST, 2)
+            verifier_view(copier_protocol(), None, 2)
 
 
 class TestSampleRun:
     def test_deterministic_protocol_matches_exact(self):
         rng = rng_from(74)
         for _ in range(20):
-            outcome, transcript = sample_run(writer_protocol(), HONEST, (), rng)
+            prot = writer_protocol()
+            outcome, transcript = sample_run(prot, prot.honest, (), rng)
             assert outcome == 1
             assert len(transcript) == 1
 
     def test_fixed_seed_replays_transcript(self):
-        out1 = sample_run(copier_protocol(), HONEST, (), rng_from(75))
-        out2 = sample_run(copier_protocol(), HONEST, (), rng_from(75))
+        prot = copier_protocol()
+        out1 = sample_run(prot, prot.honest, (), rng_from(75))
+        out2 = sample_run(prot, prot.honest, (), rng_from(75))
         assert out1[0] == out2[0]
         for a, b in zip(out1[1], out2[1]):
             assert np.array_equal(a.matrix, b.matrix)
@@ -150,13 +201,13 @@ class TestSampleRun:
         exact = run_protocol(prot)
         rng = rng_from(76)
         n = 4000
-        hits = sum(sample_run(prot, HONEST, (), rng)[0] for _ in range(n))
+        hits = sum(sample_run(prot, prot.honest, (), rng)[0] for _ in range(n))
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert abs(hits / n - exact) <= 3 * sigma + 1e-9
 
     def test_coin_schedule_must_be_empty(self):
         with pytest.raises(ConfigError):
-            sample_run(writer_protocol(), HONEST, (0,), rng_from(0))
+            sample_run(writer_protocol(), None, (0,), rng_from(0))
 
 
 class TestPersistence:
@@ -270,8 +321,10 @@ class TestGateRounds:
         assert v1.flags.writeable
 
     def test_honest_rounds_leave_the_ancilla_untouched(self):
+        # The honest gate list plus an identity on local wires 2 and 3 of
+        # the slot: a two-qubit ancilla that nothing else touches.
         prot = copier_protocol()
-        strat = ProverStrategy(ancilla_qubits=2)
+        strat = Strategy({"P1": prot.honest.slots["P1"] + ((np.eye(4), (2, 3)),)})
         with_anc = prot.evolve(strat)
         want = np.kron(prot.evolve().amplitudes, linalg.basis_vector(0, 4))
         np.testing.assert_allclose(with_anc.amplitudes, want, rtol=0, atol=1e-15)

@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 
 from qpzk.core import rng_from, random_unitary
-from qpzk.errors import DimensionMismatchError, StateValidationError
+from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.crypto.commitments import CanonicalCommitment, bell_ancilla_scheme
-from qpzk.compilers.commit_rounds import (
-    CommitRoundProtocol,
-    CommitRoundStrategy,
-    fresh_c_substitution_strategy,
-)
+from qpzk.compilers.commit_rounds import CommitRoundProtocol, fresh_c_substitution_strategy
 from qpzk.compilers.examples import copier_base, rotated_copier_base
 from qpzk.compilers.pipeline import (
     build_pipeline,
     composite_bound,
     pipeline_cheat_strategies,
 )
-from qpzk.protocol import ProverStrategy, run_protocol
+from qpzk.protocol import Strategy, run_protocol
 
 
 def one_qubit_scheme() -> CanonicalCommitment:
@@ -31,7 +27,7 @@ def one_qubit_scheme() -> CanonicalCommitment:
 class TestHonestExecution:
     def test_perfect_completeness_preserved(self):
         proto = CommitRoundProtocol(copier_base(), one_qubit_scheme())
-        result = proto.execute(proto.honest_strategy())
+        result = proto.execute(proto.base.honest)
         assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
 
@@ -40,32 +36,38 @@ class TestHonestExecution:
         g = rng_from(3200, seed)
         base = copier_base()
         proto = CommitRoundProtocol(base, one_qubit_scheme())
-        mats = (random_unitary(4, g), random_unitary(4, g))
-        strat = CommitRoundStrategy(
-            lambda i: [(mats[i - 1], ("R", "M"))], 0, "random-rm")
+        # Gate lists on local wires (0, 1) of a slot: (R, M) in both runs.
+        strat = Strategy({f"P{i}": [(random_unitary(4, g), (0, 1))] for i in (1, 2)},
+                         name="random-rm")
         result = proto.execute(strat)
-        want = run_protocol(base, ProverStrategy(unitaries=mats))
+        want = run_protocol(base, strat)
         assert result.accept_probability == pytest.approx(want, abs=1e-9)
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_scheme_roundtrips(self):
         proto = CommitRoundProtocol(rotated_copier_base(0.6), bell_ancilla_scheme(1))
-        result = proto.execute(proto.honest_strategy())
+        result = proto.execute(proto.base.honest)
         want = run_protocol(rotated_copier_base(0.6))
         assert result.accept_probability == pytest.approx(want, abs=1e-9)
 
 
 class TestProverOperationChecks:
     @pytest.mark.parametrize("mat,error", [
-        (2 * np.eye(4), StateValidationError),
-        (np.eye(4)[:, :2], DimensionMismatchError),
+        (2 * np.eye(8), StateValidationError),
+        (np.eye(8)[:, :2], DimensionMismatchError),
         (np.eye(2), DimensionMismatchError),
-    ], ids=["not-unitary", "not-square", "wrong-size"])
+        (np.eye(4), DimensionMismatchError),
+    ], ids=["not-unitary", "not-square", "wrong-size", "without-c"])
     def test_bad_prover_operation_rejected(self, mat, error):
+        # A matrix slot acts on all of (R, M, C), three qubits here.
         proto = CommitRoundProtocol(copier_base(), bell_ancilla_scheme(1))
-        strat = CommitRoundStrategy(lambda i: [(mat, ("R", "M"))])
-        with pytest.raises(error, match="stage-I prover operation"):
-            proto.execute(strat)
+        with pytest.raises(error, match="strategy 'bad'"):
+            proto.execute(Strategy({"P1": mat, "P2": np.eye(8)}, name="bad"))
+
+    def test_substitution_round_outside_the_run_rejected(self):
+        proto = CommitRoundProtocol(copier_base(), bell_ancilla_scheme(1))
+        with pytest.raises(ConfigError, match=r"at_round 3 outside 1\.\.2"):
+            fresh_c_substitution_strategy(proto, at_round=3)
 
 
 class TestBindingDetection:
@@ -102,7 +104,7 @@ class TestBindingDetection:
 
     def test_untouched_commitment_never_aborts(self):
         proto = CommitRoundProtocol(copier_base(), bell_ancilla_scheme(1))
-        result = proto.execute(proto.honest_strategy())
+        result = proto.execute(proto.base.honest)
         assert result.abort_probability == pytest.approx(0.0, abs=1e-12)
 
 

@@ -15,8 +15,8 @@ from qpzk.compilers.public_coin import (
     public_coin_soundness,
 )
 from qpzk.errors import ConfigError
-from qpzk.optimize import Strategy, alternating_ascent, brute_force_prover_value
-from qpzk.protocol import HONEST, InteractiveProtocol, ProverStrategy, run_protocol, sample_run
+from qpzk.optimize import alternating_ascent, brute_force_prover_value
+from qpzk.protocol import InteractiveProtocol, Strategy, run_protocol, sample_run
 
 
 class TestFormula:
@@ -170,7 +170,7 @@ class TestSimulator:
     def test_exact_simulator_transcripts_accepted(self):
         base = copier_base()
         pc = make_public_coin(base)
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         transcripts = pc.coin_views(sim)
         assert pc.transcript_acceptance(transcripts[0], 0) == pytest.approx(1.0, abs=1e-9)
         assert pc.transcript_acceptance(transcripts[1], 1) == pytest.approx(1.0, abs=1e-9)
@@ -178,7 +178,7 @@ class TestSimulator:
     def test_branch_frequency_uniform(self):
         base = copier_base()
         pc = make_public_coin(base)
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         rng = rng_from(2800)
         n = 4000
         ones = sum(t.coin for t in hv_simulate_public_coin(pc, sim, n, rng))
@@ -189,7 +189,7 @@ class TestSimulator:
     def test_coins_are_the_scalar_coin_draws(self, trials):
         base = copier_base()
         pc = make_public_coin(base)
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         loop_rng, sim_rng = rng_from(2801), rng_from(2801)
         coins = [int(loop_rng.integers(2)) for _ in range(trials)]
         assert [t.coin for t in hv_simulate_public_coin(pc, sim, trials, sim_rng)] == coins
@@ -198,7 +198,7 @@ class TestSimulator:
     def test_simulated_swap_branch_passes_exactly(self):
         base = rotated_copier_base(0.7)
         pc = make_public_coin(base)
-        sim = ProverStrategy(base.prover_unitaries, name="honest-prover-standin")
+        sim = Strategy(base.honest.slots, name="honest-prover-standin")
         transcripts = pc.coin_views(sim)
         assert pc.transcript_acceptance(transcripts[1], 1) == pytest.approx(1.0, abs=1e-9)
 
@@ -239,8 +239,8 @@ class TestCoinViews:
             PureState(psi_v, RegisterLayout.single("W", w)), r, m, vs, honest)
         pc = PublicCoinProtocol(base)
         start = np.kron(np.kron(np.eye(dims[0])[0], psi_v), np.eye(dims[2])[0])
-        sim = ProverStrategy(tuple(haar(dims[0] * dims[2]) for _ in range(2)), name="sim")
-        for prover, (p1, p2) in ((HONEST, honest), (sim, sim.unitaries)):
+        sim = Strategy({f"P{i}": haar(dims[0] * dims[2]) for i in (1, 2)}, name="sim")
+        for prover, (p1, p2) in ((base.honest, honest), (sim, sim.slots.values())):
             one = _dense_apply(vs[0], _dense_apply(p1, start, dims, True), dims, False)
             two = _dense_apply(p2, one, dims, True)
             views = pc.coin_views(prover)
