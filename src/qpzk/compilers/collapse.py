@@ -23,7 +23,8 @@ from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError, ZeroProbabilityError
 from qpzk.optimize import AscentProblem, Branch
-from qpzk.protocol import InteractiveProtocol, Strategy, bind, initial_workspace_state
+from qpzk.protocol import (InteractiveProtocol, Strategy, bind, initial_workspace_state,
+                           run_steps)
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -38,6 +39,10 @@ def collapsed_soundness(zeta: float, r: int) -> float:
     return 1.0 - (1.0 - zeta) ** 2 / (16.0 * (r - 1) ** 2)
 
 
+# Positions in `_challenge_steps` of the steps whose output `_run` reads.
+_ACCEPT_CHECK, _REPLY, _CNOT, _BELL_TEST = 0, 3, 4, 5
+
+
 class _ChallengeRun(NamedTuple):
     """One challenge run past the accept check: the pass probabilities of
     the accept check and of the Bell test given it, the unnormalized states
@@ -48,13 +53,6 @@ class _ChallengeRun(NamedTuple):
     pre_cnot: np.ndarray
     post_cnot: np.ndarray
     lay: RegisterLayout
-
-    def bell_pair(self) -> np.ndarray:
-        """Reduced (B, Bp) density right before the verifier's controlled-X,
-        normalized on the accept-check branch."""
-        pre_cnot = self.pre_cnot / np.linalg.norm(self.pre_cnot)
-        keep = self.lay.qubits_of_all(["B", "Bp"])
-        return linalg.partial_trace_vector(pre_cnot, keep, self.lay.total_qubits)
 
 
 class CollapsedProtocol:
@@ -143,7 +141,8 @@ class CollapsedProtocol:
         """The verifier's run for one challenge i on layout lay, as gates:
         accept projector on W_r M_r, V_i on W_i M_i, swap of W_i and W_i+1
         controlled on B, the prover's reply as slot U_i on its wires
-        (prover_wire_names), controlled-X from B to Bp, then |+><+| on B."""
+        (prover_wire_names), controlled-X from B to Bp, then |+><+| on B.
+        `_run` reads the steps' outputs by the positions named above."""
         i = challenge
         wires = lay.qubits_of_all
         return (
@@ -167,18 +166,16 @@ class CollapsedProtocol:
         if private_qubits < 0:
             raise DimensionMismatchError("bundle is smaller than the snapshot registers")
         lay = self.layout(private_qubits)
-        n = lay.total_qubits
-        gates = bind(self._challenge_steps(challenge, lay), strat.slots)
-
-        vec = linalg.apply_gates(gates[:1], PureState(joint, lay).amplitudes, n)
-        p_acc = float(np.linalg.norm(vec) ** 2)
+        trace = run_steps(self._challenge_steps(challenge, lay), strat.slots,
+                          PureState(joint, lay).amplitudes, lay.total_qubits)
+        # Position -1 is the start; only the states read are kept.
+        after = {pos: vec for pos, vec in enumerate(trace, -1)
+                 if pos in (_ACCEPT_CHECK, _REPLY, _CNOT, _BELL_TEST)}
+        p_acc = float(np.linalg.norm(after[_ACCEPT_CHECK]) ** 2)
         if p_acc <= 1e-15:
             return None
-        pre_cnot = linalg.apply_gates(gates[1:4], vec, n)
-        post_cnot = linalg.apply_gates(gates[4:5], pre_cnot, n)
-        final = linalg.apply_gates(gates[5:], post_cnot, n)
-        p_bell = float(np.linalg.norm(final) ** 2) / p_acc
-        return _ChallengeRun(p_acc, p_bell, pre_cnot, post_cnot, lay)
+        p_bell = float(np.linalg.norm(after[_BELL_TEST]) ** 2) / p_acc
+        return _ChallengeRun(p_acc, p_bell, after[_REPLY], after[_CNOT], lay)
 
     def challenge_outcome(self, strat: Strategy, challenge: int):
         """Exact probabilities for one challenge: (p_acc_check, p_bell_given
@@ -207,14 +204,6 @@ class CollapsedProtocol:
         psi1 = t[1] * np.sqrt(2)
         predicted = 0.5 + 0.5 * float(np.real(np.vdot(psi0, psi1)))
         return run.p_bell, predicted
-
-    def _passing_run(self, strat: Strategy, challenge: int) -> _ChallengeRun:
-        """_run, raising ZeroProbabilityError when the accept check cannot pass."""
-        run = self._run(strat, challenge)
-        if run is None:
-            raise ZeroProbabilityError(
-                f"challenge {challenge}: the accept check passes with probability zero")
-        return run
 
     # -- cheat oracle -----------------------------------------------------------
 
@@ -306,8 +295,14 @@ def hv_simulate_collapsed(collapsed: CollapsedProtocol, sim: Strategy,
     (B, Bp) pair times a product of identical snapshots; the residual is the
     distance of the reduced pair from that maximally entangled state.
     """
-    run = collapsed._passing_run(collapsed.simulator_strategy(sim), challenge)
-    pair = run.bell_pair()
+    run = collapsed._run(collapsed.simulator_strategy(sim), challenge)
+    if run is None:
+        raise ZeroProbabilityError(
+            f"challenge {challenge}: the accept check passes with probability zero")
+    # The reduced (B, Bp) state before the verifier's controlled-X,
+    # normalized on the accept-check branch.
+    pair = linalg.partial_trace_vector(run.pre_cnot / np.linalg.norm(run.pre_cnot),
+                                       run.lay.qubits_of_all(["B", "Bp"]), run.lay.total_qubits)
     fid = float(np.real(np.vdot(BELL, pair @ BELL)))
     residual = linalg.half_trace_norm(pair - np.outer(BELL, BELL.conj()))
     return CollapsedSimulationReport(challenge, run.p_acc, run.p_bell, fid, residual)

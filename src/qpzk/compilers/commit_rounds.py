@@ -19,8 +19,8 @@ from qpzk.core.operators import swap_registers
 from qpzk.core.registers import RegisterLayout
 from qpzk.crypto.commitments import CanonicalCommitment
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.protocol import (InteractiveProtocol, Strategy, accept_probability, bind,
-                           initial_workspace_state, prover_ancilla)
+from qpzk.protocol import (InteractiveProtocol, Strategy, accept_probability, final_state,
+                           initial_workspace_state, prover_ancilla, run_steps)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class CommitRoundProtocol:
         aborts: list[float] = []
         wm = lay.qubits_of_all(["W", "M"])
         for i in range(1, base.rounds + 1):
-            vec = linalg.apply_gates(bind(((f"P{i}", prover),), strat.slots), vec, n)
+            vec = final_state(run_steps(((f"P{i}", prover),), strat.slots, vec, n))
             p_before = float(np.linalg.norm(vec) ** 2)
             vec = scheme.open_on(vec, com_wires, n)
             p_pass = float(np.linalg.norm(vec) ** 2)

@@ -76,14 +76,13 @@ def gentle_post_state(rho: QuantumState, pi: np.ndarray, acts_on=None):
     projected state and bound = sqrt(1 - p); the trace distance between rho
     and post never exceeds the bound.
     """
-    from qpzk.core.states import apply_matrix
-
     acts = tuple(acts_on) if acts_on is not None else rho.layout.names
     mixed = rho.to_mixed()
     pi = np.asarray(pi, dtype=complex)
     if not linalg.is_projector(pi):
         raise StateValidationError("pi is not an orthogonal projector within 1e-9")
-    projected = apply_matrix(mixed, pi, acts)
+    projected = linalg.apply_to_matrix(pi, mixed.matrix, mixed.layout.qubits_of_all(acts),
+                                       mixed.n_qubits)
     p = float(projected.trace().real)
     if p <= EPS:
         raise ZeroProbabilityError("projector accepts with probability zero")

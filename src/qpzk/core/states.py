@@ -189,15 +189,6 @@ def apply_unitary(state: QuantumState, u: UnitaryOp) -> QuantumState:
     return MixedState.computed(out, state.layout)
 
 
-def apply_matrix(state: QuantumState, mat: np.ndarray, acts_on) -> np.ndarray:
-    """Raw A.state (vector) or A.state.A^dagger (matrix) for a possibly
-    non-unitary operator on named registers; returns a bare ndarray."""
-    targets = state.layout.qubits_of_all(acts_on)
-    if isinstance(state, PureState):
-        return linalg.apply_to_vector(mat, state.amplitudes, targets, state.n_qubits)
-    return linalg.apply_to_matrix(mat, state.matrix, targets, state.n_qubits)
-
-
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """One branch of a projective measurement.

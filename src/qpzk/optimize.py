@@ -31,7 +31,7 @@ from qpzk.core.operators import P1, accept_projector, projector_onto
 from qpzk.core.sampling import random_amplitudes, random_unitary
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError
-from qpzk.protocol import InteractiveProtocol, Strategy, bind
+from qpzk.protocol import InteractiveProtocol, Strategy, bind, final_state, run_steps
 
 DEFAULT_ITERS = 200
 DEFAULT_RESTARTS = 16
@@ -116,8 +116,8 @@ class AscentProblem:
             raise DimensionMismatchError(
                 f"strategy {strategy.name!r}: the start's free part has shape "
                 f"{np.shape(free)}, the problem takes {want or 'none (an all-fixed start)'}")
-        gates = bind(self.branches[b].steps, strategy.slots)
-        out = linalg.apply_gates(gates, _assemble(self, free), self.n_qubits)
+        out = final_state(run_steps(self.branches[b].steps, strategy.slots,
+                                    _assemble(self, free), self.n_qubits))
         return float(np.linalg.norm(out) ** 2)
 
     def value(self, strategy: Strategy) -> float:
@@ -141,12 +141,6 @@ def _assemble(problem: AscentProblem, free_vec: Optional[np.ndarray]) -> np.ndar
     if not problem.free_dim:
         return problem.fixed_init
     return np.kron(problem.fixed_init, free_vec)
-
-
-def _trace(gates, vec: np.ndarray, n: int) -> list:
-    """vec followed by its state after each gate in turn."""
-    return list(itertools.accumulate(
-        gates, lambda v, g: linalg.apply_to_vector(g[0], v, g[1], n), initial=vec))
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
@@ -183,12 +177,16 @@ def _align(a: np.ndarray) -> np.ndarray:
 def _start(problem: AscentProblem, rng: np.random.Generator, start: Optional[Strategy]):
     """One start's slots and free part (None when the start is all fixed);
     a restart draws its slots, then its free part, and a warm start without
-    a free part draws that."""
+    a free part draws that. A warm start's gate-list slot is made dense on
+    the slot's wires, and its slots that the problem lacks are dropped."""
+    specs = problem.slot_specs()
     if start is None:
-        slots = {k: random_unitary(2 ** a, rng) for k, a in problem.slot_specs().items()}
+        slots = {k: random_unitary(2 ** a, rng) for k, a in specs.items()}
         free = None
     else:
-        slots = {k: np.asarray(v, dtype=complex) for k, v in start.slots.items()}
+        given = {k: start.slots[k] for k in specs}
+        slots = {k: linalg.gate_product(v, specs[k]) if isinstance(v, tuple)
+                 else np.asarray(v, dtype=complex) for k, v in given.items()}
         free = start.free
     if free is not None:
         return slots, np.asarray(free, dtype=complex)
@@ -231,7 +229,7 @@ def alternating_ascent(
              for b in problem.branches]
     rows = list(range(len(drawn)))  # the start of each stack row
     init = np.broadcast_to(_assemble(problem, free), (len(rows), 2 ** n))
-    traces = [_trace(bind(st, slots), init, n) for st in steps]
+    traces = [list(run_steps(st, slots, init, n)) for st in steps]
     value = _traced_values(problem, traces)
     history, results = [[v] for v in value], [None] * len(rows)
 
@@ -255,7 +253,7 @@ def alternating_ascent(
                     after = linalg.adjoint(bind(bsteps[idx + 1:], slots))
                     a = _contraction(trace[idx], linalg.apply_gates(after, z, n), wires, n)
                     slots[op] = _align(a)
-                    trace[idx:] = _trace(bind(bsteps[idx:], slots), trace[idx], n)
+                    trace[idx:] = run_steps(bsteps[idx:], slots, trace[idx], n)
                     norm = _norms(trace[-1])
                     z = _unit(trace[-1], norm, norm > 1e-14, z)
         # Free-init step: top eigenvector of the averaged objective.
@@ -273,7 +271,7 @@ def alternating_ascent(
                 free = free.copy()
                 free[moved] = np.linalg.eigh(h[moved])[1][..., -1]
                 init = _assemble(problem, free)
-                traces = [_trace(bind(st, slots), init, n) for st in steps]
+                traces = [list(run_steps(st, slots, init, n)) for st in steps]
         old, value = value, _traced_values(problem, traces)
         keep = []
         for r, start in enumerate(rows):
@@ -353,16 +351,8 @@ def brute_force_prover_value(
     problem = protocol_ascent_problem(protocol, ancilla_qubits, frozen_slots=frozen)
     # One warm start from the honest prover keeps the result a true upper
     # envelope of the honest value even if random restarts stall.
-    anc_eye = np.eye(2 ** ancilla_qubits, dtype=complex)
-    honest = {
-        f"P{i + 1}": np.kron(protocol.prover_unitaries[i], anc_eye)
-        for i in range(protocol.rounds)
-        if f"P{i + 1}" not in frozen
-    }
-    result = alternating_ascent(
-        problem, rng, iters=iters, restarts=restarts, tol=tol,
-        warm_starts=[Strategy.computed(honest, name="honest")] if honest else (),
-    )
+    result = alternating_ascent(problem, rng, iters=iters, restarts=restarts, tol=tol,
+                                warm_starts=[protocol.honest])
     return result.value
 
 

@@ -11,6 +11,7 @@ matrices are built only on request.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -88,6 +89,22 @@ def bind(steps, slots: dict) -> tuple:
                 continue
         out.append((op, wires))
     return tuple(out)
+
+
+def run_steps(steps, slots: dict, vec: np.ndarray, n: int):
+    """The trace of a step list on n qubits, lazily: vec, then the state
+    after each step. A slot is bound (`bind`) and counts as one step,
+    however many gates its unitary has. This is the one evaluator of step
+    lists."""
+    yield vec
+    for step in steps:
+        vec = linalg.apply_gates(bind((step,), slots), vec, n)
+        yield vec
+
+
+def final_state(trace) -> np.ndarray:
+    """The last state of a trace, without keeping the others."""
+    return collections.deque(trace, maxlen=1)[0]
 
 
 def prover_ancilla(strategy: Strategy, names, wires: int) -> int:
@@ -226,8 +243,8 @@ class InteractiveProtocol:
         if anc:
             lay = lay.concat(RegisterLayout.single("Anc", anc))
             vec = np.kron(vec, linalg.basis_vector(0, 2 ** anc))
-        gates = bind(self.steps(anc, upto_message), strategy.slots)
-        vec = linalg.apply_gates(gates, vec, lay.total_qubits)
+        vec = final_state(run_steps(self.steps(anc, upto_message), strategy.slots, vec,
+                                    lay.total_qubits))
         return PureState.computed(vec, lay)
 
     def acceptance(self, state: PureState) -> float:

@@ -37,14 +37,18 @@ from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, re
                             read_float, read_int, read_json)
 
 DEFAULT_DELTA = 2.0
+# The largest delta whose 8 delta^2 is a finite float.
+MAX_DELTA = math.sqrt(sys.float_info.max / 8)
 
 
 def rounds_for(delta: float, field: str = "delta") -> int:
     """gamma = round(8 delta^2), the protocol's round count; a delta that
-    is not finite or gives no round is a ConfigError naming `field`."""
-    if not 0.25 < delta <= sys.float_info.max:
-        raise ConfigError(f"{field}: must be finite and above 0.25, so that "
-                          f"round(8 delta^2) is at least one round; got {delta!r}")
+    gives no round, or whose 8 delta^2 is not finite, is a ConfigError
+    naming `field`."""
+    if not 0.25 < delta <= MAX_DELTA:
+        raise ConfigError(f"{field}: must lie in (0.25, {MAX_DELTA:.6g}], so that "
+                          f"round(8 delta^2) is a finite count of at least one round; "
+                          f"got {delta!r}")
     return int(round(8 * delta ** 2))
 
 
@@ -180,9 +184,7 @@ def run_uhlmann_protocol(inst: UhlmannInstance, prover: ProverRule,
     star = int(rng.integers(1, gamma + 1))
     out = target
     for i in range(1, gamma + 1):
-        mat = np.asarray(prover(i), dtype=complex)
-        if mat.shape != (2 ** inst.s_qubits,) * 2:
-            raise DimensionMismatchError("prover must act on the shipped register")
+        mat = checked_unitary(prover(i), inst.s_qubits, f"prover round {i}")
         if i == star:
             out = apply_rule_to_target(out, mat)
             continue
@@ -222,8 +224,9 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecor
     from qpzk.core.metrics import trace_distance
 
     gamma = inst.gamma
-    per_round = [round_accept_probability(inst, np.asarray(prover(i), dtype=complex))
-                 for i in range(1, gamma + 1)]
+    mats = [checked_unitary(prover(i), inst.s_qubits, f"prover round {i}")
+            for i in range(1, gamma + 1)]
+    per_round = [round_accept_probability(inst, mat) for mat in mats]
     target = canonical_target(inst)
     weights = []
     outputs = []
@@ -233,7 +236,7 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecor
             if i != star:
                 surv *= per_round[i - 1]
         weights.append(surv)
-        outputs.append(apply_rule_to_target(target, np.asarray(prover(star), dtype=complex)))
+        outputs.append(apply_rule_to_target(target, mats[star - 1]))
     acceptance = float(np.mean(weights))
 
     bound = 1.0 / inst.delta

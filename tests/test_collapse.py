@@ -155,6 +155,31 @@ class TestHonestExecution:
         assert measured == pytest.approx(predicted, abs=1e-9)
 
 
+class TestGateListReply:
+    """A reply given as a gate list is one step of the challenge run: the
+    states read after the reply and after the controlled-X are those of the
+    same reply made dense."""
+
+    def test_split_reply_matches_the_dense_one(self, monkeypatch):
+        col = CollapsedProtocol(partial_coupler_base(0.5, 0.7))
+        dense = col.honest_strategy()
+        u = dense.slots["U1"]
+        eye = np.eye(2, dtype=complex)
+        split = Strategy({"U1": [(u, tuple(range(u.shape[0].bit_length() - 1))),
+                                 (eye, (0,)), (eye, (1,))]}, dense.free, "split")
+        for got, want in zip(col.branch_overlap_identity(split, 1),
+                             col.branch_overlap_identity(dense, 1)):
+            assert got == pytest.approx(want, abs=1e-12)
+        assert col.challenge_outcome(split, 1) == pytest.approx(
+            col.challenge_outcome(dense, 1), abs=1e-12)
+        want = hv_simulate_collapsed(col, col.base.honest, 1)
+        monkeypatch.setattr(col, "simulator_strategy", lambda sim: split)
+        got = hv_simulate_collapsed(col, col.base.honest, 1)
+        assert got.bell_pair_fidelity == pytest.approx(want.bell_pair_fidelity, abs=1e-12)
+        assert got.bell_check_probability == pytest.approx(want.bell_check_probability,
+                                                           abs=1e-12)
+
+
 class TestSoundnessBoundAgainstOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_cheat_value_below_bound(self, seed):

@@ -324,6 +324,7 @@ class TestCli:
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=float("inf"))),
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=0.0)),
         ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=0.2)),
+        ("uhlmann", {"instance": "junk.txt"}, _instance_json_with("uhlmann", delta=1e200)),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": -3})),
         ("double-open", None, json.dumps({"kind": "double-open", "seed": "abc"})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "seed": 7.5})),
@@ -341,6 +342,7 @@ class TestCli:
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"r_qubits": 0}})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"instances": 0}})),
         ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"delta": 0.25}})),
+        ("uhlmann", None, json.dumps({"kind": "uhlmann", "params": {"delta": 1e308}})),
         ("core-check", None, json.dumps({"kind": "core-check", "params": {"samples": -5}})),
         ("zk", None, json.dumps({"kind": "zk", "trials": 5, "params": {"reps": 10}})),
         ("mac", None, json.dumps({"kind": "mac", "params": [1]})),
@@ -375,6 +377,7 @@ class TestCli:
             "pqma-instance-completeness-error-negative",
             "uhlmann-instance-delta-nan", "uhlmann-instance-delta-infinite",
             "uhlmann-instance-delta-zero", "uhlmann-instance-delta-no-round",
+            "uhlmann-instance-delta-round-count-overflows",
             "double-open-config-negative-seed", "double-open-config-seed-not-a-number",
             "uhlmann-config-seed-a-float", "uhlmann-config-seed-a-string",
             "uhlmann-config-seed-a-bool", "uhlmann-config-out-a-number",
@@ -384,6 +387,7 @@ class TestCli:
             "collapse-config-no-bases", "public-coin-config-no-bases",
             "collapse-config-no-oracle-restarts", "uhlmann-config-no-r-qubits",
             "uhlmann-config-no-instances", "uhlmann-config-delta-no-round",
+            "uhlmann-config-delta-round-count-overflows",
             "core-check-config-negative-samples",
             "zk-config-fewer-trials-than-reps",
             "mac-config-params-not-an-object", "mac-config-tolerances-not-an-object",

@@ -167,6 +167,35 @@ class TestOracleMatchesRunner:
             == pytest.approx(col.acceptance(honest), abs=1e-12)
 
 
+class TestHonestWarmStart:
+    """The ascents take `protocol.honest`, whose slots are gate lists, as a
+    warm start: the ascent makes each slot dense on the slot's wires (with
+    the ancilla) and drops a frozen slot."""
+
+    @pytest.mark.parametrize("ancilla_qubits", [0, 1])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["free", "final-move-frozen"])
+    @pytest.mark.parametrize("base", [rotated_copier_base(0.7), partial_coupler_base(0.5, 0.7)],
+                             ids=["rotated-copier", "partial-coupler"])
+    def test_value_at_least_the_honest_one(self, base, ancilla_qubits, frozen):
+        slots = dict(base.honest.slots)
+        if frozen:
+            slots[f"P{base.rounds}"] = ()  # idle in the final round
+        honest = run_protocol(base, Strategy(slots))
+        if not frozen:
+            assert honest == run_protocol(base)
+        problem = protocol_ascent_problem(base, ancilla_qubits,
+                                          (f"P{base.rounds}",) if frozen else ())
+        start = alternating_ascent(problem, rng_from(97), iters=0, restarts=0,
+                                   warm_starts=[base.honest])
+        assert start.value == pytest.approx(honest, abs=1e-12)
+        res = alternating_ascent(problem, rng_from(97), iters=3, restarts=1,
+                                 warm_starts=[base.honest])
+        assert res.value >= honest - 1e-12
+        assert brute_force_prover_value(base, rng_from(98), iters=3, restarts=1,
+                                        ancilla_qubits=ancilla_qubits,
+                                        final_move_frozen=frozen) >= honest - 1e-12
+
+
 class TestEvaluator:
     """The evaluator names what is wrong with a strategy that does not fit
     its problem."""

@@ -1,4 +1,9 @@
-"""Interactive protocol runner, verifier views, sampling, persistence."""
+"""Interactive protocol runner, verifier views, sampling, persistence, and
+the one evaluator of step lists."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +12,17 @@ from hypothesis import given, strategies as st
 from qpzk.core import (PureState, RegisterLayout, linalg, random_pure_state, random_unitary,
                        rng_from)
 from qpzk.core.operators import X
+from qpzk.core.sampling import random_projector
 from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.protocol import (
     InteractiveProtocol,
     Strategy,
+    bind,
+    final_state,
     protocol_from_json,
     protocol_to_json,
     run_protocol,
+    run_steps,
     sample_run,
     verifier_view,
 )
@@ -328,3 +337,95 @@ class TestGateRounds:
         with_anc = prot.evolve(strat)
         want = np.kron(prot.evolve().amplitudes, linalg.basis_vector(0, 4))
         np.testing.assert_allclose(with_anc.amplitudes, want, rtol=0, atol=1e-15)
+
+
+@st.composite
+def step_lists(draw):
+    """(n, steps, slots, vec): one to six steps on n <= 4 qubits, each a
+    fixed gate (a unitary or a projector) or a slot; a slot's unitary is a
+    matrix on all of its wires or a list of zero to three gates on its
+    local wires."""
+    n = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(SEEDS))
+
+    def wires(k):
+        return tuple(int(w) for w in gen.permutation(n)[:k])
+
+    steps, slots = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            mat = (random_unitary(2 ** k, gen) if draw(st.booleans())
+                   else random_projector(2 ** k, draw(st.integers(1, 2 ** k - 1)), gen))
+            steps.append((mat, wires(k)))
+            continue
+        steps.append((f"S{i}", wires(k)))
+        if draw(st.booleans()):
+            slots[f"S{i}"] = random_unitary(2 ** k, gen)
+        else:
+            slots[f"S{i}"] = tuple((random_unitary(2 ** len(w), gen), w) for w in (
+                tuple(int(q) for q in gen.permutation(k)[:draw(st.integers(1, k))])
+                for _ in range(draw(st.integers(0, 3)))))
+    vec = gen.normal(size=2 ** n) + 1j * gen.normal(size=2 ** n)
+    return n, tuple(steps), slots, vec
+
+
+class TestRunSteps:
+    @given(step_lists())
+    def test_trace_ends_in_the_bound_gates_applied(self, case):
+        n, steps, slots, vec = case
+        trace = list(run_steps(steps, slots, vec, n))
+        assert len(trace) == len(steps) + 1
+        assert trace[0] is vec
+        want = linalg.apply_gates(bind(steps, slots), vec, n)
+        assert np.array_equal(trace[-1], want)
+        assert np.array_equal(final_state(run_steps(steps, slots, vec, n)), want)
+
+    def test_a_slot_counts_as_one_step(self):
+        # A three-gate slot between two fixed gates: the trace has a state
+        # before and after each of the three steps, and the slot's is the
+        # state after all of its gates.
+        steps = ((X, (0,)), ("U", (0, 1)), (X, (1,)))
+        slots = {"U": ((X, (1,)), (X, (0,)), (X, (1,)))}
+        trace = list(run_steps(steps, slots, linalg.basis_vector(0, 4), 2))
+        assert [int(np.argmax(abs(v))) for v in trace] == [0, 2, 0, 1]
+
+    def test_missing_slot_rejected_when_reached(self):
+        trace = run_steps(((X, (0,)), ("U", (0,))), {}, linalg.basis_vector(0, 2), 1)
+        assert np.array_equal(next(trace), linalg.basis_vector(0, 2))
+        next(trace)
+        with pytest.raises(ConfigError, match="no unitary for slot 'U'"):
+            next(trace)
+
+
+def _called(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_run_steps_is_the_one_evaluator_of_step_lists():
+    """Outside the ascent's adjoint passes, only `run_steps` applies a
+    bound step list: `bind` is called there, as the argument of
+    `linalg.adjoint` in optimize.py, and in the collapse's `_reply_gates`,
+    which builds gates for `gate_product`. No gate-by-gate `_trace` or
+    `apply_matrix` exists beside it, and the ascent's honest warm start is
+    `protocol.honest` itself, not one built from `prover_unitaries`."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qpzk"
+    allowed = {("protocol.py", "run_steps"), ("compilers/collapse.py", "_reply_gates")}
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        rel, text = path.relative_to(src).as_posix(), path.read_text()
+        found += [f"{rel}: {m.group()}" for m in re.finditer(r"\b(_trace|apply_matrix)\b", text)]
+        tree = ast.parse(text)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _called(node) == "bind"):
+                continue
+            outer, func = parents[node], node
+            while func is not None and not isinstance(func, ast.FunctionDef):
+                func = parents.get(func)
+            in_adjoint = isinstance(outer, ast.Call) and _called(outer) == "adjoint"
+            if (rel, getattr(func, "name", None)) not in allowed \
+                    and not (rel == "optimize.py" and in_adjoint):
+                found.append(f"{rel}:{node.lineno}: bind")
+    assert "prover_unitaries" not in (src / "optimize.py").read_text()
+    assert not found, "\n".join(found)

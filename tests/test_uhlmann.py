@@ -10,8 +10,10 @@ from qpzk.core import (
     rng_from,
     trace_distance,
 )
-from qpzk.errors import OracleBudgetError, StateValidationError
+from qpzk.errors import (ConfigError, DimensionMismatchError, OracleBudgetError,
+                         StateValidationError)
 from qpzk.uhlmann import (
+    MAX_DELTA,
     UOracle,
     UhlmannInstance,
     bell_flip_instance,
@@ -24,6 +26,7 @@ from qpzk.uhlmann import (
     perturbed_prover,
     random_instance,
     real_verifier_output,
+    rounds_for,
     run_uhlmann_protocol,
     soundness_check,
     round_accept_probability,
@@ -135,6 +138,47 @@ class TestProtocol:
         inst = random_instance(1, 1, rng)
         record = soundness_check(inst, perturbed_prover(inst, 0.3))
         assert max(record.per_round_accept) - min(record.per_round_accept) < 1e-12
+
+
+class TestProverRoundsChecked:
+    """Every round's matrix is checked for unitarity where it enters, not
+    only the hidden round's."""
+
+    def test_non_unitary_test_round_rejected(self):
+        inst = random_instance(1, 1, rng_from(5), 2.0)
+        u = compute_uhlmann(inst).matrix
+        prover = lambda i: 2 * np.eye(2, dtype=complex) if i == 3 else u  # noqa: E731
+        target = canonical_target(inst)
+        for seed in range(60):
+            with pytest.raises(StateValidationError, match="prover round 3 is not unitary"):
+                run_uhlmann_protocol(inst, prover, target, rng_from(48, seed))
+        with pytest.raises(StateValidationError, match="prover round 3 is not unitary"):
+            soundness_check(inst, prover)
+
+    def test_wrong_shape_rejected_naming_the_round(self):
+        inst = random_instance(1, 1, rng_from(5), 2.0)
+        prover = lambda i: np.eye(4, dtype=complex)  # noqa: E731
+        with pytest.raises(DimensionMismatchError, match="prover round 1 must be 2x2"):
+            run_uhlmann_protocol(inst, prover, canonical_target(inst), rng_from(49))
+        with pytest.raises(DimensionMismatchError, match="prover round 1 must be 2x2"):
+            soundness_check(inst, prover)
+
+    def test_soundness_check_asks_each_round_once(self):
+        inst = random_instance(1, 1, rng_from(5), 1.0)
+        u, asked = compute_uhlmann(inst).matrix, []
+        soundness_check(inst, lambda i: asked.append(i) or u)
+        assert asked == list(range(1, inst.gamma + 1))
+
+
+class TestRoundsFor:
+    @pytest.mark.parametrize("delta", [1e154, 1e155, 1e308])
+    def test_delta_whose_round_count_overflows_rejected(self, delta):
+        with pytest.raises(ConfigError, match="delta"):
+            rounds_for(delta)
+
+    def test_largest_delta_accepted(self):
+        assert rounds_for(MAX_DELTA) >= 1
+        assert rounds_for(2.0) == 32
 
 
 class TestSoundness:
