@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import qpzk
-from qpzk.errors import ConfigError
-from qpzk.serialize import read_json
+from qpzk.serialize import read_field, read_json, read_object, read_str
 
 VERDICTS = ("PASS", "FAIL", "VACUOUS", "NOT-APPLICABLE")
 
@@ -77,17 +76,7 @@ class ExperimentRecord:
         return {
             "artifact_version": self.artifact_version,
             "config": self.config_echo,
-            "rows": [
-                {
-                    "name": r.name,
-                    "empirical": r.empirical,
-                    "reference": r.reference,
-                    "sigma": r.sigma,
-                    "verdict": r.verdict,
-                    "source": r.source,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "wall_clock_seconds": self.wall_clock_seconds,
         }
 
@@ -121,19 +110,28 @@ def _num(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _read_config(config) -> dict:
+    """The echoed config: a JSON object whose kind, if any, is a string."""
+    config = read_object(config)
+    read_field(config, "kind", read_str, "")
+    return config
+
+
+def _read_row(row) -> MetricRow:
+    name, verdict, source = (read_field(row, key, read_str)
+                             for key in ("name", "verdict", "source"))
+    empirical, reference, sigma = (read_field(row, key, lambda v: v)
+                                   for key in ("empirical", "reference", "sigma"))
+    return MetricRow(name, empirical, reference, sigma, verdict, source)
+
+
 def record_from_dict(data: dict) -> ExperimentRecord:
-    """Record from its to_dict form; any other shape raises ConfigError."""
-    try:
-        rec = ExperimentRecord(config_echo=data["config"],
-                               wall_clock_seconds=data.get("wall_clock_seconds", 0.0),
-                               artifact_version=data.get("artifact_version", "?"))
-        for row in data["rows"]:
-            rec.add(MetricRow(row["name"], row["empirical"], row["reference"],
-                              row["sigma"], row["verdict"], row["source"]))
-    except KeyError as exc:
-        raise ConfigError(f"record missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed record: {exc}") from exc
+    """Record from its to_dict form; any other shape raises ConfigError
+    naming the field."""
+    rec = ExperimentRecord(config_echo=read_field(data, "config", _read_config),
+                           wall_clock_seconds=data.get("wall_clock_seconds", 0.0),
+                           artifact_version=data.get("artifact_version", "?"))
+    rec.rows.extend(read_field(data, "rows", lambda rows: [_read_row(row) for row in rows]))
     return rec
 
 

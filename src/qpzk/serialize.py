@@ -52,12 +52,13 @@ def _reader(accepts, what: str, cast):
     return read
 
 
-# read_field readers of JSON scalars: a bool is no number, a float or a
+# read_field readers of JSON values: a bool is no number, a float or a
 # string is no integer, and NaN or an infinity is no float.
 read_int = _reader(is_int, "an integer", int)
 read_float = _reader(lambda v: (is_int(v) or isinstance(v, float))
                      and abs(v) <= sys.float_info.max, "a finite number", float)
 read_str = _reader(lambda v: isinstance(v, str), "a string", str)
+read_object = _reader(lambda v: isinstance(v, dict), "a JSON object", dict)
 
 
 def complex_vector_to_json(vec: np.ndarray) -> list:

@@ -25,7 +25,7 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import UnitaryOp, checked_unitary
 from qpzk.core.registers import RegisterLayout
-from qpzk.core.states import MixedState, PureState, QuantumState, apply_unitary
+from qpzk.core.states import PureState, QuantumState, apply_unitary
 from qpzk.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -118,10 +118,8 @@ def compute_uhlmann(inst: UhlmannInstance) -> UhlmannUnitary:
     dim_s = 2 ** inst.s_qubits
     xc = inst.c_vector().reshape(-1, dim_s)
     xd = inst.d_vector().reshape(-1, dim_s)
-    cross = xc.conj().T @ xd
-    u = linalg.polar_unitary(cross).T
-    mapped = (xc @ u.T).reshape(-1)
-    residual = float(np.linalg.norm(mapped - inst.d_vector()))
+    u = linalg.polar_unitary(xc.conj().T @ xd).T
+    residual = float(np.linalg.norm(_on_s(inst, u) - inst.d_vector()))
     if residual > 1e-9:
         raise StateValidationError(
             f"matching unitary residual {residual:.3e} exceeds tolerance")
@@ -152,11 +150,15 @@ def perturbed_prover(inst: UhlmannInstance, angle: float) -> ProverRule:
 # -- protocol ------------------------------------------------------------------
 
 
+def _on_s(inst: UhlmannInstance, mat: np.ndarray) -> np.ndarray:
+    """(Id_R x mat)|C> as a vector: |C> as an (R rows, S columns) matrix
+    times mat transposed."""
+    return (inst.c_vector().reshape(-1, 2 ** inst.s_qubits) @ mat.T).reshape(-1)
+
+
 def round_accept_probability(inst: UhlmannInstance, mat: np.ndarray) -> float:
     """Probability that |D><D| accepts (Id x mat)|C>."""
-    dim_s = 2 ** inst.s_qubits
-    mapped = (inst.c_vector().reshape(-1, dim_s) @ mat.T).reshape(-1)
-    return float(abs(np.vdot(inst.d_vector(), mapped)) ** 2)
+    return float(abs(np.vdot(inst.d_vector(), _on_s(inst, mat))) ** 2)
 
 
 def _target_layout(target: QuantumState, s_qubits: int) -> None:
@@ -164,10 +166,6 @@ def _target_layout(target: QuantumState, s_qubits: int) -> None:
         raise ConfigError("target state needs a register named T")
     if target.layout.size_of("T") != s_qubits:
         raise DimensionMismatchError("target register must match S in size")
-
-
-def apply_rule_to_target(target: QuantumState, mat: np.ndarray) -> QuantumState:
-    return apply_unitary(target, UnitaryOp(mat, ("T",)))
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def run_uhlmann_protocol(inst: UhlmannInstance, prover: ProverRule,
     for i in range(1, gamma + 1):
         mat = checked_unitary(prover(i), inst.s_qubits, f"prover round {i}")
         if i == star:
-            out = apply_rule_to_target(out, mat)
+            out = apply_unitary(out, UnitaryOp(mat, ("T",)))
             continue
         p = round_accept_probability(inst, mat)
         if rng.random() >= p:
@@ -218,35 +216,24 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecor
     """Exact acceptance and conditioned output distance; the 1/delta bound
     applies once acceptance reaches 1/2.
 
-    The conditioned output is the average over hidden-round positions of the
-    final target state, weighted by each position's survival probability.
+    With per-round acceptances a_i and outputs |o_i> = (Id x U_i)|C>, the
+    run survives with hidden round j with weight w_j = prod_{i != j} a_i,
+    taken from prefix and suffix products, so the cost is linear in gamma.
+    The conditioned output is sum_j w_j |o_j><o_j| / sum_j w_j.
     """
-    from qpzk.core.metrics import trace_distance
-
-    gamma = inst.gamma
-    mats = [checked_unitary(prover(i), inst.s_qubits, f"prover round {i}")
-            for i in range(1, gamma + 1)]
-    per_round = [round_accept_probability(inst, mat) for mat in mats]
-    target = canonical_target(inst)
-    weights = []
-    outputs = []
-    for star in range(1, gamma + 1):
-        surv = 1.0
-        for i in range(1, gamma + 1):
-            if i != star:
-                surv *= per_round[i - 1]
-        weights.append(surv)
-        outputs.append(apply_rule_to_target(target, mats[star - 1]))
-    acceptance = float(np.mean(weights))
-
-    bound = 1.0 / inst.delta
-    if acceptance < 0.5 or sum(weights) <= 0:
-        return SoundnessRecord(acceptance, None, bound, tuple(per_round))
-    total = sum(weights)
-    avg = sum(w * o.density() for w, o in zip(weights, outputs)) / total
-    sigma = MixedState.computed(avg, target.layout)
-    dist = trace_distance(sigma, expected_output(inst).relabel(target.layout))
-    return SoundnessRecord(acceptance, dist, bound, tuple(per_round))
+    outs = np.array([_on_s(inst, checked_unitary(prover(i), inst.s_qubits,
+                                                 f"prover round {i}"))
+                     for i in range(1, inst.gamma + 1)])
+    d = inst.d_vector()
+    per_round = np.array([abs(np.vdot(d, out)) ** 2 for out in outs])
+    weights = (np.concatenate(([1.0], np.cumprod(per_round[:-1])))
+               * np.concatenate((np.cumprod(per_round[:0:-1])[::-1], [1.0])))
+    record = SoundnessRecord(float(np.mean(weights)), None, 1.0 / inst.delta,
+                             tuple(per_round.tolist()))
+    if record.acceptance >= 0.5:
+        sigma = (outs.T * (weights / weights.sum())) @ outs.conj()
+        record.trace_distance = linalg.half_trace_norm(sigma - np.outer(d, d.conj()))
+    return record
 
 
 # -- zero-knowledge simulation ---------------------------------------------------

@@ -33,8 +33,26 @@ def test_identical_records_have_no_differences(record):
 
 def test_a_changed_row_field_is_named_by_row_and_field(record):
     new = _with_rows(record, [_row("a"), _row("b", 0.25, "FAIL"), _row("c", 1.0)])
-    assert differences(record, new) == ["row b empirical: 0.5 -> 0.25",
+    assert differences(record, new) == ["row b empirical: 0.5 -> 0.25 (relative 0.5)",
                                         "row b verdict: 'PASS' -> 'FAIL'"]
+
+
+def test_a_last_bits_float_change_shows_its_relative_size(record):
+    old = _with_rows(record, [_row("a", 0.024293957279303217)])
+    new = _with_rows(record, [_row("a", 0.024293957279303058)])
+    assert differences(old, new) == [
+        "row a empirical: 0.024293957279303217 -> 0.024293957279303058 (relative 6.6e-15)"]
+
+
+def test_a_change_from_zero_is_infinitely_relative(record):
+    new = _with_rows(record, [_row("a", 1e-17), _row("b", 0.5), _row("c", 1.0)])
+    assert differences(record, new) == ["row a empirical: 0.0 -> 1e-17 (relative inf)"]
+
+
+def test_a_non_numeric_change_has_no_relative_size(record):
+    new = _with_rows(record, [_row("a"), _row("b", None), _row("c", 1.0, "FAIL")])
+    assert differences(record, new) == ["row b empirical: 0.5 -> None",
+                                        "row c verdict: 'PASS' -> 'FAIL'"]
 
 
 def test_an_added_row(record):

@@ -11,7 +11,7 @@ import pytest
 from qpzk.harness import experiments
 from qpzk.harness.config import ExperimentConfig
 from qpzk.harness.experiments import run_experiment
-from qpzk.harness.records import load_record
+from qpzk.harness.records import load_record, record_from_dict
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -41,12 +41,17 @@ def test_experiment_kind_runs_clean(kind, trials, params):
     assert record.rows
     assert not record.failed
     assert all(row.source for row in record.rows)
+    # Every record the package writes reads back, through JSON, to itself.
+    assert record_from_dict(json.loads(record.to_json())).comparable_bytes() == \
+        record.comparable_bytes()
 
 
 def test_pipeline_experiment_runs_clean():
     cfg = ExperimentConfig(kind="pipeline", seed=5, trials=60)
     record = run_experiment(cfg)
     assert not record.failed
+    assert record_from_dict(json.loads(record.to_json())).comparable_bytes() == \
+        record.comparable_bytes()
     names = [row.name for row in record.rows]
     assert "pipeline-honest-acceptance" in names
     assert any(n.startswith("composite-bound") for n in names)

@@ -28,6 +28,7 @@ from qpzk.harness.records import (
     MetricRow,
     equality_row,
     load_record,
+    record_from_dict,
     save_record,
     upper_bound_row,
 )
@@ -115,6 +116,10 @@ class TestRows:
             MetricRow("x", 1.0, 1.0, 0.0, "PASS", "")
 
 
+_RECORD_ROW = {"name": "x", "empirical": 0.0, "reference": 0.0, "sigma": 0.0,
+               "verdict": "PASS", "source": "exact:x"}
+
+
 class TestRecords:
     def _record(self):
         rec = ExperimentRecord(config_echo={"kind": "mac", "seed": 1})
@@ -148,6 +153,17 @@ class TestRecords:
         # bumps both. tomllib is missing on Python 3.10, hence the regex.
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == qpzk.__version__
+
+    @pytest.mark.parametrize("data,field", [
+        ({"config": 5, "rows": []}, "config:"),
+        ({"config": {"kind": 3}, "rows": []}, "config: kind:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, name=5)]}, "rows: name:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, source=None)]}, "rows: source:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, verdict=1)]}, "rows: verdict:"),
+    ])
+    def test_wrongly_typed_field_is_named(self, data, field):
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            record_from_dict(data)
 
 
 class TestDeterminism:
@@ -359,6 +375,9 @@ class TestCli:
         ("report", None, json.dumps({"config": {}})),
         ("report", None, json.dumps({"config": {}, "rows": [{"name": "x"}]})),
         ("report", None, json.dumps([])),
+        ("report", None, json.dumps({"config": 5, "rows": []})),
+        ("report", None, json.dumps({"config": {}, "rows": [dict(_RECORD_ROW, name=5)]})),
+        ("report", None, json.dumps({"config": {"kind": 3}, "rows": []})),
     ], ids=["collapse-base-not-json", "collapse-base-registers-missing-R",
             "collapse-base-register-size-not-a-number", "collapse-base-register-size-zero",
             "collapse-base-not-unitary", "collapse-base-wrong-shape",
@@ -398,7 +417,8 @@ class TestCli:
             "collapse-config-instance-of-another-kind",
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
-            "report-record-is-a-list"])
+            "report-record-is-a-list", "report-config-a-number",
+            "report-row-name-a-number", "report-config-kind-a-number"])
     def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances, body):
         junk = tmp_path / "junk.txt"
         junk.write_text(body)

@@ -6,7 +6,10 @@ import pytest
 from qpzk.core import (
     MixedState,
     RegisterLayout,
+    UnitaryOp,
+    apply_unitary,
     random_pure_state,
+    random_unitary,
     rng_from,
     trace_distance,
 )
@@ -244,6 +247,91 @@ class TestSoundness:
                     out.output.to_mixed(), expected_output(inst).to_mixed()))
         assert accept_all / gamma == pytest.approx(1.0, abs=1e-12)
         assert distances and min(distances) > 0.5
+
+
+def _quadratic_soundness(inst, prover):
+    """Reference soundness check: for each hidden round, the product of the
+    other rounds' acceptances and the state-level output on the target,
+    in gamma^2 steps. Returns (acceptance, distance or None)."""
+    gamma = inst.gamma
+    mats = [np.asarray(prover(i), dtype=complex) for i in range(1, gamma + 1)]
+    per_round = [round_accept_probability(inst, mat) for mat in mats]
+    target = canonical_target(inst)
+    weights, outputs = [], []
+    for star in range(1, gamma + 1):
+        surv = 1.0
+        for i in range(1, gamma + 1):
+            if i != star:
+                surv *= per_round[i - 1]
+        weights.append(surv)
+        outputs.append(apply_unitary(target, UnitaryOp(mats[star - 1], ("T",))))
+    acceptance = float(np.mean(weights))
+    if acceptance < 0.5:
+        return acceptance, None
+    avg = sum(w * o.density() for w, o in zip(weights, outputs)) / sum(weights)
+    sigma = MixedState.computed(avg, target.layout)
+    return acceptance, trace_distance(sigma, expected_output(inst).relabel(target.layout))
+
+
+def _rotating_prover(inst):
+    """The matching unitary turned by an angle that grows with the round."""
+    return lambda i: perturbed_prover(inst, 0.01 * i)(i)
+
+
+def _haar_prover(inst, rng):
+    """An independent Haar-random unitary in every round."""
+    mats = [random_unitary(2 ** inst.s_qubits, rng) for _ in range(inst.gamma)]
+    return lambda i: mats[i - 1]
+
+
+class TestLinearSoundness:
+    """soundness_check, linear in gamma, against the quadratic reference."""
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("qubits", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("make_prover", ["rotating", "haar"])
+    def test_matches_the_quadratic_reference(self, delta, qubits, make_prover):
+        rng = rng_from(60, int(delta * 2), qubits[0])
+        inst = random_instance(*qubits, rng, delta=delta)
+        assert inst.gamma == {0.5: 2, 1.0: 8, 1.5: 18}[delta]
+        prover = _rotating_prover(inst) if make_prover == "rotating" else _haar_prover(inst, rng)
+        record = soundness_check(inst, prover)
+        acceptance, dist = _quadratic_soundness(inst, prover)
+        assert record.acceptance == pytest.approx(acceptance, abs=1e-12)
+        if dist is None:
+            assert record.trace_distance is None
+            # The rotating prover keeps acceptance above 1/2, so the
+            # distances are compared too.
+            assert make_prover == "haar"
+        else:
+            assert record.trace_distance == pytest.approx(dist, abs=1e-12)
+
+    def test_a_zero_acceptance_round(self):
+        # X matches the Bell flip (acceptance 1); the identity in round 3
+        # is orthogonal (acceptance 0), so only the hidden round 3 survives.
+        from qpzk.core.operators import X
+
+        inst = bell_flip_instance(1.0)
+        prover = lambda i: np.eye(2, dtype=complex) if i == 3 else X  # noqa: E731
+        record = soundness_check(inst, prover)
+        assert record.per_round_accept[2] == 0.0
+        assert record.acceptance == pytest.approx(1 / inst.gamma, abs=1e-12)
+        assert record.acceptance == pytest.approx(_quadratic_soundness(inst, prover)[0],
+                                                  abs=1e-12)
+        assert record.trace_distance is None
+
+    @pytest.mark.parametrize("delta", [2.0, 20.0])
+    @pytest.mark.parametrize("angle", [None, 0.01])
+    def test_closed_forms_for_a_round_independent_prover(self, delta, angle):
+        # The same unitary every round: acceptance a^(gamma - 1) and the
+        # pure-state distance sqrt(1 - a), with a the per-round acceptance.
+        inst = random_instance(2, 2, rng_from(61), delta=delta)
+        prover = honest_prover(inst) if angle is None else perturbed_prover(inst, angle)
+        record = soundness_check(inst, prover)
+        a = round_accept_probability(inst, prover(1))
+        assert record.acceptance == pytest.approx(a ** (inst.gamma - 1), abs=1e-12)
+        assert record.acceptance >= 0.5
+        assert record.trace_distance == pytest.approx(np.sqrt(max(1 - a, 0.0)), abs=1e-12)
 
 
 class TestZeroKnowledge:

@@ -6,14 +6,16 @@ For each tree, runs `python -m qpzk.cli <kind> --seed S --out FILE` for every
 experiment kind at seeds 7 and 11, from that tree's `src` and with
 PYTHONDONTWRITEBYTECODE=1, then compares the records' comparable_bytes()
 (everything but the wall clock) between the trees. Each differing field is
-printed by kind, seed and row name. Exits 0 when every record is identical,
-1 on any difference or a missing record.
+printed by kind, seed and row name, a numeric one with its relative change.
+Exits 0 when every record is identical, 1 on any difference or a missing
+record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,9 +41,18 @@ def comparable(path: Path, record_from_dict) -> dict:
     return json.loads(record_from_dict(data).comparable_bytes())
 
 
+def _change(a, b) -> str:
+    """'a -> b', with the relative change |b - a| / |a| when both are numbers,
+    so that a change in the last bits reads apart from a real one."""
+    text = f"{a!r} -> {b!r}"
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        text += f" (relative {abs(b - a) / abs(a) if a else math.inf:.2g})"
+    return text
+
+
 def differences(old: dict, new: dict) -> list[str]:
     """One line per differing top-level field or row field; rows by name."""
-    lines = [f"{key}: {old.get(key)!r} -> {new.get(key)!r}"
+    lines = [f"{key}: {_change(old.get(key), new.get(key))}"
              for key in sorted((set(old) | set(new)) - {"rows"})
              if old.get(key) != new.get(key)]
     old_rows = {row["name"]: row for row in old.get("rows", [])}
@@ -51,7 +62,7 @@ def differences(old: dict, new: dict) -> list[str]:
         if a is None or b is None:
             lines.append(f"row {name}: {'added' if a is None else 'removed'}")
             continue
-        lines += [f"row {name} {key}: {a.get(key)!r} -> {b.get(key)!r}"
+        lines += [f"row {name} {key}: {_change(a.get(key), b.get(key))}"
                   for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
     if not lines and [r["name"] for r in old.get("rows", [])] != \
             [r["name"] for r in new.get("rows", [])]:
