@@ -19,14 +19,9 @@ import numpy as np
 from qpzk.core import linalg
 from qpzk.core.operators import CNOT, H, X, checked_unitary, projector_onto
 from qpzk.core.registers import RegisterLayout
-from qpzk.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    RegisterError,
-    StateValidationError,
-)
-from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, read_field,
-                            read_int, read_json, read_str)
+from qpzk.errors import ConfigError, RegisterError
+from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, load_json,
+                            read_field, read_int, read_str)
 
 
 @dataclass(frozen=True)
@@ -145,10 +140,7 @@ def scheme_from_json(data: dict) -> CanonicalCommitment:
     com = read_field(data, "com", complex_matrix_from_json)
     c_wires, d_wires = (read_field(data, field, lambda wires: tuple(map(read_int, wires)))
                         for field in ("c_wires", "d_wires"))
-    try:
-        return CanonicalCommitment(name, message, ancilla, com, c_wires, d_wires)
-    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"invalid commitment scheme file: {exc}") from exc
+    return CanonicalCommitment(name, message, ancilla, com, c_wires, d_wires)
 
 
 BUILTIN_SCHEMES = {
@@ -161,7 +153,7 @@ BUILTIN_SCHEMES = {
 def load_scheme(name_or_path: str) -> CanonicalCommitment:
     if name_or_path in BUILTIN_SCHEMES:
         return BUILTIN_SCHEMES[name_or_path]()
-    return scheme_from_json(read_json(name_or_path))
+    return load_json(name_or_path, scheme_from_json, "commitment scheme")
 
 
 # -- double-opening game -----------------------------------------------------

@@ -8,7 +8,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import qpzk
-from qpzk.serialize import read_field, read_json, read_object, read_str
+from qpzk.serialize import (load_json, read_at, read_field, read_float, read_list, read_object,
+                            read_str)
 
 VERDICTS = ("PASS", "FAIL", "VACUOUS", "NOT-APPLICABLE")
 
@@ -117,26 +118,34 @@ def _read_config(config) -> dict:
     return config
 
 
+def _read_optional_float(value) -> Optional[float]:
+    return None if value is None else read_float(value)
+
+
 def _read_row(row) -> MetricRow:
-    name, verdict, source = (read_field(row, key, read_str)
-                             for key in ("name", "verdict", "source"))
-    empirical, reference, sigma = (read_field(row, key, lambda v: v)
-                                   for key in ("empirical", "reference", "sigma"))
-    return MetricRow(name, empirical, reference, sigma, verdict, source)
+    """A row; an error in a field other than the name names the row too:
+    `x: sigma: must be a finite number, got {}`."""
+    name = read_field(row, "name", read_str)
+    return read_at(name, row, lambda row: MetricRow(
+        name, read_field(row, "empirical", _read_optional_float),
+        read_field(row, "reference", _read_optional_float), read_field(row, "sigma", read_float),
+        read_field(row, "verdict", read_str), read_field(row, "source", read_str)))
 
 
 def record_from_dict(data: dict) -> ExperimentRecord:
     """Record from its to_dict form; any other shape raises ConfigError
     naming the field."""
-    rec = ExperimentRecord(config_echo=read_field(data, "config", _read_config),
-                           wall_clock_seconds=data.get("wall_clock_seconds", 0.0),
-                           artifact_version=data.get("artifact_version", "?"))
-    rec.rows.extend(read_field(data, "rows", lambda rows: [_read_row(row) for row in rows]))
+    rec = ExperimentRecord(
+        config_echo=read_field(data, "config", _read_config),
+        wall_clock_seconds=read_field(data, "wall_clock_seconds", read_float, 0.0),
+        artifact_version=read_field(data, "artifact_version", read_str, "?"))
+    rec.rows.extend(read_field(data, "rows",
+                               lambda rows: [_read_row(row) for row in read_list(rows)]))
     return rec
 
 
 def load_record(path: str) -> ExperimentRecord:
-    return record_from_dict(read_json(path))
+    return load_json(path, record_from_dict, "record")
 
 
 def save_record(record: ExperimentRecord, path: str, fmt: str = "json") -> None:

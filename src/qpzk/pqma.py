@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,16 +33,17 @@ from qpzk.core.states import (
     tensor,
 )
 from qpzk.core.swap_test import swap_test_povm, symmetric_projector_outcomes
-from qpzk.errors import ConfigError, DimensionMismatchError, RegisterError, StateValidationError
+from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.serialize import (
     complex_matrix_from_json,
     complex_matrix_to_json,
     complex_vector_from_json,
     complex_vector_to_json,
+    load_json,
     read_field,
     read_float,
-    read_json,
     read_str,
+    write_json,
 )
 
 
@@ -409,20 +409,15 @@ def instance_from_json(data: dict) -> PqmaInstance:
     psi_amp = read_field(data, "psi", complex_vector_from_json)
     witness_mat, v = (read_field(data, name, complex_matrix_from_json)
                       for name in ("witness", "verifier_unitary"))
-    try:
-        psi = PureState(psi_amp, RegisterLayout.single("A", len(psi_amp).bit_length() - 1))
-        witness = MixedState(witness_mat,
-                             RegisterLayout.single("B", len(witness_mat).bit_length() - 1))
-        return PqmaInstance(psi, witness, v, read_field(data, "label", read_str, "yes"),
-                            read_field(data, "completeness_error", read_float, 0.0))
-    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"invalid instance file: {exc}") from exc
+    psi = PureState(psi_amp, RegisterLayout.single("A", len(psi_amp).bit_length() - 1))
+    witness = MixedState(witness_mat, RegisterLayout.single("B", len(witness_mat).bit_length() - 1))
+    return PqmaInstance(psi, witness, v, read_field(data, "label", read_str, "yes"),
+                        read_field(data, "completeness_error", read_float, 0.0))
 
 
 def save_instance(inst: PqmaInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=1)
+    write_json(instance_to_json(inst), path)
 
 
 def load_instance(path) -> PqmaInstance:
-    return instance_from_json(read_json(path))
+    return load_json(path, instance_from_json, "instance")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,20 +24,16 @@ from qpzk.core.operators import P1, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState, PureState, partial_trace, tensor
-from qpzk.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    RegisterError,
-    StateValidationError,
-)
+from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.serialize import (
     complex_matrix_from_json,
     complex_matrix_to_json,
     complex_vector_from_json,
     complex_vector_to_json,
+    load_json,
     read_field,
     read_int,
-    read_json,
+    write_json,
 )
 
 PROTOCOL_SCHEMA_VERSION = 1
@@ -380,17 +375,13 @@ def protocol_from_json(data: dict) -> InteractiveProtocol:
               for name in ("verifier_unitaries", "prover_unitaries"))
     if len(vs) != rounds or len(ps) != rounds:
         raise ConfigError("unitary counts do not match declared round count")
-    try:
-        lay = RegisterLayout.of(("R", r), ("W", w), ("M", m))
-        return InteractiveProtocol(r, w, m, PureState(init, lay), vs, ps)
-    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"invalid protocol file: {exc}") from exc
+    lay = RegisterLayout.of(("R", r), ("W", w), ("M", m))
+    return InteractiveProtocol(r, w, m, PureState(init, lay), vs, ps)
 
 
 def save_protocol(protocol: InteractiveProtocol, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(protocol_to_json(protocol), fh, indent=1)
+    write_json(protocol_to_json(protocol), path)
 
 
 def load_protocol(path) -> InteractiveProtocol:
-    return protocol_from_json(read_json(path))
+    return load_json(path, protocol_from_json, "protocol")

@@ -14,7 +14,6 @@ is checked against 1/delta.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -26,15 +25,9 @@ from qpzk.core import linalg
 from qpzk.core.operators import UnitaryOp, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState, QuantumState, apply_unitary
-from qpzk.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    OracleBudgetError,
-    RegisterError,
-    StateValidationError,
-)
-from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, read_field,
-                            read_float, read_int, read_json)
+from qpzk.errors import ConfigError, DimensionMismatchError, OracleBudgetError, StateValidationError
+from qpzk.serialize import (complex_matrix_from_json, complex_matrix_to_json, load_json,
+                            read_field, read_float, read_int, write_json)
 
 DEFAULT_DELTA = 2.0
 # The largest delta whose 8 delta^2 is a finite float.
@@ -330,16 +323,12 @@ def instance_from_json(data: dict) -> UhlmannInstance:
     c, d = (read_field(data, name, complex_matrix_from_json)
             for name in ("c_unitary", "d_unitary"))
     r, s = (read_field(data, name, read_int) for name in ("r_qubits", "s_qubits"))
-    try:
-        return UhlmannInstance(c, d, r, s, read_field(data, "delta", read_float, DEFAULT_DELTA))
-    except (RegisterError, StateValidationError, DimensionMismatchError) as exc:
-        raise ConfigError(f"invalid instance file: {exc}") from exc
+    return UhlmannInstance(c, d, r, s, read_field(data, "delta", read_float, DEFAULT_DELTA))
 
 
 def save_instance(inst: UhlmannInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=1)
+    write_json(instance_to_json(inst), path)
 
 
 def load_instance(path) -> UhlmannInstance:
-    return instance_from_json(read_json(path))
+    return load_json(path, instance_from_json, "instance")

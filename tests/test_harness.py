@@ -14,10 +14,9 @@ from qpzk.cli import main
 from qpzk.compilers.examples import copier_base
 from qpzk.core import MixedState, PureState, RegisterLayout
 from qpzk.crypto.commitments import bell_ancilla_scheme, scheme_to_json
-from qpzk.errors import ConfigError
+from qpzk.errors import ConfigError, QubitCapExceededError
 from qpzk.harness.config import (
-    _DEFAULT_PARAMS,
-    _INSTANCE_KEYS,
+    _KINDS,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     config_from_dict,
@@ -34,7 +33,7 @@ from qpzk.harness.records import (
 )
 from qpzk.harness.experiments import _load_base, kind_module, run_experiment
 from qpzk.harness.report import report
-from qpzk.protocol import Strategy, protocol_to_json
+from qpzk.protocol import Strategy, load_protocol, protocol_to_json
 from qpzk.serialize import complex_matrix_to_json
 
 
@@ -83,13 +82,14 @@ class TestConfig:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_default_param_is_read(self, kind):
         source = inspect.getsource(kind_module(kind))
-        for name in _DEFAULT_PARAMS[kind]:
+        _, params, instance_keys = _KINDS[kind]
+        for name in params:
             assert f'config.param("{name}")' in source, name
         # Every instance key the config accepts for the kind is read, and no other.
         if "_load_base(config" in source:
             source += inspect.getsource(_load_base)
         read = set(re.findall(r'config\.instances\["(\w+)"\]', source))
-        assert read == set(_INSTANCE_KEYS.get(kind, ()))
+        assert read == set(instance_keys)
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -158,12 +158,25 @@ class TestRecords:
         ({"config": 5, "rows": []}, "config:"),
         ({"config": {"kind": 3}, "rows": []}, "config: kind:"),
         ({"config": {}, "rows": [dict(_RECORD_ROW, name=5)]}, "rows: name:"),
-        ({"config": {}, "rows": [dict(_RECORD_ROW, source=None)]}, "rows: source:"),
-        ({"config": {}, "rows": [dict(_RECORD_ROW, verdict=1)]}, "rows: verdict:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, source=None)]}, "rows: x: source:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, verdict=1)]}, "rows: x: verdict:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, empirical="abc")]}, "rows: x: empirical:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, reference=[1])]}, "rows: x: reference:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, sigma=None)]}, "rows: x: sigma:"),
+        ({"config": {}, "rows": [dict(_RECORD_ROW, sigma=float("nan"))]}, "rows: x: sigma:"),
+        ({"config": {}, "rows": [], "wall_clock_seconds": "1s"}, "wall_clock_seconds:"),
+        ({"config": {}, "rows": {"a": 1}}, "rows: must be a JSON array, got {'a': 1}"),
+        ({"config": {}, "rows": [5]}, "rows: must be a JSON object, got 5"),
     ])
     def test_wrongly_typed_field_is_named(self, data, field):
         with pytest.raises(ConfigError, match=f"^{field}"):
             record_from_dict(data)
+
+    def test_a_large_wrong_value_is_shown_shortened(self):
+        shown = r"^rows: must be a JSON object, got \[0, 1, .*\]$"
+        with pytest.raises(ConfigError, match=shown) as err:
+            record_from_dict({"config": {}, "rows": [list(range(10 ** 5))]})
+        assert len(str(err.value)) < 100
 
 
 class TestDeterminism:
@@ -378,6 +391,12 @@ class TestCli:
         ("report", None, json.dumps({"config": 5, "rows": []})),
         ("report", None, json.dumps({"config": {}, "rows": [dict(_RECORD_ROW, name=5)]})),
         ("report", None, json.dumps({"config": {"kind": 3}, "rows": []})),
+        ("report", None, json.dumps({"config": {}, "rows": [
+            {"name": "r", "empirical": "abc", "reference": [1], "sigma": {}, "verdict": "PASS",
+             "source": "s"}]})),
+        ("report", None, json.dumps({"config": {}, "rows": {"a": 1}})),
+        ("pqma", None, json.dumps({"schema_version": True, "kind": "pqma", "trials": 10})),
+        ("pqma", None, json.dumps({"schema_version": 1.0, "kind": "pqma", "trials": 10})),
     ], ids=["collapse-base-not-json", "collapse-base-registers-missing-R",
             "collapse-base-register-size-not-a-number", "collapse-base-register-size-zero",
             "collapse-base-not-unitary", "collapse-base-wrong-shape",
@@ -418,7 +437,9 @@ class TestCli:
             "report-record-not-json",
             "report-record-without-rows", "report-row-without-empirical",
             "report-record-is-a-list", "report-config-a-number",
-            "report-row-name-a-number", "report-config-kind-a-number"])
+            "report-row-name-a-number", "report-config-kind-a-number",
+            "report-row-numbers-not-numbers", "report-rows-an-object",
+            "pqma-config-schema-version-a-bool", "pqma-config-schema-version-a-float"])
     def test_unreadable_file_exit_two(self, tmp_path, capsys, kind, instances, body):
         junk = tmp_path / "junk.txt"
         junk.write_text(body)
@@ -438,7 +459,7 @@ class TestCli:
         assert "configuration error" in err
         if instances is None and kind != "report":
             data = json.loads(body)
-            for field in ("seed", "trials"):
+            for field in ("schema_version", "seed", "trials"):
                 value = data.get(field, 1)
                 if isinstance(value, bool) or not isinstance(value, int):
                     assert f"{field}:" in err
@@ -450,6 +471,14 @@ class TestCli:
                     assert f"{field}:" in err
                 for name in value if isinstance(value, dict) else ():
                     assert f"{field}.{name}" in err
+        if kind == "report" and body.startswith("{"):
+            rows = json.loads(body).get("rows")
+            if not isinstance(rows, list):
+                assert "rows" in err
+            for row in rows if isinstance(rows, list) else ():
+                retyped = [k for k in _RECORD_ROW if k in row and _retyped(row[k], _RECORD_ROW[k])]
+                if retyped:  # the first field read that is wrong
+                    assert f"{retyped[0]}:" in err
         if instances is not None and kind in _FILE_JSON and body.startswith("{"):
             for name, value in json.loads(body).items():
                 base = _FILE_JSON[kind][name]
@@ -491,6 +520,18 @@ class TestCli:
         for kind, cap in runs:
             monkeypatch.setenv("QPZK_QUBIT_CAP", cap)
             assert main([kind, "--seed", "7"]) == 3, (kind, cap)
+
+    def test_base_protocol_file_over_the_cap_exit_three(self, tmp_path, monkeypatch):
+        # The file loader turns an invalid object into a configuration error,
+        # but a cap breach stays a resource error.
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(protocol_to_json(copier_base())))  # 3 qubits
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "collapse", "instances": {"base_protocol": str(base)}}))
+        monkeypatch.setenv("QPZK_QUBIT_CAP", "2")
+        with pytest.raises(QubitCapExceededError):
+            load_protocol(str(base))
+        assert main(["collapse", "--config", str(cfg)]) == 3
 
     def test_seed_override_changes_record(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,7 @@
 """Compare the records two source trees produce, kind by kind and seed by seed.
 
     python tools/compare_records.py PARENT CHANGE
+    python tools/compare_records.py --write-golden
 
 For each tree, runs `python -m qpzk.cli <kind> --seed S --out FILE` for every
 experiment kind at seeds 7 and 11, from that tree's `src` and with
@@ -9,6 +10,10 @@ PYTHONDONTWRITEBYTECODE=1, then compares the records' comparable_bytes()
 printed by kind, seed and row name, a numeric one with its relative change.
 Exits 0 when every record is identical, 1 on any difference or a missing
 record.
+
+With --write-golden, runs the same 18 records from this tool's own tree and
+writes them, wall clock removed, to tests/golden/, with the numpy version
+and BLAS build they were made with (provenance.json), for tests/test_golden.py.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (7, 11)
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_record(tree: Path, kind: str, seed: int, out: Path) -> str:
@@ -34,6 +41,40 @@ def run_record(tree: Path, kind: str, seed: int, out: Path) -> str:
     if not out.is_file():
         return f"exit {proc.returncode}, no record: {proc.stderr.strip()[-300:]}"
     return ""
+
+
+def provenance() -> dict:
+    """The numpy version and BLAS build of this interpreter: the oracle rows'
+    last bits come from LAPACK, so another build may move them."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+
+
+def golden_path(kind: str, seed: int) -> Path:
+    return GOLDEN / f"{kind}-seed{seed}.json"
+
+
+def write_golden(kinds) -> int:
+    """Writes this tree's 18 records, wall clock removed, and their provenance."""
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in kinds:
+            for seed in SEEDS:
+                out = Path(tmp) / f"{kind}-{seed}.json"
+                problem = run_record(ROOT, kind, seed, out)
+                if problem:
+                    print(f"{kind} seed {seed}: {problem}")
+                    return 1
+                data = json.loads(out.read_text())
+                data.pop("wall_clock_seconds")
+                text = json.dumps(data, indent=1, sort_keys=True)
+                golden_path(kind, seed).write_text(text + "\n")
+    (GOLDEN / "provenance.json").write_text(json.dumps(provenance(), indent=1) + "\n")
+    print(f"wrote {len(kinds) * len(SEEDS)} records to {GOLDEN}")
+    return 0
 
 
 def comparable(path: Path, record_from_dict) -> dict:
@@ -72,9 +113,17 @@ def differences(old: dict, new: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="source tree of the parent")
-    parser.add_argument("change", type=Path, help="source tree of the change")
+    parser.add_argument("parent", type=Path, nargs="?", help="source tree of the parent")
+    parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
+    parser.add_argument("--write-golden", action="store_true",
+                        help="write this tree's records to tests/golden/ instead")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        sys.path.insert(0, str(ROOT / "src"))
+        from qpzk.harness.config import EXPERIMENT_KINDS
+        return write_golden(EXPERIMENT_KINDS)
+    if args.change is None:
+        parser.error("give PARENT and CHANGE, or --write-golden")
     trees = (args.parent.resolve(), args.change.resolve())
 
     # Kinds and the record reader come from the change's tree.
