@@ -23,8 +23,7 @@ from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError, DimensionMismatchError, ZeroProbabilityError
 from qpzk.optimize import AscentProblem, Branch
-from qpzk.protocol import (InteractiveProtocol, Strategy, bind, initial_workspace_state,
-                           run_steps)
+from qpzk.protocol import InteractiveProtocol, Strategy, bind, run_steps
 
 PLUS_PROJ = projector_onto(np.array([1, 1]) / np.sqrt(2))
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -71,9 +70,8 @@ class CollapsedProtocol:
         self.r = base.rounds
         # All registers but P; they alone must fit the qubit cap.
         self.public_qubits = self.layout(0).total_qubits
-        self.psi_v = initial_workspace_state(base)
         # The verifier's start, on the wires B, Bp and W1 that lead every layout.
-        self.verifier_start = np.kron(BELL, self.psi_v)
+        self.verifier_start = np.kron(BELL, base.psi_v)
 
     # -- wire bookkeeping ----------------------------------------------------
 
@@ -269,9 +267,9 @@ def as_three_message(collapsed: CollapsedProtocol) -> InteractiveProtocol:
     p2 = _reply_gates(base.honest, prover, 1, "Bw")
 
     psi_v_std = np.kron(
-        np.kron(linalg.basis_vector(0, 8), collapsed.psi_v),
+        np.kron(linalg.basis_vector(0, 8), base.psi_v),
         linalg.basis_vector(0, 2 ** (w + 1)))
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         PureState(psi_v_std, RegisterLayout.single("W", verifier.total_qubits - m_std)),
         r_std, m_std, [v1, v2], [p1, p2],
     )
@@ -316,13 +314,8 @@ def _strip_w(snapshot: np.ndarray, base: InteractiveProtocol) -> np.ndarray:
     the (R, M) part."""
     lay = base.layout
     t = linalg.split(snapshot, lay.qubits_of("W"), lay.total_qubits)
-    # Project onto the psi_v component; the remainder must vanish.
-    psi_v = initial_workspace_state(base)
-    rm_part = psi_v.conj() @ t
-    norm = np.linalg.norm(rm_part)
-    if abs(norm - 1.0) > 1e-9:
-        raise ConfigError("first snapshot entangles the verifier workspace")
-    return rm_part / norm
+    rm_part = base.psi_v.conj() @ t
+    return rm_part / np.linalg.norm(rm_part)
 
 
 def _reply_gates(prover: Strategy, lay: RegisterLayout, i: int, bell: str) -> list:

@@ -20,7 +20,7 @@ from qpzk.core.registers import RegisterLayout
 from qpzk.crypto.commitments import CanonicalCommitment
 from qpzk.errors import ConfigError, DimensionMismatchError
 from qpzk.protocol import (InteractiveProtocol, Strategy, accept_probability, final_state,
-                           initial_workspace_state, prover_ancilla, run_steps)
+                           prover_ancilla, run_steps)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class CommitRoundProtocol:
         prover = tuple(lay.qubits_of_all(["R", "M"]) + self.c_wire_positions(lay)
                        + (lay.qubits_of("Anc") if anc else []))
 
-        vec = initial_workspace_state(base)
+        vec = base.psi_v
         if scheme.ancilla_qubits:
             vec = np.kron(vec, linalg.basis_vector(0, 2 ** scheme.ancilla_qubits))
         vec = np.kron(vec, linalg.basis_vector(0, 2 ** (base.m_qubits + base.r_qubits + anc)))

@@ -23,7 +23,7 @@ def copier_base() -> InteractiveProtocol:
     v1 = CNOT_REVERSED
     v2 = np.eye(4, dtype=complex)
     p = np.kron(np.eye(2, dtype=complex), X)
-    return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p, p])
+    return InteractiveProtocol(psi_v, 1, 1, [v1, v2], [p, p])
 
 
 def rotated_copier_base(theta: float) -> InteractiveProtocol:
@@ -34,8 +34,7 @@ def rotated_copier_base(theta: float) -> InteractiveProtocol:
     v1 = CNOT_REVERSED
     v2 = np.kron(ry(theta), np.eye(2, dtype=complex))
     p = np.kron(np.eye(2, dtype=complex), X)
-    return InteractiveProtocol.from_verifier_start(
-        psi_v, 1, 1, [v1, v2], [p, np.eye(4, dtype=complex)])
+    return InteractiveProtocol(psi_v, 1, 1, [v1, v2], [p, np.eye(4, dtype=complex)])
 
 
 def random_perfect_base(seed: int) -> InteractiveProtocol:
@@ -48,8 +47,7 @@ def random_perfect_base(seed: int) -> InteractiveProtocol:
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
     p1, v1, p2 = (random_unitary(4, g) for _ in range(3))
     # State before V2 on (R, W, M) with R = 1 qubit.
-    probe = InteractiveProtocol.from_verifier_start(
-        psi_v, 1, 1, [v1, np.eye(4, dtype=complex)], [p1, p2])
+    probe = InteractiveProtocol(psi_v, 1, 1, [v1, np.eye(4, dtype=complex)], [p1, p2])
     pre = probe.evolve(upto_message=3).amplitudes
     rho_wm = linalg.partial_trace_vector(pre, [1, 2], 3)
     vals, vecs = np.linalg.eigh(rho_wm)
@@ -60,7 +58,7 @@ def random_perfect_base(seed: int) -> InteractiveProtocol:
     accept = [np.array([0, 0, 1, 0], complex), np.array([0, 0, 0, 1], complex),
               np.array([1, 0, 0, 0], complex), np.array([0, 1, 0, 0], complex)]
     v2 = sum(np.outer(accept[i], basis[i].conj()) for i in range(4))
-    return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p1, p2])
+    return InteractiveProtocol(psi_v, 1, 1, [v1, v2], [p1, p2])
 
 
 def _complete_basis(vectors):
@@ -94,8 +92,7 @@ def partial_coupler_base(alpha: float, beta: float) -> InteractiveProtocol:
     ctrl[3, 1], ctrl[3, 3] = r[1, 0], r[1, 1]
     v2 = np.kron(ry(beta), np.eye(2, dtype=complex))
     p1 = np.kron(np.eye(2, dtype=complex), X)
-    return InteractiveProtocol.from_verifier_start(
-        psi_v, 1, 1, [ctrl, v2], [p1, np.eye(4, dtype=complex)])
+    return InteractiveProtocol(psi_v, 1, 1, [ctrl, v2], [p1, np.eye(4, dtype=complex)])
 
 
 def hidden_target_base(theta: float = 0.0) -> InteractiveProtocol:
@@ -112,5 +109,4 @@ def hidden_target_base(theta: float = 0.0) -> InteractiveProtocol:
     # slot; acceptance probability for any prover is sin(theta/2)^2.
     v2 = linalg.gate_product([(ry(theta), [1]), (swap_registers(1), [0, 1])], n_wm)
     p1 = np.kron(np.eye(2 ** w, dtype=complex), X)  # R is w qubits here
-    return InteractiveProtocol.from_verifier_start(
-        psi_v, w, 1, [v1, v2], [p1, np.eye(2 ** (w + 1), dtype=complex)])
+    return InteractiveProtocol(psi_v, w, 1, [v1, v2], [p1, np.eye(2 ** (w + 1), dtype=complex)])

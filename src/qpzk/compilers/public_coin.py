@@ -20,7 +20,7 @@ from qpzk.core.sampling import accept_bit
 from qpzk.core.states import MixedState
 from qpzk.errors import ConfigError
 from qpzk.optimize import AscentProblem, Branch
-from qpzk.protocol import InteractiveProtocol, Strategy, initial_workspace_state, verifier_view
+from qpzk.protocol import InteractiveProtocol, Strategy, verifier_view
 
 
 def public_coin_soundness(zeta: float) -> float:
@@ -38,10 +38,9 @@ class PublicCoinProtocol:
         if base.rounds != 2:
             raise ConfigError("the public-coin compiler takes a 3-message protocol")
         self.base = base
-        self.psi_v = initial_workspace_state(base)
         self.layout = base.layout  # (R, W, M)
         w = base.w_qubits
-        swap_accept = (np.eye(2 ** w, dtype=complex) + projector_onto(self.psi_v)) / 2.0
+        swap_accept = (np.eye(2 ** w, dtype=complex) + projector_onto(base.psi_v)) / 2.0
         self.sqrt_swap_accept = linalg.psd_sqrt(swap_accept)
         # The two coin branches as step lists: the exact branch values and
         # the prover oracle both evaluate this one problem.

@@ -15,7 +15,7 @@ from qpzk.core.operators import X, controlled
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.states import PureState
 from qpzk.errors import ConfigError
-from qpzk.protocol import InteractiveProtocol, initial_workspace_state
+from qpzk.protocol import InteractiveProtocol
 
 
 def repeated_soundness(zeta: float, k: int) -> float:
@@ -58,17 +58,11 @@ def parallel_repeat(base: InteractiveProtocol, k: int) -> InteractiveProtocol:
     p_first = copies(base.prover_rounds[0], r, 0)
     p_second = copies(base.prover_rounds[1], r, 0)
 
-    psi_w = initial_workspace_state(base)
-    expected = np.kron(np.kron(linalg.basis_vector(0, 2 ** r), psi_w),
-                       linalg.basis_vector(0, 2 ** m))
-    overlap = abs(np.vdot(expected, base.initial.amplitudes))
-    if abs(overlap - 1.0) > 1e-9:
-        raise ConfigError("repetition expects zero-initialized R and M registers")
     psi_v_rep = np.array([1.0], dtype=complex)
     for _ in range(k):
-        psi_v_rep = np.kron(psi_v_rep, psi_w)
+        psi_v_rep = np.kron(psi_v_rep, base.psi_v)
     psi_v_full = np.kron(linalg.basis_vector(0, 2), psi_v_rep)
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         PureState(psi_v_full, lay.drop(["R", "M"])), k * r, k * m, [v_first, v_second],
         [p_first, p_second],
     )

@@ -33,8 +33,8 @@ _KINDS = {
 
 EXPERIMENT_KINDS = tuple(_KINDS)
 
-# The only tolerance the runners read.
-_TOLERANCE_NAMES = ("identity",)
+# The tolerances the runners read, with their defaults.
+_TOLERANCES = {"identity": 1e-9}
 
 
 def _at_least(low, read):
@@ -89,9 +89,9 @@ class ExperimentConfig:
         object.__setattr__(self, "instances", _read_entries(
             "instances", self.instances, dict.fromkeys(instance_keys, read_str),
             f"instance for {self.kind}"))
-        _read_entries("tolerances", self.tolerances,
-                      dict.fromkeys(_TOLERANCE_NAMES, _at_least(0, read_float)), "tolerance")
-        object.__setattr__(self, "tolerances", dict(self.tolerances))
+        object.__setattr__(self, "tolerances", _read_entries(
+            "tolerances", self.tolerances,
+            dict.fromkeys(_TOLERANCES, _at_least(0, read_float)), "tolerance"))
 
     @property
     def effective_trials(self) -> int:
@@ -104,8 +104,8 @@ class ExperimentConfig:
     def param(self, name: str):
         return self.params[name]
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tolerance(self, name: str) -> float:
+        return self.tolerances.get(name, _TOLERANCES[name])
 
     def echo(self) -> dict:
         return {

@@ -24,16 +24,14 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     c, r = run_protocol(base), col.r
     record.add(equality_row("honest-acceptance-vs-base-completeness",
                             col.acceptance(honest), c * (r - 2 + (1 + c) / 2) / (r - 1),
-                            config.tolerance("identity", 1e-9),
-                            "exact:base-protocol"))
+                            config.tolerance("identity"), "exact:base-protocol"))
     overlap = col.branch_overlap_identity(honest, 1)
     if overlap is None:
         record.add(MetricRow("branch-overlap-identity", None, None, 0.0,
                              "NOT-APPLICABLE", "formula:branch-overlap"))
     else:
         record.add(equality_row("branch-overlap-identity", *overlap,
-                                config.tolerance("identity", 1e-9),
-                                "formula:branch-overlap"))
+                                config.tolerance("identity"), "formula:branch-overlap"))
 
     bases = [random_perfect_base(idx) if idx % 2 == 0 else _random_base(config, idx)
              for idx in range(config.param("bases"))]
@@ -50,6 +48,6 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
 def _random_base(config: ExperimentConfig, idx: int) -> InteractiveProtocol:
     g = rng_from(config.seed, config.experiment_id, 1000 + idx)
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         psi_v, 1, 1, [random_unitary(4, g), random_unitary(4, g)],
         [random_unitary(4, g), random_unitary(4, g)])

@@ -23,7 +23,7 @@ from qpzk.harness.records import ExperimentRecord, equality_row, upper_bound_row
 def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     samples = config.param("samples")
     max_dim_qubits = config.param("dims")
-    tol = config.tolerance("identity", 1e-9)
+    tol = config.tolerance("identity")
 
     rng = _stream(config, 0)
     worst = 0.0

@@ -25,8 +25,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
         p, post = mac.decode(key, mac.encode(key, msg))
         worst = max(worst, abs(p - 1.0), trace_distance(post, want))
     record.add(equality_row("roundtrip-worst-error-over-all-keys", worst, 0.0,
-                            config.tolerance("identity", 1e-9),
-                            "exact:key-enumeration"))
+                            config.tolerance("identity"), "exact:key-enumeration"))
 
     attack = np.kron(X, np.eye(2 ** (mac.code_qubits - 1), dtype=complex))
     det = mac.detection_probability(attack)

@@ -19,8 +19,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     perfect = build_pipeline(copier_base())
     record.add(equality_row("pipeline-honest-acceptance",
                             perfect.acceptance(perfect.honest_strategy()), 1.0,
-                            config.tolerance("identity", 1e-9),
-                            "exact:branch-average"))
+                            config.tolerance("identity"), "exact:branch-average"))
 
     # Soundness leg: a base with a genuinely small prover value. The
     # collapse step alone costs at least 15/16, so the executable composite

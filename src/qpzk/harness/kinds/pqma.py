@@ -38,8 +38,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     honest = PqmaProverInput.symmetric(yes_inst.witness, yes_inst.psi)
     record.add(equality_row("honest-completeness",
                             exact_acceptance_product(params, yes_inst, honest),
-                            1.0, config.tolerance("identity", 1e-9),
-                            "exact:product-evaluation"))
+                            1.0, config.tolerance("identity"), "exact:product-evaluation"))
 
     cheat = orthogonal_copy_strategy(no_inst)
     record.add(equality_row("orthogonal-copy-exact-acceptance",
@@ -70,5 +69,4 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     dist = cq_trace_distance(real_verifier_view(params, yes_inst, vin),
                              hv_simulate_pqma(params, yes_inst, vin))
     record.add(equality_row("simulator-view-distance", dist, 0.0,
-                            config.tolerance("identity", 1e-9),
-                            "exact:branch-ensemble"))
+                            config.tolerance("identity"), "exact:branch-ensemble"))

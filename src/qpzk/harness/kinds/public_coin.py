@@ -44,7 +44,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
         "simulator-transcript-acceptance",
         0.5 * pc_perfect.transcript_acceptance(transcripts[0], 0)
         + 0.5 * pc_perfect.transcript_acceptance(transcripts[1], 1),
-        1.0, config.tolerance("identity", 1e-9), "exact:branch-evaluation"))
+        1.0, config.tolerance("identity"), "exact:branch-evaluation"))
 
     rng = _stream(config, 2)
     n = config.effective_trials

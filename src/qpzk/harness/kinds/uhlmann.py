@@ -37,8 +37,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
         inst = random_instance(rq, sq, _stream(config, idx), delta)
         worst = max(worst, compute_uhlmann(inst).residual)
     record.add(equality_row("matching-identity-worst-residual", worst, 0.0,
-                            config.tolerance("identity", 1e-9),
-                            "exact:defining-identity"))
+                            config.tolerance("identity"), "exact:defining-identity"))
 
     if "instance" in config.instances:
         inst = load_instance(config.instances["instance"])
@@ -50,8 +49,7 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     dist = trace_distance(result.output.to_mixed(), expected_output(inst).to_mixed())
     record.add(equality_row("honest-protocol-output-distance",
                             dist if result.outcome == "accept" else 1.0,
-                            0.0, config.tolerance("identity", 1e-9),
-                            "exact:state-evolution"))
+                            0.0, config.tolerance("identity"), "exact:state-evolution"))
 
     rec = soundness_check(inst, perturbed_prover(inst, config.param("perturbation")))
     if rec.trace_distance is None:
@@ -70,7 +68,6 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
     real = real_verifier_output(inst, vin)
     record.add(equality_row("simulator-view-distance",
                             trace_distance(real.to_mixed(), view.to_mixed()),
-                            0.0, config.tolerance("identity", 1e-9),
-                            "exact:state-evolution"))
+                            0.0, config.tolerance("identity"), "exact:state-evolution"))
     record.add(equality_row("simulator-oracle-calls", float(oracle.calls), 1.0,
                             0.0, "exact:instrumentation"))

@@ -59,5 +59,4 @@ def run(config: ExperimentConfig, record: ExperimentRecord) -> None:
         dist = cq_trace_distance(real_malicious_views(cf, verifier),
                                  zk_simulate_malicious(cf, verifier, sim))
         record.add(equality_row(f"view-distance-{verifier.name}", dist, 0.0,
-                                config.tolerance("identity", 1e-9),
-                                "exact:view-ensemble"))
+                                config.tolerance("identity"), "exact:view-ensemble"))

@@ -369,6 +369,6 @@ def three_message_protocol(
     r = r_qubits if r_qubits is not None else w + m_qubits
     rm_dim = 2 ** (r + m_qubits)
     ident = np.eye(rm_dim, dtype=complex)
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         psi_v, r, m_qubits, [v1, v2], [ident, ident]
     )

@@ -23,7 +23,7 @@ from qpzk.core import linalg
 from qpzk.core.operators import P1, checked_unitary
 from qpzk.core.registers import RegisterLayout
 from qpzk.core.sampling import accept_bit
-from qpzk.core.states import MixedState, PureState, partial_trace, tensor
+from qpzk.core.states import MixedState, PureState, partial_trace
 from qpzk.errors import ConfigError, DimensionMismatchError, StateValidationError
 from qpzk.serialize import (
     complex_matrix_from_json,
@@ -125,9 +125,9 @@ def prover_ancilla(strategy: Strategy, names, wires: int) -> int:
 
 
 class InteractiveProtocol:
-    """An m-message protocol (m odd) given by an initial state, verifier
-    rounds on W M, honest prover rounds on R M and the accept measurement on
-    the first qubit of W.
+    """An m-message protocol (m odd) given by the verifier's start psi_v on
+    W, verifier rounds on W M, honest prover rounds on R M and the accept
+    measurement on the first qubit of W; R and M start in zeros.
 
     A round is a dense matrix on all of its wires or a list of (matrix,
     local wires) gates; a dense matrix is stored as one gate on all wires.
@@ -135,17 +135,19 @@ class InteractiveProtocol:
 
     def __init__(
         self,
+        psi_v: PureState,
         r_qubits: int,
-        w_qubits: int,
         m_qubits: int,
-        initial: PureState,
         verifier_unitaries: Sequence,
         prover_unitaries: Sequence,
     ):
+        w_qubits = psi_v.n_qubits
         self.layout = RegisterLayout.of(("R", r_qubits), ("W", w_qubits), ("M", m_qubits))
-        if initial.layout != self.layout:
-            initial = initial.relabel(self.layout)
-        self.initial = initial
+        # The start, read-only: psi_v on W, and on (R, W, M) with R and M in zeros.
+        self.psi_v = psi_v.amplitudes
+        self.initial = PureState.computed(
+            np.kron(np.kron(linalg.basis_vector(0, 2 ** r_qubits), self.psi_v),
+                    linalg.basis_vector(0, 2 ** m_qubits)), self.layout)
         if len(verifier_unitaries) != len(prover_unitaries):
             raise StateValidationError("prover and verifier unitary counts differ")
         self.verifier_rounds = tuple(
@@ -196,24 +198,6 @@ class InteractiveProtocol:
     @property
     def m_qubits(self) -> int:
         return self.layout.size_of("M")
-
-    @classmethod
-    def from_verifier_start(
-        cls,
-        psi_v: PureState,
-        r_qubits: int,
-        m_qubits: int,
-        verifier_unitaries: Sequence[np.ndarray],
-        prover_unitaries: Sequence[np.ndarray],
-    ) -> "InteractiveProtocol":
-        """Protocol whose initial state is psi_v on W and zeros on R and M."""
-        w = psi_v.n_qubits
-        lay = RegisterLayout.of(("R", r_qubits), ("W", w), ("M", m_qubits))
-        zeros_r = PureState.computational(RegisterLayout.single("R", r_qubits))
-        zeros_m = PureState.computational(RegisterLayout.single("M", m_qubits))
-        init = tensor(tensor(zeros_r, psi_v.relabel(RegisterLayout.single("W", w))), zeros_m)
-        return cls(r_qubits, w, m_qubits, init.relabel(lay),
-                   verifier_unitaries, prover_unitaries)
 
     # -- execution ---------------------------------------------------------
 
@@ -307,19 +291,6 @@ def run_protocol(protocol: InteractiveProtocol, strat: Optional[Strategy] = None
     return protocol.acceptance(final)
 
 
-def initial_workspace_state(protocol: InteractiveProtocol) -> np.ndarray:
-    """The verifier's initial workspace vector, with its largest entry made
-    real and positive; requires a product start."""
-    lay = protocol.layout
-    red = linalg.partial_trace_vector(protocol.initial.amplitudes,
-                                      lay.qubits_of("W"), lay.total_qubits)
-    vals, vecs = np.linalg.eigh(red)
-    if vals[-1] < 1.0 - 1e-9:
-        raise ConfigError("verifier workspace is entangled in the initial state")
-    top = vecs[:, -1]
-    return top * np.exp(-1j * np.angle(top[np.argmax(np.abs(top))]))
-
-
 def verifier_view(protocol: InteractiveProtocol, strat: Optional[Strategy], i: int) -> MixedState:
     """Reduced W M state after the i-th message, prover side traced out."""
     if not 1 <= i <= protocol.messages:
@@ -375,8 +346,13 @@ def protocol_from_json(data: dict) -> InteractiveProtocol:
               for name in ("verifier_unitaries", "prover_unitaries"))
     if len(vs) != rounds or len(ps) != rounds:
         raise ConfigError("unitary counts do not match declared round count")
-    lay = RegisterLayout.of(("R", r), ("W", w), ("M", m))
-    return InteractiveProtocol(r, w, m, PureState(init, lay), vs, ps)
+    # The file's start is on (R, W, M); a protocol's R and M start in zeros,
+    # so all of its weight must lie on their all-zero block, psi_v on W.
+    init = PureState(init, RegisterLayout.of(("R", r), ("W", w), ("M", m))).amplitudes
+    psi_v = init.reshape(2 ** r, 2 ** w, 2 ** m)[0, :, 0]
+    if np.linalg.norm(psi_v) ** 2 < 1.0 - 1e-9:
+        raise ConfigError("initial_state: R and M must start in zeros")
+    return InteractiveProtocol(PureState(psi_v, RegisterLayout.single("W", w)), r, m, vs, ps)
 
 
 def save_protocol(protocol: InteractiveProtocol, path) -> None:

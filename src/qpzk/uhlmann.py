@@ -14,6 +14,7 @@ is checked against 1/delta.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ class UhlmannInstance:
             object.__setattr__(self, name, checked_unitary(
                 getattr(self, name), self.r_qubits + self.s_qubits, f"{name} on R and S"))
         rounds_for(self.delta)
-        rc = self.reduced_r(self.c_vector())
-        rd = self.reduced_r(self.d_vector())
+        rc = self.reduced_r(self.c_vector)
+        rd = self.reduced_r(self.d_vector)
         if not linalg.close(rc, rd, 1e-9):
             raise StateValidationError(
                 "the two preparations have different reduced states on R")
@@ -76,15 +77,25 @@ class UhlmannInstance:
     def layout(self) -> RegisterLayout:
         return RegisterLayout.of(("R", self.r_qubits), ("S", self.s_qubits))
 
+    @functools.cached_property
     def c_vector(self) -> np.ndarray:
-        return self.c_unitary[:, 0].copy()
+        """|C> = C|0...0>, read-only, read once from C."""
+        return _first_column(self.c_unitary)
 
+    @functools.cached_property
     def d_vector(self) -> np.ndarray:
-        return self.d_unitary[:, 0].copy()
+        """|D> = D|0...0>, read-only, read once from D."""
+        return _first_column(self.d_unitary)
 
     def reduced_r(self, vec: np.ndarray) -> np.ndarray:
         x = vec.reshape(2 ** self.r_qubits, 2 ** self.s_qubits)
         return x @ x.conj().T
+
+
+def _first_column(mat: np.ndarray) -> np.ndarray:
+    vec = mat[:, 0].copy()
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -109,10 +120,10 @@ def compute_uhlmann(inst: UhlmannInstance) -> UhlmannUnitary:
     result is returned.
     """
     dim_s = 2 ** inst.s_qubits
-    xc = inst.c_vector().reshape(-1, dim_s)
-    xd = inst.d_vector().reshape(-1, dim_s)
+    xc = inst.c_vector.reshape(-1, dim_s)
+    xd = inst.d_vector.reshape(-1, dim_s)
     u = linalg.polar_unitary(xc.conj().T @ xd).T
-    residual = float(np.linalg.norm(_on_s(inst, u) - inst.d_vector()))
+    residual = float(np.linalg.norm(_on_s(inst, u) - inst.d_vector))
     if residual > 1e-9:
         raise StateValidationError(
             f"matching unitary residual {residual:.3e} exceeds tolerance")
@@ -146,12 +157,12 @@ def perturbed_prover(inst: UhlmannInstance, angle: float) -> ProverRule:
 def _on_s(inst: UhlmannInstance, mat: np.ndarray) -> np.ndarray:
     """(Id_R x mat)|C> as a vector: |C> as an (R rows, S columns) matrix
     times mat transposed."""
-    return (inst.c_vector().reshape(-1, 2 ** inst.s_qubits) @ mat.T).reshape(-1)
+    return (inst.c_vector.reshape(-1, 2 ** inst.s_qubits) @ mat.T).reshape(-1)
 
 
 def round_accept_probability(inst: UhlmannInstance, mat: np.ndarray) -> float:
     """Probability that |D><D| accepts (Id x mat)|C>."""
-    return float(abs(np.vdot(inst.d_vector(), _on_s(inst, mat))) ** 2)
+    return float(abs(np.vdot(inst.d_vector, _on_s(inst, mat))) ** 2)
 
 
 def _target_layout(target: QuantumState, s_qubits: int) -> None:
@@ -188,13 +199,13 @@ def run_uhlmann_protocol(inst: UhlmannInstance, prover: ProverRule,
 def canonical_target(inst: UhlmannInstance) -> PureState:
     """|C> laid out on (Ref, T): the verifier keeps Ref and delegates T."""
     lay = RegisterLayout.of(("Ref", inst.r_qubits), ("T", inst.s_qubits))
-    return PureState(inst.c_vector(), lay)
+    return PureState(inst.c_vector, lay)
 
 
 def expected_output(inst: UhlmannInstance) -> PureState:
     """(Id x U)|C> = |D> on the (Ref, T) layout."""
     lay = RegisterLayout.of(("Ref", inst.r_qubits), ("T", inst.s_qubits))
-    return PureState(inst.d_vector(), lay)
+    return PureState(inst.d_vector, lay)
 
 
 @dataclass
@@ -217,7 +228,7 @@ def soundness_check(inst: UhlmannInstance, prover: ProverRule) -> SoundnessRecor
     outs = np.array([_on_s(inst, checked_unitary(prover(i), inst.s_qubits,
                                                  f"prover round {i}"))
                      for i in range(1, inst.gamma + 1)])
-    d = inst.d_vector()
+    d = inst.d_vector
     per_round = np.array([abs(np.vdot(d, out)) ** 2 for out in outs])
     weights = (np.concatenate(([1.0], np.cumprod(per_round[:-1])))
                * np.concatenate((np.cumprod(per_round[:0:-1])[::-1], [1.0])))

@@ -156,7 +156,7 @@ class TestAcceptance:
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
         for seed in range(50):
             g = rng_from(9040, seed)
-            base = InteractiveProtocol.from_verifier_start(
+            base = InteractiveProtocol(
                 psi_v, 1, 1,
                 [random_unitary(4, g), random_unitary(4, g)],
                 [random_unitary(4, g), random_unitary(4, g)])
@@ -290,7 +290,7 @@ class TestAcceptance:
 
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
         g = rng_from(9080)
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             psi_v, 2, 1, [random_unitary(4, g), random_unitary(4, g)],
             [np.eye(8, dtype=complex)] * 2)
         single = brute_force_prover_value(base, rng_from(9081),

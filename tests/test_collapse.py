@@ -41,7 +41,7 @@ def entangling_copier_base() -> InteractiveProtocol:
     v2 = np.kron(X, np.eye(2, dtype=complex)) @ CNOT_REVERSED
     p1 = np.kron(np.eye(2, dtype=complex), H)
     p2 = np.eye(4, dtype=complex)
-    return InteractiveProtocol.from_verifier_start(psi_v, 1, 1, [v1, v2], [p1, p2])
+    return InteractiveProtocol(psi_v, 1, 1, [v1, v2], [p1, p2])
 
 
 def never_passing_copier_base() -> InteractiveProtocol:
@@ -49,7 +49,7 @@ def never_passing_copier_base() -> InteractiveProtocol:
     to 0, so the honest prover never passes it."""
     copier = copier_base()
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         psi_v, 1, 1, [copier.verifier_unitaries[0], np.kron(X, np.eye(2, dtype=complex))],
         list(copier.prover_unitaries))
 
@@ -57,7 +57,7 @@ def never_passing_copier_base() -> InteractiveProtocol:
 def random_base(seed: int) -> InteractiveProtocol:
     g = rng_from(2000, seed)
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         psi_v, 1, 1,
         [random_unitary(4, g), random_unitary(4, g)],
         [random_unitary(4, g), random_unitary(4, g)],
@@ -72,7 +72,7 @@ def random_perfect_three_round_base(seed: int) -> InteractiveProtocol:
     g = rng_from(2500, seed)
     psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
     p1, v1, p2, v2, p3 = (random_unitary(4, g) for _ in range(5))
-    probe = InteractiveProtocol.from_verifier_start(
+    probe = InteractiveProtocol(
         psi_v, 1, 1, [v1, v2, np.eye(4, dtype=complex)], [p1, p2, p3])
     rho_wm = linalg.partial_trace_vector(probe.evolve(upto_message=5).amplitudes, [1, 2], 3)
     _vals, vecs = np.linalg.eigh(rho_wm)
@@ -80,7 +80,7 @@ def random_perfect_three_round_base(seed: int) -> InteractiveProtocol:
     # largest eigenvalues (ascending order: columns 2 and 3) span the
     # support; V3 sends column k to |k>, the support to |10> and |11>.
     v3 = vecs.conj().T
-    return InteractiveProtocol.from_verifier_start(
+    return InteractiveProtocol(
         psi_v, 1, 1, [v1, v2, v3], [p1, p2, p3])
 
 
@@ -356,7 +356,7 @@ class TestImperfectBase:
     def test_honest_acceptance_follows_the_completeness(self, rounds):
         g = rng_from(2500, rounds)
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             psi_v, 1, 1, [random_unitary(4, g) for _ in range(rounds)],
             [random_unitary(4, g) for _ in range(rounds)])
         c = run_protocol(base)
@@ -408,7 +408,7 @@ class TestStandardFormCast:
         copier = copier_base()
         eye2 = np.eye(2, dtype=complex)
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             psi_v, 1, 2, [np.kron(v, eye2) for v in copier.verifier_unitaries],
             [np.kron(p, eye2) for p in copier.prover_unitaries])
         pc = build_pipeline(base)

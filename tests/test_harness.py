@@ -79,6 +79,11 @@ class TestConfig:
         assert type(cfg.param("delta")) is float and cfg.param("delta") == 3.0
         assert cfg.echo() == ExperimentConfig(kind="uhlmann", params={"delta": 3.0}).echo()
 
+    def test_tolerance_stores_an_int_as_a_float(self):
+        one, one_float = (run_experiment(ExperimentConfig(kind="mac", tolerances={"identity": t}))
+                          for t in (1, 1.0))
+        assert one.comparable_bytes() == one_float.comparable_bytes()
+
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_default_param_is_read(self, kind):
         source = inspect.getsource(kind_module(kind))
@@ -243,6 +248,12 @@ def _copier_json_with(**fields) -> str:
     return json.dumps(data)
 
 
+# Copier starts on (R, W, M), amplitude index 4r + 2w + m: R in |1>, and an
+# R-W Bell pair; neither has R and M in zeros.
+_R_ONE = [[0.0, 0.0]] * 4 + [[1.0, 0.0]] + [[0.0, 0.0]] * 3
+_RW_BELL = [[2 ** -0.5, 0.0]] + [[0.0, 0.0]] * 5 + [[2 ** -0.5, 0.0], [0.0, 0.0]]
+
+
 def _bell_scheme_json_with(**fields) -> str:
     data = scheme_to_json(bell_ancilla_scheme())
     data.update(fields)
@@ -315,6 +326,8 @@ class TestCli:
          _copier_json_with(verifier_unitaries=[complex_matrix_to_json(2 * np.eye(4))] * 2)),
         ("collapse", {"base_protocol": "junk.txt"},
          _copier_json_with(verifier_unitaries=[complex_matrix_to_json(np.eye(2))] * 2)),
+        ("collapse", {"base_protocol": "junk.txt"}, _copier_json_with(initial_state=_R_ONE)),
+        ("collapse", {"base_protocol": "junk.txt"}, _copier_json_with(initial_state=_RW_BELL)),
         ("double-open", {"scheme": "missing.json"}, "not JSON"),
         ("double-open", {"scheme": "junk.txt"},
          _bell_scheme_json_with(com=complex_matrix_to_json(2 * np.eye(8)))),
@@ -400,6 +413,7 @@ class TestCli:
     ], ids=["collapse-base-not-json", "collapse-base-registers-missing-R",
             "collapse-base-register-size-not-a-number", "collapse-base-register-size-zero",
             "collapse-base-not-unitary", "collapse-base-wrong-shape",
+            "collapse-base-r-starts-in-one", "collapse-base-r-w-bell-pair",
             "double-open-scheme-missing", "double-open-scheme-not-unitary",
             "double-open-scheme-wires-not-partition", "double-open-scheme-qubits-not-a-number",
             "double-open-scheme-wrong-shape", "double-open-scheme-negative-ancillas",
@@ -482,8 +496,26 @@ class TestCli:
         if instances is not None and kind in _FILE_JSON and body.startswith("{"):
             for name, value in json.loads(body).items():
                 base = _FILE_JSON[kind][name]
-                if _retyped(value, base) or kind in _INSTANCE_JSON and value != base:
+                # An instance loader names the field it refuses, and so does
+                # the protocol loader's check of the start.
+                named = kind in _INSTANCE_JSON or name == "initial_state"
+                if _retyped(value, base) or named and value != base:
                     assert name in err
+
+    def test_phase_on_the_start_leaves_the_collapse_rows(self, tmp_path):
+        # psi_v = i|0> is the copier's start up to a global phase.
+        plain = _FILE_JSON["collapse"]["initial_state"]
+        rows = {}
+        for name, start in (("plain", plain), ("phase", [[0.0, 1.0]] + plain[1:])):
+            base = tmp_path / f"{name}.json"
+            base.write_text(_copier_json_with(initial_state=start))
+            cfg, out = tmp_path / f"{name}-cfg.json", tmp_path / f"{name}-rec.json"
+            cfg.write_text(json.dumps({
+                "kind": "collapse", "seed": 7, "instances": {"base_protocol": str(base)},
+                "params": {"bases": 1, "oracle_restarts": 2, "oracle_iters": 30}}))
+            assert main(["collapse", "--config", str(cfg), "--out", str(out)]) == 0
+            rows[name] = load_record(str(out)).rows
+        assert rows["phase"] == rows["plain"]
 
     def test_pqma_reads_the_instance_size_from_its_file(self, tmp_path):
         # A two-qubit instance |11> whose verifier reads the witness |1>.

@@ -73,7 +73,7 @@ class TestAscentProblem:
 class TestBruteForce:
     def test_unconditional_acceptance_found_immediately(self):
         v1 = np.kron(X, np.eye(2))
-        prot = InteractiveProtocol.from_verifier_start(
+        prot = InteractiveProtocol(
             PureState.from_bits(W1, "0"), 1, 1, [v1], [np.eye(4)]
         )
         val = brute_force_prover_value(prot, rng_from(1), iters=1, restarts=1)
@@ -83,7 +83,7 @@ class TestBruteForce:
         rng = rng_from(2)
         for seed in range(5):
             gen = rng_from(80, seed)
-            prot = InteractiveProtocol.from_verifier_start(
+            prot = InteractiveProtocol(
                 PureState.from_bits(W1, "0"), 1, 1,
                 [random_unitary(4, gen), random_unitary(4, gen)],
                 [random_unitary(4, gen), random_unitary(4, gen)],
@@ -102,7 +102,7 @@ class TestBruteForce:
 
     def test_rejects_many_rounds(self):
         v = np.eye(4, dtype=complex)
-        prot = InteractiveProtocol.from_verifier_start(
+        prot = InteractiveProtocol(
             PureState.from_bits(W1, "0"), 1, 1, [v] * 4, [v] * 4
         )
         with pytest.raises(ConfigError):
@@ -228,7 +228,7 @@ class TestReplay:
     @given(seed=st.integers(0, 2 ** 16), iters=st.integers(1, 4), restarts=st.integers(1, 2))
     def test_runners_replay_the_ascent_value(self, seed, iters, restarts):
         gen = rng_from(95, seed)
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             random_pure_state(W1, gen), 1, 1, [random_unitary(4, gen) for _ in range(2)],
             [random_unitary(4, gen) for _ in range(2)])
         pc, col = make_public_coin(base), CollapsedProtocol(base)

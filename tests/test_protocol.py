@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qpzk.compilers.examples import (copier_base, hidden_target_base, partial_coupler_base,
+                                     random_perfect_base, rotated_copier_base)
 from qpzk.core import (PureState, RegisterLayout, linalg, random_pure_state, random_unitary,
                        rng_from)
 from qpzk.core.operators import X
@@ -46,14 +48,14 @@ PSI0 = PureState.from_bits(RegisterLayout.single("W", 1), "0")
 def writer_protocol() -> InteractiveProtocol:
     # Final verifier unitary writes |1> into W unconditionally.
     v1 = np.kron(X, np.eye(2))
-    return InteractiveProtocol.from_verifier_start(PSI0, 1, 1, [v1], [np.eye(4)])
+    return InteractiveProtocol(PSI0, 1, 1, [v1], [np.eye(4)])
 
 
 def copier_protocol() -> InteractiveProtocol:
     # Verifier copies M into W; the honest prover must set M = |1> first.
     v1 = cnot_control_m_target_w()
     p1 = np.kron(np.eye(2), X)  # X on M, identity on R
-    return InteractiveProtocol.from_verifier_start(PSI0, 1, 1, [v1], [p1])
+    return InteractiveProtocol(PSI0, 1, 1, [v1], [p1])
 
 
 class TestRunProtocol:
@@ -75,7 +77,7 @@ class TestRunProtocol:
         # so P(W = 1) = 3/16 + 3/16 = 3/8.
         p1 = np.kron(np.eye(2), ry(np.pi / 3))
         v1 = np.kron(ry(np.pi / 3), np.eye(2)) @ cnot_control_m_target_w()
-        prot = InteractiveProtocol.from_verifier_start(PSI0, 1, 1, [v1], [p1])
+        prot = InteractiveProtocol(PSI0, 1, 1, [v1], [p1])
         assert run_protocol(prot) == pytest.approx(3.0 / 8.0, abs=1e-12)
 
     def test_value_in_unit_interval(self):
@@ -83,7 +85,7 @@ class TestRunProtocol:
 
         rng = rng_from(71)
         for _ in range(10):
-            prot = InteractiveProtocol.from_verifier_start(
+            prot = InteractiveProtocol(
                 PSI0, 1, 1, [random_unitary(4, rng)], [random_unitary(4, rng)]
             )
             strat = Strategy({"P1": random_unitary(4, rng)})
@@ -170,7 +172,7 @@ class TestVerifierView:
         from qpzk.core import random_unitary
 
         rng = rng_from(73)
-        prot = InteractiveProtocol.from_verifier_start(
+        prot = InteractiveProtocol(
             PSI0, 1, 1,
             [random_unitary(4, rng), random_unitary(4, rng)],
             [random_unitary(4, rng), random_unitary(4, rng)],
@@ -206,7 +208,7 @@ class TestSampleRun:
     def test_mean_converges_to_exact(self):
         p1 = np.kron(np.eye(2), ry(np.pi / 3))
         v1 = np.kron(ry(np.pi / 3), np.eye(2)) @ cnot_control_m_target_w()
-        prot = InteractiveProtocol.from_verifier_start(PSI0, 1, 1, [v1], [p1])
+        prot = InteractiveProtocol(PSI0, 1, 1, [v1], [p1])
         exact = run_protocol(prot)
         rng = rng_from(76)
         n = 4000
@@ -231,6 +233,19 @@ class TestPersistence:
         assert np.allclose(back.initial.amplitudes, prot.initial.amplitudes)
         assert np.allclose(back.verifier_unitaries[0], prot.verifier_unitaries[0])
         assert run_protocol(back) == pytest.approx(run_protocol(prot), abs=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        copier_base, lambda: rotated_copier_base(0.7), lambda: partial_coupler_base(0.3, 0.5),
+        hidden_target_base, lambda: random_perfect_base(0),
+    ], ids=["copier", "rotated_copier", "partial_coupler", "hidden_target",
+            "random_perfect_base"])
+    def test_save_load_save_writes_identical_bytes(self, tmp_path, build):
+        from qpzk.protocol import load_protocol, save_protocol
+
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_protocol(build(), first)
+        save_protocol(load_protocol(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_bad_round_count_rejected(self):
         data = protocol_to_json(copier_protocol())
@@ -274,8 +289,8 @@ class TestGateRounds:
         vs = [_gates(v) for v, _ in rounds]
         ps = [_gates(p) for _, p in rounds]
         psi_v = random_pure_state(RegisterLayout.single("W", w), np.random.default_rng(seed))
-        gated = InteractiveProtocol.from_verifier_start(psi_v, r, m, vs, ps)
-        dense = InteractiveProtocol.from_verifier_start(
+        gated = InteractiveProtocol(psi_v, r, m, vs, ps)
+        dense = InteractiveProtocol(
             psi_v, r, m, [linalg.gate_product(v, w + m) for v in vs],
             [linalg.gate_product(p, r + m) for p in ps])
         for upto in range(1, 2 * len(rounds) + 1):
@@ -292,8 +307,7 @@ class TestGateRounds:
         rounds = {"verifier": [[(X, [1])]], "prover": [[(X, [0])]]}
         rounds[side] = [[(X, [0]), (np.ones((2, 2)), [1])]]
         with pytest.raises(StateValidationError, match=f"{side} unitary is not unitary"):
-            InteractiveProtocol.from_verifier_start(PSI0, 1, 1, rounds["verifier"],
-                                                    rounds["prover"])
+            InteractiveProtocol(PSI0, 1, 1, rounds["verifier"], rounds["prover"])
 
     @pytest.mark.parametrize("side", ["verifier", "prover"])
     @pytest.mark.parametrize("wires,message", [
@@ -306,19 +320,19 @@ class TestGateRounds:
         op = X if len(wires) == 1 else np.eye(4)
         rounds[side] = [[(op, wires)]]
         with pytest.raises(DimensionMismatchError) as err:
-            InteractiveProtocol.from_verifier_start(PSI0, 1, 1, rounds["verifier"],
-                                                    rounds["prover"])
+            InteractiveProtocol(PSI0, 1, 1, rounds["verifier"], rounds["prover"])
         assert str(err.value) == message
 
     def test_dense_round_shape_still_checked(self):
         with pytest.raises(DimensionMismatchError, match="verifier unitary must act on W M"):
-            InteractiveProtocol.from_verifier_start(PSI0, 1, 1, [np.eye(2)], [np.eye(4)])
+            InteractiveProtocol(PSI0, 1, 1, [np.eye(2)], [np.eye(4)])
 
     def test_dense_views_are_read_only_and_built_on_demand(self):
         v1 = cnot_control_m_target_w()
-        prot = InteractiveProtocol.from_verifier_start(
+        prot = InteractiveProtocol(
             PSI0, 1, 1, [v1, [(X, [0]), (X, [1])]], [np.eye(4), [(X, [1])]])
         assert prot.rounds == 2
+        assert np.array_equal(prot.psi_v, PSI0.amplitudes) and not prot.psi_v.flags.writeable
         assert "verifier_unitaries" not in vars(prot)
         vs = prot.verifier_unitaries
         assert vs[0] is prot.verifier_rounds[0][0][0]

@@ -154,7 +154,7 @@ class TestSoundness:
     def test_oracle_below_bound_random(self, seed):
         g = rng_from(2700, seed)
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             psi_v, 2, 1, [random_unitary(4, g), random_unitary(4, g)],
             [np.eye(8, dtype=complex)] * 2)
         zeta = brute_force_prover_value(base, rng_from(2710, seed),
@@ -235,7 +235,7 @@ class TestCoinViews:
         psi_v /= np.linalg.norm(psi_v)
         vs = [haar(dims[1] * dims[2]) for _ in range(2)]
         honest = [haar(dims[0] * dims[2]) for _ in range(2)]
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             PureState(psi_v, RegisterLayout.single("W", w)), r, m, vs, honest)
         pc = PublicCoinProtocol(base)
         start = np.kron(np.kron(np.eye(dims[0])[0], psi_v), np.eye(dims[2])[0])

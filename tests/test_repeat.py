@@ -36,7 +36,7 @@ class TestExecutable:
     def test_k2_optimum_is_single_squared(self, seed):
         g = rng_from(2900, seed)
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             psi_v, 2, 1, [random_unitary(4, g), random_unitary(4, g)],
             [np.eye(8, dtype=complex)] * 2)
         single = brute_force_prover_value(base, rng_from(2910, seed),
@@ -52,7 +52,7 @@ class TestExecutable:
         g = rng_from(2950)
         psi_v = PureState.from_bits(RegisterLayout.single("W", 1), "0")
         v1, v2 = random_unitary(4, g), random_unitary(4, g)
-        base = InteractiveProtocol.from_verifier_start(
+        base = InteractiveProtocol(
             psi_v, 2, 1, [v1, v2], [np.eye(8, dtype=complex)] * 2)
         single = optimal_three_message_value(v1, v2, psi_v, 1)
         doubled = parallel_repeat(base, 2)

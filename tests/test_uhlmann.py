@@ -58,15 +58,15 @@ class TestComputeUhlmann:
         inst = random_instance(1, 1, rng)
         same = UhlmannInstance(inst.c_unitary, inst.c_unitary, 1, 1)
         u = compute_uhlmann(same)
-        mapped = (same.c_vector().reshape(2, 2) @ u.matrix.T).reshape(-1)
-        assert np.linalg.norm(mapped - same.c_vector()) < 1e-9
+        mapped = (same.c_vector.reshape(2, 2) @ u.matrix.T).reshape(-1)
+        assert np.linalg.norm(mapped - same.c_vector) < 1e-9
 
     def test_bell_flip_instance(self):
         inst = bell_flip_instance()
         u = compute_uhlmann(inst)
         # Verify (Id x U)|C> = |D> by direct 4-vector arithmetic.
-        c = inst.c_vector()
-        d = inst.d_vector()
+        c = inst.c_vector
+        d = inst.d_vector
         mapped = np.kron(np.eye(2), u.matrix) @ c
         assert np.linalg.norm(mapped - d) < 1e-9
         # X itself satisfies the identity; U may differ only by phase here.
@@ -129,7 +129,7 @@ class TestProtocol:
         rng = rng_from(44)
         inst = random_instance(1, 1, rng, delta=1.0)
         p_round = round_accept_probability(inst, np.eye(2, dtype=complex))
-        overlap = abs(np.vdot(inst.d_vector(), inst.c_vector())) ** 2
+        overlap = abs(np.vdot(inst.d_vector, inst.c_vector)) ** 2
         assert p_round == pytest.approx(overlap, abs=1e-12)
         record = soundness_check(inst, identity_prover(inst))
         assert record.acceptance == pytest.approx(overlap ** (inst.gamma - 1), abs=1e-9)
